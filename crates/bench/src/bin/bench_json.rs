@@ -7,7 +7,8 @@
 //! realization) through the staged `FitSession`, benchmarks the batched
 //! `Macromodel::eval_batch` sweep path against the per-frequency
 //! evaluation loop on an order-48 descriptor model, and times the raw
-//! 256×256 complex GEMM kernel pair. The `BENCH_*.json` summaries record
+//! GEMM kernels: 256×256 complex and real naive/blocked pairs plus the
+//! real restricted-projection shape. The `BENCH_*.json` summaries record
 //! the perf trajectory of the repo per PR: end-to-end and sweep numbers
 //! land in `BENCH_end_to_end.json`, the per-stage fit numbers in
 //! `BENCH_fit_stages.json`.
@@ -31,7 +32,7 @@
 
 use criterion::{BenchResult, Criterion};
 
-use mfti_bench::random_complex;
+use mfti_bench::{random_complex, random_real};
 use mfti_core::{
     realify, FitSession, Fitter, LoewnerPencil, Mfti, OrderSelection, RecursiveMfti, SessionSvd,
     TangentialData, Vfti, Weights,
@@ -355,6 +356,22 @@ fn main() {
     c.sample_size(10).bench_function("gemm_c64_256/naive", |b| {
         b.iter(|| kernel::mul_naive(&a, &b_mat).expect("gemm"))
     });
+    // The real path every realified product takes: a 256³ cube and the
+    // restricted projection 𝕃ᵣ·X of Example 1 (m × n × k = 480 × 180 × 480).
+    let ar = random_real(256, 256, 0x5eed);
+    let br = random_real(256, 256, 0xbeef);
+    let pencil = random_real(480, 480, 0x9e11);
+    let basis = random_real(480, 180, 0xba5e);
+    c.sample_size(20)
+        .bench_function("gemm_f64_256/blocked", |b| {
+            b.iter(|| kernel::mul(&ar, &br).expect("gemm"))
+        })
+        .bench_function("gemm_f64_480x180x480/blocked", |b| {
+            b.iter(|| kernel::mul(&pencil, &basis).expect("gemm"))
+        });
+    c.sample_size(10).bench_function("gemm_f64_256/naive", |b| {
+        b.iter(|| kernel::mul_naive(&ar, &br).expect("gemm"))
+    });
 
     let results = c.results();
     let median_of = |id: &str| {
@@ -380,6 +397,16 @@ fn main() {
     } else {
         println!("single hardware thread: parallel multiplier not measurable on this host");
     }
+
+    // A complex multiply-add is four real ones: 8·n³ flops vs 2·n³.
+    let gflops = |id: &str, flops: f64| flops / median_of(id);
+    println!(
+        "GEMM rates: complex 256³ {:.1} GFLOP/s | real 256³ {:.1} GFLOP/s | \
+         real 480×180×480 {:.1} GFLOP/s",
+        gflops("gemm_c64_256/blocked", 8.0 * 256f64.powi(3)),
+        gflops("gemm_f64_256/blocked", 2.0 * 256f64.powi(3)),
+        gflops("gemm_f64_480x180x480/blocked", 2.0 * 480.0 * 180.0 * 480.0),
+    );
 
     let stage_ms = |stage: &str| median_of(&format!("fit_stage/{stage}")) / 1e6;
     println!(

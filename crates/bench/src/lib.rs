@@ -28,14 +28,26 @@ pub const PAPER_SEED: u64 = 0x0DAC_2010;
 /// `[-1, 1]²` — the shared input generator of the GEMM/SVD kernel
 /// benches and the `bench_json` snapshot binary.
 pub fn random_complex(n: usize, seed: u64) -> mfti_numeric::CMatrix {
+    let mut next = xorshift_unit(seed);
+    mfti_numeric::CMatrix::from_fn(n, n, |_, _| mfti_numeric::c64(next(), next()))
+}
+
+/// Deterministic `rows × cols` real matrix with xorshift entries in
+/// `[-1, 1]` — the real counterpart of [`random_complex`].
+pub fn random_real(rows: usize, cols: usize, seed: u64) -> mfti_numeric::RMatrix {
+    let mut next = xorshift_unit(seed);
+    mfti_numeric::RMatrix::from_fn(rows, cols, |_, _| next())
+}
+
+/// The xorshift stream behind the random matrix generators.
+fn xorshift_unit(seed: u64) -> impl FnMut() -> f64 {
     let mut s = seed | 1;
-    let mut next = move || {
+    move || {
         s ^= s << 13;
         s ^= s >> 7;
         s ^= s << 17;
         (s as f64 / u64::MAX as f64) * 2.0 - 1.0
-    };
-    mfti_numeric::CMatrix::from_fn(n, n, |_, _| mfti_numeric::c64(next(), next()))
+    }
 }
 
 /// Example 1's underlying system: order 150, 30 ports, full-rank `D`

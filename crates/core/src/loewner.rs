@@ -35,10 +35,12 @@ use mfti_numeric::{kernel, parallel, CMatrix, Complex, Svd};
 use crate::data::TangentialData;
 use crate::error::MftiError;
 
-/// Below this pencil order the per-row work cannot amortize a thread
-/// spawn and assembly stays on one worker (results are identical either
-/// way — the gate only affects scheduling).
-const PAR_MIN_ORDER: usize = 96;
+/// Below this many newly computed pencil entries (`K² − K_old²` per
+/// [`LoewnerPencil::extend`]; for a from-scratch build, order < 96) the
+/// divided-difference work cannot amortize a thread spawn and assembly
+/// stays on one worker. Results are identical either way — the gate
+/// only affects scheduling.
+const PAR_MIN_ENTRIES: usize = 96 * 96;
 
 /// The assembled (possibly partial) Loewner pencil.
 ///
@@ -253,7 +255,7 @@ impl LoewnerPencil {
         // is a pure function of the cross-product rows, μ_i and the λs —
         // bit-identical for every worker count (static chunking).
         let rows: Vec<usize> = (0..k_total).collect();
-        let workers = if k_total < PAR_MIN_ORDER {
+        let workers = if k_total * k_total - k_old * k_old < PAR_MIN_ENTRIES {
             1
         } else {
             parallel::available_threads()

@@ -679,6 +679,18 @@ fn classify(e: &FitError) -> String {
 mod tests {
     use super::*;
 
+    /// The iteration caps are process-global: a test's unarmed phases
+    /// (clean fits, the append after a fault is lifted) must not run
+    /// while a sibling test has them armed, so every test here holds
+    /// this lock for its whole body.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     /// Expected campaign size: four engines per one-shot fault class,
     /// one windowed-session record per eviction fault class.
     fn expected_records() -> usize {
@@ -690,6 +702,7 @@ mod tests {
 
     #[test]
     fn campaign_is_panic_free_and_typed() {
+        let _serial = serial();
         let report = run_campaign(0x5107_fa17).unwrap();
         assert_eq!(report.records.len(), expected_records());
         assert_eq!(report.panics(), 0, "panic crossed a fit boundary");
@@ -728,6 +741,7 @@ mod tests {
 
     #[test]
     fn eviction_faults_resolve_without_panic() {
+        let _serial = serial();
         let report = run_campaign(0x5107_fa17).unwrap();
         for kind in FaultKind::ALL.into_iter().filter(|k| k.is_window_fault()) {
             let cells = report.of_fault(kind);
@@ -751,6 +765,7 @@ mod tests {
 
     #[test]
     fn exhausted_ladder_leaves_the_session_serviceable() {
+        let _serial = serial();
         // Transactionality under total exhaustion: the failing windowed
         // append must leave the previous generation fully intact — the
         // quarantined candidate never replaces it, and the session still
@@ -777,6 +792,7 @@ mod tests {
 
     #[test]
     fn ladder_exhaustion_is_typed_never_fatal() {
+        let _serial = serial();
         let report = run_campaign(0x0bad_cafe).unwrap();
         assert_eq!(report.panics(), 0);
         for r in report.of_fault(FaultKind::LadderExhaustion) {
@@ -790,6 +806,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_digest() {
+        let _serial = serial();
         let a = run_campaign(7).unwrap();
         let b = run_campaign(7).unwrap();
         assert_eq!(a.digest, b.digest);

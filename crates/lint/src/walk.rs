@@ -1,6 +1,7 @@
 //! Deterministic workspace source discovery.
 //!
-//! Walks the source roots (`crates/`, `src/`, `tests/`, `examples/`)
+//! Walks the source roots (`crates/`, `src/`, `tests/`, `examples/`,
+//! and `perf/`, the benchmark package outside the library workspace)
 //! for `.rs` files in sorted order — the lint obeys its own rules, so
 //! nothing here may depend on directory-entry or hash order. `shims/`
 //! (vendored API stubs), `target/`, and any `fixtures/` directory (the
@@ -11,8 +12,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Top-level directories that contain workspace-owned Rust sources.
-const SOURCE_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
+/// Top-level directories that contain repository-owned Rust sources.
+const SOURCE_ROOTS: [&str; 5] = ["crates", "src", "tests", "examples", "perf"];
 
 /// Directory names never descended into, anywhere in the tree.
 const EXCLUDED_DIRS: [&str; 3] = ["target", "shims", "fixtures"];

@@ -116,6 +116,8 @@ mod tests {
 
     #[test]
     fn unarmed_hooks_pass_through() {
+        // Hold the hook lock so no sibling test arms a cap meanwhile.
+        let _unarmed = HOOK_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(qr_iteration_cap(), None);
         assert_eq!(jacobi_sweep_cap(), None);
         let a = pseudo_random(8, 0xfa);

@@ -11,9 +11,15 @@
 //!   dimension (and bounds checks vanish from the inner loop),
 //! * **cache blocking** — panels of `KC`×`NB` keep the packed
 //!   working set resident in L1/L2 across the `i` sweep,
-//! * **register tiling** — a 1×4 micro-kernel reuses each element of
-//!   the left row across four output columns with independent
-//!   accumulator chains,
+//! * **register tiling** — the scalar 1×4 micro-kernel reuses each
+//!   element of the left row across four output columns with
+//!   independent accumulator chains; on AVX2 hosts the `f64` path runs
+//!   a 4-row × 8-column tile instead (runtime-detected, like the
+//!   split-complex FMA kernel) whose every vector lane repeats the
+//!   scalar chain of its output entry — start at `0.0` per `KC` panel,
+//!   add one separately rounded product per `k` (never an FMA), then
+//!   `out += acc` or `out += α·acc` — so real products are
+//!   **bit-identical** with or without it,
 //! * **fused operand transposes** — [`mul_hermitian_left`] (`AᴴB`) and
 //!   [`mul_transpose_right`] (`ABᵀ`) fold the transpose into the packing
 //!   (or skip packing entirely: `ABᵀ` is already two row-major
@@ -418,12 +424,162 @@ fn pack_transpose<T: Scalar>(m: &Matrix<T>, conjugate: bool) -> Vec<T> {
     packed
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test hook: routes this thread's `f64` products through the scalar
+    /// kernel, the oracle the AVX2 micro-kernel is checked against.
+    static SCALAR_ORACLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// `true` when the AVX2 `f64` micro-kernel is usable on this host.
+/// The detection macro caches, so this is a relaxed atomic load.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx2_available() -> bool {
+    #[cfg(test)]
+    if SCALAR_ORACLE.with(std::cell::Cell::get) {
+        return false;
+    }
+    std::arch::is_x86_feature_detected!("avx2")
+}
+
+/// AVX2 widening of the `f64` [`gemm_packed`] sweep, bit-identical to
+/// the scalar kernel.
+///
+/// Same `NB`/`KC` blocking, same arithmetic per output entry: each
+/// vector lane owns one entry of `out`, and its accumulator starts at
+/// `0.0` per `KC` panel and adds one separately rounded product per `k`
+/// (`_mm256_mul_pd` then `_mm256_add_pd` — an FMA's single rounding
+/// would change the bits), exactly the chain [`dot4`] runs for it; the
+/// panel sum then lands as `out += acc` or `out += α·acc`. Lanes span
+/// four adjacent output columns, so two quads of `bt` at a time are
+/// interleaved into a stack buffer (16 KiB, no heap),
+/// `pair[(w·len + k)·4 + c] = bt[(jb + 4(q + w) + c)·kdim + kb + k]`,
+/// which stays in L1 while 4-row × two-quad tiles (eight accumulators)
+/// sweep every row. Leftover rows take 1-row tiles, a leftover quad a
+/// 1-quad tile, and the < 4 remainder columns stay on the scalar
+/// [`dot`].
+///
+/// # Safety
+///
+/// Callers must ensure the host CPU supports `avx2` (checked once per
+/// [`gemm_packed`] call via [`avx2_available`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_f64_avx2(
+    at: &[f64],
+    bt: &[f64],
+    m: usize,
+    n: usize,
+    kdim: usize,
+    alpha: f64,
+    out: &mut [f64],
+) {
+    let scale = (alpha != 1.0).then_some(alpha);
+    let mut pair = [0.0f64; 8 * KC];
+    for jb in (0..n).step_by(NB) {
+        let jend = (jb + NB).min(n);
+        let quads = (jend - jb) / 4;
+        for kb in (0..kdim).step_by(KC) {
+            let kend = (kb + KC).min(kdim);
+            let len = kend - kb;
+            let mut q = 0;
+            while q < quads {
+                let width = if q + 2 <= quads { 2 } else { 1 };
+                let p = &mut pair[..width * 4 * len];
+                for (w, dst) in p.chunks_exact_mut(4 * len).enumerate() {
+                    let col = |c: usize| &bt[(jb + 4 * (q + w) + c) * kdim + kb..][..len];
+                    let (b0, b1, b2, b3) = (col(0), col(1), col(2), col(3));
+                    for (k, d) in dst.chunks_exact_mut(4).enumerate() {
+                        d.copy_from_slice(&[b0[k], b1[k], b2[k], b3[k]]);
+                    }
+                }
+                let p = &*p;
+                let mut i = 0;
+                while i < m {
+                    let rows = if i + 4 <= m { 4 } else { 1 };
+                    let a = &at[i * kdim + kb..];
+                    let o = &mut out[i * n + jb + 4 * q..];
+                    // SAFETY: AVX2 is enabled on this function, and
+                    // `tile` asserts every extent it reads and writes.
+                    unsafe {
+                        match (rows, width) {
+                            (4, 2) => tile::<4, 2>(a, kdim, p, len, o, n, scale),
+                            (4, _) => tile::<4, 1>(a, kdim, p, len, o, n, scale),
+                            (_, 2) => tile::<1, 2>(a, kdim, p, len, o, n, scale),
+                            _ => tile::<1, 1>(a, kdim, p, len, o, n, scale),
+                        }
+                    }
+                    i += rows;
+                }
+                q += width;
+            }
+            for i in 0..m {
+                let arow = &at[i * kdim + kb..i * kdim + kend];
+                for j in jb + 4 * quads..jend {
+                    let d = dot(arow, &bt[j * kdim + kb..j * kdim + kend]);
+                    out[i * n + j] += scale.map_or(d, |alpha| alpha * d);
+                }
+            }
+        }
+    }
+}
+
+/// One `R`-row × `Q`-quad register tile of [`gemm_f64_avx2`]:
+/// `o[r·ldo + 4q + c] (+)= α · Σ_k a[r·lda + k] · p[(q·len + k)·4 + c]`
+/// for `k < len`, one `__m256d` accumulator per `(r, q)`.
+///
+/// # Safety
+///
+/// Must run under an `avx2` `target_feature` context (it is
+/// `inline(always)` into [`gemm_f64_avx2`]); the slice extents are
+/// asserted on entry, so every pointer below stays in bounds.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn tile<const R: usize, const Q: usize>(
+    a: &[f64],
+    lda: usize,
+    p: &[f64],
+    len: usize,
+    o: &mut [f64],
+    ldo: usize,
+    scale: Option<f64>,
+) {
+    use std::arch::x86_64::*;
+    assert!(a.len() >= (R - 1) * lda + len);
+    assert!(p.len() >= Q * 4 * len);
+    assert!(o.len() >= (R - 1) * ldo + 4 * Q);
+    let (ap, pp, op) = (a.as_ptr(), p.as_ptr(), o.as_mut_ptr());
+    let mut acc = [[_mm256_setzero_pd(); Q]; R];
+    for k in 0..len {
+        let mut b = [_mm256_setzero_pd(); Q];
+        for (q, bq) in b.iter_mut().enumerate() {
+            *bq = _mm256_loadu_pd(pp.add(q * 4 * len + 4 * k));
+        }
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let x = _mm256_set1_pd(*ap.add(r * lda + k));
+            for (s, &bq) in acc_r.iter_mut().zip(&b) {
+                *s = _mm256_add_pd(*s, _mm256_mul_pd(x, bq));
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        for (q, &s) in acc_r.iter().enumerate() {
+            let dst = op.add(r * ldo + 4 * q);
+            let s = scale.map_or(s, |alpha| _mm256_mul_pd(_mm256_set1_pd(alpha), s));
+            _mm256_storeu_pd(dst, _mm256_add_pd(_mm256_loadu_pd(dst), s));
+        }
+    }
+}
+
 /// Core blocked kernel over pre-arranged operands:
 /// `out[i·n + j] (+)= α · Σ_k at[i·kdim + k] · bt[j·kdim + k]`.
 ///
 /// Both operands are "k-contiguous": `at` holds `m` rows of length
 /// `kdim`, `bt` holds `n` rows of length `kdim`. When `accumulate` is
-/// false, `out` must come in zeroed.
+/// false, `out` must come in zeroed. `f64` operands take the
+/// bit-identical [`gemm_f64_avx2`] path when the host has AVX2; the
+/// scalar sweep below is the fallback and the test oracle.
 fn gemm_packed<T: Scalar>(
     at: &[T],
     bt: &[T],
@@ -436,6 +592,16 @@ fn gemm_packed<T: Scalar>(
     debug_assert_eq!(at.len(), m * kdim);
     debug_assert_eq!(bt.len(), n * kdim);
     debug_assert_eq!(out.len(), m * n);
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        if let (Some(at), Some(bt), Some(out)) =
+            (T::real_slice(at), T::real_slice(bt), T::real_slice_mut(out))
+        {
+            // SAFETY: `avx2_available` witnessed AVX2 support.
+            unsafe { gemm_f64_avx2(at, bt, m, n, kdim, alpha.re(), out) };
+            return;
+        }
+    }
     let scale = alpha != T::ONE;
     for jb in (0..n).step_by(NB) {
         let jend = (jb + NB).min(n);
@@ -794,15 +960,21 @@ mod tests {
     use super::*;
     use crate::complex::c64;
     use crate::matrix::{CMatrix, RMatrix};
+    use proptest::prelude::*;
 
-    fn cmat(rows: usize, cols: usize, seed: u64) -> CMatrix {
+    /// Seeded xorshift stream of uniform values in `[-1, 1)`.
+    fn uniform(seed: u64) -> impl FnMut() -> f64 {
         let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut next = move || {
+        move || {
             s ^= s << 13;
             s ^= s >> 7;
             s ^= s << 17;
             (s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-        };
+        }
+    }
+
+    fn cmat(rows: usize, cols: usize, seed: u64) -> CMatrix {
+        let mut next = uniform(seed);
         CMatrix::from_fn(rows, cols, |_, _| c64(next(), next()))
     }
 
@@ -919,5 +1091,111 @@ mod tests {
         let fast = mul(&a, &b).unwrap();
         let slow = mul_naive(&a, &b).unwrap();
         assert!(fast.approx_eq(&slow, 1e-11));
+    }
+
+    /// Runs `f` with this thread's `f64` products on the scalar kernel.
+    fn on_scalar_oracle<R>(f: impl FnOnce() -> R) -> R {
+        SCALAR_ORACLE.with(|s| s.set(true));
+        let out = f();
+        SCALAR_ORACLE.with(|s| s.set(false));
+        out
+    }
+
+    /// Shapes straddling every edge of the AVX2 `f64` path: the 4-row
+    /// tile (`m`), 1–3 remainder columns and the `NB = 48` column block
+    /// (`n`), and the `KC = 256` panel (`k`).
+    const EDGE_M: [usize; 8] = [1, 2, 3, 4, 5, 7, 8, 9];
+    const EDGE_N: [usize; 16] = [1, 2, 3, 4, 5, 7, 8, 11, 46, 47, 48, 49, 50, 51, 53, 97];
+    const EDGE_K: [usize; 10] = [1, 3, 8, 17, 255, 256, 257, 259, 300, 513];
+
+    /// Real matrix with entries in `[-1, 1]`, every third row scaled
+    /// into the subnormal range (so its products and running sums are
+    /// subnormal), and each `specials` slot overwritten with NaN, ±∞,
+    /// −0.0 or a subnormal.
+    fn edge_rmat(rows: usize, cols: usize, seed: u64, specials: &[(u32, u8)]) -> RMatrix {
+        let mut next = uniform(seed);
+        let tiny_row = (seed % 3) as usize;
+        let mut m = RMatrix::from_fn(rows, cols, |i, _| {
+            let x = next();
+            if i % 3 == tiny_row {
+                x * 1e-310
+            } else {
+                x
+            }
+        });
+        let entries = m.as_mut_slice();
+        if !entries.is_empty() {
+            for &(pos, kind) in specials {
+                entries[pos as usize % entries.len()] = match kind {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => -0.0,
+                    _ => 4.9e-322,
+                };
+            }
+        }
+        m
+    }
+
+    /// Bitwise equality, with NaN compared as a class: Rust leaves the
+    /// sign and payload of a NaN result unspecified, so not even the
+    /// scalar kernel pins those bits.
+    fn same_bits(x: &RMatrix, y: &RMatrix) -> bool {
+        x.dims() == y.dims()
+            && x.as_slice()
+                .iter()
+                .zip(y.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every `f64` entry point gives the same bits on the AVX2
+        /// micro-kernel as on the scalar oracle.
+        #[test]
+        fn avx2_f64_kernel_matches_the_scalar_oracle_bit_for_bit(
+            (mi, ni, ki) in (0..EDGE_M.len(), 0..EDGE_N.len(), 0..EDGE_K.len()),
+            seed in 0u64..1_000_000,
+            specials in (0usize..=4).prop_flat_map(|count| {
+                proptest::collection::vec((0u32..1_000_000, 0u8..5), count)
+            }),
+        ) {
+            let (m, n, k) = (EDGE_M[mi], EDGE_N[ni], EDGE_K[ki]);
+            let a = edge_rmat(m, k, seed, &specials);
+            let b = edge_rmat(k, n, seed + 1, &specials);
+            let a_tall = edge_rmat(k, m, seed + 2, &specials);
+            let b_wide = edge_rmat(n, k, seed + 3, &specials);
+            let c = edge_rmat(m, n, seed + 4, &[(7, 3)]);
+            let agree = |f: &dyn Fn() -> RMatrix| same_bits(&f(), &on_scalar_oracle(f));
+            prop_assert!(agree(&|| mul_blocked(&a, &b).unwrap()), "mul_blocked");
+            prop_assert!(
+                agree(&|| mul_hermitian_left(&a_tall, &b).unwrap()),
+                "mul_hermitian_left"
+            );
+            prop_assert!(
+                agree(&|| mul_transpose_right(&a, &b_wide).unwrap()),
+                "mul_transpose_right"
+            );
+            for alpha in [1.0, -1.0, 0.37] {
+                prop_assert!(
+                    agree(&|| {
+                        let mut out = c.clone();
+                        accumulate_scaled(&mut out, alpha, &a, &b).unwrap();
+                        out
+                    }),
+                    "accumulate_scaled, alpha = {alpha}"
+                );
+                prop_assert!(
+                    agree(&|| {
+                        let mut out = c.clone();
+                        accumulate_scaled_adjoint_right(&mut out, alpha, &a, &b_wide).unwrap();
+                        out
+                    }),
+                    "accumulate_scaled_adjoint_right, alpha = {alpha}"
+                );
+            }
+        }
     }
 }

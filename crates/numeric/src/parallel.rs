@@ -71,8 +71,10 @@ where
 ///
 /// Items are split into `⌈len / workers⌉`-sized contiguous chunks, one
 /// per worker, assigned statically in index order; each worker fills its
-/// own disjoint output slice. Because `f` never observes the chunk
-/// layout, the output is bit-identical for every `threads` value. With
+/// own disjoint output slice. Chunk 0 runs on the calling thread, which
+/// would otherwise only wait for the scope, so `workers` chunks cost
+/// `workers − 1` spawns. Because `f` never observes the chunk layout,
+/// the output is bit-identical for every `threads` value. With
 /// `threads <= 1` (or a single item) no thread is spawned at all.
 ///
 /// # Panics
@@ -91,17 +93,20 @@ where
     }
     let chunk = n.div_ceil(workers);
     let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    let fill = |base: usize, in_chunk: &[T], out_chunk: &mut [Option<R>]| {
+        for (k, (x, slot)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
+            *slot = Some(f(base + k, x));
+        }
+    };
     std::thread::scope(|scope| {
-        for (ci, (in_chunk, out_chunk)) in
-            items.chunks(chunk).zip(out.chunks_mut(chunk)).enumerate()
-        {
-            let f = &f;
-            scope.spawn(move || {
-                let base = ci * chunk;
-                for (k, (x, slot)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-                    *slot = Some(f(base + k, x));
-                }
-            });
+        let mut chunks = items.chunks(chunk).zip(out.chunks_mut(chunk));
+        let head = chunks.next();
+        for (ci, (in_chunk, out_chunk)) in chunks.enumerate() {
+            let fill = &fill;
+            scope.spawn(move || fill((ci + 1) * chunk, in_chunk, out_chunk));
+        }
+        if let Some((in_chunk, out_chunk)) = head {
+            fill(0, in_chunk, out_chunk);
         }
     });
     out.into_iter()
@@ -160,6 +165,33 @@ mod tests {
                 "threads = {threads}"
             );
         }
+    }
+
+    #[test]
+    fn chunk_zero_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..103).collect();
+        for threads in [1, 2, 3, 7, 16, 200] {
+            let on_caller = map_with(threads, &items, |_, _| {
+                std::thread::current().id() == caller
+            });
+            let chunk = items.len().div_ceil(threads.min(items.len()));
+            let head = if threads == 1 { items.len() } else { chunk };
+            assert!(on_caller[..head].iter().all(|&c| c), "threads = {threads}");
+            assert!(on_caller[head..].iter().all(|&c| !c), "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_chunk_propagates() {
+        let items: Vec<usize> = (0..16).collect();
+        let result = std::panic::catch_unwind(|| {
+            map_with(4, &items, |i, &x| {
+                assert!(i != 0, "chunk 0 fails");
+                x
+            })
+        });
+        assert!(result.is_err());
     }
 
     #[test]

@@ -70,6 +70,12 @@ pub trait Scalar:
     /// Truncates to the real part (used when demoting provably-real
     /// results of complex computations).
     fn from_complex_lossy(z: Complex) -> Self;
+    /// The slice itself when `Self` is `f64`, `None` for complex — the
+    /// safe view through which generic code hands real operands to the
+    /// `f64`-only SIMD kernels.
+    fn real_slice(s: &[Self]) -> Option<&[f64]>;
+    /// Mutable counterpart of [`Scalar::real_slice`].
+    fn real_slice_mut(s: &mut [Self]) -> Option<&mut [f64]>;
 }
 
 mod private {
@@ -128,6 +134,14 @@ impl Scalar for f64 {
     fn from_complex_lossy(z: Complex) -> Self {
         z.re
     }
+    #[inline]
+    fn real_slice(s: &[Self]) -> Option<&[f64]> {
+        Some(s)
+    }
+    #[inline]
+    fn real_slice_mut(s: &mut [Self]) -> Option<&mut [f64]> {
+        Some(s)
+    }
 }
 
 impl Scalar for Complex {
@@ -179,6 +193,14 @@ impl Scalar for Complex {
     fn from_complex_lossy(z: Complex) -> Self {
         z
     }
+    #[inline]
+    fn real_slice(_: &[Self]) -> Option<&[f64]> {
+        None
+    }
+    #[inline]
+    fn real_slice_mut(_: &mut [Self]) -> Option<&mut [f64]> {
+        None
+    }
 }
 
 #[cfg(test)]
@@ -194,6 +216,10 @@ mod tests {
         assert_eq!(Scalar::im(5.0f64), 0.0);
         assert!(!Scalar::is_finite(f64::NAN));
         assert_eq!(<f64 as Scalar>::from_complex_lossy(c64(2.0, 9.0)), 2.0);
+        let mut xs = [1.0f64, -2.0];
+        assert_eq!(f64::real_slice(&xs), Some(&[1.0, -2.0][..]));
+        f64::real_slice_mut(&mut xs).expect("f64 is real")[1] = 3.0;
+        assert_eq!(xs, [1.0, 3.0]);
     }
 
     #[test]
@@ -204,6 +230,8 @@ mod tests {
         assert_eq!(Scalar::im(z), -2.0);
         const _: () = assert!(Complex::IS_COMPLEX && !f64::IS_COMPLEX);
         assert_eq!(Scalar::to_complex(z), z);
+        assert!(Complex::real_slice(&[z]).is_none());
+        assert!(Complex::real_slice_mut(&mut [z]).is_none());
     }
 
     #[test]
