@@ -6,7 +6,9 @@
 //! fit stages separately (pencil assembly / order-detection SVD /
 //! realization) through the staged `FitSession`, benchmarks the batched
 //! `Macromodel::eval_batch` sweep path against the per-frequency
-//! evaluation loop on an order-48 descriptor model, and times the raw
+//! evaluation loop on an order-48 descriptor model, times the cold
+//! sweep set-up and the pole computation of the `mfti_full` model
+//! against its complex twin (`sweep_cold/*`, `poles/*`), and times the raw
 //! GEMM kernels: 256×256 complex and real naive/blocked pairs plus the
 //! real restricted-projection shape. The `BENCH_*.json` summaries record
 //! the perf trajectory of the repo per PR: end-to-end and sweep numbers
@@ -106,6 +108,65 @@ fn main() {
             b.iter(|| engine.fit(&samples).expect("fit"))
         });
     }
+
+    // --- sweep set-up and poles: real model vs its complex twin --------
+    // The mfti_full fit's real model and its `to_complex()` twin over
+    // one 100-point log sweep of the band, on one thread so the serial
+    // set-up is not hidden behind the parallel per-point phase. Each
+    // sweep iteration clones the model, so it starts with an empty
+    // `SweepCache` and pays the cold set-up (LU, solves, Hessenberg
+    // reduction, Schur iteration, modal validation) a freshly fitted
+    // model pays; the real model factors, solves and reduces in f64 and
+    // computes its poles with the real Francis iteration (DESIGN.md
+    // §10), the twin runs all of it in complex arithmetic.
+    let full_outcome = Mfti::new()
+        .order_selection(selection)
+        .fit(&samples)
+        .expect("mfti_full fit");
+    let real_model = full_outcome
+        .model()
+        .as_real()
+        .expect("the real fit path returns a real model")
+        .clone();
+    let twin_model = real_model.to_complex();
+    let setup_pts: Vec<mfti_numeric::Complex> = FrequencyGrid::log_space(1e7, 1e9, 100)
+        .expect("valid")
+        .points()
+        .iter()
+        .map(|&f| mfti_statespace::s_at_hz(f))
+        .collect();
+    let real_cold = || {
+        real_model
+            .clone()
+            .eval_batch_with(&setup_pts, SweepStrategy::Auto, 1)
+            .expect("sweep")
+    };
+    let twin_cold = || {
+        twin_model
+            .clone()
+            .eval_batch_with(&setup_pts, SweepStrategy::Auto, 1)
+            .expect("sweep")
+    };
+    // The real set-up reproduces the twin's sweep exactly (DESIGN.md
+    // §10): check that before timing anything (this also warms both).
+    let real_sweep = real_cold();
+    let twin_sweep = twin_cold();
+    assert!(
+        real_sweep
+            .iter()
+            .zip(&twin_sweep)
+            .all(|(r, t)| r.approx_eq(t, 0.0)),
+        "real and complex sweep set-ups disagree"
+    );
+    c.sample_size(20)
+        .bench_function("sweep_cold/real", |b| b.iter(real_cold))
+        .bench_function("sweep_cold/complex", |b| b.iter(twin_cold))
+        .bench_function("poles/real", |b| {
+            b.iter(|| real_model.poles().expect("poles"))
+        })
+        .bench_function("poles/complex", |b| {
+            b.iter(|| twin_model.poles().expect("poles"))
+        });
 
     // --- per-stage fit timings (the mfti_full workload, staged) --------
     // Where the fit's time goes: tangential data + pencil assembly
@@ -406,6 +467,19 @@ fn main() {
         gflops("gemm_c64_256/blocked", 8.0 * 256f64.powi(3)),
         gflops("gemm_f64_256/blocked", 2.0 * 256f64.powi(3)),
         gflops("gemm_f64_480x180x480/blocked", 2.0 * 480.0 * 180.0 * 480.0),
+    );
+
+    let ms = |id: &str| median_of(id) / 1e6;
+    println!(
+        "sweep set-up and poles (mfti_full model, n = {}): cold sweep real {:.2} ms | \
+         complex {:.2} ms ({:.2}x) | poles real {:.2} ms | complex {:.2} ms ({:.2}x)",
+        real_model.order(),
+        ms("sweep_cold/real"),
+        ms("sweep_cold/complex"),
+        ms("sweep_cold/complex") / ms("sweep_cold/real"),
+        ms("poles/real"),
+        ms("poles/complex"),
+        ms("poles/complex") / ms("poles/real"),
     );
 
     let stage_ms = |stage: &str| median_of(&format!("fit_stage/{stage}")) / 1e6;

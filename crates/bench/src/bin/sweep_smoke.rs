@@ -1,12 +1,13 @@
 //! Deterministic-parallelism smoke check for `scripts/verify.sh`.
 //!
-//! Evaluates a seeded order-40 descriptor model over a 90-point log
-//! sweep through `Macromodel::eval_batch` — the path that honors the
-//! `MFTI_THREADS` override — and prints one FNV-1a digest of every
-//! result bit. `verify.sh` runs this binary under `MFTI_THREADS=1` and
-//! `MFTI_THREADS=N` and fails on any mismatch: the static-chunk
+//! Evaluates a seeded order-40 real descriptor model over a 90-point
+//! log sweep through `Macromodel::eval_batch` — the path that honors
+//! the `MFTI_THREADS` override — computes its poles (the real Francis
+//! path, DESIGN.md §10), and prints one FNV-1a digest of every result
+//! and pole bit. `verify.sh` runs this binary under `MFTI_THREADS=1`
+//! and `MFTI_THREADS=N` and fails on any mismatch: the static-chunk
 //! parallel executor guarantees bit-identical sweeps at every worker
-//! count.
+//! count, and the pole path is serial.
 //!
 //! Usage: `MFTI_THREADS=k cargo run --release -p mfti-bench --bin
 //! sweep_smoke` (prints `sweep digest: <hex>`).
@@ -29,6 +30,7 @@ fn main() {
         .map(|&f| mfti_statespace::s_at_hz(f))
         .collect();
     let batch = model.eval_batch(&pts).expect("sweep");
+    let poles = model.poles().expect("poles");
 
     // FNV-1a over the raw f64 bit patterns, in point/row-major order.
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -38,11 +40,9 @@ fn main() {
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    for h in &batch {
-        for z in h.iter() {
-            absorb(z.re.to_bits());
-            absorb(z.im.to_bits());
-        }
+    for z in batch.iter().flat_map(|h| h.iter()).chain(&poles) {
+        absorb(z.re.to_bits());
+        absorb(z.im.to_bits());
     }
     println!("sweep digest: {hash:016x}");
 }

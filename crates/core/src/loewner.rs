@@ -253,8 +253,9 @@ impl LoewnerPencil {
 
         // Row-parallel divided-difference pass: row i of the grown 𝕃/σ𝕃
         // is a pure function of the cross-product rows, μ_i and the λs —
-        // bit-identical for every worker count (static chunking).
-        let rows: Vec<usize> = (0..k_total).collect();
+        // bit-identical for every worker count (static chunking). Each
+        // worker writes its block of rows straight into the preallocated
+        // pencil storage.
         let workers = if k_total * k_total - k_old * k_old < PAR_MIN_ENTRIES {
             1
         } else {
@@ -262,41 +263,38 @@ impl LoewnerPencil {
         };
         let old_ll = &self.ll;
         let old_sll = &self.sll;
-        let built: Vec<(Vec<Complex>, Vec<Complex>)> =
-            parallel::map_with(workers, &rows, |_, &i| {
-                let mu_i = mus[i];
-                let mut ll_row = Vec::with_capacity(k_total);
-                let mut sll_row = Vec::with_capacity(k_total);
-                if i < k_old {
-                    // Old row: copy the existing entries, fill the new
-                    // column strip.
-                    ll_row.extend_from_slice(old_ll.row(i));
-                    sll_row.extend_from_slice(old_sll.row(i));
-                } else if k_old > 0 {
-                    // New row over the old columns.
-                    let vr = vr_bottom.row(i - k_old);
-                    let lw = lw_bottom.row(i - k_old);
-                    for j in 0..k_old {
-                        let inv = (mu_i - lambdas[j]).recip();
-                        ll_row.push((vr[j] - lw[j]) * inv);
-                        sll_row.push((vr[j] * mu_i - lw[j] * lambdas[j]) * inv);
-                    }
+        let mut ll_data = vec![Complex::ZERO; k_total * k_total];
+        let mut sll_data = vec![Complex::ZERO; k_total * k_total];
+        let row_len = k_total.max(1);
+        let mut rows: Vec<(&mut [Complex], &mut [Complex])> = ll_data
+            .chunks_mut(row_len)
+            .zip(sll_data.chunks_mut(row_len))
+            .collect();
+        parallel::for_each_mut(workers, &mut rows, |i, (ll_row, sll_row)| {
+            let mu_i = mus[i];
+            if i < k_old {
+                // Old row: copy the existing entries, fill the new
+                // column strip.
+                ll_row[..k_old].copy_from_slice(old_ll.row(i));
+                sll_row[..k_old].copy_from_slice(old_sll.row(i));
+            } else if k_old > 0 {
+                // New row over the old columns.
+                let vr = vr_bottom.row(i - k_old);
+                let lw = lw_bottom.row(i - k_old);
+                for j in 0..k_old {
+                    let inv = (mu_i - lambdas[j]).recip();
+                    ll_row[j] = (vr[j] - lw[j]) * inv;
+                    sll_row[j] = (vr[j] * mu_i - lw[j] * lambdas[j]) * inv;
                 }
-                let vr = vr_right.row(i);
-                let lw = lw_right.row(i);
-                for (j, &lambda_j) in lambdas[k_old..].iter().enumerate() {
-                    let inv = (mu_i - lambda_j).recip();
-                    ll_row.push((vr[j] - lw[j]) * inv);
-                    sll_row.push((vr[j] * mu_i - lw[j] * lambda_j) * inv);
-                }
-                (ll_row, sll_row)
-            });
-        let mut ll_data = Vec::with_capacity(k_total * k_total);
-        let mut sll_data = Vec::with_capacity(k_total * k_total);
-        for (ll_row, sll_row) in built {
-            ll_data.extend_from_slice(&ll_row);
-            sll_data.extend_from_slice(&sll_row);
-        }
+            }
+            let vr = vr_right.row(i);
+            let lw = lw_right.row(i);
+            for (j, &lambda_j) in lambdas[k_old..].iter().enumerate() {
+                let inv = (mu_i - lambda_j).recip();
+                ll_row[k_old + j] = (vr[j] - lw[j]) * inv;
+                sll_row[k_old + j] = (vr[j] * mu_i - lw[j] * lambda_j) * inv;
+            }
+        });
 
         // Commit.
         self.ll = CMatrix::from_vec(k_total, k_total, ll_data)?;

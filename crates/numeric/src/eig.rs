@@ -1,24 +1,29 @@
-//! Complex eigenvalue computation.
+//! Eigenvalues of matrices and of pencils.
 //!
-//! Poles of fitted macromodels (`eig(E⁻¹A)` after Loewner projection) and
-//! the pole-relocation step of vector fitting (`eig(A − b c̃ᵀ)`) both need
-//! eigenvalues of general complex matrices. The implementation reduces to
-//! Hessenberg form with Householder similarity transforms and runs a
-//! Wilkinson-shifted QR iteration with deflation.
-
-mod hessenberg;
-pub(crate) mod qr_algorithm;
+//! Poles of fitted macromodels (the finite eigenvalues of the pencil
+//! `(A, E)`) and the pole-relocation step of vector fitting
+//! (`eig(A − b c̃ᵀ)`) both need eigenvalues of general matrices. This
+//! module holds no iteration of its own: it reduces to Hessenberg form
+//! without accumulating `Q` ([`crate::Hessenberg`]'s values-only form)
+//! and runs the values-only mode of the QR iterations in
+//! [`crate::Schur`]'s module — the real Francis double-shift iteration
+//! for `f64` input, the complex Wilkinson-shifted one for complex
+//! input. Real pencils probed at a real shift stay real end to end
+//! (DESIGN.md §10).
 
 use crate::complex::{c64, Complex};
 use crate::error::NumericError;
 use crate::lu::Lu;
-use crate::matrix::Matrix;
+use crate::matrix::{Matrix, RMatrix};
 use crate::scalar::Scalar;
+use crate::schur::{complex_eigenvalues, real_eigenvalues};
 
 /// Computes all eigenvalues of a square matrix (real or complex input).
 ///
-/// Eigenvalues are returned in no particular order; callers that need
-/// determinism should sort (see the state-space crate's pole helpers).
+/// Real input never leaves `f64` (Francis double-shift iteration);
+/// its conjugate pairs come out exactly conjugate. Eigenvalues are
+/// returned in no particular order; callers that need determinism
+/// should sort (see the state-space crate's pole helpers).
 ///
 /// # Errors
 ///
@@ -55,9 +60,10 @@ pub fn eigenvalues<T: Scalar>(a: &Matrix<T>) -> Result<Vec<Complex>, NumericErro
     if n == 1 {
         return Ok(vec![a[(0, 0)].to_complex()]);
     }
-    let mut h = a.to_complex();
-    hessenberg::reduce_to_hessenberg(&mut h);
-    qr_algorithm::hessenberg_eigenvalues(h)
+    match T::real_slice(a.as_slice()) {
+        Some(re) => real_eigenvalues(RMatrix::from_vec(n, n, re.to_vec())?),
+        None => complex_eigenvalues(a.to_complex()),
+    }
 }
 
 /// Eigenvalues of the pencil `(A, E)`, i.e. values λ with
@@ -67,6 +73,9 @@ pub fn eigenvalues<T: Scalar>(a: &Matrix<T>) -> Result<Vec<Complex>, NumericErro
 /// ones (rank deficiency of `E`). Implemented by the shift-and-invert
 /// trick: pick a shift `s₀` making `A − s₀E` invertible, compute
 /// `μ ∈ eig((A − s₀E)⁻¹ E)` and map back `λ = s₀ + 1/μ` (μ ≈ 0 ⇒ λ = ∞).
+/// The first probe, `s₀ = 0`, is real: a real pencil then runs the LU,
+/// the solve and the eigenvalue iteration in `f64`. Only the complex
+/// probes behind it promote a real pencil to complex.
 ///
 /// # Errors
 ///
@@ -90,13 +99,11 @@ pub fn generalized_eigenvalues<T: Scalar>(
             dims: a.dims(),
         });
     }
-    let ac = a.to_complex();
-    let ec = e.to_complex();
-    let n = ac.rows();
+    let n = a.rows();
     if n == 0 {
         return Ok((Vec::new(), 0));
     }
-    let scale = ac.norm_fro().max(ec.norm_fro()).max(1.0);
+    let scale = a.norm_fro().max(e.norm_fro()).max(1.0);
     // Probe a few shifts of increasing eccentricity; a random direction in
     // the complex plane almost surely avoids the spectrum.
     let probes = [
@@ -107,15 +114,16 @@ pub fn generalized_eigenvalues<T: Scalar>(
     ];
     for &p in &probes {
         let s0 = p.scale(scale);
-        let shifted = &ac - &ec.map(|x| x * s0);
-        let Ok(lu) = Lu::compute(&shifted) else {
+        // A real shift keeps the pencil's own scalar type; a complex one
+        // promotes it (for this probe only).
+        let mu = if s0.im == 0.0 {
+            shift_inverted_eigenvalues(a, e, T::from_f64(s0.re))?
+        } else {
+            shift_inverted_eigenvalues(&a.to_complex(), &e.to_complex(), s0)?
+        };
+        let Some(mu) = mu else {
             continue;
         };
-        if lu.is_singular() || lu.rcond_estimate() < 1e-14 {
-            continue;
-        }
-        let inv_e = lu.solve(&ec)?;
-        let mu = eigenvalues(&inv_e)?;
         let mut finite = Vec::with_capacity(n);
         let mut infinite = 0usize;
         for m in mu {
@@ -131,6 +139,24 @@ pub fn generalized_eigenvalues<T: Scalar>(
     Err(NumericError::Singular {
         op: "generalized eigenvalues (singular pencil)",
     })
+}
+
+/// `eig((A − s₀E)⁻¹E)` in the scalar type of the operands, or `None`
+/// when `A − s₀E` fails the conditioning gate (the caller tries the
+/// next probe).
+fn shift_inverted_eigenvalues<T: Scalar>(
+    a: &Matrix<T>,
+    e: &Matrix<T>,
+    s0: T,
+) -> Result<Option<Vec<Complex>>, NumericError> {
+    let shifted = a - &e.map(|x| x * s0);
+    let Ok(lu) = Lu::compute(&shifted) else {
+        return Ok(None);
+    };
+    if lu.is_singular() || lu.rcond_estimate() < 1e-14 {
+        return Ok(None);
+    }
+    eigenvalues(&lu.solve(e)?).map(Some)
 }
 
 #[cfg(test)]

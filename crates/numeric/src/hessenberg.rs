@@ -1,24 +1,38 @@
-//! Upper-Hessenberg decomposition with accumulated transform, and a
-//! Givens-rotation solver for shifted Hessenberg systems.
+//! Upper-Hessenberg reduction, and a Givens-rotation solver for
+//! shifted Hessenberg systems.
 //!
-//! This is the workhorse of fast frequency sweeps: a descriptor model
-//! `H(s) = C (sE − A)⁻¹ B + D` costs one `O(n³)` LU factorization *per
-//! frequency* when evaluated naively. Reducing a shift-inverted pencil
-//! to Hessenberg form **once** turns every subsequent frequency point
-//! into an `O(n²)` triangularization (the Laub/Benner "Hessenberg
+//! [`Hessenberg`] is scalar-generic: real models reduce their
+//! shift-inverted pencil `F⁻¹E` in `f64`, complex ones in [`Complex`].
+//! Its reflectors scale by the pivot's reciprocal, which is what
+//! complex division does, so a real matrix reduces to exactly the bits
+//! of its complex promotion. The reduction is the first half of every
+//! eigenvalue computation in the crate — [`crate::Schur`] continues
+//! from it with the accumulated QR iteration, and [`crate::eigenvalues`]
+//! with a values-only iteration, reducing without `Q`
+//! ([`hessenberg_form`]).
+//!
+//! It is also the workhorse of fast frequency sweeps: a descriptor
+//! model `H(s) = C (sE − A)⁻¹ B + D` costs one `O(n³)` LU factorization
+//! *per frequency* when evaluated naively. Reducing a shift-inverted
+//! pencil to Hessenberg form **once** turns every subsequent frequency
+//! point into an `O(n²)` triangularization (the Laub/Benner "Hessenberg
 //! method" for transfer-function evaluation), which is what
-//! `Macromodel::eval_batch` builds on in `mfti-statespace`.
+//! `Macromodel::eval_batch` in `mfti-statespace` builds on; the
+//! per-point solver [`solve_shifted_hessenberg`] is complex, because
+//! the frequency is.
 
 use crate::complex::Complex;
 use crate::error::NumericError;
-use crate::householder::make_reflector;
-use crate::matrix::CMatrix;
+use crate::householder::make_reflector_by_reciprocal;
+use crate::matrix::{CMatrix, Matrix};
+use crate::scalar::Scalar;
 
 /// The factorization `A = Q H Q*` with `H` upper Hessenberg and `Q`
-/// unitary (Householder similarity transforms, LAPACK `zgehrd`-style).
+/// unitary (orthogonal for real `A`; Householder similarity transforms,
+/// LAPACK `zgehrd`/`dgehrd`-style).
 ///
 /// ```
-/// use mfti_numeric::{c64, CMatrix, Hessenberg};
+/// use mfti_numeric::{c64, CMatrix, Hessenberg, RMatrix};
 ///
 /// # fn main() -> Result<(), mfti_numeric::NumericError> {
 /// let a = CMatrix::from_fn(5, 5, |i, j| c64((i * j) as f64, i as f64 - j as f64));
@@ -26,16 +40,20 @@ use crate::matrix::CMatrix;
 /// // Reconstruction: Q H Q* == A.
 /// let back = hess.q().matmul(hess.h())?.mul_adjoint_right(hess.q())?;
 /// assert!(back.approx_eq(&a, 1e-12));
+/// // Real input stays real.
+/// let r = RMatrix::from_fn(4, 4, |i, j| (i + 2 * j) as f64);
+/// let real = Hessenberg::compute(&r)?;
+/// assert!(real.q().matmul(real.h())?.mul_adjoint_right(real.q())?.approx_eq(&r, 1e-12));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct Hessenberg {
-    h: CMatrix,
-    q: CMatrix,
+pub struct Hessenberg<T: Scalar> {
+    h: Matrix<T>,
+    q: Matrix<T>,
 }
 
-impl Hessenberg {
+impl<T: Scalar> Hessenberg<T> {
     /// Reduces `a` to upper Hessenberg form, accumulating the unitary
     /// similarity transform.
     ///
@@ -43,7 +61,7 @@ impl Hessenberg {
     ///
     /// Returns [`NumericError::NotSquare`] for rectangular input and
     /// [`NumericError::NotFinite`] for inputs with NaN/∞ entries.
-    pub fn compute(a: &CMatrix) -> Result<Self, NumericError> {
+    pub fn compute(a: &Matrix<T>) -> Result<Self, NumericError> {
         if !a.is_square() {
             return Err(NumericError::NotSquare {
                 op: "hessenberg",
@@ -53,42 +71,60 @@ impl Hessenberg {
         if !a.is_finite() {
             return Err(NumericError::NotFinite { op: "hessenberg" });
         }
-        let n = a.rows();
         let mut h = a.clone();
-        let mut q = CMatrix::identity(n);
-        for k in 0..n.saturating_sub(2) {
-            let col: Vec<Complex> = (k + 1..n).map(|i| h[(i, k)]).collect();
-            let refl = make_reflector(&col);
-            if refl.tau == Complex::ZERO {
-                continue;
-            }
-            // β lands on the subdiagonal; everything below is annihilated.
-            h[(k + 1, k)] = Complex::from_real(refl.beta);
-            for i in k + 2..n {
-                h[(i, k)] = Complex::ZERO;
-            }
-            // Similarity transform H := P* H P …
-            refl.apply_left_adjoint(&mut h, k + 1, k + 1);
-            refl.apply_right(&mut h, 0, k + 1);
-            // … and accumulation Q := Q P (so A = Q H Q*).
-            refl.apply_right(&mut q, 0, k + 1);
-        }
+        let mut q = Matrix::identity(a.rows());
+        reduce(&mut h, Some(&mut q));
         Ok(Hessenberg { h, q })
     }
 
     /// The upper-Hessenberg factor `H`.
-    pub fn h(&self) -> &CMatrix {
+    pub fn h(&self) -> &Matrix<T> {
         &self.h
     }
 
     /// The unitary factor `Q` (`A = Q H Q*`).
-    pub fn q(&self) -> &CMatrix {
+    pub fn q(&self) -> &Matrix<T> {
         &self.q
     }
 
     /// Consumes the factorization, returning `(H, Q)`.
-    pub fn into_parts(self) -> (CMatrix, CMatrix) {
+    pub fn into_parts(self) -> (Matrix<T>, Matrix<T>) {
         (self.h, self.q)
+    }
+}
+
+/// The Hessenberg factor alone (no `Q`), reduced in place: the
+/// values-only front of [`crate::eigenvalues`], which has already
+/// checked that `a` is square and finite. Bit-identical to
+/// [`Hessenberg::h`] of the same input.
+pub(crate) fn hessenberg_form<T: Scalar>(mut a: Matrix<T>) -> Matrix<T> {
+    debug_assert!(a.is_square());
+    reduce(&mut a, None);
+    a
+}
+
+/// Householder reduction of `h` in place; with `q`, the transforms are
+/// accumulated into it (`Q := Q P` per step, so `A = Q H Q*`).
+fn reduce<T: Scalar>(h: &mut Matrix<T>, mut q: Option<&mut Matrix<T>>) {
+    let n = h.rows();
+    for k in 0..n.saturating_sub(2) {
+        let col: Vec<T> = (k + 1..n).map(|i| h[(i, k)]).collect();
+        let refl = make_reflector_by_reciprocal(&col);
+        if refl.tau == T::ZERO {
+            continue;
+        }
+        // β lands on the subdiagonal; everything below is annihilated.
+        h[(k + 1, k)] = T::from_f64(refl.beta);
+        for i in k + 2..n {
+            h[(i, k)] = T::ZERO;
+        }
+        // Similarity transform H := P* H P …
+        refl.apply_left_adjoint(h, k + 1, k + 1);
+        refl.apply_right(h, 0, k + 1);
+        // … and accumulation Q := Q P.
+        if let Some(q) = q.as_deref_mut() {
+            refl.apply_right(q, 0, k + 1);
+        }
     }
 }
 
@@ -255,6 +291,31 @@ mod tests {
                 assert!(hess.h()[(i, j)].abs() < 1e-13);
             }
         }
+    }
+
+    #[test]
+    fn real_reduction_reproduces_the_complex_reduction_bit_for_bit() {
+        let a = pseudo_random(11, 11, 0x58).real_part();
+        let real = Hessenberg::compute(&a).unwrap();
+        let complex = Hessenberg::compute(&a.to_complex()).unwrap();
+        let same = |r: &Matrix<f64>, c: &CMatrix| {
+            r.as_slice()
+                .iter()
+                .zip(c.as_slice())
+                .all(|(x, z)| x.to_bits() == z.re.to_bits() && z.im == 0.0)
+        };
+        assert!(same(real.h(), complex.h()), "H differs");
+        assert!(same(real.q(), complex.q()), "Q differs");
+    }
+
+    #[test]
+    fn values_only_form_matches_the_accumulated_factor_bit_for_bit() {
+        let a = pseudo_random(9, 9, 0x56);
+        let h = hessenberg_form(a.clone());
+        let hess = Hessenberg::compute(&a).unwrap();
+        assert!(h.approx_eq(hess.h(), 0.0));
+        let small = pseudo_random(2, 2, 0x57);
+        assert!(hessenberg_form(small.clone()).approx_eq(&small, 0.0));
     }
 
     #[test]

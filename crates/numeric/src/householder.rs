@@ -27,6 +27,21 @@ pub(crate) struct Reflector<T> {
 /// Follows LAPACK `zlarfg` (without the iterative rescaling loop; the
 /// matrices in this workspace are pre-scaled by their norms upstream).
 pub(crate) fn make_reflector<T: Scalar>(x: &[T]) -> Reflector<T> {
+    generate(x, false)
+}
+
+/// [`make_reflector`] with the tail scaled by the reciprocal of the
+/// pivot, `v = x[1..]·(1/(α − β))`, instead of divided by it. Complex
+/// division is multiplication by the reciprocal, so for real input this
+/// generator computes exactly what the complex one computes on the
+/// promoted vector; the Hessenberg reduction uses it so that a real
+/// matrix reduces to the same bits in `f64` as its complex promotion
+/// (DESIGN.md §10).
+pub(crate) fn make_reflector_by_reciprocal<T: Scalar>(x: &[T]) -> Reflector<T> {
+    generate(x, true)
+}
+
+fn generate<T: Scalar>(x: &[T], by_reciprocal: bool) -> Reflector<T> {
     assert!(!x.is_empty(), "reflector of empty vector");
     let alpha = x[0];
     let xnorm = x[1..].iter().map(|z| z.abs_sq()).sum::<f64>().sqrt();
@@ -46,32 +61,43 @@ pub(crate) fn make_reflector<T: Scalar>(x: &[T]) -> Reflector<T> {
     };
     let tau = (T::from_f64(beta) - alpha).scale(1.0 / beta);
     let denom = alpha - T::from_f64(beta);
-    let v: Vec<T> = x[1..].iter().map(|&z| z / denom).collect();
+    let v: Vec<T> = if by_reciprocal {
+        let inv = T::ONE / denom;
+        x[1..].iter().map(|&z| z * inv).collect()
+    } else {
+        x[1..].iter().map(|&z| z / denom).collect()
+    };
     Reflector { tau, v, beta }
 }
 
 impl<T: Scalar> Reflector<T> {
     /// Applies `H*` from the left to the block `a[row.., col..]`:
     /// `A := (I − conj(τ) w w*) A`.
+    ///
+    /// Swept row-wise — contiguous slices of the row-major layout —
+    /// with the column sweep's per-entry summation order over the
+    /// reflector's rows, so the bits do not depend on the orientation.
     pub fn apply_left_adjoint(&self, a: &mut Matrix<T>, row: usize, col: usize) {
         if self.tau == T::ZERO {
             return;
         }
-        let m = a.rows();
-        let n = a.cols();
-        let tau_c = self.tau.conj();
-        for j in col..n {
-            // s = w^H A[row.., j]
-            let mut s = a[(row, j)];
-            for (k, &vk) in self.v.iter().enumerate() {
-                s += vk.conj() * a[(row + 1 + k, j)];
+        debug_assert!(row + 1 + self.v.len() <= a.rows());
+        // s = wᴴ A[row.., col..], one entry per column.
+        let mut s: Vec<T> = a.row(row)[col..].to_vec();
+        for (k, &vk) in self.v.iter().enumerate() {
+            let vkc = vk.conj();
+            for (s_j, &a_j) in s.iter_mut().zip(&a.row(row + 1 + k)[col..]) {
+                *s_j += vkc * a_j;
             }
-            debug_assert!(row + 1 + self.v.len() <= m);
-            let t = tau_c * s;
-            a[(row, j)] -= t;
-            for (k, &vk) in self.v.iter().enumerate() {
-                let val = a[(row + 1 + k, j)] - t * vk;
-                a[(row + 1 + k, j)] = val;
+        }
+        let tau_c = self.tau.conj();
+        s.iter_mut().for_each(|s_j| *s_j = tau_c * *s_j);
+        for (a_j, &t_j) in a.row_mut(row)[col..].iter_mut().zip(&s) {
+            *a_j -= t_j;
+        }
+        for (k, &vk) in self.v.iter().enumerate() {
+            for (a_j, &t_j) in a.row_mut(row + 1 + k)[col..].iter_mut().zip(&s) {
+                *a_j -= t_j * vk;
             }
         }
     }

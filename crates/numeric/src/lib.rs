@@ -11,12 +11,14 @@
 //!   product forms (`AᴴB`, `ABᵀ`, `C ← C + αAB`) every dense product in
 //!   the workspace routes through,
 //! * [`Lu`] — LU factorization with partial pivoting (solve / det / inverse),
-//! * [`Hessenberg`] / [`solve_shifted_hessenberg`] — unitary reduction
-//!   `A = Q H Q*` with accumulated `Q`, plus an `O(n²)` Givens solver for
-//!   `(αI + βH)X = B` — the backbone of batched frequency sweeps,
+//! * [`Hessenberg`] / [`solve_shifted_hessenberg`] — scalar-generic
+//!   unitary reduction `A = Q H Q*` with accumulated `Q`, plus an
+//!   `O(n²)` Givens solver for `(αI + βH)X = B` — the backbone of
+//!   batched frequency sweeps,
 //! * [`Schur`] / [`solve_shifted_triangular`] — the complex Schur form
-//!   `A = Z T Z*` (shifted QR with accumulated transforms) that collapses
-//!   each sweep point to one triangular back-substitution,
+//!   `A = Z T Z*` that collapses each sweep point to one triangular
+//!   back-substitution; real input runs the real Francis double-shift
+//!   iteration and is standardized to the complex form at `O(n²)` cost,
 //! * [`parallel`] — a scoped-thread, deterministically-chunked parallel
 //!   map that fans those per-point solves across cores,
 //! * [`Qr`] — Householder QR (orthonormal bases, least squares),
@@ -26,8 +28,10 @@
 //! * [`SvdUpdater`] — rank-revealing *incremental* SVD: streaming
 //!   row/column appends absorbed as bordered low-rank updates of the
 //!   retained thin factorization instead of fresh decompositions,
-//! * [`eigenvalues`] — complex eigenvalues via Hessenberg reduction and a
-//!   shifted QR iteration.
+//! * [`eigenvalues`] / [`generalized_eigenvalues`] — eigenvalues of
+//!   matrices and pencils through the values-only modes of the same
+//!   Hessenberg reduction and QR iterations, in real arithmetic for
+//!   real input.
 //!
 //! No LAPACK/BLAS bindings are used; the implementations follow the
 //! textbook algorithms (Golub & Van Loan) and are validated by unit and

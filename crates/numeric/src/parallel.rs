@@ -86,31 +86,11 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = threads.clamp(1, MAX_THREADS).min(n);
-    if workers <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let chunk = n.div_ceil(workers);
-    let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    let fill = |base: usize, in_chunk: &[T], out_chunk: &mut [Option<R>]| {
-        for (k, (x, slot)) in in_chunk.iter().zip(out_chunk.iter_mut()).enumerate() {
-            *slot = Some(f(base + k, x));
-        }
-    };
-    std::thread::scope(|scope| {
-        let mut chunks = items.chunks(chunk).zip(out.chunks_mut(chunk));
-        let head = chunks.next();
-        for (ci, (in_chunk, out_chunk)) in chunks.enumerate() {
-            let fill = &fill;
-            scope.spawn(move || fill((ci + 1) * chunk, in_chunk, out_chunk));
-        }
-        if let Some((in_chunk, out_chunk)) = head {
-            fill(0, in_chunk, out_chunk);
-        }
-    });
-    out.into_iter()
-        .map(|r| r.expect("every chunk slot filled")) // mfti-lint: allow(MFTI-D7) — chunks(chunk) tiles 0..n exactly; the scope joined every writer
+    let mut slots: Vec<(&T, Option<R>)> = items.iter().map(|x| (x, None)).collect();
+    for_each_mut(threads, &mut slots, |i, (x, slot)| *slot = Some(f(i, x)));
+    slots
+        .into_iter()
+        .map(|(_, r)| r.expect("every chunk slot filled")) // mfti-lint: allow(MFTI-D7) — for_each_mut visits every item; the scope joined every writer
         .collect()
 }
 
@@ -131,9 +111,70 @@ where
     map_with(threads, items, f).into_iter().collect()
 }
 
+/// Parallel in-place `f(i, &mut items[i])` over at most `threads`
+/// scoped workers — the executor behind [`map_with`], with the same
+/// static chunking (contiguous `⌈len / workers⌉` chunks, chunk 0 on the
+/// calling thread). Items are typically disjoint `&mut` views into one
+/// preallocated output — rows of a matrix being filled — so workers
+/// write their results in place instead of returning per-item buffers
+/// to be copied. Because `f` never observes the chunk layout, the
+/// result is bit-identical for every `threads` value.
+///
+/// # Panics
+///
+/// Propagates panics from `f` (the scope joins all workers first).
+pub fn for_each_mut<T, F>(threads: usize, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let n = items.len();
+    let workers = threads.clamp(1, MAX_THREADS).min(n);
+    let fill = |base: usize, chunk: &mut [T]| {
+        for (k, x) in chunk.iter_mut().enumerate() {
+            f(base + k, x);
+        }
+    };
+    if workers <= 1 {
+        fill(0, items);
+        return;
+    }
+    let chunk = n.div_ceil(workers);
+    std::thread::scope(|scope| {
+        let mut chunks = items.chunks_mut(chunk);
+        let head = chunks.next();
+        for (ci, in_chunk) in chunks.enumerate() {
+            let fill = &fill;
+            scope.spawn(move || fill((ci + 1) * chunk, in_chunk));
+        }
+        if let Some(in_chunk) = head {
+            fill(0, in_chunk);
+        }
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn for_each_mut_fills_in_place_identically_for_every_thread_count() {
+        let serial: Vec<f64> = (0..97).map(|i| (i as f64 * 0.3).sin()).collect();
+        for threads in [1, 2, 3, 8, 200] {
+            let mut out = vec![0.0f64; 97 * 3];
+            let mut rows: Vec<&mut [f64]> = out.chunks_mut(3).collect();
+            for_each_mut(threads, &mut rows, |i, row| {
+                row.fill((i as f64 * 0.3).sin());
+            });
+            assert!(
+                out.chunks(3)
+                    .zip(&serial)
+                    .all(|(row, want)| row.iter().all(|x| x.to_bits() == want.to_bits())),
+                "threads = {threads}"
+            );
+        }
+        for_each_mut(4, &mut Vec::<&mut [f64]>::new(), |_, _| unreachable!());
+    }
 
     #[test]
     fn map_preserves_order_for_every_thread_count() {

@@ -1,6 +1,7 @@
-//! Complex Schur decomposition `A = Z T Zᴴ` with accumulated unitary
-//! transforms, and a back-substitution solver for shifted triangular
-//! systems.
+//! The complex Schur decomposition `A = Z T Zᴴ` with accumulated
+//! transforms, the values-only QR iterations behind
+//! [`crate::eigenvalues`], and a back-substitution solver for shifted
+//! triangular systems.
 //!
 //! This is the frequency-sweep endgame the Hessenberg machinery of
 //! [`crate::Hessenberg`] builds toward: reducing the shift-inverted
@@ -12,17 +13,37 @@
 //! path still pays. `Macromodel::eval_batch` in `mfti-statespace`
 //! selects between the two by a crossover heuristic.
 //!
-//! The iteration is the same Wilkinson-shifted explicit QR used by
-//! [`crate::eigenvalues`] (see `eig::qr_algorithm`), extended in two
-//! ways: every rotation is applied across the **full** matrix (not just
-//! the active window) so the limit is upper triangular everywhere, and
-//! the rotations are accumulated into the unitary factor `Z`.
+//! Two QR iterations live here:
+//!
+//! * **complex** — Wilkinson-shifted explicit QR with complex Givens
+//!   rotations, in two modes. The *Schur* mode applies every rotation
+//!   across the full matrix and accumulates it into `Z`, so the limit is
+//!   upper triangular everywhere; it is the only way [`Schur`] is
+//!   formed. The *values-only* mode confines the rotations to the
+//!   active window and solves 2×2 windows analytically; the window's
+//!   arithmetic is the same in both modes.
+//! * **real** — the Francis double-shift iteration (EISPACK `hqr`),
+//!   values only: the eigenvalues of a real matrix never leave `f64`,
+//!   and conjugate pairs come out exactly conjugate.
+//!
+//! A real input to [`Schur`] is reduced to Hessenberg form in `f64` —
+//! the same bits its complex promotion would reduce to, at a quarter of
+//! the flops — and then promoted for the complex Schur iteration. A
+//! real Schur form (Francis with accumulated `Z`, standardized to the
+//! complex form) is not used: on Example 1 its sweeps lost 0.11–0.19
+//! digits of ERR against the complex iteration (DESIGN.md §10). Both
+//! iterations honour the fault-injection iteration cap and fail with
+//! [`NumericError::NoConvergence`].
 
 use crate::complex::{c64, Complex};
-use crate::eig::qr_algorithm::{wilkinson_shift, zrotg};
 use crate::error::NumericError;
-use crate::hessenberg::Hessenberg;
-use crate::matrix::CMatrix;
+use crate::hessenberg::{hessenberg_form, Hessenberg};
+use crate::matrix::{CMatrix, Matrix, RMatrix};
+use crate::scalar::Scalar;
+
+/// Sweeps one active window may spend before the iterations give up
+/// (unless a fault-injection cap shrinks it; `crate::fault_budget`).
+const QR_ITERATIONS_PER_WINDOW: usize = 300;
 
 /// The complex Schur form `A = Z T Zᴴ` with `T` upper triangular and
 /// `Z` unitary.
@@ -30,7 +51,7 @@ use crate::matrix::CMatrix;
 /// The eigenvalues of `A` are the diagonal of `T`, in deflation order.
 ///
 /// ```
-/// use mfti_numeric::{c64, CMatrix, Schur};
+/// use mfti_numeric::{c64, CMatrix, RMatrix, Schur};
 ///
 /// # fn main() -> Result<(), mfti_numeric::NumericError> {
 /// let a = CMatrix::from_fn(6, 6, |i, j| c64((i + 2 * j) as f64, i as f64 - j as f64));
@@ -38,6 +59,10 @@ use crate::matrix::CMatrix;
 /// // Reconstruction: Z T Zᴴ == A.
 /// let back = schur.z().matmul(schur.t())?.mul_adjoint_right(schur.z())?;
 /// assert!(back.approx_eq(&a, 1e-10 * a.norm_fro()));
+/// // A real rotation generator: eigenvalues ±i on the diagonal of T.
+/// let r = RMatrix::from_rows(&[vec![0.0, -1.0], vec![1.0, 0.0]])?;
+/// let ev = Schur::compute(&r)?.eigenvalues();
+/// assert!((ev[0].im.abs() - 1.0).abs() < 1e-15 && (ev[0] - ev[1].conj()).abs() < 1e-15);
 /// # Ok(())
 /// # }
 /// ```
@@ -49,7 +74,8 @@ pub struct Schur {
 
 impl Schur {
     /// Computes the Schur form of a general square matrix: Householder
-    /// reduction to Hessenberg form, then the accumulated QR iteration.
+    /// reduction to Hessenberg form in the input's scalar type, then
+    /// the accumulated complex QR iteration.
     ///
     /// # Errors
     ///
@@ -58,14 +84,15 @@ impl Schur {
     /// * [`NumericError::NoConvergence`] when the QR iteration exceeds
     ///   its budget (pathological; not observed on this repo's
     ///   workloads).
-    pub fn compute(a: &CMatrix) -> Result<Self, NumericError> {
+    pub fn compute<T: Scalar>(a: &Matrix<T>) -> Result<Self, NumericError> {
         Self::from_hessenberg(&Hessenberg::compute(a)?)
     }
 
     /// Runs the accumulated QR iteration on an existing Hessenberg
     /// factorization `A = Q H Qᴴ`, returning `A = Z T Zᴴ` (the
     /// accumulation starts from `Q`, so `Z` maps all the way back to the
-    /// original basis).
+    /// original basis). A real factorization is promoted to complex
+    /// here, after its `O(n³)` reduction.
     ///
     /// Sweep evaluators that already hold a [`Hessenberg`] use this to
     /// upgrade to the triangular form without re-reducing.
@@ -75,8 +102,11 @@ impl Schur {
     /// [`NumericError::NoConvergence`] when the QR iteration exceeds its
     /// budget; the caller still owns the Hessenberg form and can fall
     /// back to it.
-    pub fn from_hessenberg(hess: &Hessenberg) -> Result<Self, NumericError> {
-        schur_iterate(hess.h().clone(), hess.q().clone())
+    pub fn from_hessenberg<T: Scalar>(hess: &Hessenberg<T>) -> Result<Self, NumericError> {
+        let mut t = hess.h().to_complex();
+        let mut z = hess.q().to_complex();
+        complex_qr(&mut t, Some(&mut z))?;
+        Ok(Schur { t, z })
     }
 
     /// The upper-triangular factor `T`.
@@ -100,25 +130,93 @@ impl Schur {
     }
 }
 
-/// Wilkinson-shifted explicit QR with full-matrix rotation application
-/// and accumulation into `z`. `t` must be upper Hessenberg; on entry
-/// `A = z t zᴴ` holds and every step preserves it.
-fn schur_iterate(mut t: CMatrix, mut z: CMatrix) -> Result<Schur, NumericError> {
+/// Eigenvalues of a real square matrix: values-only Hessenberg
+/// reduction, then the Francis double-shift iteration, all in `f64`.
+/// Conjugate pairs come out adjacent and exactly conjugate, positive
+/// imaginary part first.
+pub(crate) fn real_eigenvalues(a: RMatrix) -> Result<Vec<Complex>, NumericError> {
+    francis_eigenvalues(hessenberg_form(a))
+}
+
+/// Eigenvalues of a complex square matrix: values-only Hessenberg
+/// reduction, then the values-only complex iteration (deflation order).
+pub(crate) fn complex_eigenvalues(a: CMatrix) -> Result<Vec<Complex>, NumericError> {
+    complex_qr(&mut hessenberg_form(a), None)
+}
+
+/// Complex Givens rotation `G = [[c, s], [-s̄, c]]` (c real) with
+/// `G · [a; b] = [r; 0]`.
+fn zrotg(a: Complex, b: Complex) -> (f64, Complex, Complex) {
+    let norm = (a.abs_sq() + b.abs_sq()).sqrt();
+    if norm == 0.0 {
+        return (1.0, Complex::ZERO, Complex::ZERO);
+    }
+    if a.abs() == 0.0 {
+        // Pure swap with phase alignment.
+        let phase_b = b.unit_phase();
+        return (0.0, phase_b.conj(), c64(b.abs(), 0.0));
+    }
+    let phase_a = a.unit_phase();
+    let c = a.abs() / norm;
+    let s = phase_a * b.conj().scale(1.0 / norm);
+    let r = phase_a.scale(norm);
+    (c, s, r)
+}
+
+/// Eigenvalue of the 2×2 block `[[a, b], [c, d]]` closest to `d`
+/// (the Wilkinson shift).
+fn wilkinson_shift(a: Complex, b: Complex, c: Complex, d: Complex) -> Complex {
+    let half_delta = (a - d).scale(0.5);
+    let disc = (half_delta * half_delta + b * c).sqrt();
+    // Pick the sign that maximizes |half_delta + disc| for a stable
+    // division, then use λ = d − bc / (half_delta ± disc).
+    let denom = if (half_delta + disc).abs() >= (half_delta - disc).abs() {
+        half_delta + disc
+    } else {
+        half_delta - disc
+    };
+    if denom.abs() == 0.0 {
+        // a == d and bc == 0: the block is already triangular-ish.
+        return d;
+    }
+    d - (b * c) / denom
+}
+
+/// Both eigenvalues of a 2×2 complex block.
+fn eig_2x2(a: Complex, b: Complex, c: Complex, d: Complex) -> (Complex, Complex) {
+    let mean = (a + d).scale(0.5);
+    let half_delta = (a - d).scale(0.5);
+    let disc = (half_delta * half_delta + b * c).sqrt();
+    (mean + disc, mean - disc)
+}
+
+/// Wilkinson-shifted explicit QR on a complex upper-Hessenberg `t`.
+///
+/// With `z` (Schur mode) every rotation is applied across the full
+/// matrix — left over columns `k+1..n`, right over rows `0..=k+1` — and
+/// accumulated into `z`, so `A = z t zᴴ` is preserved and `t` converges
+/// to exact upper-triangular form; nothing is returned. Without `z`
+/// (values-only mode) the rotations stay inside the active window,
+/// 2×2 windows are solved analytically, and the eigenvalues are
+/// returned in deflation order. The window's arithmetic is the same in
+/// both modes.
+fn complex_qr(t: &mut CMatrix, mut z: Option<&mut CMatrix>) -> Result<Vec<Complex>, NumericError> {
     let n = t.rows();
-    if n <= 1 {
-        return Ok(Schur { t, z });
+    let schur = z.is_some();
+    let mut ev = Vec::with_capacity(if schur { 0 } else { n });
+    if n == 0 {
+        return Ok(ev);
     }
     let eps = f64::EPSILON;
     let tiny = f64::MIN_POSITIVE;
     let mut hi = n - 1;
     let mut iters_this_window = 0usize;
-    // Intrinsic budget, unless a fault-injection cap shrinks it to
-    // force the NoConvergence exit (crate::fault_budget).
-    let max_iters_per_eig = crate::fault_budget::qr_iteration_cap().unwrap_or(300);
+    let max_iters_per_eig =
+        crate::fault_budget::qr_iteration_cap().unwrap_or(QR_ITERATIONS_PER_WINDOW);
 
     loop {
-        // Deflate negligible subdiagonals (scanning up from the bottom of
-        // the active window, exactly as the eigenvalue-only iteration).
+        // Deflate negligible subdiagonals, scanning up from the bottom
+        // of the active window.
         let mut lo = hi;
         while lo > 0 {
             let sub = t[(lo, lo - 1)].abs();
@@ -130,11 +228,10 @@ fn schur_iterate(mut t: CMatrix, mut z: CMatrix) -> Result<Schur, NumericError> 
         }
 
         if lo == hi {
-            // 1×1 block converged. (Unlike the eigenvalue-only iteration
-            // there is no analytic 2×2 escape: a 2×2 window must be
-            // rotated to triangular form, which the Wilkinson shift does
-            // in one or two sweeps — the shift is then an exact
-            // eigenvalue, so the QR step deflates it to roundoff.)
+            // 1×1 block converged.
+            if !schur {
+                ev.push(t[(hi, hi)]);
+            }
             iters_this_window = 0;
             if hi == 0 {
                 break;
@@ -142,11 +239,26 @@ fn schur_iterate(mut t: CMatrix, mut z: CMatrix) -> Result<Schur, NumericError> 
             hi -= 1;
             continue;
         }
+        if !schur && hi - lo == 1 {
+            // Values only: solve the 2×2 window analytically. (The Schur
+            // mode has no such escape: a 2×2 window must be rotated to
+            // triangular form, which the Wilkinson shift does in one or
+            // two sweeps — the shift is then an exact eigenvalue.)
+            let (l1, l2) = eig_2x2(t[(lo, lo)], t[(lo, hi)], t[(hi, lo)], t[(hi, hi)]);
+            ev.push(l1);
+            ev.push(l2);
+            iters_this_window = 0;
+            if lo == 0 {
+                break;
+            }
+            hi = lo - 1;
+            continue;
+        }
 
         iters_this_window += 1;
         if iters_this_window > max_iters_per_eig {
             return Err(NumericError::NoConvergence {
-                op: "schur qr",
+                op: if schur { "schur qr" } else { "hessenberg qr" },
                 iterations: iters_this_window,
             });
         }
@@ -171,11 +283,9 @@ fn schur_iterate(mut t: CMatrix, mut z: CMatrix) -> Result<Schur, NumericError> 
         };
 
         // Explicit QR step on the window: T − μI = QR, then T := RQ + μI.
-        // The μ bookkeeping is confined to the window diagonal, but every
-        // rotation is applied across the full matrix — left over columns
-        // k+1..n, right over rows 0..=k+1 — and accumulated into Z, so
-        // A = Z T Zᴴ is preserved exactly and the limit is globally
-        // triangular.
+        // The μ bookkeeping is confined to the window diagonal; the
+        // rotations span the window (values only) or the full matrix.
+        let (col_end, row_start) = if schur { (n, 0) } else { (hi + 1, lo) };
         for i in lo..=hi {
             t[(i, i)] -= mu;
         }
@@ -184,7 +294,7 @@ fn schur_iterate(mut t: CMatrix, mut z: CMatrix) -> Result<Schur, NumericError> 
             let (c, s, r) = zrotg(t[(k, k)], t[(k + 1, k)]);
             t[(k, k)] = r;
             t[(k + 1, k)] = Complex::ZERO;
-            for j in k + 1..n {
+            for j in k + 1..col_end {
                 let t1 = t[(k, j)];
                 let t2 = t[(k + 1, j)];
                 t[(k, j)] = t1.scale(c) + s * t2;
@@ -194,20 +304,22 @@ fn schur_iterate(mut t: CMatrix, mut z: CMatrix) -> Result<Schur, NumericError> 
         }
         for (idx, &(c, s)) in rot.iter().enumerate() {
             let k = lo + idx;
-            // T := T Gᴴ on columns k, k+1 (rows 0..=k+1 are the only
+            // T := T Gᴴ on columns k, k+1 (rows up to k+1 are the only
             // structurally nonzero ones in the R factor)…
-            for i in 0..=k + 1 {
+            for i in row_start..=k + 1 {
                 let u = t[(i, k)];
                 let v = t[(i, k + 1)];
                 t[(i, k)] = u.scale(c) + v * s.conj();
                 t[(i, k + 1)] = v.scale(c) - u * s;
             }
             // … and the accumulation Z := Z Gᴴ over all rows.
-            for i in 0..n {
-                let u = z[(i, k)];
-                let v = z[(i, k + 1)];
-                z[(i, k)] = u.scale(c) + v * s.conj();
-                z[(i, k + 1)] = v.scale(c) - u * s;
+            if let Some(z) = z.as_deref_mut() {
+                for i in 0..n {
+                    let u = z[(i, k)];
+                    let v = z[(i, k + 1)];
+                    z[(i, k)] = u.scale(c) + v * s.conj();
+                    z[(i, k + 1)] = v.scale(c) - u * s;
+                }
             }
         }
         for i in lo..=hi {
@@ -215,16 +327,231 @@ fn schur_iterate(mut t: CMatrix, mut z: CMatrix) -> Result<Schur, NumericError> 
         }
     }
 
-    // The strictly-lower part is structurally zero (subdiagonals were
-    // deflated to exact zeros, everything below was never touched); clear
-    // any entry the loop left behind so callers can rely on exact
-    // triangularity.
-    for i in 1..n {
-        for j in 0..i {
-            t[(i, j)] = Complex::ZERO;
+    if schur {
+        // The strictly-lower part is structurally zero (subdiagonals
+        // were deflated to exact zeros, everything below was never
+        // touched); clear any entry the loop left behind so callers can
+        // rely on exact triangularity.
+        for i in 1..n {
+            for j in 0..i {
+                t[(i, j)] = Complex::ZERO;
+            }
         }
     }
-    Ok(Schur { t, z })
+    Ok(ev)
+}
+
+/// Francis double-shift QR on a real upper-Hessenberg `h`, values only
+/// (EISPACK `hqr`, with the exceptional shifts of Wilkinson and of
+/// MATLAB's port). Every transform stays inside the active window and
+/// in `f64`; `h` is consumed as workspace.
+///
+/// Returns the eigenvalues in index order; a conjugate pair occupies
+/// two adjacent slots, positive imaginary part first, and is exactly
+/// conjugate.
+fn francis_eigenvalues(mut h: RMatrix) -> Result<Vec<Complex>, NumericError> {
+    let nn = h.rows();
+    let mut ev = vec![Complex::ZERO; nn];
+    if nn == 0 {
+        return Ok(ev);
+    }
+    let eps = f64::EPSILON;
+    let max_iters_per_eig =
+        crate::fault_budget::qr_iteration_cap().unwrap_or(QR_ITERATIONS_PER_WINDOW);
+    // Fallback scale of the deflation test where a diagonal pair is zero.
+    let mut norm = 0.0f64;
+    for i in 0..nn {
+        for j in i.saturating_sub(1)..nn {
+            norm += h[(i, j)].abs();
+        }
+    }
+    // Exceptional shifts are subtracted from the leading diagonal and
+    // restored as each eigenvalue deflates.
+    let mut exshift = 0.0f64;
+    let mut n = nn - 1;
+    let mut iters_this_window = 0usize;
+
+    loop {
+        // Look for a single negligible subdiagonal entry.
+        let mut l = n;
+        while l > 0 {
+            let mut s = h[(l - 1, l - 1)].abs() + h[(l, l)].abs();
+            if s == 0.0 {
+                s = norm;
+            }
+            if h[(l, l - 1)].abs() <= eps * s {
+                h[(l, l - 1)] = 0.0;
+                break;
+            }
+            l -= 1;
+        }
+
+        if l == n {
+            // One root.
+            ev[n] = c64(h[(n, n)] + exshift, 0.0);
+            iters_this_window = 0;
+            if n == 0 {
+                break;
+            }
+            n -= 1;
+            continue;
+        }
+        if l + 1 == n {
+            // Two roots: the trailing 2×2 block.
+            let w = h[(n, n - 1)] * h[(n - 1, n)];
+            let p = (h[(n - 1, n - 1)] - h[(n, n)]) / 2.0;
+            let q = p * p + w;
+            let root = q.abs().sqrt();
+            let x = h[(n, n)] + exshift;
+            if q >= 0.0 {
+                // Real pair.
+                let zr = if p >= 0.0 { p + root } else { p - root };
+                let upper = x + zr;
+                ev[n - 1] = c64(upper, 0.0);
+                ev[n] = c64(if zr == 0.0 { upper } else { x - w / zr }, 0.0);
+            } else {
+                // Conjugate pair.
+                ev[n - 1] = c64(x + p, root);
+                ev[n] = c64(x + p, -root);
+            }
+            iters_this_window = 0;
+            if n < 2 {
+                break;
+            }
+            n -= 2;
+            continue;
+        }
+
+        // No convergence yet: one double-shift sweep on rows l..=n.
+        iters_this_window += 1;
+        if iters_this_window > max_iters_per_eig {
+            return Err(NumericError::NoConvergence {
+                op: "francis qr",
+                iterations: iters_this_window,
+            });
+        }
+
+        // The shift pair, as the trailing 2×2 block's diagonal and
+        // off-diagonal product (x, y, w).
+        let mut x = h[(n, n)];
+        let mut y = h[(n - 1, n - 1)];
+        let mut w = h[(n, n - 1)] * h[(n - 1, n)];
+        let spent = iters_this_window - 1;
+        if spent > 0 && spent.is_multiple_of(30) {
+            // MATLAB's exceptional shift.
+            let half = (y - x) / 2.0;
+            let disc = half * half + w;
+            if disc > 0.0 {
+                let root = if y < x { -disc.sqrt() } else { disc.sqrt() };
+                let shift = x - w / (half + root);
+                for i in 0..=n {
+                    h[(i, i)] -= shift;
+                }
+                exshift += shift;
+                x = 0.964;
+                y = 0.964;
+                w = 0.964;
+            }
+        } else if spent > 0 && spent.is_multiple_of(10) {
+            // Wilkinson's exceptional shift.
+            exshift += x;
+            for i in 0..=n {
+                h[(i, i)] -= x;
+            }
+            let s = h[(n, n - 1)].abs() + h[(n - 1, n - 2)].abs();
+            x = 0.75 * s;
+            y = x;
+            w = -0.4375 * s * s;
+        }
+
+        // Look for two consecutive small subdiagonal entries: the sweep
+        // starts at row m.
+        let mut m = n - 2;
+        let (mut p, mut q, mut r);
+        loop {
+            let hmm = h[(m, m)];
+            let rr = x - hmm;
+            let ss = y - hmm;
+            p = (rr * ss - w) / h[(m + 1, m)] + h[(m, m + 1)];
+            q = h[(m + 1, m + 1)] - hmm - rr - ss;
+            r = h[(m + 2, m + 1)];
+            let s = p.abs() + q.abs() + r.abs();
+            p /= s;
+            q /= s;
+            r /= s;
+            if m == l {
+                break;
+            }
+            let lhs = h[(m, m - 1)].abs() * (q.abs() + r.abs());
+            let rhs =
+                eps * (p.abs() * (h[(m - 1, m - 1)].abs() + hmm.abs() + h[(m + 1, m + 1)].abs()));
+            if lhs < rhs {
+                break;
+            }
+            m -= 1;
+        }
+        for i in m + 2..=n {
+            h[(i, i - 2)] = 0.0;
+            if i > m + 2 {
+                h[(i, i - 3)] = 0.0;
+            }
+        }
+
+        // Double QR step on rows l..=n and columns m..=n, chasing the
+        // bulge with 3-element Householder reflectors.
+        for k in m..n {
+            let notlast = k != n - 1;
+            if k != m {
+                p = h[(k, k - 1)];
+                q = h[(k + 1, k - 1)];
+                r = if notlast { h[(k + 2, k - 1)] } else { 0.0 };
+                x = p.abs() + q.abs() + r.abs();
+                if x == 0.0 {
+                    continue;
+                }
+                p /= x;
+                q /= x;
+                r /= x;
+            }
+            let mut s = (p * p + q * q + r * r).sqrt();
+            if p < 0.0 {
+                s = -s;
+            }
+            if s == 0.0 {
+                continue;
+            }
+            if k != m {
+                h[(k, k - 1)] = -s * x;
+            } else if l != m {
+                h[(k, k - 1)] = -h[(k, k - 1)];
+            }
+            p += s;
+            let (vx, vy, vz) = (p / s, q / s, r / s);
+            q /= p;
+            r /= p;
+            // Row modification.
+            for j in k..=n {
+                let mut t = h[(k, j)] + q * h[(k + 1, j)];
+                if notlast {
+                    t += r * h[(k + 2, j)];
+                    h[(k + 2, j)] -= t * vz;
+                }
+                h[(k, j)] -= t * vx;
+                h[(k + 1, j)] -= t * vy;
+            }
+            // Column modification.
+            for i in l..=n.min(k + 3) {
+                let mut t = vx * h[(i, k)] + vy * h[(i, k + 1)];
+                if notlast {
+                    t += vz * h[(i, k + 2)];
+                    h[(i, k + 2)] -= t * r;
+                }
+                h[(i, k)] -= t;
+                h[(i, k + 1)] -= t * q;
+            }
+        }
+    }
+    Ok(ev)
 }
 
 /// How many shifts march down the rows together in one back-substitution
@@ -711,6 +1038,95 @@ mod tests {
         let hess = Hessenberg::compute(&a).unwrap();
         let schur = Schur::from_hessenberg(&hess).unwrap();
         assert_schur_of(&a, &schur, 1e-12);
+    }
+
+    fn pseudo_random_real(n: usize, mut seed: u64) -> RMatrix {
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed as f64 / u64::MAX as f64) * 2.0 - 1.0
+        };
+        RMatrix::from_fn(n, n, |_, _| next())
+    }
+
+    #[test]
+    fn real_values_only_pairs_are_exact_conjugates() {
+        let a = pseudo_random_real(15, 0x18);
+        let ev = crate::eig::eigenvalues(&a).unwrap();
+        let mut i = 0;
+        while i < ev.len() {
+            if ev[i].im == 0.0 {
+                i += 1;
+                continue;
+            }
+            assert!(ev[i].im > 0.0, "positive imaginary part first");
+            assert_eq!(ev[i + 1], ev[i].conj());
+            i += 2;
+        }
+    }
+
+    #[test]
+    fn complex_values_only_iteration_matches_the_diagonal() {
+        let h = CMatrix::from_diag(&[c64(1.0, 1.0), c64(2.0, -2.0), c64(3.0, 0.0)]);
+        let mut ev = complex_eigenvalues(h).unwrap();
+        ev.sort_by(|a, b| a.re.partial_cmp(&b.re).unwrap());
+        assert!((ev[0] - c64(1.0, 1.0)).abs() < 1e-12);
+        assert!((ev[2] - c64(3.0, 0.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn values_only_iterations_converge_on_near_jordan_blocks() {
+        // Eigenvalue 2 with multiplicity 3, perturbed by ε = 1e-8 on the
+        // subdiagonal: the true eigenvalues sit ~1e-4 from 2 (O(ε^{1/3})).
+        let mut h = CMatrix::zeros(3, 3);
+        for i in 0..3 {
+            h[(i, i)] = c64(2.0, 0.0);
+            if i + 1 < 3 {
+                h[(i, i + 1)] = c64(1.0, 0.0);
+            }
+        }
+        h[(1, 0)] = c64(1e-8, 0.0);
+        h[(2, 1)] = c64(1e-8, 0.0);
+        for e in complex_eigenvalues(h.clone()).unwrap() {
+            assert!((e - c64(2.0, 0.0)).abs() < 1e-3, "eigenvalue {e}");
+        }
+        for e in real_eigenvalues(h.real_part()).unwrap() {
+            assert!((e - c64(2.0, 0.0)).abs() < 1e-3, "eigenvalue {e}");
+        }
+    }
+
+    #[test]
+    fn zrotg_annihilates_second_entry() {
+        let cases = [
+            (c64(1.0, 2.0), c64(-3.0, 0.5)),
+            (c64(0.0, 0.0), c64(2.0, -1.0)),
+            (c64(4.0, 0.0), c64(0.0, 0.0)),
+            (c64(-1e-8, 1e-8), c64(1e8, -1e8)),
+        ];
+        for (a, b) in cases {
+            let (c, s, r) = zrotg(a, b);
+            // G [a; b] = [r; 0]
+            let top = a.scale(c) + s * b;
+            let bot = b.scale(c) - s.conj() * a;
+            assert!(
+                (top - r).abs() < 1e-9 * r.abs().max(1.0),
+                "top residual for ({a},{b})"
+            );
+            assert!(
+                bot.abs() < 1e-9 * (a.abs() + b.abs()).max(1.0),
+                "bottom {bot}"
+            );
+            // Unitarity: c² + |s|² = 1.
+            assert!((c * c + s.abs_sq() - 1.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn wilkinson_shift_picks_eigenvalue_near_d() {
+        // [[0, 1], [1, 10]]: eigenvalues ≈ -0.0990, 10.0990.
+        let mu = wilkinson_shift(c64(0.0, 0.0), c64(1.0, 0.0), c64(1.0, 0.0), c64(10.0, 0.0));
+        assert!((mu.re - 10.099).abs() < 1e-2, "shift {mu}");
     }
 
     #[test]

@@ -723,33 +723,6 @@ mod tests {
         assert!(matches!(err, NumericError::NotFinite { .. }));
     }
 
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn recovering_svd_degrades_to_jacobi_under_forced_qr_stall() {
-        let a = pseudo_random_complex(10, 10, 1234);
-        let _fault = crate::faults::InjectedFault::cap_qr_iterations(1);
-        let rec = Svd::compute_recovering(&a, SvdMethod::Blocked, SvdFactors::Both).unwrap();
-        assert_eq!(rec.method, SvdMethod::Jacobi);
-        assert_eq!(rec.fallbacks.len(), 2);
-        assert!(rec.recovered());
-        check_svd(&a, &rec.svd, 1e-10);
-    }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn recovering_svd_reports_last_rung_error_when_all_stall() {
-        let a = pseudo_random_complex(10, 10, 4321);
-        let _fault = crate::faults::InjectedFault::cap_all_iterations(1);
-        let err = Svd::compute_recovering(&a, SvdMethod::Blocked, SvdFactors::Both).unwrap_err();
-        assert!(matches!(
-            err,
-            NumericError::NoConvergence {
-                op: "jacobi svd",
-                ..
-            }
-        ));
-    }
-
     #[test]
     fn ladder_orders_are_fixed() {
         assert_eq!(

@@ -319,6 +319,59 @@ fn modal_weights(
     Ok(())
 }
 
+/// The shift-inverted pencil at `s₀`, reduced in the operands' scalar
+/// type: `F = s₀E − A` factored by LU (refused below the `rcond` gate)
+/// and `F⁻¹E` reduced to Hessenberg form; with `use_schur` the complex
+/// Schur iteration continues from it, falling back to the Hessenberg
+/// kernel if the iteration does not converge. Returns the sweep kernel,
+/// its basis `U` (`F⁻¹E = U M Uᴴ`) and `F⁻¹B`, promoted to complex for
+/// the per-point kernels.
+fn reduce_shifted<T: Scalar>(
+    e: &Matrix<T>,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    s0: T,
+    use_schur: bool,
+) -> Option<(SweepKernel, CMatrix, CMatrix)> {
+    let n = a.rows();
+    let f_data: Vec<T> = e
+        .as_slice()
+        .iter()
+        .zip(a.as_slice())
+        .map(|(&e, &a)| e * s0 - a)
+        .collect();
+    // mfti-lint: allow(MFTI-D7) — f_data zips E's own n² buffer, so the
+    // length always matches
+    let f = Matrix::from_vec(n, n, f_data).expect("E and A are n×n");
+    let lu = Lu::compute(&f).ok()?;
+    if lu.is_singular() || lu.rcond_estimate() < 1e-14 {
+        return None;
+    }
+    let m_mat = lu.solve(e).ok()?;
+    let fb = lu.solve(b).ok()?;
+    let hess = Hessenberg::compute(&m_mat).ok()?;
+    // The Schur upgrade re-uses the Hessenberg factorization (the QR
+    // iteration starts from Q) and only costs the accumulated iteration
+    // itself.
+    let schur = if use_schur {
+        Schur::from_hessenberg(&hess).ok()
+    } else {
+        None
+    };
+    let (kernel, basis) = match schur {
+        Some(schur) => {
+            let (tm, z) = schur.into_parts();
+            let upper_max = strict_upper_max_abs(&tm);
+            (SweepKernel::Schur(tm, upper_max), z)
+        }
+        None => {
+            let (hm, q) = hess.into_parts();
+            (SweepKernel::Hessenberg(hm.to_complex()), q.to_complex())
+        }
+    };
+    Some((kernel, basis, fb.to_complex()))
+}
+
 /// How large `‖V⁻¹·(±1)‖∞` may grow before the eigenbasis is declared
 /// too ill-conditioned to diagonalize: the modal path's deviation from
 /// the back-substitution path scales like `κ(V)·ε`, so this keeps it
@@ -706,10 +759,14 @@ impl<T: Scalar> DescriptorSystem<T> {
     /// falls back to per-point LU, which is always correct). With
     /// `use_schur` the Hessenberg form is upgraded to a full Schur form
     /// (falling back to Hessenberg if the QR iteration fails).
+    ///
+    /// The set-up runs in the model's scalar type while the shift is
+    /// real: a real model at a real candidate shift factors, solves and
+    /// reduces to Hessenberg form in `f64`; only the Hessenberg form is
+    /// promoted to complex, for the Schur iteration and the per-point
+    /// kernels (DESIGN.md §10). The complex third candidate promotes the
+    /// model for its own attempt only.
     fn sweep_evaluator(&self, sigma: f64, use_schur: bool) -> Option<SweepEvaluator> {
-        let e_c = self.e.to_complex();
-        let a_c = self.a.to_complex();
-        let n = self.a.rows();
         // Magnitude scale of the points served by this evaluator; shifts
         // live at this radius so that s₀E and A stay balanced inside F.
         let sigma = if sigma > 0.0 { sigma } else { 1.0 };
@@ -721,44 +778,19 @@ impl<T: Scalar> DescriptorSystem<T> {
             c64(0.731 * sigma, 1.303 * sigma),
         ];
         for s0 in candidates {
-            let f_data: Vec<Complex> = e_c
-                .as_slice()
-                .iter()
-                .zip(a_c.as_slice())
-                .map(|(&e, &a)| e * s0 - a)
-                .collect();
-            // mfti-lint: allow(MFTI-D7) — f_data zips E's own n²
-            // buffer, so the length always matches
-            let f = CMatrix::from_vec(n, n, f_data).expect("E and A are n×n");
-            let Ok(lu) = Lu::compute(&f) else { continue };
-            if lu.is_singular() || lu.rcond_estimate() < 1e-14 {
-                continue;
-            }
-            let Ok(m_mat) = lu.solve(&e_c) else { continue };
-            let Ok(fb) = lu.solve(&self.b.to_complex()) else {
-                continue;
-            };
-            let Ok(hess) = Hessenberg::compute(&m_mat) else {
-                continue;
-            };
-            // Basis + kernel: the Schur upgrade re-uses the Hessenberg
-            // factorization (the QR iteration starts from Q) and only
-            // costs the accumulated iteration itself.
-            let (kernel, basis) = if use_schur {
-                match Schur::from_hessenberg(&hess) {
-                    Ok(schur) => {
-                        let (tm, z) = schur.into_parts();
-                        let upper_max = strict_upper_max_abs(&tm);
-                        (SweepKernel::Schur(tm, upper_max), z)
-                    }
-                    Err(_) => {
-                        let (hm, q) = hess.into_parts();
-                        (SweepKernel::Hessenberg(hm), q)
-                    }
-                }
+            let reduced = if s0.im == 0.0 {
+                reduce_shifted(&self.e, &self.a, &self.b, T::from_f64(s0.re), use_schur)
             } else {
-                let (hm, q) = hess.into_parts();
-                (SweepKernel::Hessenberg(hm), q)
+                reduce_shifted(
+                    &self.e.to_complex(),
+                    &self.a.to_complex(),
+                    &self.b.to_complex(),
+                    s0,
+                    use_schur,
+                )
+            };
+            let Some((kernel, basis, fb)) = reduced else {
+                continue;
             };
             let Ok(bt) = basis.mul_hermitian_left(&fb) else {
                 continue;
