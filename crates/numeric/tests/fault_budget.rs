@@ -1,12 +1,25 @@
 //! Forced non-convergence through the fault-injection iteration caps
 //! (the `fault-injection` feature). The caps are process-global, so
-//! these tests live in their own binary: armed here, they cannot reach
-//! the library's unit tests, which run concurrently in another process.
-//! Within this binary, `InjectedFault` serializes the arming tests.
+//! every test that arms one lives in this binary: armed here, a cap
+//! cannot reach the library's unit tests or the property-test binaries,
+//! which run in other processes.
 #![cfg(feature = "fault-injection")]
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use mfti_numeric::faults::InjectedFault;
-use mfti_numeric::{c64, CMatrix, NumericError, Svd, SvdFactors, SvdMethod};
+use mfti_numeric::{
+    c64, eigenvalues, CMatrix, NumericError, RMatrix, Schur, Svd, SvdFactors, SvdMethod,
+};
+
+/// `InjectedFault` serializes only while armed: a test's disarmed
+/// checks must not run while a sibling test has a cap armed, so every
+/// test here holds this lock for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn pseudo_random(n: usize, mut seed: u64) -> CMatrix {
     let mut next = move || {
@@ -18,8 +31,41 @@ fn pseudo_random(n: usize, mut seed: u64) -> CMatrix {
     CMatrix::from_fn(n, n, |_, _| c64(next(), next()))
 }
 
+/// A complete SVD of `a`: factor shapes, descending non-negative σ,
+/// reconstruction to `tol·max(‖A‖, 1)`, orthonormal `U` and `V`.
+fn check_svd(a: &CMatrix, svd: &Svd, tol: f64) {
+    let r = a.rows().min(a.cols());
+    assert_eq!(svd.u().dims(), (a.rows(), r));
+    assert_eq!(svd.v().dims(), (a.cols(), r));
+    assert_eq!(svd.singular_values().len(), r);
+    for w in svd.singular_values().windows(2) {
+        assert!(
+            w[0] >= w[1] - 1e-12,
+            "not sorted: {:?}",
+            svd.singular_values()
+        );
+    }
+    assert!(svd.singular_values().iter().all(|&x| x >= 0.0));
+    let err = (&svd.reconstruct() - a).norm_fro();
+    assert!(
+        err <= tol * a.norm_fro().max(1.0),
+        "reconstruction error {err}"
+    );
+    let uhu = svd.u().adjoint().matmul(svd.u()).unwrap();
+    assert!(
+        uhu.approx_eq(&CMatrix::identity(r), 1e-10),
+        "U not orthonormal"
+    );
+    let vhv = svd.v().adjoint().matmul(svd.v()).unwrap();
+    assert!(
+        vhv.approx_eq(&CMatrix::identity(r), 1e-10),
+        "V not orthonormal"
+    );
+}
+
 #[test]
 fn capped_qr_forces_no_convergence_and_disarms_on_drop() {
+    let _serial = serial();
     let a = pseudo_random(10, 0xfb);
     {
         let _fault = InjectedFault::cap_qr_iterations(1);
@@ -36,6 +82,7 @@ fn capped_qr_forces_no_convergence_and_disarms_on_drop() {
 
 #[test]
 fn capped_jacobi_forces_no_convergence() {
+    let _serial = serial();
     let a = pseudo_random(10, 0xfc);
     let _fault = InjectedFault::cap_jacobi_sweeps(1);
     let err = Svd::compute_with(&a, SvdMethod::Jacobi);
@@ -44,18 +91,19 @@ fn capped_jacobi_forces_no_convergence() {
 
 #[test]
 fn recovering_svd_degrades_to_jacobi_under_forced_qr_stall() {
+    let _serial = serial();
     let a = pseudo_random(10, 1234);
     let _fault = InjectedFault::cap_qr_iterations(1);
     let rec = Svd::compute_recovering(&a, SvdMethod::Blocked, SvdFactors::Both).unwrap();
     assert_eq!(rec.method, SvdMethod::Jacobi);
     assert_eq!(rec.fallbacks.len(), 2);
     assert!(rec.recovered());
-    let back = rec.svd.reconstruct();
-    assert!((&back - &a).norm_fro() < 1e-10 * a.norm_fro());
+    check_svd(&a, &rec.svd, 1e-10);
 }
 
 #[test]
 fn recovering_svd_reports_last_rung_error_when_all_stall() {
+    let _serial = serial();
     let a = pseudo_random(10, 4321);
     let _fault = InjectedFault::cap_all_iterations(1);
     let err = Svd::compute_recovering(&a, SvdMethod::Blocked, SvdFactors::Both).unwrap_err();
@@ -66,4 +114,31 @@ fn recovering_svd_reports_last_rung_error_when_all_stall() {
             ..
         }
     ));
+}
+
+#[test]
+fn capped_iterations_force_no_convergence_on_real_input() {
+    let _serial = serial();
+    let m = RMatrix::from_fn(12, 12, |i, j| {
+        ((i * 7 + j * 3) % 11) as f64 - 5.0 + 0.1 * j as f64
+    });
+    {
+        let _fault = InjectedFault::cap_qr_iterations(1);
+        // The Schur form of real input iterates in complex; its
+        // eigenvalues run the values-only real Francis iteration.
+        assert!(matches!(
+            Schur::compute(&m),
+            Err(NumericError::NoConvergence { op: "schur qr", .. })
+        ));
+        assert!(matches!(
+            eigenvalues(&m),
+            Err(NumericError::NoConvergence {
+                op: "francis qr",
+                ..
+            })
+        ));
+    }
+    // Disarmed: both converge again.
+    assert!(Schur::compute(&m).is_ok());
+    assert!(eigenvalues(&m).is_ok());
 }

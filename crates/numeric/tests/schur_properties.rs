@@ -15,23 +15,15 @@
 //! eigenvalue multiset on the promoted matrix to `1e-12` relative — on
 //! random spectra, all-real spectra, repeated conjugate pairs and the
 //! zero-eigenvalue cluster of `F⁻¹E` for a singular `E`, and at the
-//! small orders `n ∈ {0, 1, 2, 3}`.
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
+//! small orders `n ∈ {0, 1, 2, 3}`. Their forced non-convergence under
+//! an armed iteration cap is tested in `fault_budget.rs`, the binary
+//! that keeps process-global caps away from these tests.
 
 use mfti_numeric::{
     c64, eigenvalues, solve, solve_shifted_hessenberg, solve_shifted_triangular, CMatrix, Complex,
     Hessenberg, Lu, Qr, RMatrix, Schur,
 };
 use proptest::prelude::*;
-
-/// Serializes this file's tests: the fault-injection test arms a
-/// process-global iteration cap that must not reach the others.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Strategy: random upper-Hessenberg matrix of order `n_range` with
 /// entries in `[-1, 1]²` (strictly-lower part exactly zero).
@@ -56,7 +48,6 @@ proptest! {
 
     #[test]
     fn schur_reconstructs_random_hessenberg_up_to_n64(h in hessenberg_matrix(1..=64)) {
-        let _serial = serial();
         let n = h.rows();
         let schur = Schur::compute(&h).unwrap();
         // T exactly triangular.
@@ -81,7 +72,6 @@ proptest! {
 
     #[test]
     fn schur_trace_is_preserved(h in hessenberg_matrix(2..=32)) {
-        let _serial = serial();
         // Similarity invariant: Σ λᵢ (diagonal of T) equals tr(H).
         let schur = Schur::compute(&h).unwrap();
         let sum: Complex = schur.eigenvalues().into_iter().sum();
@@ -96,7 +86,6 @@ proptest! {
         offset_exp in -8.0f64..-3.0,
         dir in 0.0f64..std::f64::consts::TAU,
     ) {
-        let _serial = serial();
         // Ill-conditioned shift: α = −β·(λ + δ) parks α·I + β·H a
         // distance |δ| ≈ 10^offset_exp from exact singularity at the
         // eigenvalue λ. The Schur-form triangular solve, the Hessenberg
@@ -159,7 +148,6 @@ proptest! {
         re in 1.0f64..3.0,
         im in -1.0f64..1.0,
     ) {
-        let _serial = serial();
         // A shift with |α| comfortably above the spectral radius of βH
         // keeps the system well conditioned; agreement must reach 1e-11.
         let n = h.rows();
@@ -274,7 +262,6 @@ proptest! {
 
     #[test]
     fn real_input_schur_and_eigenvalues_up_to_n128(m in real_matrix(4..=128)) {
-        let _serial = serial();
         check_real_input(&m);
     }
 
@@ -282,7 +269,6 @@ proptest! {
     fn all_real_spectra_stay_real(
         diag in (2usize..=40).prop_flat_map(|n| proptest::collection::vec(-4.0f64..4.0, n)),
     ) {
-        let _serial = serial();
         let m = orthogonally_mixed(&RMatrix::from_diag(&diag), 0xa11);
         check_real_input(&m);
         for z in eigenvalues(&m).unwrap() {
@@ -297,7 +283,6 @@ proptest! {
         copies in 2usize..=6,
         extra in -2.0f64..2.0,
     ) {
-        let _serial = serial();
         // `copies` identical rotation blocks [[a, b], [−b, a]] plus one
         // real eigenvalue, mixed by an orthogonal similarity (normal, so
         // the repeated pair a ± ib stays well conditioned).
@@ -322,7 +307,6 @@ proptest! {
 
 #[test]
 fn zero_eigenvalue_cluster_of_a_singular_e_pencil() {
-    let _serial = serial();
     // E = diag(1, …, 1, 0, 0, 0): M = (σE − A)⁻¹E has a 3-dimensional
     // null space, the infinite poles of the pencil.
     let n = 24;
@@ -358,7 +342,6 @@ fn zero_eigenvalue_cluster_of_a_singular_e_pencil() {
 
 #[test]
 fn real_input_at_the_smallest_orders() {
-    let _serial = serial();
     assert!(Schur::compute(&RMatrix::zeros(0, 0))
         .unwrap()
         .eigenvalues()
@@ -393,29 +376,4 @@ fn real_input_at_the_smallest_orders() {
     ] {
         check_real_input(&m);
     }
-}
-
-#[cfg(feature = "fault-injection")]
-#[test]
-fn capped_iterations_force_no_convergence_on_real_input() {
-    use mfti_numeric::faults::InjectedFault;
-    use mfti_numeric::NumericError;
-
-    let _serial = serial();
-    let m = RMatrix::from_fn(12, 12, |i, j| {
-        ((i * 7 + j * 3) % 11) as f64 - 5.0 + 0.1 * j as f64
-    });
-    {
-        let _fault = InjectedFault::cap_qr_iterations(1);
-        assert!(matches!(
-            Schur::compute(&m),
-            Err(NumericError::NoConvergence { .. })
-        ));
-        assert!(matches!(
-            eigenvalues(&m),
-            Err(NumericError::NoConvergence { .. })
-        ));
-    }
-    // Disarmed: both converge again.
-    check_real_input(&m);
 }
