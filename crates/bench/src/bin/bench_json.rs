@@ -8,7 +8,12 @@
 //! `Macromodel::eval_batch` sweep path against the per-frequency
 //! evaluation loop on an order-48 descriptor model, times the cold
 //! sweep set-up and the pole computation of the `mfti_full` model
-//! against its complex twin (`sweep_cold/*`, `poles/*`), and times the raw
+//! against its complex twin (`sweep_cold/*`, `poles/*`), times the
+//! level-2 kernels behind them on that model's matrices (`kernel/*`: the
+//! complex Schur iteration and the real Hessenberg reduction of its first
+//! sweep group, the values-only bidiagonalization of its detection
+//! pencil, each with its nominal GFLOP/s against the same run's GEMM
+//! rate), and times the raw
 //! GEMM kernels: 256×256 complex and real naive/blocked pairs plus the
 //! real restricted-projection shape. The `BENCH_*.json` summaries record
 //! the perf trajectory of the repo per PR: end-to-end and sweep numbers
@@ -39,7 +44,7 @@ use mfti_core::{
     realify, FitSession, Fitter, LoewnerPencil, Mfti, OrderSelection, RecursiveMfti, SessionSvd,
     TangentialData, Vfti, Weights,
 };
-use mfti_numeric::{kernel, parallel, RMatrix, Svd, SvdFactors, SvdMethod};
+use mfti_numeric::{kernel, parallel, Hessenberg, Lu, RMatrix, Schur, Svd, SvdFactors, SvdMethod};
 use mfti_sampling::generators::{PdnBuilder, RandomSystemBuilder};
 use mfti_sampling::{FrequencyGrid, NoiseModel, SampleSet};
 use mfti_statespace::{Macromodel, SweepStrategy, TransferFunction};
@@ -209,6 +214,44 @@ fn main() {
         })
         .bench_function("fit_stage/realize", |b| {
             b.iter(|| stage_session.realize().expect("realize"))
+        });
+
+    // --- kernel rates: the sweep set-up and detection kernels -----------
+    // The level-2 kernels behind the cold sweep and order detection, on
+    // the mfti_full model's own matrices: the shift-inverted sweep matrix
+    // `F⁻¹E` (`F = σE − A`) of its first magnitude group at the group's
+    // real shift `σ`, as the sweep set-up forms it, and the fit's real
+    // detection pencil. Their rates use Golub–Van Loan's nominal flop
+    // counts (printed with the summary below).
+    let mut magnitudes: Vec<f64> = setup_pts.iter().map(|s| s.abs()).collect();
+    magnitudes.sort_by(f64::total_cmp);
+    let sigma = magnitudes
+        .iter()
+        .copied()
+        .take_while(|&m| m <= 100.0 * magnitudes[0])
+        .fold(0.0f64, f64::max);
+    let (e_real, a_real, _, _, _) = real_model.real_matrices();
+    let shifted = RMatrix::from_fn(e_real.rows(), e_real.cols(), |i, j| {
+        e_real[(i, j)] * sigma - a_real[(i, j)]
+    });
+    let sweep_matrix = Lu::compute(&shifted)
+        .and_then(|lu| lu.solve(e_real))
+        .expect("first sweep group's shift-inverted matrix");
+    let sweep_n = sweep_matrix.rows();
+    let sweep_hess = Hessenberg::compute(&sweep_matrix).expect("hessenberg");
+    let detect_pencil = realify(&stage_pencil, 1e-6)
+        .expect("realify")
+        .shifted_pencil(x0.re);
+    let detect_k = detect_pencil.rows();
+    c.sample_size(20)
+        .bench_function(&format!("kernel/schur_complex_n{sweep_n}"), |b| {
+            b.iter(|| Schur::from_hessenberg(&sweep_hess).expect("schur"))
+        })
+        .bench_function(&format!("kernel/hessenberg_real_n{sweep_n}"), |b| {
+            b.iter(|| Hessenberg::compute(&sweep_matrix).expect("hessenberg"))
+        })
+        .bench_function(&format!("kernel/bidiag_values_real_k{detect_k}"), |b| {
+            b.iter(|| Svd::singular_values_of(&detect_pencil).expect("detect"))
         });
 
     // The pre-lazy-accumulation realize recipe, for the full vs
@@ -467,6 +510,55 @@ fn main() {
         gflops("gemm_c64_256/blocked", 8.0 * 256f64.powi(3)),
         gflops("gemm_f64_256/blocked", 2.0 * 256f64.powi(3)),
         gflops("gemm_f64_480x180x480/blocked", 2.0 * 480.0 * 180.0 * 480.0),
+    );
+
+    // Kernel rates against the same run's blocked GEMM (one thread each;
+    // the bidiagonalization fans its trailing updates out over the
+    // library's worker count). Nominal flop counts from the dimensions:
+    // the Schur iteration at Golub–Van Loan's two QR steps per
+    // eigenvalue (§7.5.6), a step over a w-row window applying w − 1
+    // complex rotations to 2n + 1 entry pairs (left across the columns,
+    // right down T's rows and Z's) at 20 real flops a pair, so
+    // Σ_w 2·20·2n·w ≈ 40n³; the Hessenberg reduction with Q,
+    // 10n³/3 + 4n³/3 (Algorithm 7.4.2); the values-only
+    // bidiagonalization, 4mn² − 4n³/3 = 8K³/3 for K × K (Algorithm
+    // 5.4.2).
+    let (nf, kf) = (sweep_n as f64, detect_k as f64);
+    let rates = [
+        (
+            format!("kernel/schur_complex_n{sweep_n}"),
+            40.0 * nf.powi(3),
+            "gemm_c64_256/blocked",
+            8.0,
+        ),
+        (
+            format!("kernel/hessenberg_real_n{sweep_n}"),
+            14.0 * nf.powi(3) / 3.0,
+            "gemm_f64_256/blocked",
+            2.0,
+        ),
+        (
+            format!("kernel/bidiag_values_real_k{detect_k}"),
+            8.0 * kf.powi(3) / 3.0,
+            "gemm_f64_256/blocked",
+            2.0,
+        ),
+    ];
+    let rate_line: Vec<String> = rates
+        .iter()
+        .map(|(id, flops, gemm, gemm_flops_per_n3)| {
+            let rate = gflops(id, *flops);
+            let peak = gflops(gemm, gemm_flops_per_n3 * 256f64.powi(3));
+            format!(
+                "{} {rate:.2} GFLOP/s ({:.0}% of {gemm})",
+                id.trim_start_matches("kernel/"),
+                100.0 * rate / peak
+            )
+        })
+        .collect();
+    println!(
+        "kernel rates (nominal GVL flops; bidiagonalization at {threads_all} workers): {}",
+        rate_line.join(" | ")
     );
 
     let ms = |id: &str| median_of(id) / 1e6;

@@ -11,7 +11,7 @@
 //! the final state-space model has real coefficients — a hard
 //! requirement for circuit back-ends (SPICE stamping).
 
-use mfti_numeric::{c64, CMatrix, RMatrix};
+use mfti_numeric::{c64, CMatrix, Complex, RMatrix};
 
 use crate::error::MftiError;
 use crate::loewner::LoewnerPencil;
@@ -87,15 +87,17 @@ impl RealifiedPencil {
 pub fn realify(pencil: &LoewnerPencil, tol: f64) -> Result<RealifiedPencil, MftiError> {
     // T has two entries per row and column, so the conjugations are
     // applied structurally — O(K²) row/column combinations per product
-    // instead of dense K×K GEMMs against a 2-sparse matrix.
+    // instead of dense K×K GEMMs against a 2-sparse matrix. 𝕃 and σ𝕃
+    // are realified in one fused pass each (`realify_square`); the thin
+    // W and V take the two-step appliers.
     let ts = pencil.pair_ts();
-    let ll_c = apply_t_right(&apply_t_adjoint_left(pencil.ll(), ts), ts);
-    let sll_c = apply_t_right(&apply_t_adjoint_left(pencil.sll(), ts), ts);
+    let (ll, ll_imag) = realify_square(pencil.ll(), ts)?;
+    let (sll, sll_imag) = realify_square(pencil.sll(), ts)?;
     let w_c = apply_t_right(pencil.w(), ts);
     let v_c = apply_t_adjoint_left(pencil.v(), ts);
 
-    let mut max_imag = 0.0f64;
-    for m in [&ll_c, &sll_c, &w_c, &v_c] {
+    let mut max_imag = 0.0f64.max(ll_imag).max(sll_imag);
+    for m in [&w_c, &v_c] {
         let scale = m.max_abs().max(f64::MIN_POSITIVE);
         max_imag = max_imag.max(m.imag_part().max_abs() / scale);
     }
@@ -103,13 +105,124 @@ pub fn realify(pencil: &LoewnerPencil, tol: f64) -> Result<RealifiedPencil, Mfti
         return Err(MftiError::RealificationResidual { max_imag });
     }
     Ok(RealifiedPencil {
-        ll: ll_c.real_part(),
-        sll: sll_c.real_part(),
+        ll,
+        sll,
         w: w_c.real_part(),
         v: v_c.real_part(),
         max_imag_residual: max_imag,
         freq_scale: pencil.freq_scale(),
     })
+}
+
+/// `|z|²` within this factor of the running maximum marks an entry
+/// whose `|z|` may be the largest: 16ε covers the rounding of `|z|²`
+/// and of `hypot`, so no entry outside it can hold `max |z|`.
+const NEAR_MAX_SQ: f64 = 1.0 - 16.0 * f64::EPSILON;
+
+/// Below this `max |z|²` the squares may have lost relative accuracy to
+/// underflow, and the 16ε window no longer brackets `max |z|`.
+const MIN_EXACT_SQ: f64 = f64::MIN_POSITIVE / f64::EPSILON;
+
+/// Running maxima over the entries of one realified matrix: `max |Im z|`
+/// exactly, and `max |z|` with `hypot` evaluated only for entries whose
+/// `|z|²` is within [`NEAR_MAX_SQ`] of the running `max |z|²` — the
+/// values [`Matrix::max_abs`](mfti_numeric::Matrix::max_abs) of the
+/// complex product and of its imaginary part would give, bit for bit.
+struct EntryScan {
+    max_imag: f64,
+    max_sq: f64,
+    max_abs: f64,
+    saw_nan: bool,
+}
+
+impl EntryScan {
+    fn new() -> Self {
+        EntryScan {
+            max_imag: 0.0,
+            max_sq: 0.0,
+            max_abs: 0.0,
+            saw_nan: false,
+        }
+    }
+
+    /// Scans one row: its imaginary and squared maxima in one pass,
+    /// then `hypot` only if the row reaches the running `max |z|²`.
+    fn push_row(&mut self, row: &[Complex]) {
+        let (mut max_imag, mut max_sq, mut nan) = (0.0f64, 0.0f64, false);
+        for z in row {
+            max_imag = max_imag.max(z.im.abs());
+            let sq = z.abs_sq();
+            max_sq = max_sq.max(sq);
+            nan |= sq.is_nan();
+        }
+        self.max_imag = self.max_imag.max(max_imag);
+        self.saw_nan |= nan;
+        if max_sq >= self.max_sq * NEAR_MAX_SQ {
+            self.max_sq = self.max_sq.max(max_sq);
+            let near = self.max_sq * NEAR_MAX_SQ;
+            for z in row {
+                if z.abs_sq() >= near {
+                    self.max_abs = self.max_abs.max(z.abs());
+                }
+            }
+        }
+    }
+
+    /// `max |z|`, or `None` when the shortcut cannot vouch for it: a
+    /// NaN `|z|²` (`hypot` of NaN and ∞ is ∞), or a maximum `|z|²` that
+    /// overflowed or sits in the underflow range.
+    fn max_abs(&self) -> Option<f64> {
+        let exact = !self.saw_nan && self.max_sq.is_finite() && self.max_sq >= MIN_EXACT_SQ;
+        exact.then_some(self.max_abs)
+    }
+}
+
+/// The real part of `T*·X·T` for a square `X`, and its realification
+/// residual `max |Im| / max(max |·|, MIN_POSITIVE)`, in one pass: per
+/// conjugate pair, the two rows of `T*X` are formed with
+/// [`apply_t_adjoint_left`]'s arithmetic, pushed through `T` with
+/// [`apply_t_right`]'s, and only their real parts are stored. The bits
+/// equal the two-step product's (`realify_square_two_step`), without
+/// its three `K × K` complex intermediates or `hypot` on every entry;
+/// an [`EntryScan`] that cannot vouch for `max |z|` falls back to the
+/// two-step product's scan.
+fn realify_square(x: &CMatrix, pair_ts: &[usize]) -> Result<(RMatrix, f64), MftiError> {
+    let k = x.rows();
+    debug_assert!(x.is_square() && pair_ts.iter().map(|t| 2 * t).sum::<usize>() == k);
+    let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
+    let mut out = vec![0.0f64; k * k];
+    // Rows `off+i` and `off+t+i` of T*X, and one row of T*X·T.
+    let mut pair_rows = [vec![Complex::ZERO; k], vec![Complex::ZERO; k]];
+    let mut product_row = vec![Complex::ZERO; k];
+    let mut scan = EntryScan::new();
+    let mut off = 0;
+    for &t in pair_ts {
+        for i in 0..t {
+            let rows = [off + i, off + t + i];
+            let [top, bottom] = &mut pair_rows;
+            for ((l1, l2), (&a, &b)) in top
+                .iter_mut()
+                .zip(bottom.iter_mut())
+                .zip(x.row(rows[0]).iter().zip(x.row(rows[1])))
+            {
+                *l1 = c64((a.re + b.re) * inv_sqrt2, (a.im + b.im) * inv_sqrt2);
+                *l2 = c64((b.im - a.im) * inv_sqrt2, (a.re - b.re) * inv_sqrt2);
+            }
+            for (pair_row, r) in pair_rows.iter().zip(rows) {
+                t_right_row(pair_row, &mut product_row, pair_ts);
+                for (o, z) in out[r * k..(r + 1) * k].iter_mut().zip(&product_row) {
+                    *o = z.re;
+                }
+                scan.push_row(&product_row);
+            }
+        }
+        off += 2 * t;
+    }
+    let max_abs = scan
+        .max_abs()
+        .unwrap_or_else(|| apply_t_right(&apply_t_adjoint_left(x, pair_ts), pair_ts).max_abs());
+    let residual = scan.max_imag / max_abs.max(f64::MIN_POSITIVE);
+    Ok((RMatrix::from_vec(k, k, out)?, residual))
 }
 
 /// Computes `T* X` without materializing `T`: per conjugate pair of
@@ -153,10 +266,39 @@ pub(crate) fn apply_t_adjoint_left(x: &CMatrix, pair_ts: &[usize]) -> CMatrix {
 /// (XT)[:, off+t+i] = j (X[:, off+t+i] − X[:, off+i]) / √2
 /// ```
 ///
-/// `X` must have `Σ 2tᵢ` columns.
+/// `X` must have `Σ 2tᵢ` columns. Row by row ([`t_right_row`]), so
+/// every pass runs over contiguous memory.
 pub(crate) fn apply_t_right(x: &CMatrix, pair_ts: &[usize]) -> CMatrix {
     let k: usize = pair_ts.iter().map(|t| 2 * t).sum();
     debug_assert_eq!(x.cols(), k, "T column-application dimension mismatch");
+    let mut out = x.clone();
+    for (r, out_row) in out.as_mut_slice().chunks_exact_mut(k.max(1)).enumerate() {
+        t_right_row(x.row(r), out_row, pair_ts);
+    }
+    out
+}
+
+/// One row of [`apply_t_right`]: `out = l·T` for a row `l` of `Σ 2tᵢ`
+/// entries.
+#[inline]
+fn t_right_row(l: &[Complex], out: &mut [Complex], pair_ts: &[usize]) {
+    let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
+    let mut off = 0;
+    for &t in pair_ts {
+        let (l_a, l_b) = l[off..off + 2 * t].split_at(t);
+        let (o_a, o_b) = out[off..off + 2 * t].split_at_mut(t);
+        for ((oa, ob), (&a, &b)) in o_a.iter_mut().zip(o_b).zip(l_a.iter().zip(l_b)) {
+            *oa = c64((a.re + b.re) * inv_sqrt2, (a.im + b.im) * inv_sqrt2);
+            // j(b − a)/√2
+            *ob = c64((a.im - b.im) * inv_sqrt2, (b.re - a.re) * inv_sqrt2);
+        }
+        off += 2 * t;
+    }
+}
+
+/// [`apply_t_right`] as a column-pair walk. Test oracle.
+#[cfg(test)]
+fn apply_t_right_columnwise(x: &CMatrix, pair_ts: &[usize]) -> CMatrix {
     let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
     let mut out = x.clone();
     let mut off = 0;
@@ -166,13 +308,21 @@ pub(crate) fn apply_t_right(x: &CMatrix, pair_ts: &[usize]) -> CMatrix {
                 let a = x[(r, off + i)];
                 let b = x[(r, off + t + i)];
                 out[(r, off + i)] = c64((a.re + b.re) * inv_sqrt2, (a.im + b.im) * inv_sqrt2);
-                // j(b − a)/√2
                 out[(r, off + t + i)] = c64((a.im - b.im) * inv_sqrt2, (b.re - a.re) * inv_sqrt2);
             }
         }
         off += 2 * t;
     }
     out
+}
+
+/// [`realify_square`] as the two-step product and full scans. Test
+/// oracle.
+#[cfg(test)]
+fn realify_square_two_step(x: &CMatrix, pair_ts: &[usize]) -> (RMatrix, f64) {
+    let m = apply_t_right_columnwise(&apply_t_adjoint_left(x, pair_ts), pair_ts);
+    let scale = m.max_abs().max(f64::MIN_POSITIVE);
+    (m.real_part(), m.imag_part().max_abs() / scale)
 }
 
 /// Builds `T = blkdiag(T_i)` for the given per-pair block widths (the
@@ -280,5 +430,112 @@ mod tests {
         let conv = t.mul_hermitian_left(&ll2).unwrap().matmul(&t).unwrap();
         let rel = conv.imag_part().max_abs() / conv.max_abs();
         assert!(rel > 1e-3, "corruption must surface as imaginary residual");
+    }
+
+    /// Xorshift uniforms in `[-1, 1)`.
+    fn uniform(seed: u64) -> impl FnMut() -> f64 {
+        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        }
+    }
+
+    /// Bitwise equality with NaN compared as a class.
+    fn same_bits(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    fn same_real(x: &RMatrix, y: &RMatrix) -> bool {
+        x.dims() == y.dims()
+            && x.as_slice()
+                .iter()
+                .zip(y.as_slice())
+                .all(|(&a, &b)| same_bits(a, b))
+    }
+
+    /// A `K × cols` matrix (`K = Σ 2tᵢ`) at magnitude `scale`, every
+    /// fifth entry in the subnormal range, with up to three entries
+    /// replaced by NaN, ±∞, −0.0 or a subnormal.
+    fn edge_matrix(ts: &[usize], cols: usize, scale: f64, seed: u64) -> CMatrix {
+        let k: usize = ts.iter().map(|t| 2 * t).sum();
+        let mut next = uniform(seed);
+        let mut m = CMatrix::from_fn(k, cols, |i, j| {
+            let z = c64(next(), next()).scale(scale);
+            if (i * cols + j) % 5 == (seed % 5) as usize {
+                z.scale(1e-310)
+            } else {
+                z
+            }
+        });
+        let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 4.9e-322];
+        let entries = m.as_mut_slice();
+        for s in 0..(seed % 4) as usize {
+            let pick = (next().abs() * 1e6) as usize;
+            if let Some(z) = entries.get_mut(pick % entries.len().max(1)) {
+                let value = specials[(pick / 7 + s) % specials.len()];
+                if pick.is_multiple_of(2) {
+                    z.re = value;
+                } else {
+                    z.im = value;
+                }
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn fused_realification_matches_the_two_step_product_bit_for_bit() {
+        let pair_layouts: [&[usize]; 5] = [&[1], &[2, 2, 2], &[2, 1, 3], &[3; 7], &[1, 4, 2, 5]];
+        // Ordinary magnitudes, and the overflow / underflow ranges of
+        // |z|² where the scan falls back to the full `hypot` pass.
+        let scales = [1.0, 1e-3, 1e160, 1e-160, 1e-300];
+        for (case, (ts, scale)) in pair_layouts
+            .iter()
+            .flat_map(|ts| scales.iter().map(move |&s| (*ts, s)))
+            .enumerate()
+        {
+            for seed in 0..12u64 {
+                let seed = seed * 31 + case as u64;
+                let k: usize = ts.iter().map(|t| 2 * t).sum();
+                let x = edge_matrix(ts, k, scale, seed);
+                let (got, got_res) = realify_square(&x, ts).unwrap();
+                let (want, want_res) = realify_square_two_step(&x, ts);
+                assert!(same_real(&got, &want), "real part, ts {ts:?}, seed {seed}");
+                assert!(
+                    same_bits(got_res, want_res),
+                    "residual {got_res:e} vs {want_res:e}, ts {ts:?}, seed {seed}"
+                );
+                let wide = edge_matrix(ts, 3, scale, seed + 1).transpose();
+                let got = apply_t_right(&wide, ts);
+                let want = apply_t_right_columnwise(&wide, ts);
+                let bits = |m: &CMatrix| m.as_slice().iter().flat_map(|z| [z.re, z.im]).collect();
+                let (got, want): (Vec<f64>, Vec<f64>) = (bits(&got), bits(&want));
+                assert!(got.iter().zip(&want).all(|(&a, &b)| same_bits(a, b)));
+            }
+        }
+    }
+
+    #[test]
+    fn realify_keeps_the_bits_of_the_two_step_realification() {
+        for (order, ports, k, t) in [(8, 2, 6, 2), (12, 3, 8, 3), (6, 2, 4, 1)] {
+            let (p, _) = pencil(order, ports, k, t);
+            let got = realify(&p, 1e-6).unwrap();
+            let ts = p.pair_ts();
+            let (ll, ll_res) = realify_square_two_step(p.ll(), ts);
+            let (sll, sll_res) = realify_square_two_step(p.sll(), ts);
+            let w = apply_t_right_columnwise(p.w(), ts);
+            let v = apply_t_adjoint_left(p.v(), ts);
+            let mut max_imag = 0.0f64.max(ll_res).max(sll_res);
+            for m in [&w, &v] {
+                max_imag =
+                    max_imag.max(m.imag_part().max_abs() / m.max_abs().max(f64::MIN_POSITIVE));
+            }
+            assert!(same_real(got.ll(), &ll) && same_real(got.sll(), &sll));
+            assert!(same_real(got.w(), &w.real_part()) && same_real(got.v(), &v.real_part()));
+            assert!(same_bits(got.max_imag_residual(), max_imag));
+        }
     }
 }

@@ -6,6 +6,12 @@
 //! the bidiagonal produced by the SVD front-ends real. For `f64` the
 //! conjugations degenerate to copies and the generator is exactly
 //! `dlarfg`.
+//!
+//! The applications sweep contiguous rows of the row-major layout. The
+//! right application — the Hessenberg reduction of `H` and its `Q`,
+//! Golub–Kahan — takes four rows per pass, so four rows' `A·w`
+//! reductions run as independent chains; every entry keeps the one-row
+//! loop's operations and order (DESIGN.md §6).
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
@@ -125,7 +131,64 @@ impl<T: Scalar> Reflector<T> {
 
     /// Applies `H = I − τ w w*` from the right to the block
     /// `a[row.., col..]`: `A := A (I − τ w w*)`.
+    ///
+    /// Four rows per pass: their `s = A[i, col..]·w` chains run
+    /// interleaved, each in its own `k` order, so four serial
+    /// dependency chains overlap instead of one; then each row takes
+    /// its rank-1 update over a contiguous slice. Every entry goes
+    /// through the operations of the one-row loop, in its order
+    /// (`Reflector::apply_right_indexed`, the test oracle), so the bits
+    /// are the same.
     pub fn apply_right(&self, a: &mut Matrix<T>, row: usize, col: usize) {
+        if self.tau == T::ZERO {
+            return;
+        }
+        let n = a.cols();
+        let width = 1 + self.v.len();
+        debug_assert!(row <= a.rows() && col + width <= n);
+        let block = &mut a.as_mut_slice()[row * n..];
+        let mut quads = block.chunks_exact_mut(4 * n);
+        for quad in &mut quads {
+            let (r01, r23) = quad.split_at_mut(2 * n);
+            let (r0, r1) = r01.split_at_mut(n);
+            let (r2, r3) = r23.split_at_mut(n);
+            self.apply_right_rows([
+                &mut r0[col..col + width],
+                &mut r1[col..col + width],
+                &mut r2[col..col + width],
+                &mut r3[col..col + width],
+            ]);
+        }
+        for r in quads.into_remainder().chunks_exact_mut(n) {
+            self.apply_right_rows([&mut r[col..col + width]]);
+        }
+    }
+
+    /// [`Reflector::apply_right`] on `R` row slices of `A[.., col..]`,
+    /// each `1 + v.len()` long.
+    #[inline(always)]
+    fn apply_right_rows<const R: usize>(&self, mut rows: [&mut [T]; R]) {
+        let v = &self.v[..];
+        // s = A[i, col..] w: R chains, interleaved over k.
+        let mut s: [T; R] = std::array::from_fn(|q| rows[q][0]);
+        for (k, &vk) in v.iter().enumerate() {
+            for (s, row) in s.iter_mut().zip(&rows) {
+                *s += row[1 + k] * vk;
+            }
+        }
+        for (row, s) in rows.iter_mut().zip(s) {
+            let t = self.tau * s;
+            let (head, tail) = row.split_at_mut(1);
+            head[0] -= t;
+            for (a, &vk) in tail.iter_mut().zip(v) {
+                *a -= t * vk.conj();
+            }
+        }
+    }
+
+    /// [`Reflector::apply_right`] as a one-row loop. Test oracle.
+    #[cfg(test)]
+    fn apply_right_indexed(&self, a: &mut Matrix<T>, row: usize, col: usize) {
         if self.tau == T::ZERO {
             return;
         }
@@ -150,7 +213,9 @@ impl<T: Scalar> Reflector<T> {
 mod tests {
     use super::*;
     use crate::complex::{c64, Complex};
-    use crate::matrix::CMatrix;
+    use crate::matrix::{CMatrix, RMatrix};
+    use crate::oracle::{apply_specials, complex_entries, same_bits, specials};
+    use proptest::prelude::*;
 
     fn reflect_vector(r: &Reflector<Complex>, x: &[Complex]) -> Vec<Complex> {
         // y = (I − conj(τ) w w^H) x with w = [1, v...]
@@ -232,5 +297,62 @@ mod tests {
         let mut got = a.clone();
         r.apply_right(&mut got, 0, 0);
         assert!(got.approx_eq(&want, 1e-13));
+    }
+
+    /// A `rows × cols` matrix and a reflector acting on its columns
+    /// `col..`, both with [`apply_specials`] on top.
+    fn right_case(
+        dims: (usize, usize, usize),
+        seed: u64,
+        specials: &[(u32, u8)],
+    ) -> (CMatrix, Reflector<Complex>) {
+        let (rows, cols, col) = dims;
+        let a = CMatrix::from_vec(rows, cols, complex_entries(rows * cols, seed, specials))
+            .expect("rows·cols entries");
+        let x: Vec<Complex> = complex_entries(cols - col, seed + 1, &[]);
+        let mut refl = make_reflector(&x);
+        apply_specials(&mut refl.v, &specials[..specials.len().min(1)]);
+        (a, refl)
+    }
+
+    fn same_matrix_bits<T: Scalar>(x: &Matrix<T>, y: &Matrix<T>) -> bool {
+        x.as_slice()
+            .iter()
+            .zip(y.as_slice())
+            .all(|(p, q)| same_bits(p.re(), q.re()) && same_bits(p.im(), q.im()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The four-row right application against the one-row loop, on
+        /// sub-blocks with row and column offsets (row counts ≡ 0–3 mod
+        /// 4), complex and real, special values included.
+        #[test]
+        fn apply_right_matches_the_one_row_loop(
+            (rows, row) in (1usize..=14).prop_flat_map(|rows| (Just(rows), 0..rows)),
+            (cols, col) in (1usize..=19).prop_flat_map(|cols| (Just(cols), 0..cols)),
+            seed in 0u64..1_000_000,
+            specials in specials(4, 0..5),
+        ) {
+            let (a, refl) = right_case((rows, cols, col), seed, &specials);
+            let mut want = a.clone();
+            refl.apply_right_indexed(&mut want, row, col);
+            let mut got = a.clone();
+            refl.apply_right(&mut got, row, col);
+            prop_assert!(same_matrix_bits(&got, &want), "complex");
+
+            let a_re: RMatrix = a.real_part();
+            let refl_re = Reflector {
+                tau: refl.tau.re,
+                v: refl.v.iter().map(|z| z.re).collect(),
+                beta: refl.beta,
+            };
+            let mut want = a_re.clone();
+            refl_re.apply_right_indexed(&mut want, row, col);
+            let mut got = a_re;
+            refl_re.apply_right(&mut got, row, col);
+            prop_assert!(same_matrix_bits(&got, &want), "real");
+        }
     }
 }

@@ -960,18 +960,8 @@ mod tests {
     use super::*;
     use crate::complex::c64;
     use crate::matrix::{CMatrix, RMatrix};
+    use crate::oracle::{same_real_bits, uniform};
     use proptest::prelude::*;
-
-    /// Seeded xorshift stream of uniform values in `[-1, 1)`.
-    fn uniform(seed: u64) -> impl FnMut() -> f64 {
-        let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            (s >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-        }
-    }
 
     fn cmat(rows: usize, cols: usize, seed: u64) -> CMatrix {
         let mut next = uniform(seed);
@@ -1142,11 +1132,7 @@ mod tests {
     /// sign and payload of a NaN result unspecified, so not even the
     /// scalar kernel pins those bits.
     fn same_bits(x: &RMatrix, y: &RMatrix) -> bool {
-        x.dims() == y.dims()
-            && x.as_slice()
-                .iter()
-                .zip(y.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()))
+        x.dims() == y.dims() && same_real_bits(x.as_slice(), y.as_slice())
     }
 
     proptest! {

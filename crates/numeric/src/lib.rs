@@ -60,6 +60,8 @@ mod lu;
 mod matrix;
 mod norms;
 mod ops;
+#[cfg(test)]
+mod oracle;
 mod qr;
 mod scalar;
 mod schur;

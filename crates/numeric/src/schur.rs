@@ -26,6 +26,14 @@
 //!   values only: the eigenvalues of a real matrix never leave `f64`,
 //!   and conjugate pairs come out exactly conjugate.
 //!
+//! In the Schur mode every pass of a QR sweep runs over contiguous
+//! memory: the left rotations over two rows of `T` as slices, the right
+//! rotations as per-row chains four rows at a time, and the accumulation
+//! over two rows of `Zᵀ`, held in split real and imaginary planes. Each
+//! entry still goes through the operations of the indexed loops, in
+//! their order, so the bits are theirs; those loops survive as test
+//! oracles (DESIGN.md §6).
+//!
 //! A real input to [`Schur`] is reduced to Hessenberg form in `f64` —
 //! the same bits its complex promotion would reduce to, at a quarter of
 //! the flops — and then promoted for the complex Schur iteration. A
@@ -104,9 +112,12 @@ impl Schur {
     /// back to it.
     pub fn from_hessenberg<T: Scalar>(hess: &Hessenberg<T>) -> Result<Self, NumericError> {
         let mut t = hess.h().to_complex();
-        let mut z = hess.q().to_complex();
-        complex_qr(&mut t, Some(&mut z))?;
-        Ok(Schur { t, z })
+        let mut zt = SplitTranspose::of(hess.q());
+        complex_qr(&mut t, Some(&mut zt))?;
+        Ok(Schur {
+            t,
+            z: zt.into_matrix(),
+        })
     }
 
     /// The upper-triangular factor `T`.
@@ -190,6 +201,152 @@ fn eig_2x2(a: Complex, b: Complex, c: Complex, d: Complex) -> (Complex, Complex)
     (mean + disc, mean - disc)
 }
 
+/// `Zᵀ` in split real and imaginary planes: row `k` of each plane is
+/// column `k` of `Z`, so the accumulation `Z := Z·Gᴴ` of a rotation in
+/// the plane `(k, k+1)` sweeps two contiguous rows per plane instead of
+/// walking a column pair down all `n` rows of the interleaved matrix.
+struct SplitTranspose {
+    n: usize,
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl SplitTranspose {
+    /// Splits and transposes a square `q`.
+    fn of<T: Scalar>(q: &Matrix<T>) -> Self {
+        let n = q.rows();
+        let mut re = vec![0.0; n * n];
+        let mut im = vec![0.0; n * n];
+        for (i, row) in q.as_slice().chunks_exact(n.max(1)).enumerate() {
+            for (k, &x) in row.iter().enumerate() {
+                re[k * n + i] = x.re();
+                im[k * n + i] = x.im();
+            }
+        }
+        SplitTranspose { n, re, im }
+    }
+
+    /// `Z := Z·Gᴴ` for the rotation `G` of plane `(k, k+1)`.
+    fn rotate(&mut self, k: usize, c: f64, s: Complex) {
+        let n = self.n;
+        let (ur, vr) = self.re[k * n..(k + 2) * n].split_at_mut(n);
+        let (ui, vi) = self.im[k * n..(k + 2) * n].split_at_mut(n);
+        rotate_split_columns(ur, ui, vr, vi, c, s);
+    }
+
+    /// The interleaved `Z`, transposed back.
+    fn into_matrix(self) -> CMatrix {
+        let n = self.n;
+        CMatrix::from_fn(n, n, |i, k| c64(self.re[k * n + i], self.im[k * n + i]))
+    }
+}
+
+/// `[x; y] := G·[x; y]` over two rows of `T`, `G = [[c, s], [−s̄, c]]`:
+/// the left half of a QR sweep's rotation, `x·c + s·y` and `y·c − s̄·x`
+/// per column. Over slices, so the loop runs without index checks and
+/// vectorizes; every entry keeps the operands and order of the indexed
+/// loop [`rotate_rows_indexed`], its test oracle.
+fn rotate_rows(x: &mut [Complex], y: &mut [Complex], c: f64, s: Complex) {
+    let s_conj = s.conj();
+    for (t1, t2) in x.iter_mut().zip(y.iter_mut()) {
+        let (u, v) = (*t1, *t2);
+        *t1 = u.scale(c) + s * v;
+        *t2 = v.scale(c) - s_conj * u;
+    }
+}
+
+/// `[u v] := [u v]·Gᴴ` for two columns of `Z` held as split planes
+/// (`u = ur + i·ui`, `v = vr + i·vi`): `u·c + v·s̄` and `v·c − u·s`,
+/// spelled out in the real operations — and the order — that
+/// [`Complex`]'s `scale`, `*`, `+` and `−` perform, so each lane rounds
+/// exactly as the interleaved loop [`rotate_columns_indexed`], its test
+/// oracle.
+fn rotate_split_columns(
+    ur: &mut [f64],
+    ui: &mut [f64],
+    vr: &mut [f64],
+    vi: &mut [f64],
+    c: f64,
+    s: Complex,
+) {
+    let (sr, si) = (s.re, s.im);
+    let si_conj = -si;
+    let planes = ur
+        .iter_mut()
+        .zip(ui.iter_mut())
+        .zip(vr.iter_mut().zip(vi.iter_mut()));
+    for ((ur, ui), (vr, vi)) in planes {
+        let (ar, ai, br, bi) = (*ur, *ui, *vr, *vi);
+        *ur = ar * c + (br * sr - bi * si_conj);
+        *ui = ai * c + (br * si_conj + bi * sr);
+        *vr = br * c - (ar * sr - ai * si);
+        *vi = bi * c - (ar * si + ai * sr);
+    }
+}
+
+/// `T := T·Gₖᴴ` for every rotation of one QR sweep, `rot[k − lo]` in
+/// the plane `(k, k+1)`, over rows `row_start..=hi` of the row-major
+/// `n × n` matrix `t` (`hi = lo + rot.len()`; row `i` takes the
+/// rotations `k ≥ max(lo, i − 1)`). Row by row instead of column pair
+/// by column pair: each row runs its rotations in `k` order as one
+/// chain, carrying the entry the next rotation reads, and four rows'
+/// chains run side by side so their latencies overlap. Every entry
+/// takes `u·c + v·s̄` and `v·c − u·s` in the order of the column-pair
+/// loop [`rotate_columns_indexed`], its test oracle.
+fn rotate_right_chains(
+    t: &mut [Complex],
+    n: usize,
+    lo: usize,
+    row_start: usize,
+    rot: &[(f64, Complex)],
+) {
+    let hi = lo + rot.len();
+    let mut quads = t[row_start * n..(hi + 1) * n].chunks_exact_mut(4 * n);
+    let mut first = row_start;
+    for quad in &mut quads {
+        let (r01, r23) = quad.split_at_mut(2 * n);
+        let (r0, r1) = r01.split_at_mut(n);
+        let (r2, r3) = r23.split_at_mut(n);
+        rotate_row_chains([r0, r1, r2, r3], first, lo, rot);
+        first += 4;
+    }
+    for row in quads.into_remainder().chunks_exact_mut(n) {
+        rotate_row_chains([row], first, lo, rot);
+        first += 1;
+    }
+}
+
+/// [`rotate_right_chains`] on the `R` consecutive rows from `first`.
+#[inline(always)]
+fn rotate_row_chains<const R: usize>(
+    mut rows: [&mut [Complex]; R],
+    first: usize,
+    lo: usize,
+    rot: &[(f64, Complex)],
+) {
+    let hi = lo + rot.len();
+    let starts: [usize; R] = std::array::from_fn(|q| lo.max((first + q).saturating_sub(1)));
+    let mut carry = [Complex::ZERO; R];
+    for k in starts[0]..hi {
+        let (c, s) = rot[k - lo];
+        let s_conj = s.conj();
+        for ((row, u), &start) in rows.iter_mut().zip(&mut carry).zip(&starts) {
+            if k < start {
+                continue;
+            }
+            if k == start {
+                *u = row[k];
+            }
+            let v = row[k + 1];
+            row[k] = u.scale(c) + v * s_conj;
+            *u = v.scale(c) - *u * s;
+        }
+    }
+    for (row, u) in rows.iter_mut().zip(carry) {
+        row[hi] = u;
+    }
+}
+
 /// Wilkinson-shifted explicit QR on a complex upper-Hessenberg `t`.
 ///
 /// With `z` (Schur mode) every rotation is applied across the full
@@ -200,7 +357,16 @@ fn eig_2x2(a: Complex, b: Complex, c: Complex, d: Complex) -> (Complex, Complex)
 /// 2×2 windows are solved analytically, and the eigenvalues are
 /// returned in deflation order. The window's arithmetic is the same in
 /// both modes.
-fn complex_qr(t: &mut CMatrix, mut z: Option<&mut CMatrix>) -> Result<Vec<Complex>, NumericError> {
+///
+/// Every pass runs over contiguous memory: the left rotations over row
+/// pairs of `t`, the right rotations as per-row chains four rows at a
+/// time, the accumulation over rows of `Zᵀ`'s split planes. Every entry
+/// of `t` and `z` goes through the operations of [`complex_qr_indexed`]
+/// in its order, so both produce the same bits (DESIGN.md §6).
+fn complex_qr(
+    t: &mut CMatrix,
+    mut z: Option<&mut SplitTranspose>,
+) -> Result<Vec<Complex>, NumericError> {
     let n = t.rows();
     let schur = z.is_some();
     let mut ev = Vec::with_capacity(if schur { 0 } else { n });
@@ -294,32 +460,17 @@ fn complex_qr(t: &mut CMatrix, mut z: Option<&mut CMatrix>) -> Result<Vec<Comple
             let (c, s, r) = zrotg(t[(k, k)], t[(k + 1, k)]);
             t[(k, k)] = r;
             t[(k + 1, k)] = Complex::ZERO;
-            for j in k + 1..col_end {
-                let t1 = t[(k, j)];
-                let t2 = t[(k + 1, j)];
-                t[(k, j)] = t1.scale(c) + s * t2;
-                t[(k + 1, j)] = t2.scale(c) - s.conj() * t1;
-            }
+            let (top, bottom) = t.as_mut_slice()[k * n..(k + 2) * n].split_at_mut(n);
+            rotate_rows(&mut top[k + 1..col_end], &mut bottom[k + 1..col_end], c, s);
             rot.push((c, s));
         }
-        for (idx, &(c, s)) in rot.iter().enumerate() {
-            let k = lo + idx;
-            // T := T Gᴴ on columns k, k+1 (rows up to k+1 are the only
-            // structurally nonzero ones in the R factor)…
-            for i in row_start..=k + 1 {
-                let u = t[(i, k)];
-                let v = t[(i, k + 1)];
-                t[(i, k)] = u.scale(c) + v * s.conj();
-                t[(i, k + 1)] = v.scale(c) - u * s;
-            }
-            // … and the accumulation Z := Z Gᴴ over all rows.
-            if let Some(z) = z.as_deref_mut() {
-                for i in 0..n {
-                    let u = z[(i, k)];
-                    let v = z[(i, k + 1)];
-                    z[(i, k)] = u.scale(c) + v * s.conj();
-                    z[(i, k + 1)] = v.scale(c) - u * s;
-                }
+        // T := T Gᴴ (rows up to k+1 are the only structurally nonzero
+        // ones of the R factor in columns k, k+1)…
+        rotate_right_chains(t.as_mut_slice(), n, lo, row_start, &rot);
+        // … and the accumulation Z := Z Gᴴ over all rows.
+        if let Some(z) = z.as_deref_mut() {
+            for (idx, &(c, s)) in rot.iter().enumerate() {
+                z.rotate(lo + idx, c, s);
             }
         }
         for i in lo..=hi {
@@ -339,6 +490,169 @@ fn complex_qr(t: &mut CMatrix, mut z: Option<&mut CMatrix>) -> Result<Vec<Comple
         }
     }
     Ok(ev)
+}
+
+/// [`complex_qr`] with an interleaved `Z` and indexed rotation loops:
+/// the reference it must match bit for bit. Test oracle.
+#[cfg(test)]
+fn complex_qr_indexed(
+    t: &mut CMatrix,
+    mut z: Option<&mut CMatrix>,
+) -> Result<Vec<Complex>, NumericError> {
+    let n = t.rows();
+    let schur = z.is_some();
+    let mut ev = Vec::with_capacity(if schur { 0 } else { n });
+    if n == 0 {
+        return Ok(ev);
+    }
+    let eps = f64::EPSILON;
+    let tiny = f64::MIN_POSITIVE;
+    let mut hi = n - 1;
+    let mut iters_this_window = 0usize;
+    let max_iters_per_eig =
+        crate::fault_budget::qr_iteration_cap().unwrap_or(QR_ITERATIONS_PER_WINDOW);
+
+    loop {
+        // Deflate negligible subdiagonals, scanning up from the bottom
+        // of the active window.
+        let mut lo = hi;
+        while lo > 0 {
+            let sub = t[(lo, lo - 1)].abs();
+            if sub <= tiny + eps * (t[(lo - 1, lo - 1)].abs() + t[(lo, lo)].abs()) {
+                t[(lo, lo - 1)] = Complex::ZERO;
+                break;
+            }
+            lo -= 1;
+        }
+
+        if lo == hi {
+            // 1×1 block converged.
+            if !schur {
+                ev.push(t[(hi, hi)]);
+            }
+            iters_this_window = 0;
+            if hi == 0 {
+                break;
+            }
+            hi -= 1;
+            continue;
+        }
+        if !schur && hi - lo == 1 {
+            // Values only: solve the 2×2 window analytically. (The Schur
+            // mode has no such escape: a 2×2 window must be rotated to
+            // triangular form, which the Wilkinson shift does in one or
+            // two sweeps — the shift is then an exact eigenvalue.)
+            let (l1, l2) = eig_2x2(t[(lo, lo)], t[(lo, hi)], t[(hi, lo)], t[(hi, hi)]);
+            ev.push(l1);
+            ev.push(l2);
+            iters_this_window = 0;
+            if lo == 0 {
+                break;
+            }
+            hi = lo - 1;
+            continue;
+        }
+
+        iters_this_window += 1;
+        if iters_this_window > max_iters_per_eig {
+            return Err(NumericError::NoConvergence {
+                op: if schur { "schur qr" } else { "hessenberg qr" },
+                iterations: iters_this_window,
+            });
+        }
+
+        // Shift: Wilkinson by default; occasionally an exceptional shift
+        // to break symmetry-induced cycling.
+        let mu = if iters_this_window.is_multiple_of(24) {
+            let lower = if hi >= 2 {
+                t[(hi - 1, hi - 2)].abs()
+            } else {
+                0.0
+            };
+            let m = t[(hi, hi - 1)].abs() + lower;
+            t[(hi, hi)] + c64(0.75 * m, 0.3 * m)
+        } else {
+            wilkinson_shift(
+                t[(hi - 1, hi - 1)],
+                t[(hi - 1, hi)],
+                t[(hi, hi - 1)],
+                t[(hi, hi)],
+            )
+        };
+
+        // Explicit QR step on the window: T − μI = QR, then T := RQ + μI.
+        // The μ bookkeeping is confined to the window diagonal; the
+        // rotations span the window (values only) or the full matrix.
+        let (col_end, row_start) = if schur { (n, 0) } else { (hi + 1, lo) };
+        for i in lo..=hi {
+            t[(i, i)] -= mu;
+        }
+        let mut rot = Vec::with_capacity(hi - lo);
+        for k in lo..hi {
+            let (c, s, r) = zrotg(t[(k, k)], t[(k + 1, k)]);
+            t[(k, k)] = r;
+            t[(k + 1, k)] = Complex::ZERO;
+            rotate_rows_indexed(t, k, col_end, c, s);
+            rot.push((c, s));
+        }
+        for (idx, &(c, s)) in rot.iter().enumerate() {
+            let k = lo + idx;
+            // T := T Gᴴ on columns k, k+1 (rows up to k+1 are the only
+            // structurally nonzero ones in the R factor)…
+            rotate_columns_indexed(t, row_start..k + 2, k, c, s);
+            // … and the accumulation Z := Z Gᴴ over all rows.
+            if let Some(z) = z.as_deref_mut() {
+                rotate_columns_indexed(z, 0..n, k, c, s);
+            }
+        }
+        for i in lo..=hi {
+            t[(i, i)] += mu;
+        }
+    }
+
+    if schur {
+        // The strictly-lower part is structurally zero (subdiagonals
+        // were deflated to exact zeros, everything below was never
+        // touched); clear any entry the loop left behind so callers can
+        // rely on exact triangularity.
+        for i in 1..n {
+            for j in 0..i {
+                t[(i, j)] = Complex::ZERO;
+            }
+        }
+    }
+    Ok(ev)
+}
+
+/// [`rotate_rows`] as an indexed loop over rows `k`, `k+1` and columns
+/// `k+1..col_end` of `t`. Test oracle.
+#[cfg(test)]
+fn rotate_rows_indexed(t: &mut CMatrix, k: usize, col_end: usize, c: f64, s: Complex) {
+    for j in k + 1..col_end {
+        let t1 = t[(k, j)];
+        let t2 = t[(k + 1, j)];
+        t[(k, j)] = t1.scale(c) + s * t2;
+        t[(k + 1, j)] = t2.scale(c) - s.conj() * t1;
+    }
+}
+
+/// `m := m·Gᴴ` on `rows` of columns `k`, `k+1` of an interleaved
+/// matrix, as an indexed loop: the reference of [`rotate_split_columns`]
+/// (on `Z`) and [`rotate_right_chains`] (on `T`). Test oracle.
+#[cfg(test)]
+fn rotate_columns_indexed(
+    m: &mut CMatrix,
+    rows: std::ops::Range<usize>,
+    k: usize,
+    c: f64,
+    s: Complex,
+) {
+    for i in rows {
+        let u = m[(i, k)];
+        let v = m[(i, k + 1)];
+        m[(i, k)] = u.scale(c) + v * s.conj();
+        m[(i, k + 1)] = v.scale(c) - u * s;
+    }
 }
 
 /// Francis double-shift QR on a real upper-Hessenberg `h`, values only
@@ -976,7 +1290,9 @@ pub fn triangular_right_eigenvectors(t: &CMatrix) -> Option<CMatrix> {
 mod tests {
     use super::*;
     use crate::complex::c64;
+    use crate::oracle::{apply_specials, complex_entries, same_complex_bits, specials, uniform};
     use crate::solve::solve;
+    use proptest::prelude::*;
 
     fn pseudo_random(n: usize, cols: usize, mut seed: u64) -> CMatrix {
         let mut next = move || {
@@ -1298,5 +1614,169 @@ mod tests {
         }
         assert!(triangular_right_eigenvectors(&t).is_none());
         assert!(triangular_right_eigenvectors(&CMatrix::zeros(2, 3)).is_none());
+    }
+
+    /// An `n × n` upper-Hessenberg matrix with entries in `[-1, 1)²`
+    /// (real when `real`) and [`apply_specials`]`(specials)` on top;
+    /// for even seeds the subdiagonal entry of row `n/3` is shrunk to
+    /// `1e-17` relative, so that the first window is an interior one.
+    fn oracle_hessenberg(n: usize, seed: u64, specials: &[(u32, u8)], real: bool) -> CMatrix {
+        let mut next = uniform(seed);
+        let mut h = CMatrix::from_fn(n, n, |i, j| {
+            let z = c64(next(), if real { 0.0 } else { next() });
+            match i {
+                _ if i > j + 1 => Complex::ZERO,
+                _ if i == j + 1 && i == n / 3 && seed.is_multiple_of(2) => z.scale(1e-17),
+                _ => z,
+            }
+        });
+        apply_specials(h.as_mut_slice(), specials);
+        h
+    }
+
+    /// Runs the Schur iteration and its indexed oracle on the same
+    /// `(T, Z)` and checks that outcome, `T` and `Z` agree bit for bit;
+    /// then the same for the values-only mode (eigenvalues and `T`).
+    fn assert_schur_iterations_agree(h: &CMatrix, z0: &CMatrix) {
+        let (mut t_want, mut z_want) = (h.clone(), z0.clone());
+        let want = complex_qr_indexed(&mut t_want, Some(&mut z_want));
+        let (mut t_got, mut zt) = (h.clone(), SplitTranspose::of(z0));
+        let got = complex_qr(&mut t_got, Some(&mut zt));
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "outcome");
+        assert!(
+            same_complex_bits(t_got.as_slice(), t_want.as_slice()),
+            "T bits"
+        );
+        let z_got = zt.into_matrix();
+        assert!(
+            same_complex_bits(z_got.as_slice(), z_want.as_slice()),
+            "Z bits"
+        );
+
+        let (mut t_want, mut t_got) = (h.clone(), h.clone());
+        let want = complex_qr_indexed(&mut t_want, None);
+        let got = complex_qr(&mut t_got, None);
+        assert_eq!(want.is_ok(), got.is_ok(), "values-only outcome");
+        if let (Ok(want), Ok(got)) = (want, got) {
+            assert!(same_complex_bits(&got, &want), "eigenvalue bits");
+        }
+        assert!(
+            same_complex_bits(t_got.as_slice(), t_want.as_slice()),
+            "values-only T bits"
+        );
+    }
+
+    #[test]
+    fn split_transpose_round_trips() {
+        let z = CMatrix::from_vec(5, 5, complex_entries(25, 0x5e, &[(3, 0), (8, 3)])).unwrap();
+        let back = SplitTranspose::of(&z).into_matrix();
+        assert!(same_complex_bits(back.as_slice(), z.as_slice()));
+        assert_eq!(
+            SplitTranspose::of(&CMatrix::zeros(0, 0))
+                .into_matrix()
+                .dims(),
+            (0, 0)
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The row-pair kernel of the left rotations against the
+        /// indexed loop, special values included.
+        #[test]
+        fn rotate_rows_matches_the_indexed_loop(
+            (n, k, col_end) in (2usize..40).prop_flat_map(|n| (Just(n), 0..n - 1))
+                .prop_flat_map(|(n, k)| (Just(n), Just(k), k + 1..=n)),
+            seed in 0u64..1_000_000,
+            specials in specials(4, 0..5),
+        ) {
+            let t = CMatrix::from_vec(n, n, complex_entries(n * n, seed, &specials)).unwrap();
+            let rot = complex_entries(2, seed + 1, &specials[..specials.len().min(1)]);
+            let (c, s) = (rot[0].re, rot[1]);
+            let mut want = t.clone();
+            rotate_rows_indexed(&mut want, k, col_end, c, s);
+            let mut got = t;
+            let (top, bottom) = got.as_mut_slice()[k * n..(k + 2) * n].split_at_mut(n);
+            rotate_rows(&mut top[k + 1..col_end], &mut bottom[k + 1..col_end], c, s);
+            prop_assert!(same_complex_bits(got.as_slice(), want.as_slice()));
+        }
+
+        /// The right rotations of a whole sweep, as row chains, against
+        /// the indexed column-pair loop run rotation by rotation, for
+        /// Schur-mode (`row_start = 0`) and window-only row ranges.
+        #[test]
+        fn rotate_right_chains_match_the_indexed_loop(
+            (n, lo, hi) in (2usize..40)
+                .prop_flat_map(|n| (Just(n), 0..n - 1))
+                .prop_flat_map(|(n, lo)| (Just(n), Just(lo), lo + 1..n)),
+            window_rows in 0u8..2,
+            seed in 0u64..1_000_000,
+            specials in specials(4, 0..5),
+        ) {
+            let t = CMatrix::from_vec(n, n, complex_entries(n * n, seed, &specials)).unwrap();
+            let rot_entries = complex_entries(2 * (hi - lo), seed + 1, &specials);
+            let rot: Vec<(f64, Complex)> =
+                rot_entries.chunks_exact(2).map(|p| (p[0].re, p[1])).collect();
+            let row_start = if window_rows == 1 { lo } else { 0 };
+            let mut want = t.clone();
+            for (idx, &(c, s)) in rot.iter().enumerate() {
+                let k = lo + idx;
+                rotate_columns_indexed(&mut want, row_start..k + 2, k, c, s);
+            }
+            let mut got = t;
+            rotate_right_chains(got.as_mut_slice(), n, lo, row_start, &rot);
+            prop_assert!(same_complex_bits(got.as_slice(), want.as_slice()));
+        }
+
+        /// The split-plane accumulation kernel against the indexed
+        /// column-pair loop over an interleaved `Z`.
+        #[test]
+        fn rotate_split_columns_matches_the_indexed_loop(
+            (n, k) in (2usize..40).prop_flat_map(|n| (Just(n), 0..n - 1)),
+            seed in 0u64..1_000_000,
+            specials in specials(4, 0..5),
+        ) {
+            let z = CMatrix::from_vec(n, n, complex_entries(n * n, seed, &specials)).unwrap();
+            let rot = complex_entries(2, seed + 1, &specials[..specials.len().min(1)]);
+            let (c, s) = (rot[0].re, rot[1]);
+            let mut want = z.clone();
+            rotate_columns_indexed(&mut want, 0..n, k, c, s);
+            let mut zt = SplitTranspose::of(&z);
+            zt.rotate(k, c, s);
+            prop_assert!(same_complex_bits(zt.into_matrix().as_slice(), want.as_slice()));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The whole Schur iteration against its indexed oracle, on
+        /// random Hessenberg matrices up to n = 128 with −0.0 and
+        /// subnormal entries: identical `T` and `Z` bits.
+        #[test]
+        fn schur_iteration_matches_the_indexed_oracle(
+            n in (0u8..2, 1usize..=24, 25usize..=128)
+                .prop_map(|(large, small_n, large_n)| if large == 1 { large_n } else { small_n }),
+            seed in 0u64..1_000_000,
+            specials in specials(6, 3..5),
+            real in 0u8..2,
+        ) {
+            let h = oracle_hessenberg(n, seed, &specials, real == 1);
+            let z0 = oracle_hessenberg(n, seed + 7, &[], real == 1);
+            assert_schur_iterations_agree(&h, &z0);
+        }
+
+        /// NaN and ±∞ entries: both iterations fail (or finish) alike.
+        #[test]
+        fn schur_iteration_matches_the_oracle_on_non_finite_input(
+            n in 1usize..=12,
+            seed in 0u64..1_000_000,
+            specials in specials(3, 0..5),
+        ) {
+            let h = oracle_hessenberg(n, seed, &specials, false);
+            let z0 = oracle_hessenberg(n, seed + 7, &specials, false);
+            assert_schur_iterations_agree(&h, &z0);
+        }
     }
 }

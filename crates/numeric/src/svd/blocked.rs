@@ -17,7 +17,11 @@
 //!    block through [`parallel`]; the blocked kernel computes every
 //!    output column independently of its neighbors, so the result is
 //!    **bit-identical for every worker count** (the same guarantee the
-//!    sweep executor gives frequency sweeps).
+//!    sweep executor gives frequency sweeps). The panel's two GEMVs —
+//!    the BLAS-2 half — take four rows per pass: `A·u` as four
+//!    eight-chain dot products sharing each load of `u`, and `Aᴴw` with
+//!    one read and write of the accumulator per four rows, both in the
+//!    row-by-row loops' per-entry order (DESIGN.md §6).
 //! 2. **Factor accumulation** (`zungbr` shape): the reflectors of each
 //!    panel are aggregated into the compact WY form `I − V·T·Vᴴ`
 //!    (`zlarft`) and applied to `U`/`V` with three GEMMs per panel
@@ -143,10 +147,6 @@ pub(super) struct PanelAcc<T: Scalar> {
     p: Matrix<T>,
 }
 
-/// Bidiagonalizes panel columns/rows `i0 .. i0+nb`, storing reflector
-/// tails in `w`, real bidiagonal entries in `d`/`e` and scaling factors
-/// in `tauq`/`taup`. The trailing matrix beyond the panel is **not**
-/// touched; the returned accumulators encode the pending update.
 /// Eight-chain unrolled dot product `Σ a[k]·b[k]`.
 ///
 /// The panel GEMVs reduce into a single scalar; a naive loop serializes
@@ -171,6 +171,12 @@ fn dot8<T: Scalar>(a: &[T], b: &[T]) -> T {
     for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
         tail += x * y;
     }
+    combine8(&acc, tail)
+}
+
+/// The fixed combine of [`dot8`]'s eight lanes and its tail.
+#[inline(always)]
+fn combine8<T: Scalar>(acc: &[T; 8], tail: T) -> T {
     let q0 = (acc[0] + acc[1]) + (acc[2] + acc[3]);
     let q1 = (acc[4] + acc[5]) + (acc[6] + acc[7]);
     (q0 + q1) + tail
@@ -192,11 +198,93 @@ fn dot8_conj<T: Scalar>(a: &[T], b: &[T]) -> T {
     for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
         tail += x * y.conj();
     }
-    let q0 = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    let q1 = (acc[4] + acc[5]) + (acc[6] + acc[7]);
-    (q0 + q1) + tail
+    combine8(&acc, tail)
 }
 
+/// Four [`dot8`]s against one `b`: `[Σ a₀[k]·b[k], …, Σ a₃[k]·b[k]]`.
+/// Each row keeps `dot8`'s eight `k mod 8` chains, its tail and its
+/// combine order, so every result has `dot8`'s bits; the rows share
+/// each load of `b`, and their 32 chains are independent.
+#[inline]
+fn dot8x4<T: Scalar>(a: [&[T]; 4], b: &[T]) -> [T; 4] {
+    let full = b.len() - b.len() % 8;
+    let a = a.map(|row| &row[..b.len()]);
+    let mut acc = [[T::ZERO; 8]; 4];
+    for (base, xb) in (0..full).step_by(8).zip(b.chunks_exact(8)) {
+        for (acc, row) in acc.iter_mut().zip(&a) {
+            let xa = &row[base..base + 8];
+            for k in 0..8 {
+                acc[k] += xa[k] * xb[k];
+            }
+        }
+    }
+    std::array::from_fn(|q| {
+        let mut tail = T::ZERO;
+        for (&x, &y) in a[q][full..].iter().zip(&b[full..]) {
+            tail += x * y;
+        }
+        combine8(&acc[q], tail)
+    })
+}
+
+/// `out[r] = A[r0 + r, c0..c0+u.len()] · u` for every `r`, four rows per
+/// pass through [`dot8x4`]; leftover rows take [`dot8`]. The panel's
+/// `A·u` GEMV (step 6).
+fn gemv_rows<T: Scalar>(out: &mut [T], a: &Matrix<T>, r0: usize, c0: usize, u: &[T]) {
+    let cols = c0..c0 + u.len();
+    let mut quads = out.chunks_exact_mut(4);
+    let mut r = r0;
+    for quad in &mut quads {
+        let rows = std::array::from_fn(|q| &a.row(r + q)[cols.clone()]);
+        quad.copy_from_slice(&dot8x4(rows, u));
+        r += 4;
+    }
+    for o in quads.into_remainder() {
+        *o = dot8(&a.row(r)[cols.clone()], u);
+        r += 1;
+    }
+}
+
+/// `y += A[r0.., c0..]ᴴ·x` over the `x.len()` rows from `r0`, four rows
+/// per pass: each `y[c]` takes
+/// `(((y + ā₀x₀) + ā₁x₁) + ā₂x₂) + ā₃x₃`, the row-by-row loop's order
+/// (`adjoint_gemv_rowwise`, the test oracle), in one read and write of
+/// `y` per four rows. The panel's `Aᴴw` GEMV (step 3).
+fn adjoint_gemv<T: Scalar>(y: &mut [T], a: &Matrix<T>, r0: usize, c0: usize, x: &[T]) {
+    let cols = c0..c0 + y.len();
+    let mut quads = x.chunks_exact(4);
+    let mut r = r0;
+    for xs in &mut quads {
+        let [a0, a1, a2, a3]: [&[T]; 4] = std::array::from_fn(|q| &a.row(r + q)[cols.clone()]);
+        let (x0, x1, x2, x3) = (xs[0], xs[1], xs[2], xs[3]);
+        for ((((yc, &e0), &e1), &e2), &e3) in y.iter_mut().zip(a0).zip(a1).zip(a2).zip(a3) {
+            *yc = (((*yc + e0.conj() * x0) + e1.conj() * x1) + e2.conj() * x2) + e3.conj() * x3;
+        }
+        r += 4;
+    }
+    for &xr in quads.remainder() {
+        for (yc, &e) in y.iter_mut().zip(&a.row(r)[cols.clone()]) {
+            *yc += e.conj() * xr;
+        }
+        r += 1;
+    }
+}
+
+/// [`adjoint_gemv`] as a row-by-row loop. Test oracle.
+#[cfg(test)]
+fn adjoint_gemv_rowwise<T: Scalar>(y: &mut [T], a: &Matrix<T>, r0: usize, c0: usize, x: &[T]) {
+    for (r, &xr) in (r0..).zip(x) {
+        let row = &a.row(r)[c0..c0 + y.len()];
+        for (acc, &a_rc) in y.iter_mut().zip(row) {
+            *acc += a_rc.conj() * xr;
+        }
+    }
+}
+
+/// Bidiagonalizes panel columns/rows `i0 .. i0+nb`, storing reflector
+/// tails in `w`, real bidiagonal entries in `d`/`e` and scaling factors
+/// in `tauq`/`taup`. The trailing matrix beyond the panel is **not**
+/// touched; the returned accumulators encode the pending update.
 pub(super) fn bidiag_panel<T: Scalar>(
     w: &mut Matrix<T>,
     i0: usize,
@@ -254,15 +342,8 @@ pub(super) fn bidiag_panel<T: Scalar>(
 
         // 3. y_j = τq · A_trueᴴ w_j over columns i+1..n (A_true folds in
         //    the j prior deferred updates).
-        let width = n - i - 1;
-        let mut yv = vec![T::ZERO; width];
-        for r in i..m {
-            let xr = wcur[r - i];
-            let row = &w.row(r)[i + 1..n];
-            for (acc, &a_rc) in yv.iter_mut().zip(row) {
-                *acc += a_rc.conj() * xr;
-            }
-        }
+        let mut yv = vec![T::ZERO; n - i - 1];
+        adjoint_gemv(&mut yv, w, i, i + 1, &wcur);
         if j > 0 {
             // t1 = Wqᴴ·w_j, t2 = Xᴴ·w_j (rows i..m of the accumulators).
             let mut t1 = vec![T::ZERO; j];
@@ -331,10 +412,7 @@ pub(super) fn bidiag_panel<T: Scalar>(
         // 6. x_j = τp · A_true u_j over rows i+1..m (A_true now folds in
         //    the left reflector j as well: k ≤ j left terms, k < j right).
         let mut xv = vec![T::ZERO; m - i - 1];
-        for r in i + 1..m {
-            let row = &w.row(r)[i + 1..n];
-            xv[r - i - 1] = dot8(row, &ucur);
-        }
+        gemv_rows(&mut xv, w, i + 1, i + 1, &ucur);
         let mut s1 = vec![T::ZERO; j + 1];
         let mut s2 = vec![T::ZERO; j];
         for c in i + 1..n {
@@ -521,7 +599,9 @@ mod tests {
     use super::*;
     use crate::complex::{c64, Complex};
     use crate::matrix::CMatrix;
+    use crate::oracle::{complex_entries, same_complex_bits, same_real_bits, specials};
     use crate::svd::{Svd, SvdMethod};
+    use proptest::prelude::*;
 
     fn pseudo_random_complex(m: usize, n: usize, mut seed: u64) -> CMatrix {
         let mut next = move || {
@@ -590,5 +670,71 @@ mod tests {
             wy.approx_eq(&dense, 1e-13),
             "WY form deviates from the reflector product"
         );
+    }
+
+    /// Real parts only: the `f64` instantiation's inputs.
+    fn real_of(z: &[Complex]) -> Vec<f64> {
+        z.iter().map(|z| z.re).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `dot8x4` gives each row `dot8`'s bits, lengths 0–40, complex
+        /// and real, special values included.
+        #[test]
+        fn dot8x4_matches_four_dot8s(
+            len in 0usize..=40,
+            seed in 0u64..1_000_000,
+            specials in specials(4, 0..5),
+        ) {
+            let rows = complex_entries(4 * len, seed, &specials);
+            let b = complex_entries(len, seed + 1, &specials[..specials.len().min(1)]);
+            let a: [&[Complex]; 4] = std::array::from_fn(|q| &rows[q * len..(q + 1) * len]);
+            let want: Vec<Complex> = a.iter().map(|row| dot8(row, &b)).collect();
+            prop_assert!(same_complex_bits(&dot8x4(a, &b), &want), "complex");
+
+            let rows_re = real_of(&rows);
+            let b_re = real_of(&b);
+            let a_re: [&[f64]; 4] = std::array::from_fn(|q| &rows_re[q * len..(q + 1) * len]);
+            let want: Vec<f64> = a_re.iter().map(|row| dot8(row, &b_re)).collect();
+            prop_assert!(same_real_bits(&dot8x4(a_re, &b_re), &want), "real");
+        }
+
+        /// The panel GEMVs against their row-by-row loops, on sub-blocks
+        /// with row and column offsets (row counts ≡ 0–3 mod 4).
+        #[test]
+        fn panel_gemvs_match_the_row_loops(
+            (rows, r0) in (1usize..=14).prop_flat_map(|rows| (Just(rows), 0..rows)),
+            (cols, c0) in (1usize..=21).prop_flat_map(|cols| (Just(cols), 0..cols)),
+            seed in 0u64..1_000_000,
+            specials in specials(4, 0..5),
+        ) {
+            let a = CMatrix::from_vec(rows, cols, complex_entries(rows * cols, seed, &specials))
+                .unwrap();
+            let x = complex_entries(rows - r0, seed + 1, &specials[..specials.len().min(1)]);
+            let u = complex_entries(cols - c0, seed + 2, &[]);
+            let y0 = complex_entries(cols - c0, seed + 3, &[]);
+
+            let (mut want, mut got) = (y0.clone(), y0.clone());
+            adjoint_gemv_rowwise(&mut want, &a, r0, c0, &x);
+            adjoint_gemv(&mut got, &a, r0, c0, &x);
+            prop_assert!(same_complex_bits(&got, &want), "complex Aᴴx");
+            let want: Vec<Complex> = (r0..rows).map(|r| dot8(&a.row(r)[c0..], &u)).collect();
+            let mut got = vec![Complex::ZERO; rows - r0];
+            gemv_rows(&mut got, &a, r0, c0, &u);
+            prop_assert!(same_complex_bits(&got, &want), "complex Au");
+
+            let a_re = a.real_part();
+            let (x_re, u_re, y_re) = (real_of(&x), real_of(&u), real_of(&y0));
+            let (mut want, mut got) = (y_re.clone(), y_re);
+            adjoint_gemv_rowwise(&mut want, &a_re, r0, c0, &x_re);
+            adjoint_gemv(&mut got, &a_re, r0, c0, &x_re);
+            prop_assert!(same_real_bits(&got, &want), "real Aᵀx");
+            let want: Vec<f64> = (r0..rows).map(|r| dot8(&a_re.row(r)[c0..], &u_re)).collect();
+            let mut got = vec![0.0; rows - r0];
+            gemv_rows(&mut got, &a_re, r0, c0, &u_re);
+            prop_assert!(same_real_bits(&got, &want), "real Au");
+        }
     }
 }

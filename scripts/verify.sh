@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1-plus verification for the MFTI workspace:
-#   build → tests → benches compile → lint → perf snapshot.
+#   build → tests (debug, then release numeric) → benches compile → lint
+#   → perf snapshot.
 #
 # Usage: scripts/verify.sh [--no-bench-run]
 #   --no-bench-run  skip the timing snapshot (CI boxes with noisy clocks)
@@ -11,6 +12,11 @@ run() { echo "==> $*"; "$@"; }
 
 run cargo build --release --workspace
 run cargo test -q --workspace
+# The numeric kernels' bit-for-bit oracle tests (DESIGN.md §6) hold each
+# level-2 kernel to its indexed reference loop; they prove something
+# only where the optimizer vectorizes, and the run above is the debug
+# profile.
+run cargo test -q --release -p mfti-numeric
 run cargo bench --no-run --workspace
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --all --check
