@@ -44,7 +44,7 @@ use mfti_core::{
     realify, FitSession, Fitter, LoewnerPencil, Mfti, OrderSelection, RecursiveMfti, SessionSvd,
     TangentialData, Vfti, Weights,
 };
-use mfti_numeric::{kernel, parallel, Hessenberg, Lu, RMatrix, Schur, Svd, SvdFactors, SvdMethod};
+use mfti_numeric::{kernel, parallel, Hessenberg, Lu, RMatrix, Schur, Svd, SvdMethod};
 use mfti_sampling::generators::{PdnBuilder, RandomSystemBuilder};
 use mfti_sampling::{FrequencyGrid, NoiseModel, SampleSet};
 use mfti_statespace::{Macromodel, SweepStrategy, TransferFunction};
@@ -195,8 +195,8 @@ fn main() {
             b.iter(|| LoewnerPencil::build(&stage_data).expect("assembly"))
         })
         .bench_function("fit_stage/svd", |b| {
-            // Complex detection baseline: what sessions still run, and
-            // what the one-shot real path ran before realify-first.
+            // Complex detection baseline: the signal a multi-append
+            // session's updater maintains after its first append.
             b.iter(|| {
                 stage_pencil
                     .shifted_pencil_singular_values(x0)
@@ -253,36 +253,6 @@ fn main() {
         .bench_function(&format!("kernel/bidiag_values_real_k{detect_k}"), |b| {
             b.iter(|| Svd::singular_values_of(&detect_pencil).expect("detect"))
         });
-
-    // The pre-lazy-accumulation realize recipe, for the full vs
-    // rank-limited stage comparison: realification, both stacked SVDs
-    // with *full* factor accumulation, the complex truncation
-    // round-trip, then the same projections. `fit_stage/realize` above
-    // runs the two-phase path (bidiagonalize → accumulate only the
-    // leading `order` columns) through the session.
-    let stage_order = stage_session.realize().expect("realize").order();
-    c.bench_function("fit_stage/realize_full", |b| {
-        b.iter(|| {
-            let real = realify(&stage_pencil, 1e-6).expect("realify");
-            let row_stack = RMatrix::hstack(&[real.ll(), real.sll()]).expect("hstack");
-            let col_stack = RMatrix::vstack(&[real.ll(), real.sll()]).expect("vstack");
-            let svd_rows = Svd::compute_factors(&row_stack, SvdMethod::Blocked, SvdFactors::Left)
-                .expect("row svd");
-            let svd_cols = Svd::compute_factors(&col_stack, SvdMethod::Blocked, SvdFactors::Right)
-                .expect("col svd");
-            let (y_c, _, _) = svd_rows.truncate(stage_order);
-            let (_, _, x_c) = svd_cols.truncate(stage_order);
-            let y = y_c.real_part();
-            let x = x_c.real_part();
-            let llx = real.ll().matmul(&x).expect("llx");
-            let sllx = real.sll().matmul(&x).expect("sllx");
-            let e = (-&y.mul_hermitian_left(&llx).expect("e")).scale(1.0 / real.freq_scale());
-            let a = -&y.mul_hermitian_left(&sllx).expect("a");
-            let bb = y.mul_hermitian_left(real.v()).expect("b");
-            let cc = real.w().matmul(&x).expect("c");
-            (e, a, bb, cc)
-        })
-    });
 
     // --- streaming append → order-detect: updater vs fresh SVD ---------
     // Clean (numerically rank-deficient) 2-port streams: the serving
@@ -591,11 +561,8 @@ fn main() {
         stage_ms("svd") / stage_ms("detect"),
     );
     println!(
-        "realize paths: full-accumulation {:.2} ms | rank-limited {:.2} ms ({:.2}x) | \
-         retained-factor (clean K=96 stream) {:.3} ms",
-        stage_ms("realize_full"),
+        "realize paths: rank-limited {:.2} ms | retained-factor (clean K=96 stream) {:.3} ms",
         stage_ms("realize"),
-        stage_ms("realize_full") / stage_ms("realize"),
         stage_ms("realize_retained"),
     );
 

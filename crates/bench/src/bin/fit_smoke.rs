@@ -9,11 +9,14 @@
 //! and the realized model matrices. `verify.sh` runs this binary at 1
 //! and N workers and fails on any digest mismatch: the static-chunk
 //! executor guarantees the fit is bit-identical at every worker count.
+//! The fit runs through a single-batch `FitSession`, which the binary
+//! also checks against `Mfti::fit` on the same samples: the two must
+//! return the same model, bit for bit.
 //!
 //! Usage: `MFTI_THREADS=k cargo run --release -p mfti-bench --bin
 //! fit_smoke` (prints `fit digest: <hex>`).
 
-use mfti_core::{FitSession, Mfti, OrderSelection};
+use mfti_core::{FitOutcome, FitSession, Fitter, Mfti, OrderSelection};
 use mfti_sampling::generators::PdnBuilder;
 use mfti_sampling::{FrequencyGrid, NoiseModel, SampleSet};
 
@@ -34,8 +37,8 @@ fn main() {
     let clean = SampleSet::from_system(&pdn, &grid).expect("sampling");
     let samples = NoiseModel::additive_relative(1e-3).apply(&clean, 7);
 
-    let mut session =
-        FitSession::new(Mfti::new().order_selection(OrderSelection::NoiseFloor { factor: 5.0 }));
+    let config = Mfti::new().order_selection(OrderSelection::NoiseFloor { factor: 5.0 });
+    let mut session = FitSession::new(config.clone());
     session.append(&samples).expect("append");
     let sv = session
         .singular_values()
@@ -61,12 +64,22 @@ fn main() {
     for s in &sv {
         absorb(s.to_bits());
     }
-    let model = outcome.model().as_real().expect("real realization path");
-    let (e, a, b, c, d) = model.real_matrices();
-    for m in [e, a, b, c, d] {
-        for x in m.iter() {
-            absorb(x.to_bits());
-        }
+    let model_bits = |outcome: &FitOutcome| -> Vec<u64> {
+        let model = outcome.model().as_real().expect("descriptor model");
+        let (e, a, b, c, d) = model.real_matrices();
+        [e, a, b, c, d]
+            .iter()
+            .flat_map(|m| m.iter().map(|x| x.to_bits()))
+            .collect()
+    };
+    let served = model_bits(&outcome);
+    let one_shot = config.fit(&samples).expect("one-shot fit");
+    assert!(
+        served == model_bits(&one_shot),
+        "the single-batch session's model differs from Mfti::fit's"
+    );
+    for bits in served {
+        absorb(bits);
     }
     println!("fit digest: {hash:016x} (order {})", outcome.order());
 }

@@ -8,8 +8,8 @@
 //! * the fresh **real** path — two-phase stacked SVDs with rank-limited
 //!   WY slab accumulation (the fan-out whose 4-aligned column chunks
 //!   must keep every slab column on the same micro-kernel lane);
-//! * the fresh **complex** path — shared bidiagonalization between
-//!   order detection and the Lemma 3.4 projection;
+//! * the **complex** Lemma 3.4 oracle (`realize_complex`) on the same
+//!   pencil, at the order its complex shifted pencil detects;
 //! * the **session-retained** path — a streamed clean workload realized
 //!   from the updater's retained thin factors.
 //!
@@ -20,7 +20,10 @@
 //! Usage: `MFTI_THREADS=k cargo run --release -p mfti-bench --bin
 //! realize_smoke` (prints `realize digest: <hex>`).
 
-use mfti_core::{FitSession, Fitter, Mfti, RealizationPath};
+use mfti_core::{
+    realize_complex, FitSession, Fitter, LoewnerPencil, Mfti, OrderSelection, TangentialData,
+    Weights,
+};
 use mfti_sampling::generators::RandomSystemBuilder;
 use mfti_sampling::{FrequencyGrid, SampleSet};
 
@@ -44,7 +47,7 @@ fn main() {
     let grid = FrequencyGrid::log_space(1e6, 1e9, 48).expect("valid grid");
     let all = SampleSet::from_system(&sys, &grid).expect("sampling");
 
-    // Fresh one-shot fits: real and complex rank-limited paths.
+    // Fresh one-shot fit (real), then the complex oracle on its pencil.
     let real_fit = Mfti::new().fit(&all).expect("real fit");
     let model = real_fit.model().as_real().expect("real path");
     let (e, a, b, c, d) = model.real_matrices();
@@ -53,11 +56,12 @@ fn main() {
             absorb(x.to_bits());
         }
     }
-    let cplx_fit = Mfti::new()
-        .realization(RealizationPath::Complex)
-        .fit(&all)
-        .expect("complex fit");
-    let cmodel = cplx_fit.model().as_complex().expect("complex path");
+    let data = TangentialData::build(&all, Default::default(), &Weights::Full).expect("data");
+    let pencil = LoewnerPencil::build(&data).expect("pencil");
+    let x0 = pencil.default_x0();
+    let sv = pencil.shifted_pencil_singular_values(x0).expect("svd");
+    let order = OrderSelection::default().detect(&sv).expect("order");
+    let cmodel = realize_complex(&pencil, x0, order).expect("complex oracle");
     for m in [cmodel.e(), cmodel.a(), cmodel.b(), cmodel.c(), cmodel.d()] {
         for x in m.as_slice() {
             absorb(x.re.to_bits());

@@ -47,7 +47,7 @@ use mfti_statespace::{
 use mfti_vecfit::{VecFitError, VectorFitter, VfFit};
 
 use crate::error::MftiError;
-use crate::mfti::{FitResult, FittedModel, Mfti};
+use crate::mfti::{FitResult, Mfti};
 use crate::recursive::{RecursiveFit, RecursiveMfti, RoundInfo};
 use crate::vfti::Vfti;
 
@@ -141,8 +141,8 @@ impl From<SamplingError> for FitError {
     }
 }
 
-/// Any model a workspace fitter can produce: a (real or complex)
-/// descriptor system or a common-pole rational model.
+/// Any model a workspace fitter can produce: a real descriptor system
+/// or a common-pole rational model.
 ///
 /// The enum implements [`Macromodel`], so generic drivers evaluate it
 /// without caring which engine produced it, while the `as_*` accessors
@@ -150,21 +150,13 @@ impl From<SamplingError> for FitError {
 /// inspection) needs it.
 #[derive(Debug, Clone)]
 pub enum AnyModel {
-    /// A descriptor state-space model (MFTI/VFTI/recursive output).
-    Fitted(FittedModel),
+    /// A real descriptor state-space model (MFTI/VFTI/recursive output).
+    Fitted(DescriptorSystem<f64>),
     /// A pole–residue model (vector-fitting output).
     Rational(RationalModel),
 }
 
 impl AnyModel {
-    /// Borrows the descriptor-family model, if this is one.
-    pub fn as_fitted(&self) -> Option<&FittedModel> {
-        match self {
-            AnyModel::Fitted(m) => Some(m),
-            AnyModel::Rational(_) => None,
-        }
-    }
-
     /// Borrows the pole–residue model, if this is one.
     pub fn as_rational(&self) -> Option<&RationalModel> {
         match self {
@@ -176,18 +168,10 @@ impl AnyModel {
     /// Borrows the real descriptor system, if this is one (the SPICE
     /// path).
     pub fn as_real(&self) -> Option<&DescriptorSystem<f64>> {
-        self.as_fitted().and_then(FittedModel::as_real)
-    }
-
-    /// Borrows the complex descriptor system, if this is one.
-    pub fn as_complex(&self) -> Option<&DescriptorSystem<Complex>> {
-        self.as_fitted().and_then(FittedModel::as_complex)
-    }
-}
-
-impl From<FittedModel> for AnyModel {
-    fn from(m: FittedModel) -> Self {
-        AnyModel::Fitted(m)
+        match self {
+            AnyModel::Fitted(m) => Some(m),
+            AnyModel::Rational(_) => None,
+        }
     }
 }
 
@@ -227,7 +211,7 @@ impl TransferFunction for AnyModel {
 impl Macromodel for AnyModel {
     fn order(&self) -> usize {
         match self {
-            AnyModel::Fitted(m) => FittedModel::order(m),
+            AnyModel::Fitted(m) => m.order(),
             AnyModel::Rational(m) => RationalModel::order(m),
         }
     }

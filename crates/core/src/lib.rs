@@ -18,8 +18,12 @@
 //!    (Eqs. 11–12), incrementally extensible;
 //! 4. [`realify`] — Lemma 3.2's unitary transformation to real
 //!    arithmetic;
-//! 5. [`realize_direct`] / [`realize_complex`] / [`realize_real`] —
-//!    Lemmas 3.1 and 3.4;
+//! 5. [`realize_direct`] / [`realize_real`] — Lemmas 3.1 and 3.4, in
+//!    real arithmetic after the realification: every fit and session
+//!    detects the order on the realified shifted pencil and projects
+//!    with real factors, so models are real and SPICE-ready;
+//!    [`realize_complex`] keeps Lemma 3.4's complex projection as an
+//!    oracle for tests and ablations;
 //! 6. [`Mfti`] (Algorithm 1), [`RecursiveMfti`] (Algorithm 2) and the
 //!    [`Vfti`] baseline as ready-made fitters, all usable through the
 //!    algorithm-agnostic [`Fitter`] trait (which classical vector
@@ -75,9 +79,9 @@ pub use directions::{
 pub use error::MftiError;
 pub use fitter::{AnyModel, FitError, FitOutcome, Fitter};
 pub use loewner::LoewnerPencil;
-pub use mfti::{FitResult, FittedModel, Mfti, RealizationPath};
+pub use mfti::{FitResult, Mfti};
 pub use realify::{realify, RealifiedPencil};
-pub use realize::{realize_complex, realize_direct, realize_real, OrderSelection, RealizeKind};
+pub use realize::{realize_complex, realize_direct, realize_real, OrderSelection};
 pub use recursive::{RecursiveFit, RecursiveMfti, RoundInfo, SelectionOrder};
 pub use sampling_bounds::{minimal_samples, vfti_minimal_samples, SampleBounds};
 pub use session::{FitSession, Reanchor, SessionSvd, SignalDiagnostic, WindowPolicy};

@@ -2,137 +2,39 @@
 //!
 //! Pipeline: directions → tangential data (Eqs. 6–7) → Loewner pencil
 //! (Eqs. 11–12, GEMM-structured assembly) → realification (Lemma 3.2)
-//! → SVD + projection (Lemma 3.4) → descriptor model. The two SVD
-//! consumers ask for exactly what they read: order detection takes
-//! singular values only, and each Lemma 3.4 stacked SVD accumulates a
-//! single factor (`mfti_numeric::SvdFactors`), which skips most of the
-//! decomposition work on the panel-blocked backend. Streaming callers
-//! that refit per arriving measurement should drive the pipeline
-//! through [`FitSession`](crate::FitSession) instead, which maintains
-//! the order-detection signal *incrementally*
-//! ([`SessionSvd`](crate::SessionSvd)) rather than re-running this
-//! one-shot decomposition per append.
+//! → order detection on the realified shifted pencil → real projection
+//! → descriptor model ([`RealDetection`]). The SVD consumers ask for
+//! exactly what they read: detection factors accumulate only the
+//! leading `r` columns, and each dense stacked SVD a single side
+//! (`mfti_numeric::SvdFactors`). Streaming callers that refit per
+//! arriving measurement should drive the pipeline through
+//! [`FitSession`](crate::FitSession) instead, which runs this same
+//! detection on its first append and then maintains the signal
+//! *incrementally* ([`SessionSvd`](crate::SessionSvd)).
 
 use std::time::Duration;
 
 use mfti_numeric::diag::Stopwatch;
-use mfti_numeric::{CMatrix, Complex, PartialSvd, SvdFactors, SvdMethod, SvdUpdater};
+use mfti_numeric::{Complex, SvdMethod, SvdUpdater};
 use mfti_sampling::SampleSet;
-use mfti_statespace::{DescriptorSystem, Macromodel, StateSpaceError, TransferFunction};
+use mfti_statespace::DescriptorSystem;
 
 use crate::data::{TangentialData, Weights};
 use crate::directions::DirectionKind;
 use crate::error::MftiError;
 use crate::loewner::LoewnerPencil;
 use crate::realify::{apply_t_adjoint_left, realify};
-use crate::realize::{
-    project_complex, realize_complex, realize_complex_from_partial, realize_real,
-    realize_real_restricted, realize_real_retained, OrderSelection, RealizeKind,
-    StackedRealization,
-};
-use crate::recovery::LadderSvd;
-use mfti_numeric::Svd;
-
-/// Which realization arithmetic to use after order detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RealizationPath {
-    /// Lemma 3.2 realification + real stacked-SVD projection (default:
-    /// produces SPICE-compatible real models).
-    #[default]
-    Real,
-    /// Exact Lemma 3.4 complex projection (keeps the pencil complex).
-    Complex,
-}
-
-/// A fitted model: real or complex descriptor system.
-#[derive(Debug, Clone)]
-pub enum FittedModel {
-    /// Real descriptor model (the [`RealizationPath::Real`] output).
-    Real(DescriptorSystem<f64>),
-    /// Complex descriptor model (the [`RealizationPath::Complex`] output).
-    Complex(DescriptorSystem<Complex>),
-}
-
-impl FittedModel {
-    /// Model (state) order.
-    pub fn order(&self) -> usize {
-        match self {
-            FittedModel::Real(s) => s.order(),
-            FittedModel::Complex(s) => s.order(),
-        }
-    }
-
-    /// Borrows the real model, if this is one.
-    pub fn as_real(&self) -> Option<&DescriptorSystem<f64>> {
-        match self {
-            FittedModel::Real(s) => Some(s),
-            FittedModel::Complex(_) => None,
-        }
-    }
-
-    /// Borrows the complex model, if this is one.
-    pub fn as_complex(&self) -> Option<&DescriptorSystem<Complex>> {
-        match self {
-            FittedModel::Complex(s) => Some(s),
-            FittedModel::Real(_) => None,
-        }
-    }
-}
-
-impl TransferFunction for FittedModel {
-    fn outputs(&self) -> usize {
-        match self {
-            FittedModel::Real(s) => s.outputs(),
-            FittedModel::Complex(s) => s.outputs(),
-        }
-    }
-
-    fn inputs(&self) -> usize {
-        match self {
-            FittedModel::Real(s) => s.inputs(),
-            FittedModel::Complex(s) => s.inputs(),
-        }
-    }
-
-    fn eval(&self, s: Complex) -> Result<CMatrix, StateSpaceError> {
-        match self {
-            FittedModel::Real(sys) => sys.eval(s),
-            FittedModel::Complex(sys) => sys.eval(s),
-        }
-    }
-
-    fn frequency_response(&self, freqs_hz: &[f64]) -> Result<Vec<CMatrix>, StateSpaceError> {
-        self.response_batch_hz(freqs_hz)
-    }
-}
-
-impl Macromodel for FittedModel {
-    fn order(&self) -> usize {
-        FittedModel::order(self)
-    }
-
-    fn eval_batch(&self, s: &[Complex]) -> Result<Vec<CMatrix>, StateSpaceError> {
-        // Delegate to the descriptor sweep evaluator (Hessenberg
-        // factorization hoisted out of the frequency loop).
-        match self {
-            FittedModel::Real(sys) => sys.eval_batch(s),
-            FittedModel::Complex(sys) => sys.eval_batch(s),
-        }
-    }
-}
+use crate::realize::{realize_real_retained, OrderSelection, RealDetection};
 
 /// Result of an MFTI/VFTI fit, with the diagnostics the paper plots.
 #[derive(Debug, Clone)]
 pub struct FitResult {
-    /// The recovered descriptor model.
-    pub model: FittedModel,
-    /// Singular values of `x₀𝕃 − σ𝕃` (Fig. 1's order-detection signal).
+    /// The recovered real descriptor model.
+    pub model: DescriptorSystem<f64>,
+    /// Singular values of `x₀𝕃 − σ𝕃` (Fig. 1's order-detection signal);
+    /// fits compute them on its realification `x₀𝕃ᵣ − σ𝕃ᵣ`, which has
+    /// the same singular values.
     pub pencil_singular_values: Vec<f64>,
-    /// Which arithmetic produced the detection signal: the realified
-    /// pencil (one-shot real path) or the complex shifted pencil
-    /// (sessions, complex realizations). The two agree to machine
-    /// precision — see [`RealizeKind`].
-    pub detection_kind: RealizeKind,
     /// Detected (reduced) model order `r`.
     pub detected_order: usize,
     /// Pencil size `K` before truncation.
@@ -187,7 +89,6 @@ pub struct Mfti {
     directions: DirectionKind,
     weights: Weights,
     order_selection: OrderSelection,
-    path: RealizationPath,
     realify_tol: f64,
 }
 
@@ -200,14 +101,12 @@ impl Default for Mfti {
 impl Mfti {
     /// Fitter with default configuration: random orthonormal directions,
     /// full matrix weights ([`Weights::Full`], i.e. `t = min(m, p)`
-    /// resolved at fit time), threshold order detection at `1e-12`, real
-    /// realization.
+    /// resolved at fit time), threshold order detection at `1e-12`.
     pub fn new() -> Self {
         Mfti {
             directions: DirectionKind::default(),
             weights: Weights::Full,
             order_selection: OrderSelection::default(),
-            path: RealizationPath::default(),
             realify_tol: 1e-6,
         }
     }
@@ -227,12 +126,6 @@ impl Mfti {
     /// Sets the order-selection rule.
     pub fn order_selection(mut self, selection: OrderSelection) -> Self {
         self.order_selection = selection;
-        self
-    }
-
-    /// Chooses between the real (default) and complex realization paths.
-    pub fn realization(mut self, path: RealizationPath) -> Self {
-        self.path = path;
         self
     }
 
@@ -259,6 +152,11 @@ impl Mfti {
         self.order_selection
     }
 
+    /// Configured realification tolerance.
+    pub(crate) fn realify_tol_ref(&self) -> f64 {
+        self.realify_tol
+    }
+
     /// Runs Algorithm 1 on the sample set, returning the full
     /// method-specific result.
     ///
@@ -281,278 +179,53 @@ impl Mfti {
     }
 
     /// Runs the realization stage on an already-built pencil (shared
-    /// with Algorithm 2, which grows the pencil incrementally).
-    ///
-    /// On the real path the realification is hoisted to the very front
-    /// (non-conjugate-closed data is refused *before* any factorization
-    /// is paid for) and Lemma 3.1 order detection runs on the realified
-    /// shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ` — a real matrix, since the pinned
-    /// shift is real — on the packed real GEMM path, at identical
-    /// singular values ([`RealizeKind`]). The same [`RealifiedPencil`]
-    /// then feeds projection: dense requests (`2r > K`) go straight to
-    /// the stacked SVDs, while `2r ≤ K` requests restrict the stacks to
-    /// the detection decomposition's leading real factors (the Loewner
-    /// rank equalities make the spans coincide), shrinking the two
-    /// `K × 2K` bidiagonalizations to `r × 2K`. One realification, one
-    /// detection, two stacked factorizations — nothing recomputed.
-    ///
-    /// The complex path keeps the original shape: one complex
-    /// decomposition serves detection values and projection factors.
-    /// A stalled QR sweep on either path degrades through the recovery
-    /// ladder ([`LadderSvd`], DESIGN.md §8) instead of failing the fit.
-    ///
-    /// [`RealifiedPencil`]: crate::RealifiedPencil
+    /// with Algorithm 2, which grows the pencil incrementally): one
+    /// realification, one real detection, then the projection
+    /// ([`RealDetection`]). A stalled QR sweep degrades through the
+    /// recovery ladder (DESIGN.md §8) instead of failing the fit.
     pub(crate) fn fit_pencil(
         &self,
         pencil: &LoewnerPencil,
         start: Stopwatch,
     ) -> Result<FitResult, MftiError> {
-        let x0 = pencil.default_x0();
-        let k = pencil.order();
-        match self.realize_kind() {
-            RealizeKind::Real => {
-                let real = realify(pencil, self.realify_tol)?;
-                let ladder = LadderSvd::compute(&real.shifted_pencil(x0.re), SvdFactors::Both)?;
-                let sv = ladder.singular_values().to_vec();
-                let order = self.order_selection.detect(&sv)?;
-                let model = if 2 * order > k {
-                    // Dense detection (2r > K): the restricted stacked
-                    // problems would not shrink — go straight to the
-                    // stacked SVDs of the already-realified pencil.
-                    FittedModel::Real(realize_real(&real, order)?)
-                } else {
-                    let (y, x) = ladder.accumulate_both(order)?;
-                    FittedModel::Real(realize_real_restricted(&real, &y, &x, order)?)
-                };
-                Ok(FitResult {
-                    model,
-                    pencil_singular_values: sv,
-                    detection_kind: RealizeKind::Real,
-                    detected_order: order,
-                    pencil_order: k,
-                    svd_fallbacks: ladder.fallback_methods(),
-                    elapsed: start.elapsed(),
-                })
-            }
-            RealizeKind::Complex => {
-                let ladder = LadderSvd::compute(&pencil.shifted_pencil(x0), SvdFactors::Both)?;
-                let sv = ladder.singular_values().to_vec();
-                let order = self.order_selection.detect(&sv)?;
-                let (y, x) = ladder.accumulate_both(order)?;
-                let model = FittedModel::Complex(project_complex(pencil, &y, &x)?);
-                Ok(FitResult {
-                    model,
-                    pencil_singular_values: sv,
-                    detection_kind: RealizeKind::Complex,
-                    detected_order: order,
-                    pencil_order: k,
-                    svd_fallbacks: ladder.fallback_methods(),
-                    elapsed: start.elapsed(),
-                })
-            }
-        }
-    }
-
-    /// Detection arithmetic implied by the configured realization path:
-    /// [`RealizeKind::Real`] for [`RealizationPath::Real`] (realify
-    /// first, detect on the real shifted pencil), [`RealizeKind::Complex`]
-    /// otherwise. Sessions override this with [`RealizeKind::Complex`]
-    /// regardless of path — their incremental updater bases live in
-    /// complex arithmetic.
-    pub fn realize_kind(&self) -> RealizeKind {
-        match self.path {
-            RealizationPath::Real => RealizeKind::Real,
-            RealizationPath::Complex => RealizeKind::Complex,
-        }
-    }
-
-    /// Values-only Lemma 3.1 detection signal of `pencil` under `kind`
-    /// — the σ profile that [`OrderSelection`] reads. The two kinds
-    /// agree to machine precision (unitary equivalence; pinned real
-    /// shift); `tests/detection_equivalence.rs` and the
-    /// `fit_stage/detect*` benchmark rows compare them directly.
-    ///
-    /// # Errors
-    ///
-    /// [`MftiError::RealificationResidual`] for `RealizeKind::Real` on
-    /// non-conjugate-closed data; SVD failures otherwise.
-    pub fn detection_singular_values(
-        &self,
-        pencil: &LoewnerPencil,
-        kind: RealizeKind,
-    ) -> Result<Vec<f64>, MftiError> {
-        let x0 = pencil.default_x0();
-        match kind {
-            RealizeKind::Real => {
-                let real = realify(pencil, self.realify_tol)?;
-                Ok(Svd::singular_values_of(&real.shifted_pencil(x0.re))?)
-            }
-            RealizeKind::Complex => pencil.shifted_pencil_singular_values(x0),
-        }
-    }
-
-    /// Projects an order-`order` model from already-accumulated leading
-    /// factor columns `y`, `x` of the shifted pencil — the shared tail
-    /// of the one-shot ([`Mfti::fit_pencil`]) and session
-    /// ([`Mfti::realize_pencil_from_partial`]) non-dense paths.
-    pub(crate) fn realize_pencil_from_factors(
-        &self,
-        pencil: &LoewnerPencil,
-        y: &CMatrix,
-        x: &CMatrix,
-        order: usize,
-    ) -> Result<FittedModel, MftiError> {
-        Ok(match self.path {
-            RealizationPath::Complex => FittedModel::Complex(project_complex(pencil, y, x)?),
-            RealizationPath::Real => {
-                let real = realify(pencil, self.realify_tol)?;
-                let ts = pencil.pair_ts();
-                let tu = apply_t_adjoint_left(y, ts);
-                let tv = apply_t_adjoint_left(x, ts);
-                FittedModel::Real(realize_real_retained(&real, &tu, &tv, order)?)
-            }
+        let detection = RealDetection::compute(pencil, self.realify_tol)?;
+        let sv = detection.singular_values().to_vec();
+        let order = self.order_selection.detect(&sv)?;
+        Ok(FitResult {
+            model: detection.realize(order)?,
+            pencil_singular_values: sv,
+            detected_order: order,
+            pencil_order: pencil.order(),
+            svd_fallbacks: detection.fallback_methods(),
+            elapsed: start.elapsed(),
         })
-    }
-
-    /// Realizes an order-`order` model from a pencil along the
-    /// configured arithmetic path (the last pipeline stage, also driven
-    /// directly by [`FitSession`](crate::FitSession) when re-running
-    /// order selection on cached singular values).
-    pub(crate) fn realize_pencil(
-        &self,
-        pencil: &LoewnerPencil,
-        order: usize,
-    ) -> Result<FittedModel, MftiError> {
-        Ok(match self.path {
-            RealizationPath::Real => {
-                // Mirror fit_pencil's real path bit-for-bit so a
-                // session's fresh-realize fallback and a one-shot fit
-                // over the same samples produce identical models.
-                let real = realify(pencil, self.realify_tol)?;
-                if 2 * order > pencil.order() {
-                    // Dense requests (2r > K) go straight to the stacked
-                    // SVDs — the shifted-pencil detour would not shrink
-                    // them (and would waste its own bidiagonalization).
-                    FittedModel::Real(realize_real(&real, order)?)
-                } else {
-                    let ladder = LadderSvd::compute(
-                        &real.shifted_pencil(pencil.default_x0().re),
-                        SvdFactors::Both,
-                    )?;
-                    let (y, x) = ladder.accumulate_both(order)?;
-                    FittedModel::Real(realize_real_restricted(&real, &y, &x, order)?)
-                }
-            }
-            RealizationPath::Complex => {
-                FittedModel::Complex(realize_complex(pencil, pencil.default_x0(), order)?)
-            }
-        })
-    }
-
-    /// Realization that **reuses an existing bidiagonalization** of the
-    /// shifted pencil `x₀𝕃 − σ𝕃` — the decomposition order detection
-    /// already paid for ([`Mfti::fit_pencil`]) or the one a single-batch
-    /// [`FitSession`](crate::FitSession) retains across
-    /// [`realize_with`](crate::FitSession::realize_with) calls.
-    ///
-    /// * `Complex`: accumulate the leading `order` columns, project
-    ///   (Lemma 3.4) — [`realize_complex_from_partial`].
-    /// * `Real`: accumulate the leading `order` complex columns, push
-    ///   them through the Lemma 3.2 frame and run the **restricted**
-    ///   stacked SVDs on their realified span
-    ///   ([`realize_real_retained`]) — exact where the Loewner rank
-    ///   equalities hold (`range[𝕃 σ𝕃] = range(x₀𝕃 − σ𝕃)`, DESIGN.md
-    ///   §6). Dense requests (`2·order > K`), where the restriction
-    ///   cannot shrink the stacks, fall back to the direct stacked
-    ///   path.
-    pub(crate) fn realize_pencil_from_partial(
-        &self,
-        pencil: &LoewnerPencil,
-        partial: &PartialSvd<Complex>,
-        order: usize,
-    ) -> Result<FittedModel, MftiError> {
-        let k = pencil.order();
-        if order == 0 || order > k {
-            return Err(MftiError::OrderSelection {
-                requested: order,
-                pencil: k,
-            });
-        }
-        Ok(match self.path {
-            RealizationPath::Complex => {
-                FittedModel::Complex(realize_complex_from_partial(pencil, partial, order)?)
-            }
-            RealizationPath::Real => {
-                if 2 * order > k {
-                    let real = realify(pencil, self.realify_tol)?;
-                    FittedModel::Real(realize_real(&real, order)?)
-                } else {
-                    let (u, v) = partial.accumulate(SvdFactors::Both, order)?;
-                    self.realize_pencil_from_factors(pencil, &u, &v, order)?
-                }
-            }
-        })
-    }
-
-    /// Whether an order-`order` realization on a `k`-pencil would take
-    /// the dense real path (`2·order > k`, where neither the
-    /// shifted-pencil restriction nor the retained factors shrink the
-    /// stacked problems) — the requests worth serving from a
-    /// session-cached [`StackedRealization`].
-    pub(crate) fn wants_stacked_realization(&self, order: usize, k: usize) -> bool {
-        self.path == RealizationPath::Real && 2 * order > k
-    }
-
-    /// Builds the order-independent dense-path state for the session
-    /// cache: realified pencil plus stacked bidiagonalizations.
-    pub(crate) fn build_stacked_realization(
-        &self,
-        pencil: &LoewnerPencil,
-    ) -> Result<StackedRealization, MftiError> {
-        StackedRealization::build(pencil, self.realify_tol)
     }
 
     /// Realization from the **session-retained** thin factorization of
     /// the shifted pencil instead of a fresh decomposition — the
     /// updating session's fast path. Returns `Ok(None)` when the
-    /// retained factors cannot serve this request and the caller must
-    /// fall back to [`Mfti::realize_pencil`]:
+    /// retained factors cannot serve this request:
     ///
     /// * the requested order exceeds the retained rank `q` (the
     ///   truncated tail is gone), or
-    /// * on the real path, `2q > K` — the realified retained bases are
-    ///   `2q` wide, so the restricted stacked problems would be no
-    ///   smaller than the fresh ones (dense/noisy streams).
+    /// * `2q > K` — the realified retained bases are `2q` wide, so the
+    ///   restricted stacked problems would be no smaller than the fresh
+    ///   ones (dense/noisy streams).
     pub(crate) fn realize_pencil_retained(
         &self,
         pencil: &LoewnerPencil,
         updater: &SvdUpdater<Complex>,
         order: usize,
-    ) -> Result<Option<FittedModel>, MftiError> {
+    ) -> Result<Option<DescriptorSystem<f64>>, MftiError> {
         let q = updater.retained_rank();
-        if order > q {
+        if order > q || 2 * q > pencil.order() {
             return Ok(None);
         }
-        Ok(match self.path {
-            RealizationPath::Complex => {
-                // The updater already holds the shifted pencil's leading
-                // singular vectors: project directly (Lemma 3.4).
-                let (y, _s, x) = updater.truncate_native(order)?;
-                Some(FittedModel::Complex(project_complex(pencil, &y, &x)?))
-            }
-            RealizationPath::Real => {
-                if 2 * q > pencil.order() {
-                    return Ok(None);
-                }
-                let real = realify(pencil, self.realify_tol)?;
-                let ts = pencil.pair_ts();
-                let tu = apply_t_adjoint_left(updater.left(), ts);
-                let tv = apply_t_adjoint_left(updater.right(), ts);
-                Some(FittedModel::Real(realize_real_retained(
-                    &real, &tu, &tv, order,
-                )?))
-            }
-        })
+        let real = realify(pencil, self.realify_tol)?;
+        let ts = pencil.pair_ts();
+        let tu = apply_t_adjoint_left(updater.left(), ts);
+        let tv = apply_t_adjoint_left(updater.right(), ts);
+        Ok(Some(realize_real_retained(&real, &tu, &tv, order)?))
     }
 }
 
@@ -561,6 +234,7 @@ mod tests {
     use super::*;
     use mfti_sampling::generators::RandomSystemBuilder;
     use mfti_sampling::{FrequencyGrid, NoiseModel};
+    use mfti_statespace::TransferFunction;
 
     fn samples(
         order: usize,
@@ -584,7 +258,6 @@ mod tests {
         let fit = Mfti::new().fit_detailed(&set).unwrap();
         assert_eq!(fit.detected_order, 12); // n + rank(D)
         assert_eq!(fit.pencil_order, 24);
-        assert!(fit.model.as_real().is_some());
         // Off-sample check against the truth.
         let f = 1.234e3;
         let h = fit.model.response_at_hz(f).unwrap();
@@ -593,18 +266,20 @@ mod tests {
     }
 
     #[test]
-    fn complex_path_matches_real_path_quality() {
+    fn real_fit_matches_the_complex_oracle() {
         let (set, sys) = samples(8, 2, 0, 10, 6);
         let real = Mfti::new().fit_detailed(&set).unwrap();
-        let cplx = Mfti::new()
-            .realization(RealizationPath::Complex)
-            .fit_detailed(&set)
-            .unwrap();
-        assert!(cplx.model.as_complex().is_some());
+        let data = TangentialData::build(&set, DirectionKind::default(), &Weights::Full).unwrap();
+        let pencil = LoewnerPencil::build(&data).unwrap();
+        let oracle =
+            crate::realize::realize_complex(&pencil, pencil.default_x0(), real.detected_order)
+                .unwrap();
         let f = 2.5e3;
         let s = sys.response_at_hz(f).unwrap();
-        for fit in [&real, &cplx] {
-            let h = fit.model.response_at_hz(f).unwrap();
+        for h in [
+            real.model.response_at_hz(f).unwrap(),
+            oracle.response_at_hz(f).unwrap(),
+        ] {
             assert!((&h - &s).norm_2() / s.norm_2() < 1e-6);
         }
     }

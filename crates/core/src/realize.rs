@@ -1,50 +1,25 @@
-//! State-space realization from the Loewner pencil (Lemmas 3.1 and 3.4).
-//!
-//! Three paths, all implemented:
+//! State-space realization from the Loewner pencil (Lemmas 3.1, 3.2
+//! and 3.4).
 //!
 //! * [`realize_direct`] — Lemma 3.1: when the pencil is regular, take
 //!   `E = −𝕃`, `A = −σ𝕃`, `B = V`, `C = W` verbatim (order `K`).
-//! * [`realize_complex`] — Lemma 3.4: economy SVD of `x₀𝕃 − σ𝕃`,
-//!   project with the complex factors `Y`, `X` (order `r`).
-//! * [`realize_real`] — the real-arithmetic variant used after
-//!   Lemma 3.2: project with the left factors of `svd([𝕃 σ𝕃])` and the
-//!   right factors of `svd([𝕃; σ𝕃])` (the Lefteriu–Antoulas recipe; the
-//!   singular values of `x₀𝕃 − σ𝕃` still drive order detection — see
-//!   DESIGN.md §5).
+//! * [`realize_real`] — the real-arithmetic projection after Lemma 3.2:
+//!   left factors of `svd([𝕃 σ𝕃])`, right factors of `svd([𝕃; σ𝕃])`
+//!   (the Lefteriu–Antoulas recipe; the singular values of the shifted
+//!   pencil still drive order detection — see DESIGN.md §5).
+//!   [`RealDetection`] is the pipeline every fit and session runs on top
+//!   of it.
+//! * [`realize_complex`] — Lemma 3.4's complex projection, the step the
+//!   realification replaces. The pipeline never takes it; it stays as
+//!   the public oracle that tests and ablations compare against.
 
-use mfti_numeric::{CMatrix, Complex, PartialSvd, Qr, RMatrix, SvdFactors};
+use mfti_numeric::{CMatrix, Complex, Matrix, Qr, RMatrix, Scalar, SvdFactors, SvdMethod};
 use mfti_statespace::DescriptorSystem;
 
 use crate::error::MftiError;
 use crate::loewner::LoewnerPencil;
 use crate::realify::{realify, RealifiedPencil};
 use crate::recovery::LadderSvd;
-
-/// Which arithmetic carries the Lemma 3.1 order-detection signal.
-///
-/// With the pinned shift real ([`LoewnerPencil::default_x0`] returns
-/// `|λ₁|`), the two detection matrices are unitarily equivalent —
-/// `x₀𝕃ᵣ − σ𝕃ᵣ = T*(x₀𝕃 − σ𝕃)T` for the Lemma 3.2 frame `T` — so
-/// their singular values, and therefore every [`OrderSelection`]
-/// decision, coincide to machine precision
-/// (`tests/detection_equivalence.rs` pins both contracts). What
-/// differs is cost and what else the decomposition can feed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RealizeKind {
-    /// Detection on the realified `x₀𝕃ᵣ − σ𝕃ᵣ`: the one-shot real-path
-    /// default since the realification is needed for projection anyway
-    /// — the bidiagonalization stays on the packed real GEMM path at
-    /// roughly half the wall clock of the complex one, and its real
-    /// factors restrict the stacked projections directly (no complex
-    /// round-trip, no QR re-orthonormalization).
-    Real,
-    /// Detection on the complex `x₀𝕃 − σ𝕃`: sessions — whose
-    /// incremental [`SvdUpdater`](mfti_numeric::SvdUpdater) bases live
-    /// in complex arithmetic so bordered appends/downdates stay valid —
-    /// and the [`RealizationPath::Complex`](crate::RealizationPath)
-    /// pipeline, whose Lemma 3.4 projection reads the complex factors.
-    Complex,
-}
 
 /// How to pick the reduced order from the singular-value profile of
 /// `x₀𝕃 − σ𝕃`.
@@ -199,13 +174,11 @@ pub fn realize_direct(pencil: &LoewnerPencil) -> Result<DescriptorSystem<Complex
     )?)
 }
 
-/// Lemma 3.4: SVD-projected **complex** realization of order `r`.
-///
-/// The decomposition prefers the lazy two-phase path
-/// ([`mfti_numeric::Svd::bidiagonalize`]): only the leading `order`
-/// factor columns — the ones the projections actually read — are ever
-/// accumulated. A stalled QR sweep degrades through the recovery
-/// ladder (DESIGN.md §8) instead of failing.
+/// Lemma 3.4: SVD-projected **complex** realization of order `r` —
+/// the oracle the real pipeline is checked against. Economy SVD of
+/// `x₀𝕃 − σ𝕃` (through the recovery ladder, DESIGN.md §8), then the
+/// projections `E = −Y*𝕃X/ω₀`, `A = −Y*σ𝕃X`, `B = Y*V`, `C = WX` with
+/// the leading `order` factor columns `Y`, `X`.
 ///
 /// # Errors
 ///
@@ -216,58 +189,22 @@ pub fn realize_complex(
     x0: Complex,
     order: usize,
 ) -> Result<DescriptorSystem<Complex>, MftiError> {
-    let k = pencil.order();
-    if order == 0 || order > k {
-        return Err(MftiError::OrderSelection {
-            requested: order,
-            pencil: k,
-        });
-    }
+    check_order(order, pencil.order())?;
     let ladder = LadderSvd::compute(&pencil.shifted_pencil(x0), SvdFactors::Both)?;
     let (y, x) = ladder.accumulate_both(order)?;
-    project_complex(pencil, &y, &x)
+    let matrices = [pencil.ll(), pencil.sll(), pencil.v(), pencil.w()];
+    project(matrices, pencil.freq_scale(), &y, &x)
 }
 
-/// The accumulate-and-project half of [`realize_complex`], taking an
-/// already bidiagonalized shifted pencil — the one-shot fit detects the
-/// order from `partial.singular_values()` and projects with the same
-/// decomposition, so the pencil is factored exactly once.
-pub(crate) fn realize_complex_from_partial(
-    pencil: &LoewnerPencil,
-    partial: &PartialSvd<Complex>,
-    order: usize,
-) -> Result<DescriptorSystem<Complex>, MftiError> {
-    let k = pencil.order();
+/// [`MftiError::OrderSelection`] unless `1 ≤ order ≤ k`.
+fn check_order(order: usize, k: usize) -> Result<(), MftiError> {
     if order == 0 || order > k {
         return Err(MftiError::OrderSelection {
             requested: order,
             pencil: k,
         });
     }
-    let (y, x) = partial.accumulate(SvdFactors::Both, order)?;
-    project_complex(pencil, &y, &x)
-}
-
-/// The Lemma 3.4 projections `E = −Y*𝕃X/ω₀`, `A = −Y*σ𝕃X`, `B = Y*V`,
-/// `C = WX` for any orthonormal `Y`, `X` spanning the shifted pencil's
-/// leading column/row spaces — shared by the fresh and
-/// session-retained realization paths (which differ only in where the
-/// factors come from).
-pub(crate) fn project_complex(
-    pencil: &LoewnerPencil,
-    y: &CMatrix,
-    x: &CMatrix,
-) -> Result<DescriptorSystem<Complex>, MftiError> {
-    // Fused hermitian-left kernel — no Y* temporary, and 𝕃X first so
-    // the Y* contraction is r-thin.
-    let llx = pencil.ll().matmul(x)?;
-    let sllx = pencil.sll().matmul(x)?;
-    let e = (-&y.mul_hermitian_left(&llx)?).scale(1.0 / pencil.freq_scale());
-    let a = -&y.mul_hermitian_left(&sllx)?;
-    let b = y.mul_hermitian_left(pencil.v())?;
-    let c = pencil.w().matmul(x)?;
-    let (p, m) = (c.rows(), b.cols());
-    Ok(DescriptorSystem::new(e, a, b, c, CMatrix::zeros(p, m))?)
+    Ok(())
 }
 
 /// Real-arithmetic projection after Lemma 3.2: order-`r` **real**
@@ -319,27 +256,72 @@ fn realize_real_from_stacked(
     cols: &LadderSvd<f64>,
     order: usize,
 ) -> Result<DescriptorSystem<f64>, MftiError> {
-    let k = pencil.order();
-    if order == 0 || order > k {
-        return Err(MftiError::OrderSelection {
-            requested: order,
-            pencil: k,
-        });
-    }
+    check_order(order, pencil.order())?;
     let y = rows.accumulate_u(order)?;
     let x = cols.accumulate_v(order)?;
     project_real(pencil, &y, &x)
 }
 
+/// Order detection on the realified pencil, kept for realization — the
+/// one pipeline that one-shot fits and sessions share. The realified
+/// shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ` is real because the pinned shift is
+/// (DESIGN.md §5), so detection runs on the packed real GEMM path, and
+/// its factors are the real bases the restricted projection reads.
+/// [`Mfti::fit`](crate::Fitter::fit) computes one per fit; a
+/// [`FitSession`](crate::FitSession) computes one on its first append
+/// and keeps it, so a single-batch session realizes with the fit's bits
+/// at every order.
+#[derive(Debug, Clone)]
+pub(crate) struct RealDetection {
+    real: RealifiedPencil,
+    ladder: LadderSvd<f64>,
+}
+
+impl RealDetection {
+    /// Realifies `pencil` (Lemma 3.2, tolerance `realify_tol`) — data
+    /// that is not conjugate-closed is refused before any factorization
+    /// — and bidiagonalizes its shifted pencil through the recovery
+    /// ladder (DESIGN.md §8).
+    pub(crate) fn compute(pencil: &LoewnerPencil, realify_tol: f64) -> Result<Self, MftiError> {
+        let real = realify(pencil, realify_tol)?;
+        let shifted = real.shifted_pencil(pencil.default_x0().re);
+        let ladder = LadderSvd::compute(&shifted, SvdFactors::Both)?;
+        Ok(RealDetection { real, ladder })
+    }
+
+    /// The Lemma 3.1 detection signal, descending.
+    pub(crate) fn singular_values(&self) -> &[f64] {
+        self.ladder.singular_values()
+    }
+
+    /// Ladder rungs that broke down before the detection succeeded.
+    pub(crate) fn fallback_methods(&self) -> Vec<SvdMethod> {
+        self.ladder.fallback_methods()
+    }
+
+    /// Order-`order` real model. Dense requests (`2r > K`) take the
+    /// stacked SVDs ([`realize_real`]); the others restrict the stacks
+    /// to the detection's leading `r` factor columns
+    /// ([`realize_real_restricted`]), which the Loewner rank equalities
+    /// make span the same spaces, shrinking both `K × 2K` problems to
+    /// `r × 2K`.
+    pub(crate) fn realize(&self, order: usize) -> Result<DescriptorSystem<f64>, MftiError> {
+        if 2 * order > self.real.order() {
+            return realize_real(&self.real, order);
+        }
+        let (y, x) = self.ladder.accumulate_both(order)?;
+        realize_real_restricted(&self.real, &y, &x, order)
+    }
+}
+
 /// The realization stage's order-independent state, retained across
 /// order re-selections: the realified pencil plus the two stacked
 /// bidiagonalizations. [`FitSession`](crate::session::FitSession)
-/// caches one per pencil generation, so on the dense real path
-/// (`2·order > K`, where the retained-factor shortcut of DESIGN.md §6
-/// does not apply) a repeated realize pays only rank-limited
-/// accumulation and projection — the expensive factorizations are
-/// reused. [`realize`](Self::realize) is bit-identical to
-/// [`realize_real`] on the same pencil at every order.
+/// caches one per pencil generation, so a repeated dense realize
+/// (`2·order > K`, where neither restriction shrinks the stacks) pays
+/// only rank-limited accumulation and projection — the expensive
+/// factorizations are reused. [`realize`](Self::realize) is
+/// bit-identical to [`realize_real`] on the same pencil at every order.
 #[derive(Debug, Clone)]
 pub(crate) struct StackedRealization {
     real: RealifiedPencil,
@@ -362,22 +344,34 @@ impl StackedRealization {
     }
 }
 
-/// The real-arithmetic analogue of [`project_complex`].
-pub(crate) fn project_real(
+/// The real pipeline's projections: [`project`] on the realified
+/// pencil.
+fn project_real(
     pencil: &RealifiedPencil,
     y: &RMatrix,
     x: &RMatrix,
 ) -> Result<DescriptorSystem<f64>, MftiError> {
-    // Real path: mul_hermitian_left is Yᵀ·(·) — no Yᵀ temporary, and the
-    // K×K pencil contracts against the r-thin factors first.
-    let llx = pencil.ll().matmul(x)?;
-    let sllx = pencil.sll().matmul(x)?;
-    let e = (-&y.mul_hermitian_left(&llx)?).scale(1.0 / pencil.freq_scale());
-    let a = -&y.mul_hermitian_left(&sllx)?;
-    let b = y.mul_hermitian_left(pencil.v())?;
-    let c = pencil.w().matmul(x)?;
+    let matrices = [pencil.ll(), pencil.sll(), pencil.v(), pencil.w()];
+    project(matrices, pencil.freq_scale(), y, x)
+}
+
+/// The Lemma 3.4 projections `E = −Yᴴ𝕃X/ω₀`, `A = −Yᴴσ𝕃X`, `B = YᴴV`,
+/// `C = WX` of `[𝕃, σ𝕃, V, W]` onto orthonormal `Y`, `X`, in either
+/// arithmetic. The fused hermitian-left kernel needs no `Yᴴ`
+/// temporary, and the `K × K` pencil contracts against the `r`-thin `X`
+/// first.
+fn project<T: Scalar>(
+    [ll, sll, v, w]: [&Matrix<T>; 4],
+    freq_scale: f64,
+    y: &Matrix<T>,
+    x: &Matrix<T>,
+) -> Result<DescriptorSystem<T>, MftiError> {
+    let e = (-&y.mul_hermitian_left(&ll.matmul(x)?)?).scale(1.0 / freq_scale);
+    let a = -&y.mul_hermitian_left(&sll.matmul(x)?)?;
+    let b = y.mul_hermitian_left(v)?;
+    let c = w.matmul(x)?;
     let (p, m) = (c.rows(), b.cols());
-    Ok(DescriptorSystem::new(e, a, b, c, RMatrix::zeros(p, m))?)
+    Ok(DescriptorSystem::new(e, a, b, c, Matrix::zeros(p, m))?)
 }
 
 /// Real realization seeded from **session-retained** factors: `tu`/`tv`
@@ -388,20 +382,13 @@ pub(crate) fn project_real(
 /// `col([𝕃ᵣ σ𝕃ᵣ])` up to the updater's retained-tail error — the
 /// stacked SVDs shrink from `K×2K` to `2q×2K` problems restricted to
 /// that subspace. See DESIGN.md §6 for when this is (not) valid; the
-/// dispatcher falls back to [`realize_real`] outside those conditions.
+/// session falls back to its other routes outside those conditions.
 pub(crate) fn realize_real_retained(
     pencil: &RealifiedPencil,
     tu: &CMatrix,
     tv: &CMatrix,
     order: usize,
 ) -> Result<DescriptorSystem<f64>, MftiError> {
-    let k = pencil.order();
-    if order == 0 || order > k {
-        return Err(MftiError::OrderSelection {
-            requested: order,
-            pencil: k,
-        });
-    }
     let realified_span = |m: &CMatrix| -> Result<RMatrix, MftiError> {
         Ok(RMatrix::hstack(&[&m.real_part(), &m.imag_part()])?)
     };
@@ -419,22 +406,16 @@ pub(crate) fn realize_real_retained(
 ///
 /// * [`realize_real_retained`] — session updater factors pushed through
 ///   the Lemma 3.2 frame and re-orthonormalized (`2q`-wide spans);
-/// * the realified detection factors of [`RealizeKind::Real`] — the
-///   leading `r` singular vectors of `x₀𝕃ᵣ − σ𝕃ᵣ`, already real and
-///   orthonormal, used directly when `2r ≤ K`.
-pub(crate) fn realize_real_restricted(
+/// * [`RealDetection::realize`] — the leading `r` singular vectors of
+///   `x₀𝕃ᵣ − σ𝕃ᵣ`, already real and orthonormal, used directly when
+///   `2r ≤ K`.
+fn realize_real_restricted(
     pencil: &RealifiedPencil,
     yb: &RMatrix,
     xb: &RMatrix,
     order: usize,
 ) -> Result<DescriptorSystem<f64>, MftiError> {
-    let k = pencil.order();
-    if order == 0 || order > k {
-        return Err(MftiError::OrderSelection {
-            requested: order,
-            pencil: k,
-        });
-    }
+    check_order(order, pencil.order())?;
     let row_stack = RMatrix::hstack(&[pencil.ll(), pencil.sll()])?;
     let col_stack = RMatrix::vstack(&[pencil.ll(), pencil.sll()])?;
     let g = yb.mul_hermitian_left(&row_stack)?;

@@ -72,15 +72,6 @@ impl<T: Scalar> LadderSvd<T> {
         }
     }
 
-    /// The retained lazy decomposition, when the fast path succeeded —
-    /// what the session caches for later accumulate-only realization.
-    pub(crate) fn into_lazy(self) -> Option<PartialSvd<T>> {
-        match self {
-            LadderSvd::Lazy(p) => Some(*p),
-            LadderSvd::Recovered(_) => None,
-        }
-    }
-
     /// Leading `r` columns of both factors, in the input scalar type.
     ///
     /// # Errors
@@ -196,24 +187,5 @@ mod tests {
             LadderSvd::compute(&a, SvdFactors::Both),
             Err(NumericError::NotFinite { .. })
         ));
-    }
-
-    #[cfg(feature = "fault-injection")]
-    #[test]
-    fn qr_stall_degrades_to_jacobi_with_a_breakdown_trail() {
-        let a = spd_matrix(8);
-        let reference = Svd::compute(&a).unwrap().singular_values().to_vec();
-        let _guard = mfti_numeric::faults::InjectedFault::cap_qr_iterations(1);
-        let ladder = LadderSvd::compute(&a, SvdFactors::Both).unwrap();
-        assert_eq!(
-            ladder.fallback_methods(),
-            vec![SvdMethod::Blocked, SvdMethod::GolubKahan]
-        );
-        for (l, e) in ladder.singular_values().iter().zip(&reference) {
-            assert!((l - e).abs() <= 1e-10 * reference[0]);
-        }
-        let (u, v) = ladder.accumulate_both(4).unwrap();
-        assert_eq!(u.dims(), (8, 4));
-        assert_eq!(v.dims(), (8, 4));
     }
 }

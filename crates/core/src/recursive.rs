@@ -15,7 +15,7 @@ use crate::data::{TangentialData, Weights};
 use crate::directions::DirectionKind;
 use crate::error::MftiError;
 use crate::loewner::LoewnerPencil;
-use crate::mfti::{FitResult, Mfti, RealizationPath};
+use crate::mfti::{FitResult, Mfti};
 use crate::realize::OrderSelection;
 
 /// Which remaining samples to admit next.
@@ -123,12 +123,6 @@ impl RecursiveMfti {
     /// Sets the order-selection rule of the inner realizations.
     pub fn order_selection(mut self, selection: OrderSelection) -> Self {
         self.base = self.base.order_selection(selection);
-        self
-    }
-
-    /// Chooses the realization arithmetic.
-    pub fn realization(mut self, path: RealizationPath) -> Self {
-        self.base = self.base.realization(path);
         self
     }
 

@@ -28,7 +28,7 @@
 use std::sync::OnceLock;
 
 use mfti_numeric::diag::Stopwatch;
-use mfti_numeric::{Complex, NumericError, PartialSvd, Svd, SvdFactors, SvdMethod, SvdUpdater};
+use mfti_numeric::{Complex, NumericError, Svd, SvdFactors, SvdMethod, SvdUpdater};
 use mfti_sampling::SampleSet;
 
 use crate::data::{TangentialData, Weights};
@@ -36,28 +36,16 @@ use crate::directions::DirectionOrigin;
 use crate::error::MftiError;
 use crate::fitter::{FitError, FitOutcome};
 use crate::loewner::LoewnerPencil;
-use crate::mfti::{FitResult, FittedModel, Mfti};
-use crate::realize::{OrderSelection, RealizeKind, StackedRealization};
-use crate::recovery::LadderSvd;
+use crate::mfti::{FitResult, Mfti};
+use crate::realize::{OrderSelection, RealDetection, StackedRealization};
 
 /// One consistent generation of the order-detection signal, as
 /// [`FitSession::append`] commits it: the updater (multi-append
-/// streams), the retained first-append bidiagonalization (single-batch
+/// streams), the first append's kept detection (single-batch
 /// sessions), the cached values and the health record.
 struct SignalGeneration {
     updater: Option<SvdUpdater<Complex>>,
-    partial: Option<PartialSvd<Complex>>,
-    sv: Vec<f64>,
-    diagnostic: SignalDiagnostic,
-}
-
-/// One consistent generation of the *windowed* signal: the live
-/// updater, the single-batch partial, the advanced (or re-armed)
-/// ping-pong shadow, the cached values and the health record.
-struct WindowedGeneration {
-    updater: Option<SvdUpdater<Complex>>,
-    partial: Option<PartialSvd<Complex>>,
-    shadow: Option<ShadowState>,
+    detection: Option<RealDetection>,
     sv: Vec<f64>,
     diagnostic: SignalDiagnostic,
 }
@@ -168,16 +156,34 @@ pub struct SignalDiagnostic {
     pub reanchor: Option<Reanchor>,
 }
 
+impl SignalDiagnostic {
+    /// A record of a signal that needed nothing beyond `svd_fallbacks`;
+    /// the committing append fills in the order and the evictions.
+    fn with_fallbacks(svd_fallbacks: Vec<SvdMethod>) -> Self {
+        SignalDiagnostic {
+            order: 0,
+            error_bound: None,
+            refreshed: false,
+            svd_fallbacks,
+            evicted_pairs: 0,
+            gate_residual: None,
+            quarantined: false,
+            reanchor: None,
+        }
+    }
+}
+
 /// How a [`FitSession`] maintains the order-detection singular values
 /// across appends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub enum SessionSvd {
     /// Rank-revealing incremental updates (the default): the first
-    /// append pays one values-only decomposition, the second
-    /// materializes the retained factorization, and every further
-    /// append absorbs its pencil strips as a bordered low-rank update —
-    /// `O(K·(q + t)²)` per append instead of `O(K³)`.
+    /// append runs the one-shot fit's detection on the realified pencil,
+    /// the second materializes the retained factorization of the
+    /// complex shifted pencil, and every further append absorbs its
+    /// pencil strips as a bordered low-rank update — `O(K·(q + t)²)`
+    /// per append instead of `O(K³)`.
     #[default]
     Updating,
     /// Fresh values-only decomposition with the given backend on every
@@ -256,9 +262,14 @@ pub enum SessionSvd {
 ///   [`singular_values`](FitSession::singular_values) and the
 ///   realization calls only ever read this cache; **no call path can
 ///   observe a stale generation** (regression-tested below).
+/// * the detection — the first append runs the one-shot fit's own
+///   (realify, then a lazy bidiagonalization of the real shifted
+///   pencil) and keeps it, so a single-batch session realizes with
+///   [`Mfti::fit`](crate::Fitter::fit)'s bits at every order;
 /// * the [`SvdUpdater`] — materialized lazily on the *second* append
-///   (single-batch sessions never pay for factors) and advanced by
-///   border strips of `x₀𝕃 − σ𝕃` on each later one; dropped when a
+///   (single-batch sessions never pay for its factors) and advanced by
+///   border strips of the complex `x₀𝕃 − σ𝕃` on each later one; the
+///   updater and the kept detection are dropped when a
 ///   [`SessionSvd::Fresh`] oracle is selected.
 /// * the [`order_trajectory`](FitSession::order_trajectory) — one
 ///   entry per append, resolved from the freshly refreshed `sv`.
@@ -271,18 +282,19 @@ pub struct FitSession {
     pencil: Option<LoewnerPencil>,
     /// Retained state of the incremental order-detection SVD; see the
     /// lifecycle notes in the struct docs.
-    updater: Option<SvdUpdater<mfti_numeric::Complex>>,
-    /// The first append's bidiagonalization of `x₀𝕃 − σ𝕃`, retained so
-    /// single-batch sessions realize by **accumulating** from it
-    /// instead of re-decomposing the pencil (multi-append sessions
-    /// hold the updater's thin factors instead; exactly one of
-    /// `updater`/`partial` is populated after an `Updating` append).
-    partial: Option<PartialSvd<mfti_numeric::Complex>>,
+    updater: Option<SvdUpdater<Complex>>,
+    /// The first append's detection (realified pencil plus the lazy
+    /// bidiagonalization of `x₀𝕃ᵣ − σ𝕃ᵣ`), kept so single-batch
+    /// sessions realize by **accumulating** from it, exactly as the
+    /// one-shot fit does (multi-append sessions hold the updater's thin
+    /// factors instead; exactly one of `updater`/`detection` is
+    /// populated after an `Updating` append).
+    detection: Option<RealDetection>,
     /// Lazily built dense-path realization state (realified pencil +
     /// stacked bidiagonalizations), filled by the first `realize` whose
-    /// requested order is too dense (`2·order > K`) for the retained /
-    /// partial shortcuts and reused — bit-identically — by every later
-    /// one on the same pencil generation. Reset by `append`.
+    /// requested order is too dense (`2·order > K`) for the restricted
+    /// routes and reused — bit-identically — by every later one on the
+    /// same pencil generation. Reset by `append`.
     stacked: OnceLock<StackedRealization>,
     /// Singular values of `x₀𝕃 − σ𝕃`, refreshed by every `append`.
     sv: Option<Vec<f64>>,
@@ -321,8 +333,8 @@ impl FitSession {
     pub const DEFAULT_REFRESH_THRESHOLD: f64 = 1e-9;
 
     /// Creates an empty session with the given fitter configuration
-    /// (weights, directions, order selection, realization path) and the
-    /// default [`SessionSvd::Updating`] signal maintenance.
+    /// (weights, directions, order selection, realification tolerance)
+    /// and the default [`SessionSvd::Updating`] signal maintenance.
     pub fn new(config: Mfti) -> Self {
         FitSession {
             config,
@@ -331,7 +343,7 @@ impl FitSession {
             data: None,
             pencil: None,
             updater: None,
-            partial: None,
+            detection: None,
             stacked: OnceLock::new(),
             sv: None,
             trajectory: Vec::new(),
@@ -382,7 +394,7 @@ impl FitSession {
     pub fn svd(mut self, strategy: SessionSvd) -> Self {
         if matches!(strategy, SessionSvd::Fresh(_)) {
             self.updater = None;
-            self.partial = None;
+            self.detection = None;
         }
         self.svd = strategy;
         self
@@ -402,11 +414,13 @@ impl FitSession {
     /// are rebuilt (the existing triples are bit-identical thanks to
     /// prefix-stable directions), **only the new rows/columns** of the
     /// Loewner pencil are computed ([`LoewnerPencil::extend`]), and the
-    /// order-detection singular values are refreshed — by a
-    /// rank-revealing [`SvdUpdater`] border update under the default
-    /// [`SessionSvd::Updating`], by a fresh values-only decomposition
-    /// under a [`SessionSvd::Fresh`] oracle. The detected order is
-    /// recorded on the [`order_trajectory`](FitSession::order_trajectory).
+    /// order-detection singular values are refreshed — under the
+    /// default [`SessionSvd::Updating`] by the one-shot fit's own
+    /// detection on the first append and by a rank-revealing
+    /// [`SvdUpdater`] border update afterwards, by a fresh values-only
+    /// decomposition under a [`SessionSvd::Fresh`] oracle. The detected
+    /// order is recorded on the
+    /// [`order_trajectory`](FitSession::order_trajectory).
     ///
     /// The operation is transactional: on error the session — samples,
     /// pencil, updater, cached signal and trajectory — is left
@@ -419,6 +433,10 @@ impl FitSession {
     ///   counts;
     /// * [`FitError::Mfti`] with [`MftiError::InvalidWeights`] when a
     ///   `PerPair` weight vector no longer matches the pair count;
+    /// * [`FitError::Mfti`] with [`MftiError::RealificationResidual`]
+    ///   when an `Updating` session's first batch is not
+    ///   conjugate-closed (that append realifies, as the one-shot fit
+    ///   does);
     /// * [`FitError::Mfti`] wrapping numeric failures of the signal
     ///   refresh (non-finite data).
     ///
@@ -494,7 +512,7 @@ impl FitSession {
         self.data = Some(data);
         self.pencil = Some(pencil);
         self.updater = generation.updater;
-        self.partial = generation.partial;
+        self.detection = generation.detection;
         self.stacked = OnceLock::new();
         self.sv = Some(generation.sv);
         self.shadow = None; // only windowed appends maintain a shadow
@@ -615,7 +633,8 @@ impl FitSession {
                 slid
             }
         };
-        let generation = self.windowed_signal(&pencil, k_evict, evict, full_replacement)?;
+        let (generation, shadow) =
+            self.windowed_signal(&pencil, k_evict, evict, full_replacement)?;
 
         // Commit (everything fallible already happened).
         let order = self
@@ -633,8 +652,8 @@ impl FitSession {
         self.data = Some(data);
         self.pencil = Some(pencil);
         self.updater = generation.updater;
-        self.partial = generation.partial;
-        self.shadow = generation.shadow;
+        self.detection = generation.detection;
+        self.shadow = shadow;
         self.stacked = OnceLock::new();
         self.sv = Some(generation.sv);
         self.evicted_pairs += evict;
@@ -642,61 +661,50 @@ impl FitSession {
         Ok(())
     }
 
+    /// The first append's signal on either append path: the one-shot
+    /// fit's own detection ([`RealDetection`]), kept so a single-batch
+    /// session realizes exactly as [`Mfti::fit`](crate::Fitter::fit)
+    /// does. The updater's factors are deferred until a second append
+    /// proves this is a stream.
+    fn first_signal(&self, pencil: &LoewnerPencil) -> Result<SignalGeneration, FitError> {
+        let detection = RealDetection::compute(pencil, self.config.realify_tol_ref())?;
+        Ok(SignalGeneration {
+            updater: None,
+            sv: detection.singular_values().to_vec(),
+            diagnostic: SignalDiagnostic::with_fallbacks(detection.fallback_methods()),
+            detection: Some(detection),
+        })
+    }
+
+    /// The [`SessionSvd::Fresh`] oracle's signal on either append path:
+    /// a values-only decomposition of `x₀𝕃 − σ𝕃` that walks the
+    /// recovery ladder from the chosen backend (DESIGN.md §8), so a
+    /// stalled sweep degrades and is recorded rather than failing the
+    /// append.
+    fn fresh_signal(
+        pencil: &LoewnerPencil,
+        method: SvdMethod,
+    ) -> Result<SignalGeneration, FitError> {
+        let shifted = pencil.shifted_pencil(pencil.default_x0());
+        let rec = Svd::compute_recovering(&shifted, method, SvdFactors::ValuesOnly)
+            .map_err(MftiError::from)?;
+        Ok(SignalGeneration {
+            updater: None,
+            detection: None,
+            sv: rec.svd.singular_values().to_vec(),
+            diagnostic: SignalDiagnostic::with_fallbacks(
+                rec.fallbacks.iter().map(|(m, _)| *m).collect(),
+            ),
+        })
+    }
+
     /// Computes the next generation of the order-detection signal for
     /// the grown `pencil`, without touching `self` (the caller commits).
     fn refresh_signal(&self, pencil: &LoewnerPencil) -> Result<SignalGeneration, FitError> {
         let x0 = pencil.default_x0();
-        let clean = |error_bound, refreshed, svd_fallbacks| SignalDiagnostic {
-            order: 0, // resolved by the committing append
-            error_bound,
-            refreshed,
-            svd_fallbacks,
-            evicted_pairs: 0,
-            gate_residual: None,
-            quarantined: false,
-            reanchor: if refreshed {
-                Some(Reanchor::FreshBlocked)
-            } else {
-                None
-            },
-        };
         match (self.svd, &self.pencil) {
-            (SessionSvd::Fresh(method), _) => {
-                // The oracle walks the recovery ladder from its chosen
-                // backend (DESIGN.md §8): a stalled sweep degrades and
-                // is recorded rather than failing the append.
-                let shifted = pencil.shifted_pencil(x0);
-                let rec = Svd::compute_recovering(&shifted, method, SvdFactors::ValuesOnly)
-                    .map_err(MftiError::from)?;
-                let fallbacks = rec.fallbacks.iter().map(|(m, _)| *m).collect();
-                let sv = rec.svd.singular_values().to_vec();
-                Ok(SignalGeneration {
-                    updater: None,
-                    partial: None,
-                    sv,
-                    diagnostic: clean(None, false, fallbacks),
-                })
-            }
-            // First append: one lazy bidiagonalization (exactly the
-            // one-shot fit's signal, bit-for-bit). The panel state is
-            // retained so a subsequent `realize` only accumulates the
-            // leading factor columns; the updater's factors are
-            // deferred until a second append proves this is a stream.
-            // A stalled sweep degrades through the ladder — the eager
-            // recovered decomposition retains nothing, so a later
-            // realize re-runs the (recovering) one-shot path.
-            (SessionSvd::Updating, None) => {
-                let ladder = LadderSvd::compute(&pencil.shifted_pencil(x0), SvdFactors::ValuesOnly)
-                    .map_err(MftiError::from)?;
-                let sv = ladder.singular_values().to_vec();
-                let fallbacks = ladder.fallback_methods();
-                Ok(SignalGeneration {
-                    updater: None,
-                    partial: ladder.into_lazy(),
-                    sv,
-                    diagnostic: clean(None, false, fallbacks),
-                })
-            }
+            (SessionSvd::Fresh(method), _) => Self::fresh_signal(pencil, method),
+            (SessionSvd::Updating, None) => self.first_signal(pencil),
             (SessionSvd::Updating, Some(prev)) => {
                 // Materialize lazily from the *previous* pencil, then
                 // absorb the freshly grown border strips. x₀ is the
@@ -744,9 +752,14 @@ impl FitSession {
                 sv.resize(pencil.order(), pad);
                 Ok(SignalGeneration {
                     updater: Some(upd),
-                    partial: None,
+                    detection: None,
                     sv,
-                    diagnostic: clean(Some(committed_bound), refreshed, Vec::new()),
+                    diagnostic: SignalDiagnostic {
+                        error_bound: Some(committed_bound),
+                        refreshed,
+                        reanchor: refreshed.then_some(Reanchor::FreshBlocked),
+                        ..SignalDiagnostic::with_fallbacks(Vec::new())
+                    },
                 })
             }
         }
@@ -765,56 +778,18 @@ impl FitSession {
         k_evict: usize,
         evict_pairs: usize,
         full_replacement: bool,
-    ) -> Result<WindowedGeneration, FitError> {
+    ) -> Result<(SignalGeneration, Option<ShadowState>), FitError> {
         let x0 = pencil.default_x0();
         let k = pencil.order();
-        let base = SignalDiagnostic {
-            order: 0,         // resolved by the committing append
-            evicted_pairs: 0, // ditto
-            error_bound: None,
-            refreshed: false,
-            svd_fallbacks: Vec::new(),
-            gate_residual: None,
-            quarantined: false,
-            reanchor: None,
-        };
-
         // The fresh oracle re-decomposes per append — exact by
-        // construction, nothing to downdate, verify or shadow.
+        // construction, nothing to downdate, verify or shadow — and the
+        // stream's first append has nothing to evict yet (the updater
+        // and shadow materialize once a second append proves a stream).
         if let SessionSvd::Fresh(method) = self.svd {
-            let shifted = pencil.shifted_pencil(x0);
-            let rec = Svd::compute_recovering(&shifted, method, SvdFactors::ValuesOnly)
-                .map_err(MftiError::from)?;
-            return Ok(WindowedGeneration {
-                updater: None,
-                partial: None,
-                shadow: None,
-                sv: rec.svd.singular_values().to_vec(),
-                diagnostic: SignalDiagnostic {
-                    svd_fallbacks: rec.fallbacks.iter().map(|(m, _)| *m).collect(),
-                    ..base
-                },
-            });
+            return Ok((Self::fresh_signal(pencil, method)?, None));
         }
-
-        // First append of the stream: the lazy one-shot signal, exactly
-        // as the unbounded path (nothing to evict yet; the updater and
-        // shadow materialize once a second append proves a stream).
         let Some(prev) = &self.pencil else {
-            let ladder = LadderSvd::compute(&pencil.shifted_pencil(x0), SvdFactors::ValuesOnly)
-                .map_err(MftiError::from)?;
-            let sv = ladder.singular_values().to_vec();
-            let fallbacks = ladder.fallback_methods();
-            return Ok(WindowedGeneration {
-                updater: None,
-                partial: ladder.into_lazy(),
-                shadow: None,
-                sv,
-                diagnostic: SignalDiagnostic {
-                    svd_fallbacks: fallbacks,
-                    ..base
-                },
-            });
+            return Ok((self.first_signal(pencil)?, None));
         };
 
         let k_surv = prev.order() - k_evict;
@@ -1007,21 +982,20 @@ impl FitSession {
         let mut sv = live.singular_values().to_vec();
         let pad = live.retain_floor();
         sv.resize(k, pad);
-        Ok(WindowedGeneration {
+        let generation = SignalGeneration {
             updater: Some(live),
-            partial: None,
-            shadow,
+            detection: None,
             sv,
             diagnostic: SignalDiagnostic {
                 error_bound: Some(committed_bound),
                 refreshed: needs_reanchor,
-                svd_fallbacks: fallbacks,
                 gate_residual,
                 quarantined,
                 reanchor,
-                ..base
+                ..SignalDiagnostic::with_fallbacks(fallbacks)
             },
-        })
+        };
+        Ok((generation, shadow))
     }
 
     /// The accumulated sample set, in append order.
@@ -1131,12 +1105,11 @@ impl FitSession {
             what: "no samples appended yet",
         })?;
         let order = selection.detect(sv)?;
-        // Updating sessions already hold the shifted pencil's thin
-        // factorization: realize from the retained factors instead of
-        // re-decomposing the K×K pencil. The retained path declines
-        // (falls through to the fresh one) when the requested order
-        // exceeds the retained rank or the stream is dense enough that
-        // the restriction would not shrink the problem.
+        // Three routes (DESIGN.md §6). Updating streams already hold the
+        // shifted pencil's thin factorization: realize from the retained
+        // factors, which decline when the order exceeds the retained
+        // rank or the stream is too dense for the restriction to shrink
+        // the problem.
         let retained = match &self.updater {
             Some(updater) => self
                 .config
@@ -1145,29 +1118,30 @@ impl FitSession {
         };
         let model = match retained {
             Some(model) => model,
-            // Dense real requests (2·order > K) go through the
-            // session's stacked decompositions, built once per pencil
-            // generation: a repeated realize (or re-selection) pays
-            // only rank-limited accumulation and projection.
-            None if self.config.wants_stacked_realization(order, pencil.order()) => {
+            // Dense requests (2·order > K) go through the session's
+            // stacked decompositions, built once per pencil generation:
+            // a repeated realize (or re-selection) pays only rank-limited
+            // accumulation and projection.
+            None if 2 * order > pencil.order() => {
                 let seed = match self.stacked.get() {
                     Some(seed) => seed,
                     None => {
-                        let built = self.config.build_stacked_realization(pencil)?;
+                        let tol = self.config.realify_tol_ref();
+                        let built = StackedRealization::build(pencil, tol)?;
                         // A lost set race just drops an identical value.
                         self.stacked.get_or_init(|| built)
                     }
                 };
-                FittedModel::Real(seed.realize(order)?)
+                seed.realize(order)?
             }
-            // Single-batch sessions hold the first append's
-            // bidiagonalization: realize by accumulating its leading
-            // columns, never re-decomposing the pencil.
-            None => match &self.partial {
-                Some(partial) => self
-                    .config
-                    .realize_pencil_from_partial(pencil, partial, order)?,
-                None => self.config.realize_pencil(pencil, order)?,
+            // The rest restrict to detection factors: the first append's
+            // kept detection (a single-batch session gives the one-shot
+            // fit's bits), or a fresh one.
+            None => match &self.detection {
+                Some(detection) => detection.realize(order)?,
+                None => {
+                    RealDetection::compute(pencil, self.config.realify_tol_ref())?.realize(order)?
+                }
             },
         };
         Ok(FitOutcome::from_loewner(
@@ -1175,11 +1149,6 @@ impl FitSession {
             FitResult {
                 model,
                 pencil_singular_values: sv.to_vec(),
-                // Session signals are maintained incrementally by the
-                // complex SvdUpdater regardless of the realization path;
-                // the real one-shot signal agrees to machine precision
-                // (unitary equivalence — see RealizeKind).
-                detection_kind: RealizeKind::Complex,
                 detected_order: order,
                 pencil_order: pencil.order(),
                 // The signal producing this realization is the last

@@ -12,7 +12,7 @@ use mfti_sampling::SampleSet;
 use crate::data::Weights;
 use crate::directions::DirectionKind;
 use crate::error::MftiError;
-use crate::mfti::{FitResult, Mfti, RealizationPath};
+use crate::mfti::{FitResult, Mfti};
 use crate::realize::OrderSelection;
 
 /// Configurable VFTI fitter.
@@ -38,8 +38,8 @@ pub struct Vfti {
 }
 
 impl Vfti {
-    /// VFTI with cycled identity directions, threshold order detection
-    /// and the real realization path.
+    /// VFTI with cycled identity directions and threshold order
+    /// detection.
     pub fn new() -> Self {
         Vfti {
             inner: Mfti::new()
@@ -60,12 +60,6 @@ impl Vfti {
     /// Sets the order-selection rule.
     pub fn order_selection(mut self, selection: OrderSelection) -> Self {
         self.inner = self.inner.order_selection(selection);
-        self
-    }
-
-    /// Chooses the realization arithmetic.
-    pub fn realization(mut self, path: RealizationPath) -> Self {
-        self.inner = self.inner.realization(path);
         self
     }
 

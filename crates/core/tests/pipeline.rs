@@ -4,8 +4,8 @@
 //! [`Fitter`] implementations do.
 
 use mfti_core::{
-    metrics, realify, realize_complex, realize_real, DirectionKind, FitSession, FittedModel,
-    Fitter, LoewnerPencil, Mfti, OrderSelection, TangentialData, Vfti, Weights,
+    metrics, realify, realize_complex, realize_real, DirectionKind, FitSession, Fitter,
+    LoewnerPencil, Mfti, OrderSelection, TangentialData, Vfti, Weights,
 };
 use mfti_sampling::generators::RandomSystemBuilder;
 use mfti_sampling::{FrequencyGrid, SampleSet};
@@ -86,23 +86,32 @@ fn complex_and_real_realizations_share_the_transfer_function() {
     }
 }
 
+/// The fit's model is a real descriptor system behind `as_real`, and it
+/// has the transfer function of Lemma 3.4's complex projection of the
+/// same pencil at the same order (the oracle the realification
+/// replaces).
 #[test]
 fn fitted_model_accessors_are_consistent() {
     let samples = workload();
     let real_fit = Mfti::new().fit(&samples).expect("real fit");
-    let model = real_fit.model().as_fitted().expect("loewner model");
-    match model {
-        FittedModel::Real(sys) => {
-            assert_eq!(sys.order(), real_fit.order());
-            assert_eq!(model.order(), sys.order());
-            assert!(real_fit.model().as_real().is_some());
-            assert!(real_fit.model().as_complex().is_none());
-            assert!(real_fit.model().as_rational().is_none());
-        }
-        FittedModel::Complex(_) => panic!("default path must be real"),
-    }
+    let sys = real_fit.model().as_real().expect("descriptor model");
+    assert_eq!(sys.order(), real_fit.order());
+    assert!(real_fit.model().as_rational().is_none());
     assert_eq!(real_fit.model().outputs(), 2);
     assert_eq!(real_fit.model().inputs(), 2);
+
+    let data =
+        TangentialData::build(&samples, DirectionKind::default(), &Weights::Full).expect("data");
+    let pencil = LoewnerPencil::build(&data).expect("pencil");
+    let oracle = realize_complex(&pencil, pencil.default_x0(), real_fit.order()).expect("oracle");
+    for (f, _) in samples.iter() {
+        let a = sys.response_at_hz(f).expect("eval");
+        let b = oracle.response_at_hz(f).expect("eval");
+        assert!(
+            (&a - &b).norm_2() < 1e-8 * b.norm_2().max(1e-12),
+            "real model and complex oracle disagree at {f} Hz"
+        );
+    }
 }
 
 #[test]

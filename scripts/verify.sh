@@ -30,12 +30,13 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # printed as file:line: [MFTI-Dn] …; the JSON artifact is gitignored.
 run cargo run --release -p mfti-lint -- --json LINT_findings.json
 
-# Real-vs-complex detection equivalence (PR 10 contract): the realified
-# shifted pencil's σ must match the complex signal elementwise to
-# 1e-13·σ₁ and every OrderSelection variant must make the identical
-# rank decision on both — gated here, *before* the digest smokes, so a
-# detection-arithmetic regression surfaces as the typed assertion
-# rather than an opaque digest mismatch.
+# Real-vs-complex detection equivalence: fits and a session's first
+# append detect on the realified shifted pencil, a multi-append
+# session's later appends on the complex updater signal. The two σ must
+# match elementwise to 1e-13·σ₁ and every OrderSelection variant must
+# make the identical rank decision on both — gated here, *before* the
+# digest smokes, so a detection-arithmetic regression surfaces as the
+# typed assertion rather than an opaque digest mismatch.
 run cargo test -q --release --test detection_equivalence
 
 # Deterministic-parallelism smoke: the same sweep (sweep_smoke), the
@@ -46,8 +47,9 @@ run cargo test -q --release --test detection_equivalence
 # DESIGN.md §9: verified downdates, probe gates, ping-pong re-anchors —
 # digesting every per-append σ plus the eviction/quarantine/re-anchor
 # provenance) and the same realization stage (realize_smoke: lazy
-# rank-limited WY slab accumulation on the fresh real/complex paths +
-# the session-retained-factor path, digesting every model's bits) at
+# rank-limited WY slab accumulation on the fresh real path and the
+# complex realize_complex oracle + the session-retained-factor path,
+# digesting every model's bits) at
 # 1 worker and at many workers must be bit-identical (static-chunk
 # executor guarantee).
 run cargo build --release -p mfti-bench --bin sweep_smoke --bin fit_smoke --bin session_smoke \

@@ -53,9 +53,8 @@ pub use mfti_vecfit as vecfit;
 pub mod prelude {
     pub use mfti_core::metrics::{err_max, err_rms, err_rms_of, relative_errors};
     pub use mfti_core::{
-        AnyModel, DirectionKind, FitError, FitOutcome, FitResult, FitSession, FittedModel, Fitter,
-        Mfti, OrderSelection, RealizationPath, RecursiveMfti, SelectionOrder, SessionSvd, Vfti,
-        Weights,
+        AnyModel, DirectionKind, FitError, FitOutcome, FitResult, FitSession, Fitter, Mfti,
+        OrderSelection, RecursiveMfti, SelectionOrder, SessionSvd, Vfti, Weights,
     };
     pub use mfti_sampling::generators::{lc_line, rc_ladder, PdnBuilder, RandomSystemBuilder};
     pub use mfti_sampling::{FrequencyGrid, NoiseModel, SampleSet};

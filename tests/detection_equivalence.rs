@@ -1,10 +1,13 @@
-//! Real-vs-complex order-detection equivalence (the PR 10 contract).
+//! Real-vs-complex order-detection equivalence.
 //!
-//! The pinned detection shift `x₀ = |λ₁|` is real, so the realified
-//! shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ = T*(x₀𝕃 − σ𝕃)T` is a *real* matrix
-//! unitarily equivalent to the complex shifted pencil — identical
-//! singular values in exact arithmetic. This suite pins the floating-
-//! point version of that statement on three spectrum shapes:
+//! One-shot fits and a session's first append detect the order on the
+//! realified shifted pencil; a multi-append session's later appends
+//! detect on the complex signal its `SvdUpdater` maintains. The pinned
+//! detection shift `x₀ = |λ₁|` is real, so the realified shifted
+//! pencil `x₀𝕃ᵣ − σ𝕃ᵣ = T*(x₀𝕃 − σ𝕃)T` is a *real* matrix unitarily
+//! equivalent to the complex shifted pencil — identical singular values
+//! in exact arithmetic. This suite pins the floating-point version of
+//! that statement on three spectrum shapes:
 //!
 //! * **gapped** — clean random system with a rank-`d` feedthrough: a
 //!   sharp σ cliff at the true order;
@@ -19,8 +22,10 @@
 //! on both signals.
 
 use mfti::core::{
-    DirectionKind, LoewnerPencil, Mfti, OrderSelection, RealizeKind, TangentialData, Weights,
+    realify, DirectionKind, FitSession, LoewnerPencil, Mfti, MftiError, OrderSelection,
+    TangentialData, Weights,
 };
+use mfti::numeric::Svd;
 use mfti::sampling::generators::{PdnBuilder, RandomSystemBuilder};
 use mfti::sampling::{FrequencyGrid, NoiseModel, SampleSet};
 
@@ -92,12 +97,11 @@ fn selections(k: usize) -> Vec<OrderSelection> {
 
 fn assert_equivalent(samples: &SampleSet, label: &str) {
     let pencil = pencil_of(samples);
-    let mfti = Mfti::new();
-    let sv_real = mfti
-        .detection_singular_values(&pencil, RealizeKind::Real)
-        .expect("real detection signal");
-    let sv_cplx = mfti
-        .detection_singular_values(&pencil, RealizeKind::Complex)
+    let x0 = pencil.default_x0();
+    let real = realify(&pencil, 1e-6).expect("conjugate-closed data");
+    let sv_real = Svd::singular_values_of(&real.shifted_pencil(x0.re)).expect("real signal");
+    let sv_cplx = pencil
+        .shifted_pencil_singular_values(x0)
         .expect("complex detection signal");
 
     // Elementwise σ agreement at 1e-13·σ₁: the two matrices are
@@ -141,68 +145,37 @@ fn gapless_spectrum_detects_identically_in_real_and_complex() {
     assert_equivalent(&gapless_samples(), "gapless");
 }
 
-/// Realification is hoisted to the *front* of the real path: data that
-/// fails the conjugate-closure residual check must be refused before
-/// any factorization is paid for. Witness ordering without timing:
+/// Realification comes first in the pipeline: data that fails the
+/// conjugate-closure residual check must be refused before any
+/// factorization is paid for. Witness ordering without timing:
 /// `realify_tol(-1.0)` always trips (the residual is ≥ 0) and
-/// `Fixed(0)` always fails detection — under the old
-/// detect-then-realify pipeline this combination surfaced
-/// `OrderSelection`; the hoisted pipeline must surface
-/// `RealificationResidual`, and with no SVD ever attempted there is no
-/// recovery-ladder fallback provenance to record.
+/// `Fixed(0)` always fails detection — a detect-then-realify pipeline
+/// would surface `OrderSelection`; the pipeline must surface
+/// `RealificationResidual`. A session's first append runs the same
+/// detection, so it refuses the batch and stays empty.
 #[test]
 fn realification_residual_fires_before_any_factorization() {
     let samples = gapped_samples();
-    let err = Mfti::new()
+    let config = Mfti::new()
         .realify_tol(-1.0)
-        .order_selection(OrderSelection::Fixed(0))
+        .order_selection(OrderSelection::Fixed(0));
+    let err = config
         .fit_detailed(&samples)
         .expect_err("negative tolerance must refuse every dataset");
     match err {
-        mfti::core::MftiError::RealificationResidual { max_imag } => {
+        MftiError::RealificationResidual { max_imag } => {
             assert!(max_imag >= 0.0, "residual is a magnitude");
         }
-        other => panic!("real path must fail realification before detection, got {other:?}"),
+        other => panic!("the fit must fail realification before detection, got {other:?}"),
     }
 
-    // The complex path never realifies: the same configuration walks
-    // straight into detection and reports the order-selection failure.
-    let err = Mfti::new()
-        .realization(mfti::core::RealizationPath::Complex)
-        .realify_tol(-1.0)
-        .order_selection(OrderSelection::Fixed(0))
-        .fit_detailed(&samples)
-        .expect_err("order 0 is never realizable");
-    assert!(
-        matches!(
-            err,
-            mfti::core::MftiError::OrderSelection { requested: 0, .. }
-        ),
-        "complex path should fail order selection, got {err:?}"
-    );
-}
-
-#[test]
-fn fit_reports_the_detection_arithmetic_it_used() {
-    let samples = gapped_samples();
-    let real = Mfti::new().fit_detailed(&samples).expect("real fit");
-    assert_eq!(real.detection_kind, RealizeKind::Real);
-    assert_eq!(Mfti::new().realize_kind(), RealizeKind::Real);
-
-    let cplx = Mfti::new()
-        .realization(mfti::core::RealizationPath::Complex)
-        .fit_detailed(&samples)
-        .expect("complex fit");
-    assert_eq!(cplx.detection_kind, RealizeKind::Complex);
-
-    // The σ the two fits report are the same signal to machine
-    // precision even though they came from different arithmetic.
-    let s1 = cplx.pencil_singular_values[0];
-    for (r, c) in real
-        .pencil_singular_values
-        .iter()
-        .zip(&cplx.pencil_singular_values)
-    {
-        assert!((r - c).abs() <= 1e-13 * s1);
+    let mut session = FitSession::new(config);
+    match session.append(&samples) {
+        Err(mfti::core::FitError::Mfti(MftiError::RealificationResidual { .. })) => {}
+        other => panic!("the first append must fail realification, got {other:?}"),
     }
+    assert_eq!(session.pencil_order(), 0);
+    assert!(session.samples().is_none());
+    assert!(session.singular_values().is_err());
+    assert!(session.order_trajectory().is_empty());
 }

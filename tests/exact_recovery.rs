@@ -1,14 +1,23 @@
 //! End-to-end exact recovery (paper Lemmas 3.1/3.4): MFTI rebuilds the
 //! sampled system from noise-free data, on and off the sampling grid,
-//! across port counts, feed-through ranks and realization paths.
+//! across port counts and feed-through ranks — through the real
+//! pipeline, and through Lemma 3.4's complex projection as an oracle.
 
-use mfti::core::{metrics, Fitter, Mfti, RealizationPath, Weights};
+use mfti::core::{
+    metrics, realize_complex, DirectionKind, Fitter, LoewnerPencil, Mfti, OrderSelection,
+    TangentialData, Weights,
+};
 use mfti::sampling::generators::RandomSystemBuilder;
 use mfti::sampling::{FrequencyGrid, SampleSet};
 use mfti::statespace::bode::{log_grid, max_relative_deviation};
-use mfti::statespace::TransferFunction;
+use mfti::statespace::{DescriptorSystem, TransferFunction};
 
-fn recover(order: usize, ports: usize, d_rank: usize, k: usize, path: RealizationPath) {
+fn sampled(
+    order: usize,
+    ports: usize,
+    d_rank: usize,
+    k: usize,
+) -> (DescriptorSystem<f64>, SampleSet) {
     let dut = RandomSystemBuilder::new(order, ports, ports)
         .band(1e2, 1e5)
         .d_rank(d_rank)
@@ -17,48 +26,69 @@ fn recover(order: usize, ports: usize, d_rank: usize, k: usize, path: Realizatio
         .expect("valid system");
     let grid = FrequencyGrid::log_space(1e2, 1e5, k).expect("valid grid");
     let samples = SampleSet::from_system(&dut, &grid).expect("sampling");
+    (dut, samples)
+}
 
-    let fit = Mfti::new().realization(path).fit(&samples).expect("fit");
+/// On-grid ERR (the paper's metric) and off-grid recovery, not just
+/// interpolation.
+fn assert_recovers<M: TransferFunction>(
+    model: &M,
+    dut: &DescriptorSystem<f64>,
+    samples: &SampleSet,
+) {
+    let err = metrics::err_rms_of(model, samples).expect("eval");
+    assert!(err < 1e-8, "on-grid ERR {err}");
+    let validation = log_grid(1.5e2, 0.8e5, 17);
+    let dev = max_relative_deviation(model, dut, &validation).expect("eval");
+    assert!(dev < 1e-6, "off-grid deviation {dev}");
+}
+
+fn recover(order: usize, ports: usize, d_rank: usize, k: usize) {
+    let (dut, samples) = sampled(order, ports, d_rank, k);
+    let fit = Mfti::new().fit(&samples).expect("fit");
     assert_eq!(
         fit.order(),
         order + d_rank,
         "detected order must equal order + rank(D)"
     );
-
-    // On-grid: the paper's ERR metric.
-    let err = metrics::err_rms_of(fit.model(), &samples).expect("eval");
-    assert!(err < 1e-8, "on-grid ERR {err}");
-
-    // Off-grid: recovery, not just interpolation.
-    let validation = log_grid(1.5e2, 0.8e5, 17);
-    let dev = max_relative_deviation(fit.model(), &dut, &validation).expect("eval");
-    assert!(dev < 1e-6, "off-grid deviation {dev}");
+    assert_recovers(fit.model(), &dut, &samples);
 }
 
 #[test]
 fn square_mimo_with_full_rank_d_real_path() {
-    recover(14, 4, 4, 10, RealizationPath::Real);
+    recover(14, 4, 4, 10);
 }
 
+/// The complex Lemma 3.4 projection of the pencil the fit builds —
+/// the step the realification replaces — recovers the same system.
 #[test]
 fn square_mimo_with_full_rank_d_complex_path() {
-    recover(14, 4, 4, 10, RealizationPath::Complex);
+    let (dut, samples) = sampled(14, 4, 4, 10);
+    let data =
+        TangentialData::build(&samples, DirectionKind::default(), &Weights::Full).expect("data");
+    let pencil = LoewnerPencil::build(&data).expect("pencil");
+    let x0 = pencil.default_x0();
+    let sv = pencil.shifted_pencil_singular_values(x0).expect("svd");
+    let order = OrderSelection::default().detect(&sv).expect("order");
+    assert_eq!(order, 18, "detected order must equal order + rank(D)");
+    let model = realize_complex(&pencil, x0, order).expect("complex realization");
+    assert_recovers(&model, &dut, &samples);
 }
 
 #[test]
 fn strictly_proper_system() {
-    recover(12, 3, 0, 10, RealizationPath::Real);
+    recover(12, 3, 0, 10);
 }
 
 #[test]
 fn partial_rank_feedthrough() {
-    recover(10, 4, 2, 8, RealizationPath::Real);
+    recover(10, 4, 2, 8);
 }
 
 #[test]
 fn single_port_degenerates_to_vfti() {
     // With p = m = 1 the matrix format *is* the vector format.
-    recover(8, 1, 1, 12, RealizationPath::Real);
+    recover(8, 1, 1, 12);
 }
 
 #[test]
@@ -71,7 +101,7 @@ fn real_path_produces_genuinely_real_spice_ready_model() {
     let grid = FrequencyGrid::log_space(1e2, 1e4, 10).expect("grid");
     let samples = SampleSet::from_system(&dut, &grid).expect("sampling");
     let fit = Mfti::new().fit(&samples).expect("fit");
-    let model = fit.model().as_real().expect("real realization path");
+    let model = fit.model().as_real().expect("descriptor model");
     // Conjugate symmetry of the response follows from realness.
     let s = mfti::numeric::c64(0.0, 2e3);
     let h_pos = model.eval(s).expect("eval");

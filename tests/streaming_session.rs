@@ -19,7 +19,7 @@ use mfti::core::{FitSession, Fitter, Mfti, SessionSvd};
 use mfti::numeric::SvdMethod;
 use mfti::sampling::generators::MnaNetlist;
 use mfti::sampling::{FrequencyGrid, SampleSet};
-use mfti::statespace::Macromodel;
+use mfti::statespace::{DescriptorSystem, Macromodel};
 
 /// A 2-port RLC transmission-line ladder: eight series RL segments with
 /// shunt C loads — enough states that the streamed pencil saturates
@@ -167,11 +167,11 @@ fn streamed_mna_fit_matches_from_scratch() {
 /// fresh oracle sees the full tail. Updater and oracle must make the
 /// identical rank decision at every append, before and after the
 /// window starts retracting, and a one-shot fit on the live window —
-/// which now detects on the *realified* pencil — must land on the same
+/// which detects on the *realified* pencil — must land on the same
 /// order.
 #[test]
 fn rank_collapsing_window_keeps_updater_and_oracle_in_lockstep() {
-    use mfti::core::{OrderSelection, RealizeKind, WindowPolicy};
+    use mfti::core::{OrderSelection, WindowPolicy};
     use mfti::sampling::generators::RandomSystemBuilder;
 
     let dut = RandomSystemBuilder::new(4, 2, 2)
@@ -232,27 +232,75 @@ fn rank_collapsing_window_keeps_updater_and_oracle_in_lockstep() {
         updating.pencil_order()
     );
 
-    // One-shot fit over the live window: realified detection (the new
-    // real path) reads the same collapse through the same clamp.
+    // One-shot fit over the live window: realified detection reads the
+    // same collapse through the same clamp.
     let live = updating.samples().expect("windowed session");
     let scratch = mfti().fit_detailed(live).expect("one-shot");
-    assert_eq!(scratch.detection_kind, RealizeKind::Real);
     assert_eq!(scratch.detected_order, mu.order());
 }
 
-/// Satellite: a saturated (dense-path) workload where the session and
-/// the one-shot fit must agree not just on the detected order but on
-/// the **model bits**. Few samples of the high-order ladder leave the
-/// pencil without a σ cliff, so detection keeps `2r > K` — the one-shot
-/// fit realifies first and detects on the real shifted pencil, while
-/// the session detects on the complex updater signal; unitary
-/// equivalence makes the decisions coincide, the pencil is grown
-/// bit-identically (same samples, same pinned x₀), and both then run
-/// the identical stacked factorization — so the real models must be
-/// equal to the bit.
+/// Bits of a real descriptor model's matrices, in a fixed order.
+fn model_bits(model: &DescriptorSystem<f64>) -> Vec<u64> {
+    let (e, a, b, c, d) = model.real_matrices();
+    [e, a, b, c, d]
+        .iter()
+        .flat_map(|m| m.iter().map(|x| x.to_bits()))
+        .collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A session and a one-shot fit over the same samples must agree on
+/// the **model bits**, not just the detected order.
+///
+/// * A single-batch session runs the one-shot fit's own detection
+///   (realify, then the real shifted pencil) and keeps it, so its σ and
+///   its model at every `Fixed(r)` — restricted (`2r ≤ K`) and dense
+///   (`2r > K`) — equal `Mfti::fit_detailed`'s bit for bit.
+/// * A streamed session on a saturated workload: few samples of the
+///   high-order ladder leave the pencil without a σ cliff, so
+///   detection keeps `2r > K`. Its later appends detect on the complex
+///   updater signal, which makes the same decision (unitary
+///   equivalence); the pencil grows bit-identically (same samples,
+///   same pinned x₀), and both end in the identical stacked
+///   factorization.
 #[test]
 fn dense_path_session_and_one_shot_fit_agree_to_the_bit() {
-    use mfti::core::RealizeKind;
+    use mfti::core::OrderSelection;
+    use mfti::sampling::generators::RandomSystemBuilder;
+
+    let dut = RandomSystemBuilder::new(10, 2, 2)
+        .d_rank(2)
+        .seed(404)
+        .build()
+        .expect("valid");
+    let grid = FrequencyGrid::log_space(1e3, 1e6, 24).expect("grid");
+    let all = SampleSet::from_system(&dut, &grid).expect("sampling");
+    let mut single = FitSession::new(Mfti::new());
+    single.append(&all).expect("append");
+    let k = single.pencil_order();
+    assert_eq!(k, 48);
+    for r in [4, 8, 12, 20, 24, 30, 40] {
+        let fit = Mfti::new()
+            .order_selection(OrderSelection::Fixed(r))
+            .fit_detailed(&all)
+            .expect("one-shot fit");
+        let sv = single.singular_values().expect("signal");
+        assert_eq!(bits(sv), bits(&fit.pencil_singular_values), "σ bits");
+        let served = single
+            .realize_with(OrderSelection::Fixed(r))
+            .expect("realize");
+        let model = served.model().as_real().expect("descriptor model");
+        assert_eq!(model.order(), r);
+        assert_eq!(
+            model_bits(model),
+            model_bits(&fit.model),
+            "model bits diverged at r {r} (2r > K: {})",
+            2 * r > k
+        );
+    }
 
     let ckt = ladder();
     let grid = FrequencyGrid::log_space(1e7, 1e10, 8).expect("grid");
@@ -273,7 +321,6 @@ fn dense_path_session_and_one_shot_fit_agree_to_the_bit() {
         SampleSet::from_parts(freqs, mats).expect("combined")
     };
     let scratch = Mfti::new().fit_detailed(&combined).expect("one-shot fit");
-    assert_eq!(scratch.detection_kind, RealizeKind::Real);
 
     let streamed = session.realize().expect("realize");
     assert_eq!(streamed.order(), scratch.detected_order);
@@ -283,16 +330,12 @@ fn dense_path_session_and_one_shot_fit_agree_to_the_bit() {
         streamed.order(),
         session.pencil_order()
     );
-
-    // Bit-identical models: dense session realize and one-shot fit both
-    // end in the same stacked factorization of the same realified
-    // pencil.
-    let from_session = streamed.model().as_real().expect("real path");
-    let from_scratch = match &scratch.model {
-        mfti::core::FittedModel::Real(sys) => sys,
-        other => panic!("dense real path expected, got {other:?}"),
-    };
-    assert_eq!(from_session, from_scratch, "model bits diverged");
+    let from_session = streamed.model().as_real().expect("descriptor model");
+    assert_eq!(
+        model_bits(from_session),
+        model_bits(&scratch.model),
+        "model bits diverged"
+    );
 }
 
 #[test]

@@ -52,12 +52,9 @@ fn eval_batch_agrees_on_real_descriptor_systems() {
 
 #[test]
 fn eval_batch_agrees_on_complex_descriptor_systems() {
-    let outcome = Mfti::new()
-        .realization(RealizationPath::Complex)
-        .fit(&samples(12))
-        .expect("fit");
-    let model = outcome.model().as_complex().expect("complex path");
-    assert_batch_matches_pointwise(model, "DescriptorSystem<Complex>");
+    let outcome = Mfti::new().fit(&samples(12)).expect("fit");
+    let model = outcome.model().as_real().expect("descriptor model");
+    assert_batch_matches_pointwise(&model.to_complex(), "DescriptorSystem<Complex>");
 }
 
 #[test]
@@ -75,8 +72,8 @@ fn eval_batch_agrees_on_fitted_and_any_model_wrappers() {
     let outcome = Mfti::new().fit(&samples(12)).expect("fit");
     let any = outcome.model();
     assert_batch_matches_pointwise(any, "AnyModel");
-    let fitted = any.as_fitted().expect("loewner model");
-    assert_batch_matches_pointwise(fitted, "FittedModel");
+    let fitted = any.as_real().expect("descriptor model");
+    assert_batch_matches_pointwise(fitted, "AnyModel::Fitted");
 }
 
 #[test]
