@@ -2,16 +2,19 @@
 //! (`BENCH_session_window.json`).
 //!
 //! Streams `10 · W` one-pair appends through a `FitSession` under
-//! `WindowPolicy::Sliding { capacity: W }` for W ∈ {48, 96} and times
-//! every append individually. Once the window fills, each append is a
+//! `WindowPolicy::Sliding { capacity: W }` — clean for W ∈ {48, 96},
+//! and with seeded additive noise for W = 48 — and times every append
+//! individually. Once the window fills, each clean append is a
 //! retract-then-extend pencil slide plus a verified
-//! `SvdUpdater::downdate_leading` / border update with the probe gate
-//! and shadow bookkeeping — all history-independent work, so the
-//! per-append cost must be **flat**: the median of the last decile of
-//! steady-state appends may not exceed 1.5× the median of the first
-//! decile. A superlinear leak anywhere in the eviction path (pencil
-//! growth, trajectory replay, shadow re-arm churn) breaks that ratio
-//! and this binary exits nonzero (DESIGN.md §9).
+//! `SvdUpdater::downdate_leading` / border update behind the probe
+//! gate; a noisy window is full rank, so every steady-state downdate is
+//! refused and the append re-anchors from a fresh decomposition of the
+//! window. Both are history-independent work, so the per-append cost
+//! must be **flat**: the median of the last decile of steady-state
+//! appends may not exceed 1.5× the median of the first decile. A
+//! superlinear leak anywhere in the eviction path (pencil growth,
+//! trajectory replay, re-anchor churn) breaks that ratio and this
+//! binary exits nonzero (DESIGN.md §9).
 //!
 //! Also asserts the bounded-memory contract directly: the peak pencil
 //! order across the whole stream never exceeds the capacity.
@@ -25,7 +28,7 @@ use std::time::Instant;
 use criterion::BenchResult;
 use mfti_core::{FitSession, Mfti, WindowPolicy};
 use mfti_sampling::generators::RandomSystemBuilder;
-use mfti_sampling::{FrequencyGrid, SampleSet};
+use mfti_sampling::{FrequencyGrid, NoiseModel, SampleSet};
 
 /// (min, median, mean) over a slice of per-append nanosecond timings.
 fn stats(ns: &[f64]) -> (f64, f64, f64) {
@@ -53,11 +56,17 @@ fn main() {
         .unwrap_or_else(|| "BENCH_session_window.json".to_string());
 
     let mut results: Vec<BenchResult> = Vec::new();
-    for capacity in [48usize, 96] {
-        // Clean (numerically rank-deficient) 2-port stream, full
-        // weights (t = 2): one pair per append carries 4 rows+cols, so
-        // the window holds capacity/4 pairs and every steady-state
-        // append evicts exactly one pair.
+    for (capacity, noisy) in [(48usize, false), (96, false), (48, true)] {
+        // 2-port stream, full weights (t = 2): one pair per append
+        // carries 4 rows+cols, so the window holds capacity/4 pairs and
+        // every steady-state append evicts exactly one pair. Clean
+        // samples keep the window numerically rank-deficient; 1e-4
+        // noise makes it full rank.
+        let label = if noisy {
+            format!("w{capacity}_noisy")
+        } else {
+            format!("w{capacity}")
+        };
         let appends = 10 * capacity;
         let sys = RandomSystemBuilder::new(10, 2, 2)
             .d_rank(2)
@@ -66,7 +75,10 @@ fn main() {
             .build()
             .expect("seeded build");
         let grid = FrequencyGrid::log_space(1e6, 1e9, 2 * appends).expect("valid grid");
-        let stream = SampleSet::from_system(&sys, &grid).expect("sampling");
+        let mut stream = SampleSet::from_system(&sys, &grid).expect("sampling");
+        if noisy {
+            stream = NoiseModel::additive_relative(1e-4).apply(&stream, 0x77_1ADE);
+        }
 
         let mut session = FitSession::new(Mfti::new()).window(WindowPolicy::Sliding { capacity });
         let mut timings_ns = Vec::with_capacity(appends);
@@ -80,12 +92,12 @@ fn main() {
         }
         assert!(
             peak <= capacity,
-            "W={capacity}: peak pencil order {peak} exceeds the window capacity"
+            "{label}: peak pencil order {peak} exceeds the window capacity"
         );
         assert_eq!(
             session.pencil_order() + 4 * session.evicted_pairs(),
             4 * appends,
-            "W={capacity}: eviction accounting does not cover the stream"
+            "{label}: eviction accounting does not cover the stream"
         );
         session.realize().expect("windowed realize");
 
@@ -101,20 +113,17 @@ fn main() {
         let (_, last_median, _) = stats(last);
         let ratio = last_median / first_median;
         println!(
-            "window W={capacity}: {appends} appends, steady-state first-decile median \
+            "window {label}: {appends} appends, steady-state first-decile median \
              {:.0} µs | last-decile median {:.0} µs | ratio {ratio:.2}x | peak K {peak}",
             first_median / 1e3,
             last_median / 1e3,
         );
-        results.push(row(format!("session_window/w{capacity}/append"), steady));
-        results.push(row(
-            format!("session_window/w{capacity}/first_decile"),
-            first,
-        ));
-        results.push(row(format!("session_window/w{capacity}/last_decile"), last));
+        results.push(row(format!("session_window/{label}/append"), steady));
+        results.push(row(format!("session_window/{label}/first_decile"), first));
+        results.push(row(format!("session_window/{label}/last_decile"), last));
         assert!(
             ratio <= 1.5,
-            "W={capacity}: steady-state append cost is not flat \
+            "{label}: steady-state append cost is not flat \
              (last-decile median {last_median:.0} ns > 1.5x first-decile \
              median {first_median:.0} ns)"
         );

@@ -24,6 +24,13 @@
 //!    singular-value profile and the per-append
 //!    [`order_trajectory`](FitSession::order_trajectory) are all
 //!    borrowable between stages.
+//!
+//! Both [`WindowPolicy`] variants share one append path: an unbounded
+//! session is a sliding window that never evicts. Every append after
+//! the first advances the updater the same way — downdate the evicted
+//! pairs (none when unbounded), absorb the appended border, verify with
+//! a probe gate, check drift — and re-anchors from a fresh
+//! decomposition when a step fails (DESIGN.md §9).
 
 use std::sync::OnceLock;
 
@@ -55,19 +62,20 @@ struct SignalGeneration {
 #[non_exhaustive]
 pub enum WindowPolicy {
     /// Every appended sample stays woven into the pencil forever — the
-    /// classic recursive Algorithm 2 posture. Memory and per-append
-    /// cost grow with stream history.
+    /// classic recursive Algorithm 2 posture, run as a sliding window
+    /// that never evicts. Memory and per-append cost grow with stream
+    /// history.
     #[default]
     Unbounded,
     /// Sliding window: the pencil order is kept at or below `capacity`
     /// by evicting the **oldest** sample pairs as new ones stream in
     /// ([`LoewnerPencil::retract`] + [`SvdUpdater::downdate_leading`],
-    /// verified by a residual gate and re-anchored by a shadow updater
-    /// — see DESIGN.md §9 for the validity conditions and the
-    /// quarantine state machine). Steady-state append cost and memory
-    /// are independent of stream history; the duplicate-frequency gate
-    /// scopes to the live window, so an evicted frequency may lawfully
-    /// return.
+    /// verified by a residual gate and re-anchored from a fresh
+    /// decomposition when the advance fails — see DESIGN.md §9 for the
+    /// validity conditions and the quarantine state machine).
+    /// Steady-state append cost and memory are independent of stream
+    /// history; the duplicate-frequency gate scopes to the live window,
+    /// so an evicted frequency may lawfully return.
     ///
     /// `capacity` bounds the pencil order `K = Σ 2·t_j` (not the
     /// sample count). [`Weights::PerPair`](crate::Weights) is rejected
@@ -79,36 +87,34 @@ pub enum WindowPolicy {
     },
 }
 
-/// How a windowed session replaced its live factorization when drift
-/// or the verification gate demanded a re-anchor (DESIGN.md §9) — the
-/// downdate ladder's provenance, recorded on
+/// How a session replaced its live factorization when drift or the
+/// verification gate demanded a re-anchor (DESIGN.md §9) — the
+/// re-anchor ladder's provenance, recorded on
 /// [`SignalDiagnostic::reanchor`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Reanchor {
-    /// The ping-pong shadow updater — incrementally pre-built from the
-    /// trailing half-window ahead of schedule — covered the full window
-    /// and was swapped in (O(1), no decomposition).
+    /// Retired: sessions no longer produce it. The variant stays for
+    /// callers that still match on it.
     ShadowSwap,
     /// A fresh blocked decomposition of the live window's shifted
     /// pencil re-seeded the updater.
     FreshBlocked,
-    /// The blocked seed itself stalled; the Golub–Kahan rung re-seeded
-    /// the updater.
+    /// The blocked seed itself stalled (`NoConvergence`); the
+    /// Golub–Kahan rung re-seeded the updater.
     GolubKahan,
 }
 
-/// The ping-pong shadow: a second [`SvdUpdater`] anchored on the
-/// trailing half-window and advanced incrementally alongside the live
-/// one, so a drift- or gate-triggered re-anchor can swap (O(1)) instead
-/// of paying a fresh `O(K³)` decomposition on the critical path.
-#[derive(Debug, Clone)]
-struct ShadowState {
-    updater: SvdUpdater<Complex>,
-    /// Leading window pairs **not** covered by the shadow; evictions
-    /// decrement it, and at 0 the shadow covers the whole window and
-    /// becomes swappable.
-    lag_pairs: usize,
+/// The leading prefix of the live window that an append evicts — all
+/// zero under [`WindowPolicy::Unbounded`].
+#[derive(Default)]
+struct Eviction {
+    /// Sample pairs evicted.
+    pairs: usize,
+    /// Their pencil order `Σ 2·t_j`.
+    order: usize,
+    /// Their block widths `Σ t_j`: the direction origin's column shift.
+    cols: usize,
 }
 
 /// Per-append health record of the order-detection signal — the
@@ -131,8 +137,8 @@ pub struct SignalDiagnostic {
     pub error_bound: Option<f64>,
     /// Whether the updater was replaced this append — by drift past
     /// [`FitSession::refresh_threshold`] `· σ₁`, a tripped verification
-    /// gate, or a failed downdate ([`SignalDiagnostic::reanchor`] says
-    /// how it was replaced).
+    /// gate, a failed advance or a full-window replacement
+    /// ([`SignalDiagnostic::reanchor`] says how it was replaced).
     pub refreshed: bool,
     /// SVD ladder rungs that broke down while producing this signal
     /// (empty on the fast path; see
@@ -141,18 +147,21 @@ pub struct SignalDiagnostic {
     /// Sample pairs evicted from the sliding window by this append
     /// (always 0 under [`WindowPolicy::Unbounded`]).
     pub evicted_pairs: usize,
-    /// Residual of the post-downdate verification probe
-    /// (`‖A_window − UΣVᴴ‖_F` over deterministic sample columns),
-    /// when one ran this append.
+    /// Residual of the verification probe (`‖A_window − UΣVᴴ‖_F` over
+    /// deterministic sample columns) run on the advanced updater. Every
+    /// `Updating` append after the first records one under either
+    /// window policy; `None` on the first append, under a
+    /// [`SessionSvd::Fresh`] oracle, on a full-window replacement, or
+    /// when the advance failed before the probe ran.
     pub gate_residual: Option<f64>,
     /// Whether the pre-replacement factorization was **quarantined** —
-    /// refused service because its downdate failed or the verification
+    /// refused service because its advance failed or the verification
     /// gate tripped (drift-only refreshes leave this `false`). A
     /// quarantined factorization never serves another `realize`: the
     /// append either commits a replacement or fails transactionally.
     pub quarantined: bool,
-    /// Which downdate-ladder rung produced the replacement
-    /// factorization, when one was needed (DESIGN.md §9).
+    /// Which re-anchor rung produced the replacement factorization,
+    /// when one was needed (DESIGN.md §9).
     pub reanchor: Option<Reanchor>,
 }
 
@@ -240,8 +249,9 @@ pub enum SessionSvd {
 ///   correctly but degrades the pencil's balance; start the session
 ///   with a batch that spans the band of interest.
 /// * [`Weights::PerPair`](crate::Weights) vectors must match the grown
-///   pair count on every append, so sessions are most naturally driven
-///   with [`Weights::Full`](crate::Weights) or
+///   pair count on every append (and cannot follow a sliding window),
+///   so sessions are most naturally driven with
+///   [`Weights::Full`](crate::Weights) or
 ///   [`Weights::Uniform`](crate::Weights).
 ///
 /// # Singular-value lifecycle
@@ -267,10 +277,13 @@ pub enum SessionSvd {
 ///   pencil) and keeps it, so a single-batch session realizes with
 ///   [`Mfti::fit`](crate::Fitter::fit)'s bits at every order;
 /// * the [`SvdUpdater`] — materialized lazily on the *second* append
-///   (single-batch sessions never pay for its factors) and advanced by
-///   border strips of the complex `x₀𝕃 − σ𝕃` on each later one; the
-///   updater and the kept detection are dropped when a
-///   [`SessionSvd::Fresh`] oracle is selected.
+///   (single-batch sessions never pay for its factors) and advanced on
+///   each later one under either window policy: downdate the evicted
+///   rows and columns, absorb the border strips of the complex
+///   `x₀𝕃 − σ𝕃`, run the probe gate, check drift; a failed step
+///   re-anchors it from a fresh decomposition. The updater and the
+///   kept detection are dropped when a [`SessionSvd::Fresh`] oracle is
+///   selected.
 /// * the [`order_trajectory`](FitSession::order_trajectory) — one
 ///   entry per append, resolved from the freshly refreshed `sv`.
 #[derive(Debug, Clone)]
@@ -314,8 +327,6 @@ pub struct FitSession {
     evicted_pairs: usize,
     /// Sum of the evicted pairs' block widths (cyclic column offset).
     evicted_cols: usize,
-    /// The ping-pong shadow updater (windowed `Updating` streams only).
-    shadow: Option<ShadowState>,
 }
 
 impl Default for FitSession {
@@ -352,7 +363,6 @@ impl FitSession {
             window: WindowPolicy::default(),
             evicted_pairs: 0,
             evicted_cols: 0,
-            shadow: None,
         }
     }
 
@@ -410,16 +420,19 @@ impl FitSession {
         &self.config
     }
 
-    /// Appends samples and grows the pipeline state: tangential data
-    /// are rebuilt (the existing triples are bit-identical thanks to
-    /// prefix-stable directions), **only the new rows/columns** of the
-    /// Loewner pencil are computed ([`LoewnerPencil::extend`]), and the
+    /// Appends samples and grows the pipeline state: the window policy
+    /// names the leading pairs to evict (none under
+    /// [`WindowPolicy::Unbounded`]), tangential data are rebuilt over
+    /// the live window (the surviving triples are bit-identical thanks
+    /// to prefix-stable directions), the Loewner pencil is retracted by
+    /// the evicted pairs and extended by **only the new rows/columns**
+    /// ([`LoewnerPencil::retract`], [`LoewnerPencil::extend`]), and the
     /// order-detection singular values are refreshed — under the
     /// default [`SessionSvd::Updating`] by the one-shot fit's own
-    /// detection on the first append and by a rank-revealing
-    /// [`SvdUpdater`] border update afterwards, by a fresh values-only
-    /// decomposition under a [`SessionSvd::Fresh`] oracle. The detected
-    /// order is recorded on the
+    /// detection on the first append and by a verified
+    /// [`SvdUpdater`] downdate and border update afterwards, by a fresh
+    /// values-only decomposition under a [`SessionSvd::Fresh`] oracle.
+    /// The detected order is recorded on the
     /// [`order_trajectory`](FitSession::order_trajectory).
     ///
     /// The operation is transactional: on error the session — samples,
@@ -429,43 +442,45 @@ impl FitSession {
     /// # Errors
     ///
     /// * [`FitError::Mfti`] with [`MftiError::InvalidSamples`] when the
-    ///   grown set is odd-sized, shares a frequency or mixes port
-    ///   counts;
+    ///   batch is empty or odd-sized, the grown set shares a frequency
+    ///   or mixes port counts, or the batch's own pencil contribution
+    ///   exceeds a [`WindowPolicy::Sliding`] capacity;
     /// * [`FitError::Mfti`] with [`MftiError::InvalidWeights`] when a
-    ///   `PerPair` weight vector no longer matches the pair count;
+    ///   `PerPair` weight vector no longer matches the pair count, or
+    ///   arrives under a sliding window;
     /// * [`FitError::Mfti`] with [`MftiError::RealificationResidual`]
     ///   when an `Updating` session's first batch is not
     ///   conjugate-closed (that append realifies, as the one-shot fit
     ///   does);
     /// * [`FitError::Mfti`] wrapping numeric failures of the signal
-    ///   refresh (non-finite data).
-    ///
-    /// Under [`WindowPolicy::Sliding`] the append additionally evicts
-    /// the oldest pairs so the grown pencil order stays at or below the
-    /// capacity — see [`WindowPolicy`] and DESIGN.md §9; an append whose
-    /// own pencil contribution exceeds the capacity, or that arrives
-    /// under [`Weights::PerPair`], is rejected (transactionally).
+    ///   refresh (non-finite data, an exhausted re-anchor ladder).
     pub fn append(&mut self, new: &SampleSet) -> Result<(), FitError> {
-        match self.window {
-            WindowPolicy::Unbounded => self.append_unbounded(new),
-            WindowPolicy::Sliding { capacity } => self.append_windowed(new, capacity),
+        if new.is_empty() || !new.len().is_multiple_of(2) {
+            return Err(MftiError::InvalidSamples {
+                what: format!(
+                    "append needs an even number of samples >= 2, got {}",
+                    new.len()
+                ),
+            }
+            .into());
         }
-    }
+        let evict = self.eviction(new)?;
 
-    fn append_unbounded(&mut self, new: &SampleSet) -> Result<(), FitError> {
-        let merged = match &self.samples {
+        // The live-window sample list, concatenated in append order
+        // (`SampleSet::merged` sorts by frequency, which would re-pair
+        // the samples). Evicted pairs drop out *before* validation, so
+        // the duplicate-frequency gate scopes to the window — an
+        // evicted frequency may lawfully stream back in.
+        let samples = match &self.samples {
             None => new.clone(),
-            // Order-preserving concatenation: `SampleSet::merged` sorts
-            // by frequency, which would re-pair the existing samples.
             Some(old) => {
-                let freqs: Vec<f64> = old
-                    .freqs_hz()
+                let drop = 2 * evict.pairs;
+                let freqs: Vec<f64> = old.freqs_hz()[drop..]
                     .iter()
                     .chain(new.freqs_hz())
                     .copied()
                     .collect();
-                let mats = old
-                    .matrices()
+                let mats = old.matrices()[drop..]
                     .iter()
                     .chain(new.matrices())
                     .cloned()
@@ -473,29 +488,36 @@ impl FitSession {
                 SampleSet::from_parts(freqs, mats).map_err(MftiError::from)?
             }
         };
-        // The direction origin is normally zero here; it persists the
-        // stream position if the session slid a window earlier in life
-        // (a policy switch must not re-seed surviving blocks).
+        // Surviving pairs keep their stream-position direction blocks:
+        // window pair 0 is stream pair `evicted_pairs + evict.pairs`.
         let data = TangentialData::build_from(
-            &merged,
+            &samples,
             self.config.directions_ref(),
             self.config.weights_ref(),
             DirectionOrigin {
-                pairs: self.evicted_pairs,
-                cols: self.evicted_cols,
+                pairs: self.evicted_pairs + evict.pairs,
+                cols: self.evicted_cols + evict.cols,
             },
         )?;
-        let grown = data.num_pairs();
+
+        // A full replacement (every live pair expired) rebuilds from
+        // scratch — x₀ and ω₀ re-pin to the new band, and the signal
+        // necessarily re-anchors fresh.
+        let live_pairs = self.num_pairs();
+        let full_replacement = self.pencil.is_some() && evict.pairs == live_pairs;
         let pencil = match &self.pencil {
-            None => LoewnerPencil::build(&data)?,
-            Some(existing) => {
-                let fresh: Vec<usize> = (existing.included_pairs().len()..grown).collect();
-                let mut extended = existing.clone();
-                extended.extend(&data, &fresh)?;
-                extended
+            Some(existing) if !full_replacement => {
+                // Retract *then* extend: the peak transient order never
+                // exceeds max(k_live, capacity).
+                let mut slid = existing.clone();
+                slid.retract(evict.pairs)?;
+                let fresh: Vec<usize> = (live_pairs - evict.pairs..data.num_pairs()).collect();
+                slid.extend(&data, &fresh)?;
+                slid
             }
+            _ => LoewnerPencil::build(&data)?,
         };
-        let generation = self.refresh_signal(&pencil)?;
+        let generation = self.advance_signal(&pencil, evict.order, full_replacement)?;
 
         // Commit (everything fallible already happened).
         let order = self
@@ -506,36 +528,28 @@ impl FitSession {
         self.trajectory.push(order);
         self.signal_trajectory.push(SignalDiagnostic {
             order,
+            evicted_pairs: evict.pairs,
             ..generation.diagnostic
         });
-        self.samples = Some(merged);
+        self.samples = Some(samples);
         self.data = Some(data);
         self.pencil = Some(pencil);
         self.updater = generation.updater;
         self.detection = generation.detection;
         self.stacked = OnceLock::new();
         self.sv = Some(generation.sv);
-        self.shadow = None; // only windowed appends maintain a shadow
+        self.evicted_pairs += evict.pairs;
+        self.evicted_cols += evict.cols;
         Ok(())
     }
 
-    /// Sliding-window append (DESIGN.md §9): evicts the oldest pairs so
-    /// the grown pencil order stays ≤ `capacity`, retracts + extends the
-    /// pencil in place, and advances the order-detection signal by a
-    /// verified downdate/update — degrading down the re-anchor ladder
-    /// (shadow swap → fresh blocked → Golub–Kahan) when the downdate is
-    /// refused, the residual gate trips, or drift crosses the refresh
-    /// threshold. Transactional like the unbounded path.
-    fn append_windowed(&mut self, new: &SampleSet, capacity: usize) -> Result<(), FitError> {
-        if new.is_empty() || !new.len().is_multiple_of(2) {
-            return Err(MftiError::InvalidSamples {
-                what: format!(
-                    "windowed append needs an even number of samples >= 2, got {}",
-                    new.len()
-                ),
-            }
-            .into());
-        }
+    /// The one reader of the [`WindowPolicy`]: the leading pairs that
+    /// appending `new` evicts so the grown pencil order stays within
+    /// the window. An unbounded session is a window that never evicts.
+    fn eviction(&self, new: &SampleSet) -> Result<Eviction, FitError> {
+        let WindowPolicy::Sliding { capacity } = self.window else {
+            return Ok(Eviction::default());
+        };
         // The per-pair block width is resolvable without building data:
         // a fixed-length `PerPair` vector cannot follow an evicting
         // pair list and is rejected up front.
@@ -560,109 +574,23 @@ impl FitSession {
             }
             .into());
         }
-
-        // How many leading pairs must expire for the grown window to
-        // fit. `k_new <= capacity` guarantees the walk terminates at or
-        // before a full replacement.
-        let (evict, k_evict) = match &self.pencil {
-            None => (0, 0),
-            Some(pencil) => {
-                let k_live = pencil.order();
-                let ts = pencil.pair_ts();
-                let (mut evict, mut k_evict) = (0, 0);
-                while k_live - k_evict + k_new > capacity {
-                    k_evict += 2 * ts[evict];
-                    evict += 1;
-                }
-                (evict, k_evict)
+        // Expire the oldest pairs until the grown window fits;
+        // `k_new <= capacity` guarantees the walk stops at or before a
+        // full replacement.
+        let mut evict = Eviction::default();
+        if let Some(pencil) = &self.pencil {
+            let ts = pencil.pair_ts();
+            while pencil.order() - evict.order + k_new > capacity {
+                evict.order += 2 * ts[evict.pairs];
+                evict.cols += ts[evict.pairs];
+                evict.pairs += 1;
             }
-        };
-        let evicted_ts: usize = self
-            .pencil
-            .as_ref()
-            .map_or(0, |p| p.pair_ts()[..evict].iter().sum());
-
-        // The live-window sample list: evicted pairs drop out *before*
-        // validation, so the duplicate-frequency gate scopes to the
-        // window — an evicted frequency may lawfully stream back in.
-        let window_samples = match &self.samples {
-            None => new.clone(),
-            Some(old) => {
-                let drop = 2 * evict;
-                let freqs: Vec<f64> = old.freqs_hz()[drop..]
-                    .iter()
-                    .chain(new.freqs_hz())
-                    .copied()
-                    .collect();
-                let mats = old.matrices()[drop..]
-                    .iter()
-                    .chain(new.matrices())
-                    .cloned()
-                    .collect();
-                SampleSet::from_parts(freqs, mats).map_err(MftiError::from)?
-            }
-        };
-        // Surviving pairs keep their stream-position direction blocks:
-        // window pair 0 is stream pair `evicted_pairs + evict`.
-        let data = TangentialData::build_from(
-            &window_samples,
-            self.config.directions_ref(),
-            self.config.weights_ref(),
-            DirectionOrigin {
-                pairs: self.evicted_pairs + evict,
-                cols: self.evicted_cols + evicted_ts,
-            },
-        )?;
-        let grown = data.num_pairs();
-
-        let live_pairs = self.pencil.as_ref().map_or(0, |p| p.included_pairs().len());
-        // A full replacement (every live pair expired) rebuilds from
-        // scratch — x₀ and ω₀ re-pin to the new band, and the signal
-        // necessarily re-anchors fresh.
-        let full_replacement = self.pencil.is_some() && evict == live_pairs;
-        let pencil = match &self.pencil {
-            None => LoewnerPencil::build(&data)?,
-            Some(_) if full_replacement => LoewnerPencil::build(&data)?,
-            Some(existing) => {
-                // Retract *then* extend: the peak transient order never
-                // exceeds max(k_live, capacity).
-                let mut slid = existing.clone();
-                slid.retract(evict)?;
-                let fresh: Vec<usize> = (live_pairs - evict..grown).collect();
-                slid.extend(&data, &fresh)?;
-                slid
-            }
-        };
-        let (generation, shadow) =
-            self.windowed_signal(&pencil, k_evict, evict, full_replacement)?;
-
-        // Commit (everything fallible already happened).
-        let order = self
-            .config
-            .order_selection_ref()
-            .detect(&generation.sv)
-            .unwrap_or(0);
-        self.trajectory.push(order);
-        self.signal_trajectory.push(SignalDiagnostic {
-            order,
-            evicted_pairs: evict,
-            ..generation.diagnostic
-        });
-        self.samples = Some(window_samples);
-        self.data = Some(data);
-        self.pencil = Some(pencil);
-        self.updater = generation.updater;
-        self.detection = generation.detection;
-        self.shadow = shadow;
-        self.stacked = OnceLock::new();
-        self.sv = Some(generation.sv);
-        self.evicted_pairs += evict;
-        self.evicted_cols += evicted_ts;
-        Ok(())
+        }
+        Ok(evict)
     }
 
-    /// The first append's signal on either append path: the one-shot
-    /// fit's own detection ([`RealDetection`]), kept so a single-batch
+    /// The first append's signal under either window policy: the
+    /// one-shot fit's own detection ([`RealDetection`]), kept so a single-batch
     /// session realizes exactly as [`Mfti::fit`](crate::Fitter::fit)
     /// does. The updater's factors are deferred until a second append
     /// proves this is a stream.
@@ -676,7 +604,7 @@ impl FitSession {
         })
     }
 
-    /// The [`SessionSvd::Fresh`] oracle's signal on either append path:
+    /// The [`SessionSvd::Fresh`] oracle's signal on every append:
     /// a values-only decomposition of `x₀𝕃 − σ𝕃` that walks the
     /// recovery ladder from the chosen backend (DESIGN.md §8), so a
     /// stalled sweep degrades and is recorded rather than failing the
@@ -699,303 +627,136 @@ impl FitSession {
     }
 
     /// Computes the next generation of the order-detection signal for
-    /// the grown `pencil`, without touching `self` (the caller commits).
-    fn refresh_signal(&self, pencil: &LoewnerPencil) -> Result<SignalGeneration, FitError> {
-        let x0 = pencil.default_x0();
-        match (self.svd, &self.pencil) {
-            (SessionSvd::Fresh(method), _) => Self::fresh_signal(pencil, method),
-            (SessionSvd::Updating, None) => self.first_signal(pencil),
-            (SessionSvd::Updating, Some(prev)) => {
-                // Materialize lazily from the *previous* pencil, then
-                // absorb the freshly grown border strips. x₀ is the
-                // first right interpolation point of the first batch,
-                // so both generations shift by the same point.
-                let mut upd = match &self.updater {
-                    Some(upd) => upd.clone(),
-                    None => SvdUpdater::new(&prev.shifted_pencil(x0)).map_err(MftiError::from)?,
-                };
-                let k_old = prev.order();
-                let k_new = pencil.order() - k_old;
-                // Only the three border strips are assembled — never
-                // the full K×K shifted matrix — so the per-append work
-                // beyond the update itself stays O(K·k_new).
-                let cols = pencil.shifted_pencil_block(x0, 0, k_old, k_old, k_new)?;
-                let rows = pencil.shifted_pencil_block(x0, k_old, 0, k_new, k_old)?;
-                let corner = pencil.shifted_pencil_block(x0, k_old, k_old, k_new, k_new)?;
-                upd.append_border(&cols, &rows, &corner)
-                    .map_err(MftiError::from)?;
-                // Auto-refresh: the truncation bound accumulates across
-                // appends, and a bound past the refresh threshold means
-                // the reported values may no longer be trusted at the
-                // levels order detection reads — re-materialize from a
-                // fresh factorization of the grown pencil instead of
-                // feeding the drifted signal downstream (DESIGN.md §8).
-                let bound = upd.error_bound();
-                let sigma1 = upd.singular_values().first().copied().unwrap_or(0.0);
-                let refreshed = bound > self.refresh_threshold * sigma1;
-                if refreshed {
-                    upd = SvdUpdater::new(&pencil.shifted_pencil(x0)).map_err(MftiError::from)?;
-                }
-                // The diagnostic reports the bound of the factorization
-                // *as committed*: a refresh restarts the Weyl accounting
-                // from the fresh factorization's floor (the drift that
-                // triggered it is observable as `refreshed`).
-                let committed_bound = upd.error_bound();
-                // Pad the truncated sub-floor tail back to pencil order
-                // with the retained floor: like the truncated values it
-                // sits below every selection threshold, and unlike a
-                // zero it cannot manufacture an unbounded σ_r/σ_{r+1}
-                // ratio at the truncation boundary for
-                // `OrderSelection::LargestGap`.
-                let mut sv = upd.singular_values().to_vec();
-                let pad = upd.retain_floor();
-                sv.resize(pencil.order(), pad);
-                Ok(SignalGeneration {
-                    updater: Some(upd),
-                    detection: None,
-                    sv,
-                    diagnostic: SignalDiagnostic {
-                        error_bound: Some(committed_bound),
-                        refreshed,
-                        reanchor: refreshed.then_some(Reanchor::FreshBlocked),
-                        ..SignalDiagnostic::with_fallbacks(Vec::new())
-                    },
-                })
-            }
-        }
-    }
-
-    /// Advances the order-detection signal across a window slide
-    /// (DESIGN.md §9), without touching `self` (the caller commits):
-    /// downdate the evicted border, absorb the appended border, verify
-    /// with a deterministic-column residual probe, and — when the
-    /// downdate is refused, the gate trips, or drift crosses the
-    /// refresh threshold — quarantine the candidate and walk the
-    /// re-anchor ladder (shadow swap → fresh blocked → Golub–Kahan).
-    fn windowed_signal(
+    /// the slid `pencil`, without touching `self` (the caller commits).
+    ///
+    /// Past the first append the updater advances in four steps:
+    /// downdate the `k_evict` evicted leading rows and columns (none
+    /// under [`WindowPolicy::Unbounded`]), absorb the appended border,
+    /// run the probe gate, check drift. A refused step or a tripped gate
+    /// quarantines the candidate; that, drift past the refresh
+    /// threshold, or a full-window replacement re-anchors on the
+    /// two-rung ladder of DESIGN.md §9 — a fresh blocked decomposition,
+    /// then Golub–Kahan on `NoConvergence`.
+    fn advance_signal(
         &self,
         pencil: &LoewnerPencil,
         k_evict: usize,
-        evict_pairs: usize,
         full_replacement: bool,
-    ) -> Result<(SignalGeneration, Option<ShadowState>), FitError> {
-        let x0 = pencil.default_x0();
-        let k = pencil.order();
-        // The fresh oracle re-decomposes per append — exact by
-        // construction, nothing to downdate, verify or shadow — and the
-        // stream's first append has nothing to evict yet (the updater
-        // and shadow materialize once a second append proves a stream).
+    ) -> Result<SignalGeneration, FitError> {
         if let SessionSvd::Fresh(method) = self.svd {
-            return Ok((Self::fresh_signal(pencil, method)?, None));
+            return Self::fresh_signal(pencil, method);
         }
         let Some(prev) = &self.pencil else {
-            return Ok((self.first_signal(pencil)?, None));
+            return self.first_signal(pencil);
         };
-
-        let k_surv = prev.order() - k_evict;
-        let k_new = k - k_surv;
-        let threshold = |sigma1: f64| self.refresh_threshold * sigma1;
-
-        // Deterministic probe columns — first, middle and last of the
-        // window — assembled per column so the full K×K shifted matrix
-        // is never formed. The residual `‖A[:,J] − UΣVᴴ[:,J]‖_F` is the
-        // verification gate of DESIGN.md §9.
-        let mut probe_idx = vec![0, k / 2, k - 1];
-        probe_idx.dedup();
-        let mut reference = mfti_numeric::CMatrix::zeros(k, probe_idx.len());
-        for (c, &j) in probe_idx.iter().enumerate() {
-            let col = pencil.shifted_pencil_block(x0, 0, j, k, 1)?;
-            for i in 0..k {
-                reference[(i, c)] = col[(i, 0)];
-            }
-        }
-        let probe = |upd: &SvdUpdater<Complex>| -> Result<f64, NumericError> {
-            upd.residual_on_columns(&reference, &probe_idx)
-        };
-
+        let x0 = pencil.default_x0();
+        let k = pencil.order();
         let mut gate_residual = None;
         let mut quarantined = false;
-        let mut live: Option<SvdUpdater<Complex>> = None;
-
+        let mut live = None;
         if !full_replacement {
-            // Advance the live factorization: downdate the evicted
-            // leading border, then absorb the appended strips. Any
-            // refusal (ill-conditioned eviction, rank exceeding the
-            // shrunken window) quarantines the candidate instead of
-            // serving garbage.
-            let advanced = (|| -> Result<SvdUpdater<Complex>, NumericError> {
+            // Only the three border strips and three probe columns —
+            // first, middle and last of the window — are assembled,
+            // never the full K×K shifted matrix, so the work beyond the
+            // update itself stays O(K·k_new).
+            let k_surv = prev.order() - k_evict;
+            let k_new = k - k_surv;
+            let cols = pencil.shifted_pencil_block(x0, 0, k_surv, k_surv, k_new)?;
+            let rows = pencil.shifted_pencil_block(x0, k_surv, 0, k_new, k_surv)?;
+            let corner = pencil.shifted_pencil_block(x0, k_surv, k_surv, k_new, k_new)?;
+            let mut probe_idx = vec![0, k / 2, k - 1];
+            probe_idx.dedup();
+            let mut reference = mfti_numeric::CMatrix::zeros(k, probe_idx.len());
+            for (c, &j) in probe_idx.iter().enumerate() {
+                let col = pencil.shifted_pencil_block(x0, 0, j, k, 1)?;
+                for i in 0..k {
+                    reference[(i, c)] = col[(i, 0)];
+                }
+            }
+            // The updater materializes lazily from the *previous*
+            // pencil; x₀ is pinned, so both generations shift by the
+            // same point.
+            let advanced = (|| -> Result<(SvdUpdater<Complex>, f64), NumericError> {
                 let mut upd = match &self.updater {
                     Some(upd) => upd.clone(),
                     None => SvdUpdater::new(&prev.shifted_pencil(x0))?,
                 };
                 upd.downdate_leading(k_evict, k_evict)?;
-                Ok(upd)
+                upd.append_border(&cols, &rows, &corner)?;
+                let residual = upd.residual_on_columns(&reference, &probe_idx)?;
+                Ok((upd, residual))
             })();
-            match advanced {
-                Ok(mut upd) => {
-                    if k_new > 0 {
-                        let cols = pencil.shifted_pencil_block(x0, 0, k_surv, k_surv, k_new)?;
-                        let rows = pencil.shifted_pencil_block(x0, k_surv, 0, k_new, k_surv)?;
-                        let corner =
-                            pencil.shifted_pencil_block(x0, k_surv, k_surv, k_new, k_new)?;
-                        match upd.append_border(&cols, &rows, &corner) {
-                            Ok(()) => {}
-                            Err(_) => quarantined = true,
-                        }
-                    }
-                    if !quarantined {
-                        let sigma1 = upd.singular_values().first().copied().unwrap_or(0.0);
-                        match probe(&upd) {
-                            Ok(resid) => {
-                                gate_residual = Some(resid);
-                                if resid > threshold(sigma1) {
-                                    // Gate tripped: the downdated
-                                    // factorization no longer explains
-                                    // the window it claims to factor.
-                                    quarantined = true;
-                                } else if upd.error_bound() > threshold(sigma1) {
-                                    // Accumulated drift: a scheduled
-                                    // re-anchor, not a quarantine.
-                                    live = None;
-                                } else {
-                                    live = Some(upd);
-                                }
-                            }
-                            Err(_) => quarantined = true,
-                        }
-                    }
+            if let Ok((upd, residual)) = advanced {
+                // The gate `‖A[:,J] − UΣVᴴ[:,J]‖_F ≤ threshold` checks
+                // that the advanced factorization still explains the
+                // window it claims to factor. Drift alone — the
+                // accumulated Weyl bound past the same threshold
+                // (DESIGN.md §8) — is a scheduled re-anchor, not a
+                // quarantine.
+                let sigma1 = upd.singular_values().first().copied().unwrap_or(0.0);
+                let threshold = self.refresh_threshold * sigma1;
+                let drifted = upd.error_bound() > threshold;
+                gate_residual = Some(residual);
+                quarantined = residual > threshold;
+                if !quarantined && !drifted {
+                    live = Some(upd);
                 }
-                Err(_) => quarantined = true,
+            } else {
+                quarantined = true;
             }
         }
-        let needs_reanchor = live.is_none();
 
-        // Advance the ping-pong shadow alongside: evictions eat into
-        // its lag first, only the excess downdates its own factors, and
-        // the appended strips are absorbed at its trailing offset. Any
-        // failure silently drops the shadow — it re-arms below.
-        let mut shadow = if full_replacement {
-            None
-        } else {
-            self.shadow.clone().and_then(|mut sh| {
-                let over = evict_pairs.saturating_sub(sh.lag_pairs);
-                if over > 0 {
-                    let k_down: usize = prev
-                        .pair_ts()
-                        .get(sh.lag_pairs..evict_pairs)
-                        .map_or(0, |ts| ts.iter().map(|&t| 2 * t).sum());
-                    sh.updater.downdate_leading(k_down, k_down).ok()?;
-                }
-                sh.lag_pairs = sh.lag_pairs.saturating_sub(evict_pairs);
-                if k_new > 0 {
-                    let k_sh = sh.updater.dims().0;
-                    // The shadow covers the trailing k_sh surviving
-                    // rows/cols; its strips start at that offset.
-                    let off = (k - k_new).checked_sub(k_sh)?;
-                    let cols = pencil
-                        .shifted_pencil_block(x0, off, k - k_new, k_sh, k_new)
-                        .ok()?;
-                    let rows = pencil
-                        .shifted_pencil_block(x0, k - k_new, off, k_new, k_sh)
-                        .ok()?;
-                    let corner = pencil
-                        .shifted_pencil_block(x0, k - k_new, k - k_new, k_new, k_new)
-                        .ok()?;
-                    sh.updater.append_border(&cols, &rows, &corner).ok()?;
-                }
-                Some(sh)
-            })
-        };
-
-        // The re-anchor ladder (DESIGN.md §9). Rung 1: swap in the
-        // shadow when it covers the whole window *and* itself passes
-        // the gate — O(1), no decomposition on the critical path.
-        let mut reanchor = None;
-        let mut fallbacks: Vec<SvdMethod> = Vec::new();
-        let live = match live {
-            Some(upd) => upd,
+        // The re-anchor ladder: a fresh blocked seed of the live
+        // window, then the Golub–Kahan backend when the blocked sweep
+        // itself stalls. Exhaustion fails the append transactionally —
+        // the quarantined candidate was never committed.
+        let mut fallbacks = Vec::new();
+        let (live, reanchor) = match live {
+            Some(upd) => (upd, None),
             None => {
-                let mut chosen: Option<SvdUpdater<Complex>> = None;
-                if let Some(sh) = &shadow {
-                    if sh.lag_pairs == 0 && sh.updater.dims() == (k, k) {
-                        let cand = &sh.updater;
-                        let sigma1 = cand.singular_values().first().copied().unwrap_or(0.0);
-                        if matches!(probe(cand), Ok(r) if r <= threshold(sigma1))
-                            && cand.error_bound() <= threshold(sigma1)
-                        {
-                            chosen = Some(cand.clone());
-                            reanchor = Some(Reanchor::ShadowSwap);
-                            shadow = None; // consumed; re-arms below
-                        }
+                let shifted = pencil.shifted_pencil(x0);
+                match SvdUpdater::new(&shifted) {
+                    Ok(upd) => (upd, Some(Reanchor::FreshBlocked)),
+                    Err(NumericError::NoConvergence { .. }) => {
+                        fallbacks.push(SvdMethod::Blocked);
+                        let upd = SvdUpdater::with_floor_method(
+                            &shifted,
+                            mfti_numeric::DEFAULT_UPDATE_FLOOR,
+                            SvdMethod::GolubKahan,
+                        )
+                        .map_err(MftiError::from)?;
+                        (upd, Some(Reanchor::GolubKahan))
                     }
-                }
-                match chosen {
-                    Some(upd) => upd,
-                    // Rung 2: fresh blocked seed of the live window;
-                    // rung 3: the Golub–Kahan backend when the blocked
-                    // sweep itself stalls. Exhaustion fails the append
-                    // transactionally — the quarantined candidate was
-                    // never committed.
-                    None => {
-                        let shifted = pencil.shifted_pencil(x0);
-                        match SvdUpdater::new(&shifted) {
-                            Ok(upd) => {
-                                reanchor = Some(Reanchor::FreshBlocked);
-                                upd
-                            }
-                            Err(NumericError::NoConvergence { .. }) => {
-                                fallbacks.push(SvdMethod::Blocked);
-                                let upd = SvdUpdater::with_floor_method(
-                                    &shifted,
-                                    mfti_numeric::DEFAULT_UPDATE_FLOOR,
-                                    SvdMethod::GolubKahan,
-                                )
-                                .map_err(MftiError::from)?;
-                                reanchor = Some(Reanchor::GolubKahan);
-                                upd
-                            }
-                            Err(err) => return Err(MftiError::from(err).into()),
-                        }
-                    }
+                    Err(err) => return Err(MftiError::from(err).into()),
                 }
             }
         };
 
-        // (Re-)arm the shadow from the trailing half-window so the
-        // *next* re-anchor can swap instead of decomposing. An arming
-        // failure leaves it disarmed; the next append retries.
-        if shadow.is_none() {
-            let pair_ts = pencil.pair_ts();
-            let pairs = pair_ts.len();
-            if pairs >= 2 {
-                let lag = pairs / 2;
-                let off: usize = pair_ts[..lag].iter().map(|&t| 2 * t).sum();
-                let block = pencil.shifted_pencil_block(x0, off, off, k - off, k - off)?;
-                shadow = SvdUpdater::new(&block).ok().map(|updater| ShadowState {
-                    updater,
-                    lag_pairs: lag,
-                });
-            }
-        }
-
-        let committed_bound = live.error_bound();
+        // The diagnostic reports the bound of the factorization *as
+        // committed*: a re-anchor restarts the Weyl accounting from the
+        // fresh factorization's floor (the drift that triggered it is
+        // observable as `refreshed`). The truncated sub-floor tail is
+        // padded back to pencil order with the retained floor: like the
+        // truncated values it sits below every selection threshold, and
+        // unlike a zero it cannot manufacture an unbounded σ_r/σ_{r+1}
+        // ratio at the truncation boundary for
+        // `OrderSelection::LargestGap`.
+        let error_bound = Some(live.error_bound());
         let mut sv = live.singular_values().to_vec();
-        let pad = live.retain_floor();
-        sv.resize(k, pad);
-        let generation = SignalGeneration {
+        sv.resize(k, live.retain_floor());
+        Ok(SignalGeneration {
             updater: Some(live),
             detection: None,
             sv,
             diagnostic: SignalDiagnostic {
-                error_bound: Some(committed_bound),
-                refreshed: needs_reanchor,
+                error_bound,
+                refreshed: reanchor.is_some(),
                 gate_residual,
                 quarantined,
                 reanchor,
                 ..SignalDiagnostic::with_fallbacks(fallbacks)
             },
-        };
-        Ok((generation, shadow))
+        })
     }
 
     /// The accumulated sample set, in append order.
@@ -1426,6 +1187,7 @@ mod tests {
         let bound = diags[1].error_bound.expect("updater materialized");
         assert!(bound >= 0.0 && bound.is_finite());
         assert!(diags[1].svd_fallbacks.is_empty());
+        assert!(diags[1].gate_residual.is_some(), "the probe gate ran");
         assert!(session.signal_error_bound().is_some());
 
         // The fresh oracle's signal is exact by construction: no bound.
@@ -1448,6 +1210,8 @@ mod tests {
         let diags = session.signal_trajectory();
         assert!(!diags[0].refreshed, "no updater to refresh on append 1");
         assert!(diags[1].refreshed, "threshold -1 must force a refresh");
+        assert!(diags[1].quarantined, "threshold -1 trips the probe gate");
+        assert_eq!(diags[1].reanchor, Some(Reanchor::FreshBlocked));
         // The refreshed signal matches the default session's rank
         // decision and still realizes.
         let mut reference = FitSession::new(Mfti::new());

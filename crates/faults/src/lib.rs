@@ -85,9 +85,9 @@ pub enum FaultKind {
     /// under heavy cancellation.
     DowndateCancellationStorm,
     /// A forced re-anchor (always-firing drift threshold) while every
-    /// iterative kernel is capped at one sweep: the downdate ladder —
-    /// shadow swap, fresh blocked, Golub–Kahan — exhausts and the
-    /// windowed append must fail *typed and transactionally*.
+    /// iterative kernel is capped at one sweep: the re-anchor ladder —
+    /// fresh blocked, then Golub–Kahan — exhausts and the windowed
+    /// append must fail *typed and transactionally*.
     GateFailureExhaustion,
 }
 

@@ -43,11 +43,12 @@ run cargo test -q --release --test detection_equivalence
 # same fit (fit_smoke: parallel pencil assembly + blocked-SVD trailing
 # updates), the same streamed session (session_smoke: per-append
 # rank-revealing SVD updates, digesting every per-append σ and the
-# final model), the same sliding-window session (window_smoke,
-# DESIGN.md §9: verified downdates, probe gates, ping-pong re-anchors —
-# digesting every per-append σ plus the eviction/quarantine/re-anchor
-# provenance) and the same realization stage (realize_smoke: lazy
-# rank-limited WY slab accumulation on the fresh real path and the
+# final model), the same sliding-window sessions (window_smoke,
+# DESIGN.md §9: a clean window's verified downdates and probe gates, and
+# a noisy window's fresh re-anchor on every slide — digesting every
+# per-append σ plus the eviction/quarantine/re-anchor provenance) and
+# the same realization stage (realize_smoke: lazy rank-limited WY slab
+# accumulation on the fresh real path and the
 # complex realize_complex oracle + the session-retained-factor path,
 # digesting every model's bits) at
 # 1 worker and at many workers must be bit-identical (static-chunk
@@ -76,8 +77,10 @@ if [[ "${1:-}" != "--no-bench-run" ]]; then
     run cargo run --release -p mfti-bench --bin bench_json
     # Bounded-memory contract (BENCH_session_window.json): per-append
     # cost under a sliding window must stay flat — last-decile median
-    # <= 1.5x first-decile median — and the peak pencil order must
-    # never exceed the capacity; window_bench exits nonzero otherwise.
+    # <= 1.5x first-decile median, on clean W = 48 and W = 96 streams
+    # and on a noisy W = 48 stream that re-anchors on every slide — and
+    # the peak pencil order must never exceed the capacity;
+    # window_bench exits nonzero otherwise.
     run cargo run --release -p mfti-bench --bin window_bench
 fi
 

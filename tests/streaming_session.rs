@@ -359,3 +359,111 @@ fn streaming_oracle_and_updater_agree_on_the_mna_stream() {
         oracle.realize().expect("realize").order()
     );
 }
+
+/// An unbounded session is a sliding window that never evicts: the
+/// same multi-append stream through `Unbounded` and through a window
+/// whose capacity holds the whole stream runs one append path, so the
+/// σ bits after every append, the trajectories — every diagnostic,
+/// including the probe gate's residual — and the realized model's bits
+/// all coincide.
+#[test]
+fn unbounded_session_is_a_window_that_never_evicts() {
+    use mfti::core::WindowPolicy;
+
+    let ckt = ladder();
+    let grid = FrequencyGrid::log_space(1e7, 1e10, 32).expect("grid");
+    let all = SampleSet::from_system(&ckt, &grid).expect("sampling");
+    let batches = streamed_batches(&all);
+
+    let mut unbounded = FitSession::new(Mfti::new());
+    assert_eq!(unbounded.window_policy(), WindowPolicy::Unbounded);
+    // Full weights on 2 ports: every pair adds 4 to the pencil order.
+    let capacity = 2 * all.len();
+    let mut window = FitSession::new(Mfti::new()).window(WindowPolicy::Sliding { capacity });
+    for batch in &batches {
+        unbounded.append(batch).expect("unbounded append");
+        window.append(batch).expect("windowed append");
+        assert_eq!(
+            bits(unbounded.singular_values().expect("signal")),
+            bits(window.singular_values().expect("signal")),
+            "σ bits diverged at K {}",
+            unbounded.pencil_order()
+        );
+    }
+    assert_eq!(window.pencil_order(), capacity, "the window filled");
+    assert_eq!(window.evicted_pairs(), 0);
+    assert_eq!(unbounded.order_trajectory(), window.order_trajectory());
+    assert_eq!(unbounded.signal_trajectory(), window.signal_trajectory());
+    assert!(unbounded.signal_trajectory()[1..]
+        .iter()
+        .all(|d| d.gate_residual.is_some()));
+
+    let (mu, mw) = (
+        unbounded.realize().expect("realize"),
+        window.realize().expect("realize"),
+    );
+    assert_eq!(
+        model_bits(mu.model().as_real().expect("descriptor model")),
+        model_bits(mw.model().as_real().expect("descriptor model")),
+        "model bits diverged"
+    );
+}
+
+/// A noisy window is full rank, so `downdate_leading` refuses every
+/// eviction: each slide must quarantine the advanced candidate and
+/// re-anchor from a fresh blocked decomposition, and the served signal
+/// must track the fresh-SVD oracle over the same window.
+#[test]
+fn noisy_window_reanchors_fresh_on_every_slide() {
+    use mfti::core::{Reanchor, WindowPolicy};
+    use mfti::sampling::generators::RandomSystemBuilder;
+    use mfti::sampling::NoiseModel;
+
+    let sys = RandomSystemBuilder::new(10, 2, 2)
+        .d_rank(2)
+        .band(1e6, 1e9)
+        .seed(0x51_1DE5)
+        .build()
+        .expect("valid");
+    let grid = FrequencyGrid::log_space(1e6, 1e9, 48).expect("grid");
+    let clean = SampleSet::from_system(&sys, &grid).expect("sampling");
+    let all = NoiseModel::additive_relative(1e-4).apply(&clean, 0x51_1DE5);
+
+    let window = WindowPolicy::Sliding { capacity: 24 };
+    let mut updating = FitSession::new(Mfti::new()).window(window);
+    let mut oracle = FitSession::new(Mfti::new())
+        .window(window)
+        .svd(SessionSvd::Fresh(SvdMethod::Blocked));
+    let mut slides = 0;
+    for batch in streamed_batches(&all) {
+        updating.append(&batch).expect("append");
+        oracle.append(&batch).expect("append");
+        let (su, so) = (
+            updating.singular_values().expect("signal"),
+            oracle.singular_values().expect("signal"),
+        );
+        assert_eq!(su.len(), so.len());
+        for (u, o) in su.iter().zip(so) {
+            assert!((u - o).abs() <= 1e-9 * so[0], "σ drift: {u:e} vs {o:e}");
+        }
+        let d = updating.signal_trajectory().last().expect("diagnostic");
+        if d.evicted_pairs > 0 {
+            slides += 1;
+            assert!(d.quarantined, "a full-rank window cannot be downdated");
+            assert_eq!(d.reanchor, Some(Reanchor::FreshBlocked));
+            let bound = d.error_bound.expect("updating appends commit an updater");
+            assert!(bound <= 1e-11 * su[0], "re-anchor bound {bound:e}");
+        }
+    }
+    assert_eq!(slides, 18, "24 appends into a 6-pair window");
+    assert_eq!(updating.order_trajectory(), oracle.order_trajectory());
+    let evictions = |s: &FitSession| -> Vec<usize> {
+        s.signal_trajectory()
+            .iter()
+            .map(|d| d.evicted_pairs)
+            .collect()
+    };
+    assert_eq!(evictions(&updating), evictions(&oracle));
+    assert_eq!(updating.evicted_pairs(), oracle.evicted_pairs());
+    assert_eq!(updating.retained_rank(), Some(updating.pencil_order()));
+}
