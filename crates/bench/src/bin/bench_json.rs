@@ -26,11 +26,12 @@
 //!
 //! It also times the **streaming append→order-detect path** at pencil
 //! orders {16, 48, 96}: one sample-pair append followed by a
-//! singular-value read, through the rank-revealing `SvdUpdater`
+//! singular-value read, through the rank-revealing real `SvdUpdater`
 //! (`SessionSvd::Updating`, the default) and through the fresh
 //! blocked-SVD oracle (`SessionSvd::Fresh`) — the per-measurement
-//! serving cost the incremental updates make sublinear. Those rows land
-//! in `BENCH_session_stream.json`.
+//! serving cost the incremental updates make sublinear. Both run on the
+//! append's realified pencil, so the `session_stream/*/fresh` rows time
+//! the real oracle. Those rows land in `BENCH_session_stream.json`.
 //!
 //! Usage: `cargo run --release -p mfti-bench --bin bench_json
 //! [OUT.json] [STAGES.json] [SESSION.json]` (defaults:
@@ -184,7 +185,7 @@ fn main() {
     let stage_data = TangentialData::build(&samples, Default::default(), &Weights::Full)
         .expect("tangential data");
     let stage_pencil = LoewnerPencil::build(&stage_data).expect("pencil");
-    let x0 = stage_pencil.default_x0();
+    let x0 = stage_pencil.default_x0().re;
     let mut stage_session = FitSession::new(config.clone());
     stage_session.append(&samples).expect("session append");
     stage_session
@@ -194,15 +195,6 @@ fn main() {
         .bench_function("fit_stage/assembly", |b| {
             b.iter(|| LoewnerPencil::build(&stage_data).expect("assembly"))
         })
-        .bench_function("fit_stage/svd", |b| {
-            // Complex detection baseline: the signal a multi-append
-            // session's updater maintains after its first append.
-            b.iter(|| {
-                stage_pencil
-                    .shifted_pencil_singular_values(x0)
-                    .expect("svd")
-            })
-        })
         .bench_function("fit_stage/detect", |b| {
             // Real detection as the one-shot fit now runs it: the pinned
             // shift is real, so the realified shifted pencil is a real
@@ -210,7 +202,7 @@ fn main() {
             // itself is hoisted out — the fit pays it once, shared with
             // the stacked projections.
             let real = realify(&stage_pencil, 1e-6).expect("realify");
-            b.iter(|| Svd::singular_values_of(&real.shifted_pencil(x0.re)).expect("detect"))
+            b.iter(|| Svd::singular_values_of(&real.shifted_pencil(x0)).expect("detect"))
         })
         .bench_function("fit_stage/realize", |b| {
             b.iter(|| stage_session.realize().expect("realize"))
@@ -241,7 +233,7 @@ fn main() {
     let sweep_hess = Hessenberg::compute(&sweep_matrix).expect("hessenberg");
     let detect_pencil = realify(&stage_pencil, 1e-6)
         .expect("realify")
-        .shifted_pencil(x0.re);
+        .shifted_pencil(x0);
     let detect_k = detect_pencil.rows();
     c.sample_size(20)
         .bench_function(&format!("kernel/schur_complex_n{sweep_n}"), |b| {
@@ -308,7 +300,9 @@ fn main() {
             // Append → refreshed *model*, not just the refreshed signal:
             // the updating path realizes from the updater's retained
             // factors (no fresh K×K decomposition anywhere), the fresh
-            // oracle re-decomposes twice (signal + stacked realize SVDs).
+            // oracle decomposes the realified pencil twice (the
+            // values-only signal, then the detection the realize
+            // projects on).
             c.bench_function("session_stream/k96/updating_realize", |b| {
                 b.iter(|| {
                     let mut s = updating.clone();
@@ -552,13 +546,6 @@ fn main() {
         stage_ms("detect"),
         stage_ms("realize"),
         median_of("end_to_end/mfti_full") / 1e6,
-    );
-    println!(
-        "order detection (K={}): real {:.2} ms | complex {:.2} ms ({:.2}x)",
-        stage_pencil.order(),
-        stage_ms("detect"),
-        stage_ms("svd"),
-        stage_ms("svd") / stage_ms("detect"),
     );
     println!(
         "realize paths: rank-limited {:.2} ms | retained-factor (clean K=96 stream) {:.3} ms",

@@ -11,7 +11,7 @@
 //! * the **complex** Lemma 3.4 oracle (`realize_complex`) on the same
 //!   pencil, at the order its complex shifted pencil detects;
 //! * the **session-retained** path — a streamed clean workload realized
-//!   from the updater's retained thin factors.
+//!   from the updater's retained real factors of the realified pencil.
 //!
 //! `verify.sh` runs this binary at 1 and N workers and fails on any
 //! digest mismatch: realized models must be bit-identical at every

@@ -120,13 +120,8 @@ pub fn generate_directions_from(
     left_ts: &[usize],
     origin: DirectionOrigin,
 ) -> Result<DirectionSet, MftiError> {
-    let t_max = outputs.min(inputs);
     for &t in right_ts.iter().chain(left_ts) {
-        if t == 0 || t > t_max {
-            return Err(MftiError::InvalidWeights {
-                what: format!("t = {t} outside [1, min(m,p)] = [1, {t_max}]"),
-            });
-        }
+        check_block_width(t, outputs, inputs)?;
     }
     match kind {
         DirectionKind::CyclicIdentity => {
@@ -170,6 +165,19 @@ pub fn generate_directions_from(
             Ok(DirectionSet { right, left })
         }
     }
+}
+
+/// [`MftiError::InvalidWeights`] unless the block width `t` lies in
+/// `[1, min(m, p)]`: the range every direction block must fit, checked
+/// wherever a width is read before the blocks exist.
+pub(crate) fn check_block_width(t: usize, outputs: usize, inputs: usize) -> Result<(), MftiError> {
+    let t_max = outputs.min(inputs);
+    if t == 0 || t > t_max {
+        return Err(MftiError::InvalidWeights {
+            what: format!("t = {t} outside [1, min(m,p)] = [1, {t_max}]"),
+        });
+    }
+    Ok(())
 }
 
 /// Independent RNG for direction block `index` of one side (0 = right,

@@ -74,10 +74,10 @@ pub struct LoewnerPencil {
     /// detection can run on the packed real path (DESIGN.md §5; with
     /// Section 3.4's literal λ₁ = jω₁/ω₀ the realified shift would stay
     /// complex and forfeit that). Pinning — rather than re-deriving from
-    /// `lambdas[0]` — keeps the shifted pencil `x₀𝕃 − σ𝕃` a *consistent*
-    /// matrix across window retractions, so an incrementally maintained
-    /// [`SvdUpdater`](mfti_numeric::SvdUpdater) over it stays valid
-    /// after the leading pairs expire. Any x₀ that is not a system pole
+    /// `lambdas[0]` — keeps the shifted pencil a *consistent* matrix
+    /// across window retractions, so an incrementally maintained
+    /// [`SvdUpdater`](mfti_numeric::SvdUpdater) over its realification
+    /// stays valid after the leading pairs expire. Any x₀ that is not a system pole
     /// is admissible (Lemma 3.4); a point on the positive real axis
     /// never coincides with a stable pole, and `|λ₁|` keeps the shift at
     /// the magnitude of the normalized band.
@@ -515,11 +515,12 @@ impl LoewnerPencil {
 
     /// The shifted pencil `x₀𝕃 − σ𝕃` itself (`K × K`), assembled in one
     /// fused pass (no intermediate `x₀𝕃` temporary). This is the matrix
-    /// whose singular-value decay drives order detection; streaming
-    /// callers ([`FitSession`](crate::FitSession)) slice its border
-    /// strips to feed the rank-revealing
-    /// [`SvdUpdater`](mfti_numeric::SvdUpdater) instead of
-    /// re-decomposing it per append.
+    /// whose singular-value decay drives order detection. The pipeline
+    /// decomposes its realification
+    /// ([`RealifiedPencil::shifted_pencil`](crate::RealifiedPencil::shifted_pencil))
+    /// instead; this complex form is the oracle that
+    /// [`realize_complex`](crate::realize_complex) and the equivalence
+    /// tests read.
     pub fn shifted_pencil(&self, x0: Complex) -> CMatrix {
         let data: Vec<Complex> = self
             .ll
@@ -531,35 +532,6 @@ impl LoewnerPencil {
         // mfti-lint: allow(MFTI-D7) — data is a zip over ll's own
         // buffer, so its length is exactly rows·cols
         CMatrix::from_vec(self.ll.rows(), self.ll.cols(), data).expect("ll and sll share dims")
-    }
-
-    /// A rectangular block of the shifted pencil `x₀𝕃 − σ𝕃`, computed
-    /// entry-by-entry from the stored `𝕃`/`σ𝕃` (the same fused formula
-    /// as [`shifted_pencil`](LoewnerPencil::shifted_pencil), so blocks
-    /// tile the full matrix bit-for-bit) **without materializing the
-    /// whole `K × K` matrix** — the per-append border-strip path of
-    /// streaming sessions, `O(rows·cols)` instead of `O(K²)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a shape error when the block exceeds the pencil.
-    pub fn shifted_pencil_block(
-        &self,
-        x0: Complex,
-        row: usize,
-        col: usize,
-        rows: usize,
-        cols: usize,
-    ) -> Result<CMatrix, MftiError> {
-        let ll = self.ll.submatrix(row, col, rows, cols)?;
-        let sll = self.sll.submatrix(row, col, rows, cols)?;
-        let data: Vec<Complex> = ll
-            .as_slice()
-            .iter()
-            .zip(sll.as_slice())
-            .map(|(&l, &sl)| l * x0 - sl)
-            .collect();
-        Ok(CMatrix::from_vec(rows, cols, data)?)
     }
 
     /// Singular values of `𝕃` itself (rank ≈ `order(Γ)` per the paper's
@@ -586,11 +558,10 @@ impl LoewnerPencil {
     /// magnitude keeps the shift **real**, so the realified shifted
     /// pencil `x₀𝕃ᵣ − σ𝕃ᵣ` is a real matrix and order detection runs on
     /// the packed real path with singular values identical (unitary
-    /// equivalence) to the complex `x₀𝕃 − σ𝕃` the session updaters
-    /// maintain (DESIGN.md §5). **Pinned** across
-    /// [`retract`](LoewnerPencil::retract) — windowed sessions keep
-    /// decomposing the same shifted pencil family even after the pair
-    /// that donated λ₁ expires.
+    /// equivalence) to the complex `x₀𝕃 − σ𝕃` (DESIGN.md §5).
+    /// **Pinned** across [`retract`](LoewnerPencil::retract) — windowed
+    /// sessions keep decomposing the same shifted pencil family even
+    /// after the pair that donated λ₁ expires.
     pub fn default_x0(&self) -> Complex {
         match self.x0 {
             Some(x0) => x0,

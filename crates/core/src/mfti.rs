@@ -3,7 +3,7 @@
 //! Pipeline: directions → tangential data (Eqs. 6–7) → Loewner pencil
 //! (Eqs. 11–12, GEMM-structured assembly) → realification (Lemma 3.2)
 //! → order detection on the realified shifted pencil → real projection
-//! → descriptor model ([`RealDetection`]). The SVD consumers ask for
+//! → descriptor model (`RealPencilState`). The SVD consumers ask for
 //! exactly what they read: detection factors accumulate only the
 //! leading `r` columns, and each dense stacked SVD a single side
 //! (`mfti_numeric::SvdFactors`). Streaming callers that refit per
@@ -15,7 +15,7 @@
 use std::time::Duration;
 
 use mfti_numeric::diag::Stopwatch;
-use mfti_numeric::{Complex, SvdMethod, SvdUpdater};
+use mfti_numeric::SvdMethod;
 use mfti_sampling::SampleSet;
 use mfti_statespace::DescriptorSystem;
 
@@ -23,8 +23,7 @@ use crate::data::{TangentialData, Weights};
 use crate::directions::DirectionKind;
 use crate::error::MftiError;
 use crate::loewner::LoewnerPencil;
-use crate::realify::{apply_t_adjoint_left, realify};
-use crate::realize::{realize_real_retained, OrderSelection, RealDetection};
+use crate::realize::{OrderSelection, RealPencilState};
 
 /// Result of an MFTI/VFTI fit, with the diagnostics the paper plots.
 #[derive(Debug, Clone)]
@@ -181,51 +180,25 @@ impl Mfti {
     /// Runs the realization stage on an already-built pencil (shared
     /// with Algorithm 2, which grows the pencil incrementally): one
     /// realification, one real detection, then the projection
-    /// ([`RealDetection`]). A stalled QR sweep degrades through the
+    /// ([`RealPencilState`]). A stalled QR sweep degrades through the
     /// recovery ladder (DESIGN.md §8) instead of failing the fit.
     pub(crate) fn fit_pencil(
         &self,
         pencil: &LoewnerPencil,
         start: Stopwatch,
     ) -> Result<FitResult, MftiError> {
-        let detection = RealDetection::compute(pencil, self.realify_tol)?;
+        let state = RealPencilState::new(pencil, self.realify_tol)?;
+        let detection = state.detection()?;
         let sv = detection.singular_values().to_vec();
         let order = self.order_selection.detect(&sv)?;
         Ok(FitResult {
-            model: detection.realize(order)?,
+            model: state.realize(order)?,
             pencil_singular_values: sv,
             detected_order: order,
             pencil_order: pencil.order(),
             svd_fallbacks: detection.fallback_methods(),
             elapsed: start.elapsed(),
         })
-    }
-
-    /// Realization from the **session-retained** thin factorization of
-    /// the shifted pencil instead of a fresh decomposition — the
-    /// updating session's fast path. Returns `Ok(None)` when the
-    /// retained factors cannot serve this request:
-    ///
-    /// * the requested order exceeds the retained rank `q` (the
-    ///   truncated tail is gone), or
-    /// * `2q > K` — the realified retained bases are `2q` wide, so the
-    ///   restricted stacked problems would be no smaller than the fresh
-    ///   ones (dense/noisy streams).
-    pub(crate) fn realize_pencil_retained(
-        &self,
-        pencil: &LoewnerPencil,
-        updater: &SvdUpdater<Complex>,
-        order: usize,
-    ) -> Result<Option<DescriptorSystem<f64>>, MftiError> {
-        let q = updater.retained_rank();
-        if order > q || 2 * q > pencil.order() {
-            return Ok(None);
-        }
-        let real = realify(pencil, self.realify_tol)?;
-        let ts = pencil.pair_ts();
-        let tu = apply_t_adjoint_left(updater.left(), ts);
-        let tv = apply_t_adjoint_left(updater.right(), ts);
-        Ok(Some(realize_real_retained(&real, &tu, &tv, order)?))
     }
 }
 

@@ -70,8 +70,25 @@ impl RealifiedPencil {
     /// on the packed real GEMM path — about half the wall clock of the
     /// complex bidiagonalization at the same `K` (DESIGN.md §5).
     pub fn shifted_pencil(&self, x0: f64) -> RMatrix {
-        RMatrix::from_fn(self.ll.rows(), self.ll.cols(), |i, j| {
-            self.ll[(i, j)] * x0 - self.sll[(i, j)]
+        self.shifted_pencil_block(x0, 0, 0, self.ll.rows(), self.ll.cols())
+    }
+
+    /// The `rows × cols` block of [`shifted_pencil`](Self::shifted_pencil)
+    /// at `(row, col)`, entry for entry the same arithmetic, so blocks
+    /// tile the full matrix bit for bit. `T` is block-diagonal per
+    /// sample pair, so a block over whole pairs is the realified block
+    /// of the complex shifted pencil: a session's border strips and
+    /// probe columns, `O(K·k_new)` instead of `O(K²)`.
+    pub(crate) fn shifted_pencil_block(
+        &self,
+        x0: f64,
+        row: usize,
+        col: usize,
+        rows: usize,
+        cols: usize,
+    ) -> RMatrix {
+        RMatrix::from_fn(rows, cols, |i, j| {
+            self.ll[(row + i, col + j)] * x0 - self.sll[(row + i, col + j)]
         })
     }
 }
@@ -233,11 +250,8 @@ fn realify_square(x: &CMatrix, pair_ts: &[usize]) -> Result<(RMatrix, f64), Mfti
 /// (T*X)[off+t+i, :] = j (X[off+i, :] − X[off+t+i, :]) / √2
 /// ```
 ///
-/// `X` must have `Σ 2tᵢ` rows. The session's retained-factor
-/// realization uses this to push updater bases through the Lemma 3.2
-/// frame, where a dense `T*` GEMM would cost more than the projection
-/// it feeds.
-pub(crate) fn apply_t_adjoint_left(x: &CMatrix, pair_ts: &[usize]) -> CMatrix {
+/// `X` must have `Σ 2tᵢ` rows.
+fn apply_t_adjoint_left(x: &CMatrix, pair_ts: &[usize]) -> CMatrix {
     let k: usize = pair_ts.iter().map(|t| 2 * t).sum();
     debug_assert_eq!(x.rows(), k, "T* row-application dimension mismatch");
     let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
@@ -268,7 +282,7 @@ pub(crate) fn apply_t_adjoint_left(x: &CMatrix, pair_ts: &[usize]) -> CMatrix {
 ///
 /// `X` must have `Σ 2tᵢ` columns. Row by row ([`t_right_row`]), so
 /// every pass runs over contiguous memory.
-pub(crate) fn apply_t_right(x: &CMatrix, pair_ts: &[usize]) -> CMatrix {
+fn apply_t_right(x: &CMatrix, pair_ts: &[usize]) -> CMatrix {
     let k: usize = pair_ts.iter().map(|t| 2 * t).sum();
     debug_assert_eq!(x.cols(), k, "T column-application dimension mismatch");
     let mut out = x.clone();

@@ -7,13 +7,15 @@
 //!   left factors of `svd([𝕃 σ𝕃])`, right factors of `svd([𝕃; σ𝕃])`
 //!   (the Lefteriu–Antoulas recipe; the singular values of the shifted
 //!   pencil still drive order detection — see DESIGN.md §5).
-//!   [`RealDetection`] is the pipeline every fit and session runs on top
-//!   of it.
+//!   `RealPencilState` is the pipeline every fit and session runs on
+//!   top of it.
 //! * [`realize_complex`] — Lemma 3.4's complex projection, the step the
 //!   realification replaces. The pipeline never takes it; it stays as
 //!   the public oracle that tests and ablations compare against.
 
-use mfti_numeric::{CMatrix, Complex, Matrix, Qr, RMatrix, Scalar, SvdFactors, SvdMethod};
+use std::sync::OnceLock;
+
+use mfti_numeric::{CMatrix, Complex, Matrix, RMatrix, Scalar, SvdFactors};
 use mfti_statespace::DescriptorSystem;
 
 use crate::error::MftiError;
@@ -230,11 +232,11 @@ pub fn realize_real(
 }
 
 /// Decomposes the two stacked pencils `[𝕃 σ𝕃]` (wide) and `[𝕃; σ𝕃]`
-/// (tall) — the order-independent half of [`realize_real`], shared with
-/// the session cache ([`StackedRealization`]). Both prefer the QR-first
-/// lazy two-phase path, where the factor sides the projection reads
-/// (left of the wide stack, right of the tall one) never touch the QR's
-/// `Q`; a stalled sweep degrades through the recovery ladder
+/// (tall) — the order-independent half of [`realize_real`], which
+/// [`RealPencilState`] keeps per pencil generation. Both prefer the
+/// QR-first lazy two-phase path, where the factor sides the projection
+/// reads (left of the wide stack, right of the tall one) never touch
+/// the QR's `Q`; a stalled sweep degrades through the recovery ladder
 /// ([`LadderSvd`], DESIGN.md §8).
 fn stacked_factors(
     pencil: &RealifiedPencil,
@@ -262,85 +264,115 @@ fn realize_real_from_stacked(
     project_real(pencil, &y, &x)
 }
 
-/// Order detection on the realified pencil, kept for realization — the
-/// one pipeline that one-shot fits and sessions share. The realified
-/// shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ` is real because the pinned shift is
-/// (DESIGN.md §5), so detection runs on the packed real GEMM path, and
-/// its factors are the real bases the restricted projection reads.
-/// [`Mfti::fit`](crate::Fitter::fit) computes one per fit; a
-/// [`FitSession`](crate::FitSession) computes one on its first append
-/// and keeps it, so a single-batch session realizes with the fit's bits
-/// at every order.
+/// One pencil generation in real arithmetic: the realified pencil
+/// (Lemma 3.2, residual-checked once) and the factorizations its
+/// realizations read, each filled on first use and then reused. The
+/// pinned shift is real (DESIGN.md §5), so the shifted pencil
+/// `x₀𝕃ᵣ − σ𝕃ᵣ` is a real matrix: detection runs on the packed real
+/// GEMM path, and its factors are the real bases the restricted
+/// projection reads. [`Mfti::fit`](crate::Fitter::fit) builds one per
+/// fit; a [`FitSession`](crate::FitSession) builds one per append and
+/// feeds its updater, its oracle and every `realize_with` from it, so a
+/// single-batch session realizes with the fit's bits at every order.
 #[derive(Debug, Clone)]
-pub(crate) struct RealDetection {
+pub(crate) struct RealPencilState {
     real: RealifiedPencil,
-    ladder: LadderSvd<f64>,
+    x0: f64,
+    /// Bidiagonalization of `x₀𝕃ᵣ − σ𝕃ᵣ` (detection signal and
+    /// restricted-projection bases).
+    detection: OnceLock<LadderSvd<f64>>,
+    /// Bidiagonalizations of `[𝕃ᵣ σ𝕃ᵣ]` and `[𝕃ᵣ; σ𝕃ᵣ]` (dense orders).
+    stacked: OnceLock<(LadderSvd<f64>, LadderSvd<f64>)>,
 }
 
-impl RealDetection {
-    /// Realifies `pencil` (Lemma 3.2, tolerance `realify_tol`) — data
-    /// that is not conjugate-closed is refused before any factorization
-    /// — and bidiagonalizes its shifted pencil through the recovery
-    /// ladder (DESIGN.md §8).
-    pub(crate) fn compute(pencil: &LoewnerPencil, realify_tol: f64) -> Result<Self, MftiError> {
-        let real = realify(pencil, realify_tol)?;
-        let shifted = real.shifted_pencil(pencil.default_x0().re);
-        let ladder = LadderSvd::compute(&shifted, SvdFactors::Both)?;
-        Ok(RealDetection { real, ladder })
+impl RealPencilState {
+    /// Realifies `pencil` (tolerance `realify_tol`): data that is not
+    /// conjugate-closed is refused before any factorization.
+    pub(crate) fn new(pencil: &LoewnerPencil, realify_tol: f64) -> Result<Self, MftiError> {
+        Ok(RealPencilState {
+            real: realify(pencil, realify_tol)?,
+            x0: pencil.default_x0().re,
+            detection: OnceLock::new(),
+            stacked: OnceLock::new(),
+        })
     }
 
-    /// The Lemma 3.1 detection signal, descending.
-    pub(crate) fn singular_values(&self) -> &[f64] {
-        self.ladder.singular_values()
+    /// Pencil order `K`.
+    pub(crate) fn order(&self) -> usize {
+        self.real.order()
     }
 
-    /// Ladder rungs that broke down before the detection succeeded.
-    pub(crate) fn fallback_methods(&self) -> Vec<SvdMethod> {
-        self.ladder.fallback_methods()
+    /// The `rows × cols` block of `x₀𝕃ᵣ − σ𝕃ᵣ` at `(row, col)`.
+    pub(crate) fn shifted_block(
+        &self,
+        row: usize,
+        col: usize,
+        rows: usize,
+        cols: usize,
+    ) -> RMatrix {
+        self.real
+            .shifted_pencil_block(self.x0, row, col, rows, cols)
+    }
+
+    /// The whole shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ`.
+    pub(crate) fn shifted(&self) -> RMatrix {
+        self.real.shifted_pencil(self.x0)
+    }
+
+    /// The shifted pencil's bidiagonalization through the recovery
+    /// ladder (DESIGN.md §8), computed on the first call.
+    pub(crate) fn detection(&self) -> Result<&LadderSvd<f64>, MftiError> {
+        if let Some(detection) = self.detection.get() {
+            return Ok(detection);
+        }
+        let built = LadderSvd::compute(&self.shifted(), SvdFactors::Both)?;
+        // A lost set race just drops an identical value.
+        Ok(self.detection.get_or_init(|| built))
     }
 
     /// Order-`order` real model. Dense requests (`2r > K`) take the
-    /// stacked SVDs ([`realize_real`]); the others restrict the stacks
-    /// to the detection's leading `r` factor columns
-    /// ([`realize_real_restricted`]), which the Loewner rank equalities
-    /// make span the same spaces, shrinking both `K × 2K` problems to
-    /// `r × 2K`.
+    /// stacked SVDs, as [`realize_real`] does; the others restrict the
+    /// stacks to the detection's leading `r` factor columns, which the
+    /// Loewner rank equalities make span the same spaces, shrinking
+    /// both `K × 2K` problems to `r × 2K`.
     pub(crate) fn realize(&self, order: usize) -> Result<DescriptorSystem<f64>, MftiError> {
-        if 2 * order > self.real.order() {
-            return realize_real(&self.real, order);
+        if 2 * order > self.order() {
+            let (rows, cols) = match self.stacked.get() {
+                Some(stacked) => stacked,
+                None => {
+                    let built = stacked_factors(&self.real)?;
+                    self.stacked.get_or_init(|| built)
+                }
+            };
+            return realize_real_from_stacked(&self.real, rows, cols, order);
         }
-        let (y, x) = self.ladder.accumulate_both(order)?;
-        realize_real_restricted(&self.real, &y, &x, order)
-    }
-}
-
-/// The realization stage's order-independent state, retained across
-/// order re-selections: the realified pencil plus the two stacked
-/// bidiagonalizations. [`FitSession`](crate::session::FitSession)
-/// caches one per pencil generation, so a repeated dense realize
-/// (`2·order > K`, where neither restriction shrinks the stacks) pays
-/// only rank-limited accumulation and projection — the expensive
-/// factorizations are reused. [`realize`](Self::realize) is
-/// bit-identical to [`realize_real`] on the same pencil at every order.
-#[derive(Debug, Clone)]
-pub(crate) struct StackedRealization {
-    real: RealifiedPencil,
-    rows: LadderSvd<f64>,
-    cols: LadderSvd<f64>,
-}
-
-impl StackedRealization {
-    /// Realifies `pencil` (Lemma 3.2, tolerance `realify_tol`) and
-    /// bidiagonalizes its stacks.
-    pub(crate) fn build(pencil: &LoewnerPencil, realify_tol: f64) -> Result<Self, MftiError> {
-        let real = realify(pencil, realify_tol)?;
-        let (rows, cols) = stacked_factors(&real)?;
-        Ok(StackedRealization { real, rows, cols })
+        let (y, x) = self.detection()?.accumulate_both(order)?;
+        self.realize_restricted(&y, &x, order)
     }
 
-    /// Order-`order` real realization from the retained factorizations.
-    pub(crate) fn realize(&self, order: usize) -> Result<DescriptorSystem<f64>, MftiError> {
-        realize_real_from_stacked(&self.real, &self.rows, &self.cols, order)
+    /// Order-`order` real model from the stacks restricted to real
+    /// orthonormal bases `yb`/`xb` that contain their leading column
+    /// and row spaces: `[𝕃ᵣ σ𝕃ᵣ] = Yb·G` and `[𝕃ᵣ; σ𝕃ᵣ] = H·Xbᵀ`
+    /// (numerically), so the leading singular subspaces of the small
+    /// `G`/`H` lift back through the bases. The bases are the
+    /// detection's leading `r` factors ([`realize`](Self::realize)) or
+    /// a session updater's `q` retained factors of the same shifted
+    /// pencil (DESIGN.md §6).
+    pub(crate) fn realize_restricted(
+        &self,
+        yb: &RMatrix,
+        xb: &RMatrix,
+        order: usize,
+    ) -> Result<DescriptorSystem<f64>, MftiError> {
+        let pencil = &self.real;
+        check_order(order, pencil.order())?;
+        let row_stack = RMatrix::hstack(&[pencil.ll(), pencil.sll()])?;
+        let col_stack = RMatrix::vstack(&[pencil.ll(), pencil.sll()])?;
+        let g = yb.mul_hermitian_left(&row_stack)?;
+        let h = col_stack.matmul(xb)?;
+        let y = yb.matmul(&LadderSvd::compute(&g, SvdFactors::Left)?.accumulate_u(order)?)?;
+        let x = xb.matmul(&LadderSvd::compute(&h, SvdFactors::Right)?.accumulate_v(order)?)?;
+        project_real(pencil, &y, &x)
     }
 }
 
@@ -372,57 +404,6 @@ fn project<T: Scalar>(
     let c = w.matmul(x)?;
     let (p, m) = (c.rows(), b.cols());
     Ok(DescriptorSystem::new(e, a, b, c, Matrix::zeros(p, m))?)
-}
-
-/// Real realization seeded from **session-retained** factors: `tu`/`tv`
-/// are the updater's thin `U`/`V` of the complex shifted pencil pushed
-/// through the Lemma 3.2 frame (`T*U`, `T*V`). By the Loewner rank
-/// equalities (Mayo–Antoulas), the stacked pencils' column/row spaces
-/// coincide with the shifted pencil's, so `[Re(T*U) Im(T*U)]` spans
-/// `col([𝕃ᵣ σ𝕃ᵣ])` up to the updater's retained-tail error — the
-/// stacked SVDs shrink from `K×2K` to `2q×2K` problems restricted to
-/// that subspace. See DESIGN.md §6 for when this is (not) valid; the
-/// session falls back to its other routes outside those conditions.
-pub(crate) fn realize_real_retained(
-    pencil: &RealifiedPencil,
-    tu: &CMatrix,
-    tv: &CMatrix,
-    order: usize,
-) -> Result<DescriptorSystem<f64>, MftiError> {
-    let realified_span = |m: &CMatrix| -> Result<RMatrix, MftiError> {
-        Ok(RMatrix::hstack(&[&m.real_part(), &m.imag_part()])?)
-    };
-    // Orthonormal real bases of the retained column/row spaces.
-    let yb = Qr::compute(&realified_span(tu)?)?.q_thin();
-    let xb = Qr::compute(&realified_span(tv)?)?.q_thin();
-    realize_real_restricted(pencil, &yb, &xb, order)
-}
-
-/// Stacked realization **restricted** to real orthonormal bases
-/// `yb`/`xb` that contain the stacked pencils' leading column/row
-/// spaces: `row_stack = Yb·G` and `col_stack = H·Xbᵀ` (numerically),
-/// so the leading singular subspaces of the small `G`/`H` lift back
-/// through the bases. Two factor sources share this tail:
-///
-/// * [`realize_real_retained`] — session updater factors pushed through
-///   the Lemma 3.2 frame and re-orthonormalized (`2q`-wide spans);
-/// * [`RealDetection::realize`] — the leading `r` singular vectors of
-///   `x₀𝕃ᵣ − σ𝕃ᵣ`, already real and orthonormal, used directly when
-///   `2r ≤ K`.
-fn realize_real_restricted(
-    pencil: &RealifiedPencil,
-    yb: &RMatrix,
-    xb: &RMatrix,
-    order: usize,
-) -> Result<DescriptorSystem<f64>, MftiError> {
-    check_order(order, pencil.order())?;
-    let row_stack = RMatrix::hstack(&[pencil.ll(), pencil.sll()])?;
-    let col_stack = RMatrix::vstack(&[pencil.ll(), pencil.sll()])?;
-    let g = yb.mul_hermitian_left(&row_stack)?;
-    let h = col_stack.matmul(xb)?;
-    let y = yb.matmul(&LadderSvd::compute(&g, SvdFactors::Left)?.accumulate_u(order)?)?;
-    let x = xb.matmul(&LadderSvd::compute(&h, SvdFactors::Right)?.accumulate_v(order)?)?;
-    project_real(pencil, &y, &x)
 }
 
 #[cfg(test)]
@@ -643,5 +624,30 @@ mod tests {
         }
         assert!(worst.is_finite());
         assert!(worst > 1e-8, "a rank-4 model cannot be exact for order 10");
+    }
+
+    #[test]
+    fn pencil_state_fills_each_factorization_once_on_first_use() {
+        let (pencil, _, _, _) = setup(8, 2, 2, 10, 2);
+        let state = RealPencilState::new(&pencil, 1e-9).unwrap();
+        assert!(state.detection.get().is_none() && state.stacked.get().is_none());
+        let bits = |m: &DescriptorSystem<f64>| -> Vec<u64> {
+            let (e, a, b, c, d) = m.real_matrices();
+            [e, a, b, c, d]
+                .iter()
+                .flat_map(|x| x.iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        // A restricted order reads only the detection …
+        let restricted = state.realize(4).unwrap();
+        assert!(state.detection.get().is_some() && state.stacked.get().is_none());
+        assert_eq!(bits(&state.realize(4).unwrap()), bits(&restricted));
+        // … a dense one the stacks, with `realize_real`'s bits.
+        let k = state.order();
+        let dense = state.realize(k).unwrap();
+        assert!(state.stacked.get().is_some());
+        let want = realize_real(&realify(&pencil, 1e-9).unwrap(), k).unwrap();
+        assert_eq!(bits(&dense), bits(&want));
+        assert_eq!(bits(&state.realize(k).unwrap()), bits(&want));
     }
 }

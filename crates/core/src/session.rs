@@ -10,13 +10,14 @@
 //!    ([`LoewnerPencil::extend`], the machinery Algorithm 2 uses
 //!    internally) instead of rebuilding `O(K²)` blocks from scratch;
 //! 2. **Incremental order detection** — the singular values of the
-//!    shifted pencil are *updated* per append through a rank-revealing
-//!    [`SvdUpdater`] (the appended pencil strips are absorbed as a
-//!    bordered low-rank update) instead of re-decomposed, so the
-//!    per-measurement signal costs `O(K·(q + t)²)` with `q` the
-//!    numerical rank — sublinear in the pencil for the rank-deficient
-//!    pencils the method produces ([`SessionSvd`] can switch back to
-//!    fresh decompositions as an oracle);
+//!    realified shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ` are *updated* per append
+//!    through a rank-revealing real [`SvdUpdater`] (the appended pencil
+//!    strips are absorbed as a bordered low-rank update) instead of
+//!    re-decomposed, so the per-measurement signal costs
+//!    `O(K·(q + t)²)` with `q` the numerical rank — sublinear in the
+//!    pencil for the rank-deficient pencils the method produces
+//!    ([`SessionSvd`] can switch back to fresh decompositions as an
+//!    oracle);
 //! 3. **Cheap order re-selection** — the order-detection signal is
 //!    cached, so [`FitSession::realize_with`] re-runs order selection
 //!    at a different tolerance and only repeats the final projection;
@@ -26,33 +27,32 @@
 //!    borrowable between stages.
 //!
 //! Both [`WindowPolicy`] variants share one append path: an unbounded
-//! session is a sliding window that never evicts. Every append after
-//! the first advances the updater the same way — downdate the evicted
-//! pairs (none when unbounded), absorb the appended border, verify with
-//! a probe gate, check drift — and re-anchors from a fresh
-//! decomposition when a step fails (DESIGN.md §9).
-
-use std::sync::OnceLock;
+//! session is a sliding window that never evicts. Every append realifies
+//! the grown pencil once (Lemma 3.2, with its residual check); that one
+//! real pencil feeds the signal and every realization of the
+//! generation. Every append after the first advances the updater the
+//! same way — downdate the evicted pairs (none when unbounded), absorb
+//! the appended border, verify with a probe gate, check drift — and
+//! re-anchors from a fresh decomposition when a step fails (DESIGN.md
+//! §9).
 
 use mfti_numeric::diag::Stopwatch;
-use mfti_numeric::{Complex, NumericError, Svd, SvdFactors, SvdMethod, SvdUpdater};
+use mfti_numeric::{NumericError, RMatrix, Svd, SvdFactors, SvdMethod, SvdUpdater};
 use mfti_sampling::SampleSet;
 
 use crate::data::{TangentialData, Weights};
-use crate::directions::DirectionOrigin;
+use crate::directions::{check_block_width, DirectionOrigin};
 use crate::error::MftiError;
 use crate::fitter::{FitError, FitOutcome};
 use crate::loewner::LoewnerPencil;
 use crate::mfti::{FitResult, Mfti};
-use crate::realize::{OrderSelection, RealDetection, StackedRealization};
+use crate::realize::{OrderSelection, RealPencilState};
 
 /// One consistent generation of the order-detection signal, as
 /// [`FitSession::append`] commits it: the updater (multi-append
-/// streams), the first append's kept detection (single-batch
-/// sessions), the cached values and the health record.
+/// streams), the cached values and the health record.
 struct SignalGeneration {
-    updater: Option<SvdUpdater<Complex>>,
-    detection: Option<RealDetection>,
+    updater: Option<SvdUpdater<f64>>,
     sv: Vec<f64>,
     diagnostic: SignalDiagnostic,
 }
@@ -97,8 +97,8 @@ pub enum Reanchor {
     /// Retired: sessions no longer produce it. The variant stays for
     /// callers that still match on it.
     ShadowSwap,
-    /// A fresh blocked decomposition of the live window's shifted
-    /// pencil re-seeded the updater.
+    /// A fresh blocked decomposition of the live window's realified
+    /// shifted pencil re-seeded the updater.
     FreshBlocked,
     /// The blocked seed itself stalled (`NoConvergence`); the
     /// Golub–Kahan rung re-seeded the updater.
@@ -189,10 +189,10 @@ impl SignalDiagnostic {
 pub enum SessionSvd {
     /// Rank-revealing incremental updates (the default): the first
     /// append runs the one-shot fit's detection on the realified pencil,
-    /// the second materializes the retained factorization of the
-    /// complex shifted pencil, and every further append absorbs its
-    /// pencil strips as a bordered low-rank update — `O(K·(q + t)²)`
-    /// per append instead of `O(K³)`.
+    /// the second materializes a real retained factorization of the
+    /// first append's realified shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ` and absorbs
+    /// the realified border strips into it, as does every further
+    /// append — `O(K·(q + t)²)` per append instead of `O(K³)`.
     #[default]
     Updating,
     /// Fresh values-only decomposition with the given backend on every
@@ -272,18 +272,22 @@ pub enum SessionSvd {
 ///   [`singular_values`](FitSession::singular_values) and the
 ///   realization calls only ever read this cache; **no call path can
 ///   observe a stale generation** (regression-tested below).
-/// * the detection — the first append runs the one-shot fit's own
-///   (realify, then a lazy bidiagonalization of the real shifted
-///   pencil) and keeps it, so a single-batch session realizes with
+/// * the realified pencil — every append realifies the grown pencil
+///   once and keeps it with the detection and stacked factorizations
+///   its realizations fill on first use. The first append runs the
+///   one-shot fit's detection on it (a lazy bidiagonalization of the
+///   real shifted pencil), so a single-batch session realizes with
 ///   [`Mfti::fit`](crate::Fitter::fit)'s bits at every order;
-/// * the [`SvdUpdater`] — materialized lazily on the *second* append
-///   (single-batch sessions never pay for its factors) and advanced on
-///   each later one under either window policy: downdate the evicted
-///   rows and columns, absorb the border strips of the complex
-///   `x₀𝕃 − σ𝕃`, run the probe gate, check drift; a failed step
-///   re-anchors it from a fresh decomposition. The updater and the
-///   kept detection are dropped when a [`SessionSvd::Fresh`] oracle is
-///   selected.
+/// * the real [`SvdUpdater`] — materialized lazily on the *second*
+///   append from the first append's realified pencil (single-batch
+///   sessions never pay for its factors) and advanced on each later
+///   one under either window policy: downdate the evicted rows and
+///   columns, absorb the border strips of `x₀𝕃ᵣ − σ𝕃ᵣ`, run the probe
+///   gate, check drift; a failed step re-anchors it from a fresh
+///   decomposition. `T` is block-diagonal per sample pair, so the
+///   realified pencil's rows and columns follow the pairs exactly as
+///   the complex pencil's do. The updater is dropped when a
+///   [`SessionSvd::Fresh`] oracle is selected.
 /// * the [`order_trajectory`](FitSession::order_trajectory) — one
 ///   entry per append, resolved from the freshly refreshed `sv`.
 #[derive(Debug, Clone)]
@@ -293,23 +297,15 @@ pub struct FitSession {
     samples: Option<SampleSet>,
     data: Option<TangentialData>,
     pencil: Option<LoewnerPencil>,
-    /// Retained state of the incremental order-detection SVD; see the
-    /// lifecycle notes in the struct docs.
-    updater: Option<SvdUpdater<Complex>>,
-    /// The first append's detection (realified pencil plus the lazy
-    /// bidiagonalization of `x₀𝕃ᵣ − σ𝕃ᵣ`), kept so single-batch
-    /// sessions realize by **accumulating** from it, exactly as the
-    /// one-shot fit does (multi-append sessions hold the updater's thin
-    /// factors instead; exactly one of `updater`/`detection` is
-    /// populated after an `Updating` append).
-    detection: Option<RealDetection>,
-    /// Lazily built dense-path realization state (realified pencil +
-    /// stacked bidiagonalizations), filled by the first `realize` whose
-    /// requested order is too dense (`2·order > K`) for the restricted
-    /// routes and reused — bit-identically — by every later one on the
-    /// same pencil generation. Reset by `append`.
-    stacked: OnceLock<StackedRealization>,
-    /// Singular values of `x₀𝕃 − σ𝕃`, refreshed by every `append`.
+    /// The current generation's realified pencil, with the detection
+    /// and stacked factorizations its realizations fill on first use;
+    /// replaced by every `append`.
+    real: Option<RealPencilState>,
+    /// Retained real factorization of `x₀𝕃ᵣ − σ𝕃ᵣ`; see the lifecycle
+    /// notes in the struct docs.
+    updater: Option<SvdUpdater<f64>>,
+    /// Singular values of `x₀𝕃ᵣ − σ𝕃ᵣ` (those of `x₀𝕃 − σ𝕃`),
+    /// refreshed by every `append`.
     sv: Option<Vec<f64>>,
     /// Detected order after each append (0 when the rule fails).
     trajectory: Vec<usize>,
@@ -353,9 +349,8 @@ impl FitSession {
             samples: None,
             data: None,
             pencil: None,
+            real: None,
             updater: None,
-            detection: None,
-            stacked: OnceLock::new(),
             sv: None,
             trajectory: Vec::new(),
             signal_trajectory: Vec::new(),
@@ -404,7 +399,6 @@ impl FitSession {
     pub fn svd(mut self, strategy: SessionSvd) -> Self {
         if matches!(strategy, SessionSvd::Fresh(_)) {
             self.updater = None;
-            self.detection = None;
         }
         self.svd = strategy;
         self
@@ -426,18 +420,20 @@ impl FitSession {
     /// the live window (the surviving triples are bit-identical thanks
     /// to prefix-stable directions), the Loewner pencil is retracted by
     /// the evicted pairs and extended by **only the new rows/columns**
-    /// ([`LoewnerPencil::retract`], [`LoewnerPencil::extend`]), and the
-    /// order-detection singular values are refreshed — under the
-    /// default [`SessionSvd::Updating`] by the one-shot fit's own
-    /// detection on the first append and by a verified
-    /// [`SvdUpdater`] downdate and border update afterwards, by a fresh
-    /// values-only decomposition under a [`SessionSvd::Fresh`] oracle.
-    /// The detected order is recorded on the
+    /// ([`LoewnerPencil::retract`], [`LoewnerPencil::extend`]), the
+    /// grown pencil is realified once (Lemma 3.2), and the
+    /// order-detection singular values of its shifted pencil
+    /// `x₀𝕃ᵣ − σ𝕃ᵣ` are refreshed — under the default
+    /// [`SessionSvd::Updating`] by the one-shot fit's own detection on
+    /// the first append and by a verified real [`SvdUpdater`] downdate
+    /// and border update afterwards, by a fresh values-only
+    /// decomposition under a [`SessionSvd::Fresh`] oracle. The detected
+    /// order is recorded on the
     /// [`order_trajectory`](FitSession::order_trajectory).
     ///
     /// The operation is transactional: on error the session — samples,
-    /// pencil, updater, cached signal and trajectory — is left
-    /// unchanged.
+    /// pencil, realified pencil, updater, cached signal and trajectory —
+    /// is left unchanged.
     ///
     /// # Errors
     ///
@@ -446,12 +442,12 @@ impl FitSession {
     ///   or mixes port counts, or the batch's own pencil contribution
     ///   exceeds a [`WindowPolicy::Sliding`] capacity;
     /// * [`FitError::Mfti`] with [`MftiError::InvalidWeights`] when a
+    ///   uniform block width lies outside `[1, min(m, p)]`, when a
     ///   `PerPair` weight vector no longer matches the pair count, or
-    ///   arrives under a sliding window;
+    ///   when one arrives under a sliding window;
     /// * [`FitError::Mfti`] with [`MftiError::RealificationResidual`]
-    ///   when an `Updating` session's first batch is not
-    ///   conjugate-closed (that append realifies, as the one-shot fit
-    ///   does);
+    ///   when the grown pencil is not conjugate-closed, on any append
+    ///   (every append realifies, as the one-shot fit does);
     /// * [`FitError::Mfti`] wrapping numeric failures of the signal
     ///   refresh (non-finite data, an exhausted re-anchor ladder).
     pub fn append(&mut self, new: &SampleSet) -> Result<(), FitError> {
@@ -517,7 +513,8 @@ impl FitSession {
             }
             _ => LoewnerPencil::build(&data)?,
         };
-        let generation = self.advance_signal(&pencil, evict.order, full_replacement)?;
+        let real = RealPencilState::new(&pencil, self.config.realify_tol_ref())?;
+        let generation = self.advance_signal(&real, evict.order, full_replacement)?;
 
         // Commit (everything fallible already happened).
         let order = self
@@ -534,9 +531,8 @@ impl FitSession {
         self.samples = Some(samples);
         self.data = Some(data);
         self.pencil = Some(pencil);
+        self.real = Some(real);
         self.updater = generation.updater;
-        self.detection = generation.detection;
-        self.stacked = OnceLock::new();
         self.sv = Some(generation.sv);
         self.evicted_pairs += evict.pairs;
         self.evicted_cols += evict.cols;
@@ -552,7 +548,8 @@ impl FitSession {
         };
         // The per-pair block width is resolvable without building data:
         // a fixed-length `PerPair` vector cannot follow an evicting
-        // pair list and is rejected up front.
+        // pair list and is rejected up front, and a width outside the
+        // direction blocks' range is refused as the data build would.
         let (p, m) = new.ports();
         let t = match self.config.weights_ref() {
             Weights::Full => p.min(m),
@@ -565,6 +562,7 @@ impl FitSession {
                 .into())
             }
         };
+        check_block_width(t, p, m)?;
         let k_new = 2 * t * (new.len() / 2);
         if k_new == 0 || k_new > capacity {
             return Err(MftiError::InvalidSamples {
@@ -590,35 +588,32 @@ impl FitSession {
     }
 
     /// The first append's signal under either window policy: the
-    /// one-shot fit's own detection ([`RealDetection`]), kept so a single-batch
-    /// session realizes exactly as [`Mfti::fit`](crate::Fitter::fit)
-    /// does. The updater's factors are deferred until a second append
-    /// proves this is a stream.
-    fn first_signal(&self, pencil: &LoewnerPencil) -> Result<SignalGeneration, FitError> {
-        let detection = RealDetection::compute(pencil, self.config.realify_tol_ref())?;
+    /// one-shot fit's own detection on the realified pencil, kept in
+    /// `real` so a single-batch session realizes exactly as
+    /// [`Mfti::fit`](crate::Fitter::fit) does. The updater's factors
+    /// are deferred until a second append proves this is a stream.
+    fn first_signal(real: &RealPencilState) -> Result<SignalGeneration, FitError> {
+        let detection = real.detection()?;
         Ok(SignalGeneration {
             updater: None,
             sv: detection.singular_values().to_vec(),
             diagnostic: SignalDiagnostic::with_fallbacks(detection.fallback_methods()),
-            detection: Some(detection),
         })
     }
 
     /// The [`SessionSvd::Fresh`] oracle's signal on every append:
-    /// a values-only decomposition of `x₀𝕃 − σ𝕃` that walks the
+    /// a values-only decomposition of `x₀𝕃ᵣ − σ𝕃ᵣ` that walks the
     /// recovery ladder from the chosen backend (DESIGN.md §8), so a
     /// stalled sweep degrades and is recorded rather than failing the
     /// append.
     fn fresh_signal(
-        pencil: &LoewnerPencil,
+        real: &RealPencilState,
         method: SvdMethod,
     ) -> Result<SignalGeneration, FitError> {
-        let shifted = pencil.shifted_pencil(pencil.default_x0());
-        let rec = Svd::compute_recovering(&shifted, method, SvdFactors::ValuesOnly)
+        let rec = Svd::compute_recovering(&real.shifted(), method, SvdFactors::ValuesOnly)
             .map_err(MftiError::from)?;
         Ok(SignalGeneration {
             updater: None,
-            detection: None,
             sv: rec.svd.singular_values().to_vec(),
             diagnostic: SignalDiagnostic::with_fallbacks(
                 rec.fallbacks.iter().map(|(m, _)| *m).collect(),
@@ -627,7 +622,8 @@ impl FitSession {
     }
 
     /// Computes the next generation of the order-detection signal for
-    /// the slid `pencil`, without touching `self` (the caller commits).
+    /// the slid pencil's realification `real`, without touching `self`
+    /// (the caller commits).
     ///
     /// Past the first append the updater advances in four steps:
     /// downdate the `k_evict` evicted leading rows and columns (none
@@ -639,18 +635,17 @@ impl FitSession {
     /// then Golub–Kahan on `NoConvergence`.
     fn advance_signal(
         &self,
-        pencil: &LoewnerPencil,
+        real: &RealPencilState,
         k_evict: usize,
         full_replacement: bool,
     ) -> Result<SignalGeneration, FitError> {
         if let SessionSvd::Fresh(method) = self.svd {
-            return Self::fresh_signal(pencil, method);
+            return Self::fresh_signal(real, method);
         }
-        let Some(prev) = &self.pencil else {
-            return self.first_signal(pencil);
+        let Some(prev) = &self.real else {
+            return Self::first_signal(real);
         };
-        let x0 = pencil.default_x0();
-        let k = pencil.order();
+        let k = real.order();
         let mut gate_residual = None;
         let mut quarantined = false;
         let mut live = None;
@@ -658,28 +653,28 @@ impl FitSession {
             // Only the three border strips and three probe columns —
             // first, middle and last of the window — are assembled,
             // never the full K×K shifted matrix, so the work beyond the
-            // update itself stays O(K·k_new).
+            // realification and the update itself stays O(K·k_new).
             let k_surv = prev.order() - k_evict;
             let k_new = k - k_surv;
-            let cols = pencil.shifted_pencil_block(x0, 0, k_surv, k_surv, k_new)?;
-            let rows = pencil.shifted_pencil_block(x0, k_surv, 0, k_new, k_surv)?;
-            let corner = pencil.shifted_pencil_block(x0, k_surv, k_surv, k_new, k_new)?;
+            let cols = real.shifted_block(0, k_surv, k_surv, k_new);
+            let rows = real.shifted_block(k_surv, 0, k_new, k_surv);
+            let corner = real.shifted_block(k_surv, k_surv, k_new, k_new);
             let mut probe_idx = vec![0, k / 2, k - 1];
             probe_idx.dedup();
-            let mut reference = mfti_numeric::CMatrix::zeros(k, probe_idx.len());
+            let mut reference = RMatrix::zeros(k, probe_idx.len());
             for (c, &j) in probe_idx.iter().enumerate() {
-                let col = pencil.shifted_pencil_block(x0, 0, j, k, 1)?;
+                let col = real.shifted_block(0, j, k, 1);
                 for i in 0..k {
                     reference[(i, c)] = col[(i, 0)];
                 }
             }
             // The updater materializes lazily from the *previous*
-            // pencil; x₀ is pinned, so both generations shift by the
-            // same point.
-            let advanced = (|| -> Result<(SvdUpdater<Complex>, f64), NumericError> {
+            // generation's realified pencil; x₀ is pinned, so both
+            // generations shift by the same point.
+            let advanced = (|| -> Result<(SvdUpdater<f64>, f64), NumericError> {
                 let mut upd = match &self.updater {
                     Some(upd) => upd.clone(),
-                    None => SvdUpdater::new(&prev.shifted_pencil(x0))?,
+                    None => SvdUpdater::new(&prev.shifted())?,
                 };
                 upd.downdate_leading(k_evict, k_evict)?;
                 upd.append_border(&cols, &rows, &corner)?;
@@ -687,7 +682,7 @@ impl FitSession {
                 Ok((upd, residual))
             })();
             if let Ok((upd, residual)) = advanced {
-                // The gate `‖A[:,J] − UΣVᴴ[:,J]‖_F ≤ threshold` checks
+                // The gate `‖A[:,J] − UΣVᵀ[:,J]‖_F ≤ threshold` checks
                 // that the advanced factorization still explains the
                 // window it claims to factor. Drift alone — the
                 // accumulated Weyl bound past the same threshold
@@ -714,7 +709,7 @@ impl FitSession {
         let (live, reanchor) = match live {
             Some(upd) => (upd, None),
             None => {
-                let shifted = pencil.shifted_pencil(x0);
+                let shifted = real.shifted();
                 match SvdUpdater::new(&shifted) {
                     Ok(upd) => (upd, Some(Reanchor::FreshBlocked)),
                     Err(NumericError::NoConvergence { .. }) => {
@@ -746,7 +741,6 @@ impl FitSession {
         sv.resize(k, live.retain_floor());
         Ok(SignalGeneration {
             updater: Some(live),
-            detection: None,
             sv,
             diagnostic: SignalDiagnostic {
                 error_bound,
@@ -818,8 +812,9 @@ impl FitSession {
         self.updater.as_ref().map(SvdUpdater::retained_rank)
     }
 
-    /// Singular values of `x₀𝕃 − σ𝕃` for the current pencil — the
-    /// order-detection signal, refreshed by every
+    /// Singular values of `x₀𝕃 − σ𝕃` for the current pencil, computed
+    /// on its realification `x₀𝕃ᵣ − σ𝕃ᵣ` — the order-detection signal,
+    /// refreshed by every
     /// [`append`](FitSession::append) (never stale, and never computed
     /// here; see the lifecycle notes on [`FitSession`]). Under
     /// [`SessionSvd::Updating`] with a truncated sub-floor tail the
@@ -847,10 +842,10 @@ impl FitSession {
 
     /// Runs order selection with `selection` on the **cached** singular
     /// values, then projects the pencil to the detected order — the
-    /// pencil and its signal are reused across calls, so trying a
-    /// different tolerance costs only the final projection. The cache
-    /// is only cloned into the outcome after detection and realization
-    /// succeed.
+    /// pencil, its signal and the factorizations a projection reads are
+    /// reused across calls, so trying a different tolerance costs only
+    /// the final projection. The cache is only cloned into the outcome
+    /// after detection and realization succeed.
     ///
     /// The outcome's `elapsed` covers this realization call, not the
     /// accumulated session lifetime.
@@ -862,48 +857,24 @@ impl FitSession {
     pub fn realize_with(&self, selection: OrderSelection) -> Result<FitOutcome, FitError> {
         let start = Stopwatch::start();
         let sv = self.singular_values()?;
-        let pencil = self.pencil.as_ref().ok_or(FitError::Session {
+        let real = self.real.as_ref().ok_or(FitError::Session {
             what: "no samples appended yet",
         })?;
         let order = selection.detect(sv)?;
-        // Three routes (DESIGN.md §6). Updating streams already hold the
-        // shifted pencil's thin factorization: realize from the retained
-        // factors, which decline when the order exceeds the retained
-        // rank or the stream is too dense for the restriction to shrink
-        // the problem.
-        let retained = match &self.updater {
-            Some(updater) => self
-                .config
-                .realize_pencil_retained(pencil, updater, order)?,
-            None => None,
-        };
-        let model = match retained {
-            Some(model) => model,
-            // Dense requests (2·order > K) go through the session's
-            // stacked decompositions, built once per pencil generation:
-            // a repeated realize (or re-selection) pays only rank-limited
-            // accumulation and projection.
-            None if 2 * order > pencil.order() => {
-                let seed = match self.stacked.get() {
-                    Some(seed) => seed,
-                    None => {
-                        let tol = self.config.realify_tol_ref();
-                        let built = StackedRealization::build(pencil, tol)?;
-                        // A lost set race just drops an identical value.
-                        self.stacked.get_or_init(|| built)
-                    }
-                };
-                seed.realize(order)?
+        // Two routes (DESIGN.md §6). A stream's updater already holds
+        // the q-wide real factorization of `x₀𝕃ᵣ − σ𝕃ᵣ`: restrict the
+        // stacks to it when it holds the order (`r ≤ q`) and the
+        // restriction shrinks them (`2q ≤ K`). Everything else takes
+        // the generation's own detection or stacked factorizations,
+        // built on first use and reused by every later call — which is
+        // the one-shot fit's model, bit for bit.
+        let model = match &self.updater {
+            Some(upd)
+                if order <= upd.retained_rank() && 2 * upd.retained_rank() <= real.order() =>
+            {
+                real.realize_restricted(upd.left(), upd.right(), order)?
             }
-            // The rest restrict to detection factors: the first append's
-            // kept detection (a single-batch session gives the one-shot
-            // fit's bits), or a fresh one.
-            None => match &self.detection {
-                Some(detection) => detection.realize(order)?,
-                None => {
-                    RealDetection::compute(pencil, self.config.realify_tol_ref())?.realize(order)?
-                }
-            },
+            _ => real.realize(order)?,
         };
         Ok(FitOutcome::from_loewner(
             "mfti-session",
@@ -911,7 +882,7 @@ impl FitSession {
                 model,
                 pencil_singular_values: sv.to_vec(),
                 detected_order: order,
-                pencil_order: pencil.order(),
+                pencil_order: real.order(),
                 // The signal producing this realization is the last
                 // committed generation; surface its breakdown trail.
                 svd_fallbacks: self
@@ -1067,6 +1038,72 @@ mod tests {
                 (hu - ho).max_abs() <= 1e-10 * ho.max_abs().max(1e-12),
                 "retained vs fresh realization drift at {f} Hz"
             );
+        }
+    }
+
+    #[test]
+    fn retained_route_matches_the_dense_realization_at_every_order() {
+        // The stream above (K = 36, q = 12): every order up to q takes
+        // the retained route, whose q-wide real factors span the stacks'
+        // column and row spaces, so each model is the dense stacked
+        // projection's as a transfer function — also below the true
+        // order, where restricting to the leading r detection factors
+        // would project on a different subspace.
+        let all = workload(18);
+        let (head, rest) = split_edges_first(&all, 6);
+        let mut session = FitSession::new(Mfti::new());
+        for batch in [
+            head,
+            rest.subset(&[0, 1, 2, 3]).unwrap(),
+            rest.subset(&[4, 5, 6, 7, 8, 9, 10, 11]).unwrap(),
+        ] {
+            session.append(&batch).unwrap();
+        }
+        let q = session.retained_rank().unwrap();
+        assert!(2 * q <= session.pencil_order(), "q {q} declines the route");
+        let real = crate::realify::realify(session.pencil().unwrap(), 1e-6).unwrap();
+        let freqs = all.freqs_hz();
+        for r in 1..=q {
+            let retained = session.realize_with(OrderSelection::Fixed(r)).unwrap();
+            let dense = crate::realize::realize_real(&real, r).unwrap();
+            let (rr, rd) = (
+                retained.model().response_batch_hz(freqs).unwrap(),
+                dense.response_batch_hz(freqs).unwrap(),
+            );
+            for ((f, hr), hd) in freqs.iter().zip(&rr).zip(&rd) {
+                assert!(
+                    (hr - hd).max_abs() <= 1e-10 * hd.max_abs().max(1e-12),
+                    "order {r}: retained vs dense realization drift at {f} Hz"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_uniform_width_is_invalid_weights_under_both_policies() {
+        // A 2-port stream admits t ∈ [1, 2]; a sliding window must not
+        // size its eviction from an unchecked width and report a
+        // capacity error instead.
+        let batch = workload(8);
+        for policy in [
+            WindowPolicy::Unbounded,
+            WindowPolicy::Sliding { capacity: 96 },
+        ] {
+            for t in [0, 30] {
+                let mut session =
+                    FitSession::new(Mfti::new().weights(Weights::Uniform(t))).window(policy);
+                assert!(
+                    matches!(
+                        session.append(&batch),
+                        Err(FitError::Mfti(MftiError::InvalidWeights { .. }))
+                    ),
+                    "{policy:?}, t = {t}"
+                );
+                assert_eq!(session.pencil_order(), 0);
+                assert!(session.samples().is_none());
+                assert!(session.singular_values().is_err());
+                assert!(session.order_trajectory().is_empty());
+            }
         }
     }
 

@@ -30,13 +30,13 @@ run env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # printed as file:line: [MFTI-Dn] …; the JSON artifact is gitignored.
 run cargo run --release -p mfti-lint -- --json LINT_findings.json
 
-# Real-vs-complex detection equivalence: fits and a session's first
-# append detect on the realified shifted pencil, a multi-append
-# session's later appends on the complex updater signal. The two σ must
-# match elementwise to 1e-13·σ₁ and every OrderSelection variant must
-# make the identical rank decision on both — gated here, *before* the
-# digest smokes, so a detection-arithmetic regression surfaces as the
-# typed assertion rather than an opaque digest mismatch.
+# Real-vs-complex detection equivalence (Lemma 3.2): fits and sessions
+# detect on the realified shifted pencil, and the realize_complex
+# oracle on the complex one. The two σ must match elementwise to
+# 1e-13·σ₁ and every OrderSelection variant must make the identical
+# rank decision on both — gated here, *before* the digest smokes, so a
+# detection-arithmetic regression surfaces as the typed assertion
+# rather than an opaque digest mismatch.
 run cargo test -q --release --test detection_equivalence
 
 # Deterministic-parallelism smoke: the same sweep (sweep_smoke), the
@@ -77,10 +77,12 @@ if [[ "${1:-}" != "--no-bench-run" ]]; then
     run cargo run --release -p mfti-bench --bin bench_json
     # Bounded-memory contract (BENCH_session_window.json): per-append
     # cost under a sliding window must stay flat — last-decile median
-    # <= 1.5x first-decile median, on clean W = 48 and W = 96 streams
-    # and on a noisy W = 48 stream that re-anchors on every slide — and
-    # the peak pencil order must never exceed the capacity;
-    # window_bench exits nonzero otherwise.
+    # <= 1.5x first-decile median of each append's minimum over five
+    # identical streams, on clean W = 48 and W = 96 streams and on a
+    # noisy W = 48 stream that re-anchors on every slide — and the peak
+    # pencil order must never exceed the capacity; a never-evicting
+    # control stream must read above 1.5x. window_bench exits nonzero
+    # otherwise.
     run cargo run --release -p mfti-bench --bin window_bench
 fi
 

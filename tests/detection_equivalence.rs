@@ -1,13 +1,15 @@
-//! Real-vs-complex order-detection equivalence.
+//! Real-vs-complex order-detection equivalence (Lemma 3.2).
 //!
-//! One-shot fits and a session's first append detect the order on the
-//! realified shifted pencil; a multi-append session's later appends
-//! detect on the complex signal its `SvdUpdater` maintains. The pinned
-//! detection shift `x₀ = |λ₁|` is real, so the realified shifted
-//! pencil `x₀𝕃ᵣ − σ𝕃ᵣ = T*(x₀𝕃 − σ𝕃)T` is a *real* matrix unitarily
-//! equivalent to the complex shifted pencil — identical singular values
-//! in exact arithmetic. This suite pins the floating-point version of
-//! that statement on three spectrum shapes:
+//! Every fit and every session append detects the order on the
+//! realified shifted pencil; the complex shifted pencil survives only
+//! as an oracle — it is what the `realize_complex` projection
+//! decomposes. The pinned detection shift `x₀ = |λ₁|` is real, so the
+//! realified shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ = T*(x₀𝕃 − σ𝕃)T` is a *real*
+//! matrix unitarily equivalent to the complex shifted pencil —
+//! identical singular values in exact arithmetic, which is what lets
+//! the complex oracle stand in for the real pipeline. This suite pins
+//! the floating-point version of that statement on three spectrum
+//! shapes:
 //!
 //! * **gapped** — clean random system with a rank-`d` feedthrough: a
 //!   sharp σ cliff at the true order;
