@@ -1,7 +1,7 @@
-//! Criterion bench: Loewner pencil assembly and incremental extension.
+//! Criterion bench: Loewner pencil assembly and incremental growth.
 //!
-//! Validates the complexity claim behind Algorithm 2: extending an
-//! existing pencil by one batch is far cheaper than rebuilding it.
+//! Validates the complexity claim behind Algorithm 2: sliding an
+//! existing pencil to one more batch is far cheaper than rebuilding it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -37,17 +37,13 @@ fn bench_build(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_extend_vs_rebuild(c: &mut Criterion) {
+fn bench_slide_vs_rebuild(c: &mut Criterion) {
     let data = data_for(64, 4, 2);
     let pairs: Vec<usize> = (0..28).collect();
     let base = LoewnerPencil::build_subset(&data, &pairs).expect("subset");
     let mut group = c.benchmark_group("loewner_grow_by_4");
-    group.bench_function("incremental_extend", |b| {
-        b.iter(|| {
-            let mut p = base.clone();
-            p.extend(&data, &[28, 29, 30, 31]).expect("extend");
-            p
-        })
+    group.bench_function("incremental_slide", |b| {
+        b.iter(|| base.slide(0, &data, &[28, 29, 30, 31]).expect("slide"))
     });
     group.bench_function("full_rebuild", |b| {
         b.iter(|| {
@@ -58,5 +54,5 @@ fn bench_extend_vs_rebuild(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_extend_vs_rebuild);
+criterion_group!(benches, bench_build, bench_slide_vs_rebuild);
 criterion_main!(benches);

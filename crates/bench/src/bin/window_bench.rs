@@ -4,8 +4,9 @@
 //! Streams `10 · W` one-pair appends through a `FitSession` under
 //! `WindowPolicy::Sliding { capacity: W }` — clean for W ∈ {48, 96},
 //! and with seeded additive noise for W = 48 — and times every append
-//! individually. Once the window fills, each clean append is a
-//! retract-then-extend pencil slide plus a verified
+//! individually. Once the window fills, each clean append is one
+//! `LoewnerPencil::slide` (evict the oldest pair, append the new one)
+//! plus a verified
 //! `SvdUpdater::downdate_leading` / border update behind the probe
 //! gate; a noisy window is full rank, so every steady-state downdate is
 //! refused and the append re-anchors from a fresh decomposition of the

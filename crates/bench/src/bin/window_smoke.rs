@@ -8,7 +8,7 @@
 //! provenance events (evictions, quarantines, re-anchor rungs) and the
 //! final realized model bits. The clean stream's steady state runs the
 //! verified `SvdUpdater::downdate_leading` evictions, the residual
-//! probe gate and pencil retraction without a single re-anchor; the
+//! probe gate and evicting pencil slides without a single re-anchor; the
 //! noisy window is full rank, so every steady-state eviction is refused
 //! and re-anchors from a fresh decomposition. `verify.sh` runs this
 //! binary at 1 and N workers and fails on any digest mismatch: the

@@ -9,9 +9,11 @@
 //! ```
 //!
 //! Both satisfy the Sylvester equations (13), which
-//! [`LoewnerPencil::sylvester_residuals`] verifies numerically. The
-//! pencil supports *incremental growth* (appending sample pairs), the
-//! workhorse of the recursive Algorithm 2.
+//! [`LoewnerPencil::sylvester_residuals`] verifies numerically. A pencil
+//! is a value: [`LoewnerPencil::slide`] returns the next pencil of a
+//! window — leading pairs evicted, new pairs appended, only the new
+//! blocks computed — which is both the growth step of the recursive
+//! Algorithm 2 and the window step of a streaming session.
 //!
 //! # Assembly structure
 //!
@@ -23,20 +25,18 @@
 //! ([`mfti_numeric::parallel`], one contiguous row range per worker);
 //! every row is a pure function of the cross-product rows and the
 //! interpolation points, so the assembled pencil is **bit-identical for
-//! every thread count**, and an [`extend`](LoewnerPencil::extend)-grown
-//! pencil equals the from-scratch [`build`](LoewnerPencil::build)
-//! bit-for-bit (the blocked kernel computes each output entry
+//! every thread count**, and a [`slide`](LoewnerPencil::slide) equals
+//! the from-scratch [`build_subset`](LoewnerPencil::build_subset) over
+//! its pairs bit-for-bit (the blocked kernel computes each output entry
 //! independently of the call's width).
-
-use std::collections::HashSet;
 
 use mfti_numeric::{kernel, parallel, CMatrix, Complex, Svd};
 
 use crate::data::TangentialData;
 use crate::error::MftiError;
 
-/// Below this many newly computed pencil entries (`K² − K_old²` per
-/// [`LoewnerPencil::extend`]; for a from-scratch build, order < 96) the
+/// Below this many newly computed pencil entries (`K² − K_keep²` per
+/// [`LoewnerPencil::slide`]; for a from-scratch build, order < 96) the
 /// divided-difference work cannot amortize a thread spawn and assembly
 /// stays on one worker. Results are identical either way — the gate
 /// only affects scheduling.
@@ -56,7 +56,7 @@ pub struct LoewnerPencil {
     v: CMatrix,
     /// Stacked direction matrices (promoted to complex once): `L` is
     /// `K × p`, `R` is `m × K` — the left operands of the assembly
-    /// GEMMs, kept so incremental growth never re-promotes old blocks.
+    /// GEMMs, kept so a slide never re-promotes surviving blocks.
     l: CMatrix,
     r: CMatrix,
     /// Interpolation points expanded to scalar columns/rows.
@@ -75,13 +75,14 @@ pub struct LoewnerPencil {
     /// Section 3.4's literal λ₁ = jω₁/ω₀ the realified shift would stay
     /// complex and forfeit that). Pinning — rather than re-deriving from
     /// `lambdas[0]` — keeps the shifted pencil a *consistent* matrix
-    /// across window retractions, so an incrementally maintained
+    /// across slides, so an incrementally maintained
     /// [`SvdUpdater`](mfti_numeric::SvdUpdater) over its realification
     /// stays valid after the leading pairs expire. Any x₀ that is not a system pole
     /// is admissible (Lemma 3.4); a point on the positive real axis
     /// never coincides with a stable pole, and `|λ₁|` keeps the shift at
-    /// the magnitude of the normalized band.
-    x0: Option<Complex>,
+    /// the magnitude of the normalized band. Zero only in the empty
+    /// pencil every build slides from; its first slide pins it.
+    x0: Complex,
 }
 
 impl LoewnerPencil {
@@ -97,25 +98,22 @@ impl LoewnerPencil {
     }
 
     /// Builds the pencil over a subset of sample pairs (Algorithm 2's
-    /// starting point).
+    /// starting point): a [`slide`](LoewnerPencil::slide) of the empty
+    /// pencil.
     ///
     /// # Errors
     ///
-    /// Returns [`MftiError::InvalidSamples`] for an empty or out-of-range
-    /// selection.
+    /// Returns [`MftiError::InvalidSamples`] for an empty, duplicated or
+    /// out-of-range selection.
     pub fn build_subset(data: &TangentialData, pairs: &[usize]) -> Result<Self, MftiError> {
-        if pairs.is_empty() {
-            return Err(MftiError::InvalidSamples {
-                what: "empty pair selection".to_string(),
-            });
-        }
-        if pairs.iter().any(|&j| j >= data.num_pairs()) {
-            return Err(MftiError::InvalidSamples {
-                what: "pair index out of range".to_string(),
-            });
-        }
+        Self::empty(data).slide(0, data, pairs)
+    }
+
+    /// The pencil over no pairs, in `data`'s frequency normalization:
+    /// the start every build slides from.
+    pub(crate) fn empty(data: &TangentialData) -> Self {
         let (p, m) = data.ports();
-        let mut pencil = LoewnerPencil {
+        LoewnerPencil {
             ll: CMatrix::zeros(0, 0),
             sll: CMatrix::zeros(0, 0),
             w: CMatrix::zeros(p, 0),
@@ -127,161 +125,162 @@ impl LoewnerPencil {
             included_pairs: Vec::new(),
             pair_ts: Vec::new(),
             freq_scale: data.freq_scale(),
-            x0: None,
-        };
-        pencil.extend(data, pairs)?;
-        Ok(pencil)
+            x0: Complex::ZERO,
+        }
     }
 
-    /// Appends additional sample pairs, computing **only the new blocks**
+    /// The next pencil of a window: this pencil without its **leading**
+    /// `evict_pairs` included sample pairs, plus `new_pairs` of `data`
     /// (step 4 of Algorithm 2: "update W, V, 𝕃 and σ𝕃 instead of
-    /// calculating them all from the beginning").
+    /// calculating them all from the beginning"; the window step of
+    /// DESIGN.md §9). `self` is left as it was.
     ///
-    /// The new regions' numerators come from four thin GEMMs over the
-    /// stacked data (`V·R_new`, `L·W_new`, `V_new·R_old`, `L_new·W_old`)
-    /// and the divided differences are applied row-parallel; the grown
-    /// pencil is bit-identical to a from-scratch
-    /// [`build`](LoewnerPencil::build) over the same pair sequence.
+    /// The surviving block of `𝕃`/`σ𝕃` (rows and columns from the
+    /// evicted prefix on) and the new strips are written straight into
+    /// one fresh `K × K` allocation each. The strips' numerators come
+    /// from four thin GEMMs over the stacked data (`V·R_new`, `L·W_new`,
+    /// `V_new·R_keep`, `L_new·W_keep`) and the divided differences are
+    /// applied row-parallel, so the result equals a from-scratch
+    /// [`build_subset`](LoewnerPencil::build_subset) over the survivors
+    /// and `new_pairs` bit-for-bit (every entry is a pure function of its
+    /// own pairs' triples).
+    ///
+    /// Surviving pair indices are renumbered down by `evict_pairs`,
+    /// matching a caller that drops the same leading pairs from its
+    /// [`TangentialData`]; `new_pairs` index that `data`. The frequency
+    /// normalization and the order-detection shift
+    /// [`default_x0`](LoewnerPencil::default_x0) stay pinned to the
+    /// first pencil of the chain, so the shifted pencil remains the same
+    /// matrix family across slides.
     ///
     /// # Errors
     ///
-    /// Returns [`MftiError::InvalidSamples`] for duplicate or
-    /// out-of-range pair indices.
-    pub fn extend(&mut self, data: &TangentialData, new_pairs: &[usize]) -> Result<(), MftiError> {
-        if new_pairs.is_empty() {
-            return Ok(());
+    /// Returns [`MftiError::InvalidSamples`] when the slide would evict
+    /// every included pair or leave the pencil empty, would orphan a
+    /// surviving pair index (a survivor numbered below `evict_pairs`),
+    /// or names an out-of-range or already-included new pair.
+    pub fn slide(
+        &self,
+        evict_pairs: usize,
+        data: &TangentialData,
+        new_pairs: &[usize],
+    ) -> Result<Self, MftiError> {
+        let refuse = |what: &str| {
+            Err(MftiError::InvalidSamples {
+                what: what.to_string(),
+            })
+        };
+        if evict_pairs > 0 && evict_pairs >= self.included_pairs.len() {
+            return refuse("a slide must keep at least one surviving pair");
+        }
+        let survivors = &self.included_pairs[evict_pairs..];
+        if survivors.iter().any(|&j| j < evict_pairs) {
+            return refuse("slide would orphan a surviving pair index");
+        }
+        if survivors.is_empty() && new_pairs.is_empty() {
+            return refuse("empty pair selection");
         }
         if new_pairs.iter().any(|&j| j >= data.num_pairs()) {
-            return Err(MftiError::InvalidSamples {
-                what: "pair index out of range".to_string(),
-            });
+            return refuse("pair index out of range");
         }
-        // Duplicate check through a hash set (against both the already
-        // included pairs and repeats inside `new_pairs`), so large
-        // appends stay O(n) instead of the quadratic scan a nested
-        // `contains` would cost.
-        // mfti-lint: allow(MFTI-D1) — membership probes (`insert`'s
-        // boolean) only: the set decides *whether* to reject, never in
-        // what order anything is processed — the pencil strips are
-        // built from `new_pairs` in caller order, so hash order cannot
-        // leak into numeric results.
-        let mut seen: HashSet<usize> = self.included_pairs.iter().copied().collect();
-        if new_pairs.iter().any(|&j| !seen.insert(j)) {
-            return Err(MftiError::InvalidSamples {
-                what: "pair already included".to_string(),
-            });
-        }
-
-        let triples_of = |j: usize| [2 * j, 2 * j + 1];
-
-        // New interpolation points (normalized) and stacked data blocks,
-        // in triple order (conjugates adjacent).
-        let inv_scale = 1.0 / self.freq_scale;
-        let mut new_lambdas = Vec::new();
-        let mut new_mus = Vec::new();
-        let mut w_parts: Vec<&CMatrix> = Vec::new();
-        let mut v_parts: Vec<&CMatrix> = Vec::new();
-        let mut r_parts: Vec<CMatrix> = Vec::new();
-        let mut l_parts: Vec<CMatrix> = Vec::new();
-        for &j in new_pairs {
-            for idx in triples_of(j) {
-                let rt = &data.right()[idx];
-                let lt = &data.left()[idx];
-                for _ in 0..rt.r.cols() {
-                    new_lambdas.push(rt.lambda.scale(inv_scale));
-                }
-                for _ in 0..lt.l.rows() {
-                    new_mus.push(lt.mu.scale(inv_scale));
-                }
-                w_parts.push(&rt.w);
-                v_parts.push(&lt.v);
-                r_parts.push(rt.r.to_complex());
-                l_parts.push(lt.l.to_complex());
+        let mut included_pairs: Vec<usize> = survivors.iter().map(|&j| j - evict_pairs).collect();
+        // One flag per data pair catches a new pair that already
+        // survives and repeats inside `new_pairs` alike, in O(n).
+        let mut seen = vec![false; data.num_pairs()];
+        for &j in &included_pairs {
+            if let Some(flag) = seen.get_mut(j) {
+                *flag = true;
             }
         }
-        let w_new = CMatrix::hstack(&w_parts)?; // p × K_new
-        let v_new = CMatrix::vstack(&v_parts)?; // K_new × m
-        let r_refs: Vec<&CMatrix> = r_parts.iter().collect();
-        let l_refs: Vec<&CMatrix> = l_parts.iter().collect();
-        let r_new = CMatrix::hstack(&r_refs)?; // m × K_new
-        let l_new = CMatrix::vstack(&l_refs)?; // K_new × p
+        if new_pairs
+            .iter()
+            .any(|&j| std::mem::replace(&mut seen[j], true))
+        {
+            return refuse("pair already included");
+        }
+        included_pairs.extend_from_slice(new_pairs);
+        let mut pair_ts = self.pair_ts[evict_pairs..].to_vec();
+        pair_ts.extend(new_pairs.iter().map(|&j| data.pair_weights()[j]));
 
-        let k_old = self.ll.rows();
-        let k_new = v_new.rows();
-        let k_total = k_old + k_new;
+        // Stacked data and interpolation points (normalized): the
+        // survivors', then the new pairs' in triple order (conjugates
+        // adjacent).
+        let k_drop: usize = self.pair_ts[..evict_pairs].iter().map(|&t| 2 * t).sum();
+        let k_keep = self.order() - k_drop;
+        let (p, m) = (self.w.rows(), self.v.cols());
+        let w_keep = self.w.submatrix(0, k_drop, p, k_keep)?;
+        let v_keep = self.v.submatrix(k_drop, 0, k_keep, m)?;
+        let l_keep = self.l.submatrix(k_drop, 0, k_keep, p)?;
+        let r_keep = self.r.submatrix(0, k_drop, m, k_keep)?;
+        let mut lambdas = self.lambdas[k_drop..].to_vec();
+        let mut mus = self.mus[k_drop..].to_vec();
+        let inv_scale = 1.0 / self.freq_scale;
+        let mut w_parts = vec![&w_keep];
+        let mut v_parts = vec![&v_keep];
+        let mut promoted: Vec<(CMatrix, CMatrix)> = Vec::new();
+        for &j in new_pairs {
+            for idx in [2 * j, 2 * j + 1] {
+                let (rt, lt) = (&data.right()[idx], &data.left()[idx]);
+                lambdas.extend(std::iter::repeat_n(rt.lambda.scale(inv_scale), rt.r.cols()));
+                mus.extend(std::iter::repeat_n(lt.mu.scale(inv_scale), lt.l.rows()));
+                w_parts.push(&rt.w);
+                v_parts.push(&lt.v);
+                promoted.push((rt.r.to_complex(), lt.l.to_complex()));
+            }
+        }
+        let r_parts: Vec<&CMatrix> = std::iter::once(&r_keep)
+            .chain(promoted.iter().map(|(r, _)| r))
+            .collect();
+        let l_parts: Vec<&CMatrix> = std::iter::once(&l_keep)
+            .chain(promoted.iter().map(|(_, l)| l))
+            .collect();
+        let w = CMatrix::hstack(&w_parts)?; // p × K
+        let v = CMatrix::vstack(&v_parts)?; // K × m
+        let r = CMatrix::hstack(&r_parts)?; // m × K
+        let l = CMatrix::vstack(&l_parts)?; // K × p
+        let k = v.rows();
+        let k_new = k - k_keep;
 
-        // Grown stacks (the new rows/cols simply append; the old blocks
-        // are bit-identical by construction).
-        let (v_all, l_all, w_all, r_all) = if k_old == 0 {
-            (v_new, l_new, w_new, r_new)
-        } else {
-            (
-                self.v.append_rows(&v_new)?,
-                self.l.append_rows(&l_new)?,
-                self.w.append_cols(&w_new)?,
-                self.r.append_cols(&r_new)?,
-            )
-        };
-        // Clones rather than takes: every fallible step below happens
-        // before the commit, so `self` stays untouched on error.
-        let mut mus = self.mus.clone();
-        mus.extend(new_mus);
-        let mut lambdas = self.lambdas.clone();
-        lambdas.extend(new_lambdas);
-
-        // Cross products of the new regions, through the *unconditionally
+        // Cross products of the new strips, through the *unconditionally
         // blocked* kernel: each output entry's rounding depends only on
         // its own row/column operands, never on the call width, which is
-        // what makes extend-grown pencils equal from-scratch builds
+        // what makes a slid pencil equal a from-scratch build
         // bit-for-bit.
-        let (vr_right, lw_right, vr_bottom, lw_bottom) = if k_old == 0 {
-            let vr = kernel::mul_blocked(&v_all, &r_all)?;
-            let lw = kernel::mul_blocked(&l_all, &w_all)?;
-            (vr, lw, CMatrix::zeros(0, 0), CMatrix::zeros(0, 0))
-        } else {
-            let r_strip = r_all.submatrix(0, k_old, r_all.rows(), k_new)?;
-            let w_strip = w_all.submatrix(0, k_old, w_all.rows(), k_new)?;
-            let v_strip = v_all.submatrix(k_old, 0, k_new, v_all.cols())?;
-            let l_strip = l_all.submatrix(k_old, 0, k_new, l_all.cols())?;
-            (
-                kernel::mul_blocked(&v_all, &r_strip)?,
-                kernel::mul_blocked(&l_all, &w_strip)?,
-                kernel::mul_blocked(&v_strip, &r_all.submatrix(0, 0, r_all.rows(), k_old)?)?,
-                kernel::mul_blocked(&l_strip, &w_all.submatrix(0, 0, w_all.rows(), k_old)?)?,
-            )
-        };
+        let w_new = w.submatrix(0, k_keep, p, k_new)?;
+        let r_new = r.submatrix(0, k_keep, m, k_new)?;
+        let vr_right = kernel::mul_blocked(&v, &r_new)?;
+        let lw_right = kernel::mul_blocked(&l, &w_new)?;
+        let vr_bottom = kernel::mul_blocked(&v.submatrix(k_keep, 0, k_new, m)?, &r_keep)?;
+        let lw_bottom = kernel::mul_blocked(&l.submatrix(k_keep, 0, k_new, p)?, &w_keep)?;
 
-        // Row-parallel divided-difference pass: row i of the grown 𝕃/σ𝕃
-        // is a pure function of the cross-product rows, μ_i and the λs —
+        // Row-parallel divided-difference pass: row i of 𝕃/σ𝕃 is a pure
+        // function of the cross-product rows, μ_i and the λs —
         // bit-identical for every worker count (static chunking). Each
-        // worker writes its block of rows straight into the preallocated
-        // pencil storage.
-        let workers = if k_total * k_total - k_old * k_old < PAR_MIN_ENTRIES {
+        // worker writes its block of rows straight into the fresh
+        // storage.
+        let workers = if k * k - k_keep * k_keep < PAR_MIN_ENTRIES {
             1
         } else {
             parallel::available_threads()
         };
-        let old_ll = &self.ll;
-        let old_sll = &self.sll;
-        let mut ll_data = vec![Complex::ZERO; k_total * k_total];
-        let mut sll_data = vec![Complex::ZERO; k_total * k_total];
-        let row_len = k_total.max(1);
+        let mut ll_data = vec![Complex::ZERO; k * k];
+        let mut sll_data = vec![Complex::ZERO; k * k];
+        let row_len = k.max(1);
         let mut rows: Vec<(&mut [Complex], &mut [Complex])> = ll_data
             .chunks_mut(row_len)
             .zip(sll_data.chunks_mut(row_len))
             .collect();
         parallel::for_each_mut(workers, &mut rows, |i, (ll_row, sll_row)| {
             let mu_i = mus[i];
-            if i < k_old {
-                // Old row: copy the existing entries, fill the new
-                // column strip.
-                ll_row[..k_old].copy_from_slice(old_ll.row(i));
-                sll_row[..k_old].copy_from_slice(old_sll.row(i));
-            } else if k_old > 0 {
-                // New row over the old columns.
-                let vr = vr_bottom.row(i - k_old);
-                let lw = lw_bottom.row(i - k_old);
-                for j in 0..k_old {
+            if i < k_keep {
+                // Surviving row: its surviving columns keep their entries.
+                ll_row[..k_keep].copy_from_slice(&self.ll.row(k_drop + i)[k_drop..]);
+                sll_row[..k_keep].copy_from_slice(&self.sll.row(k_drop + i)[k_drop..]);
+            } else {
+                // New row over the surviving columns.
+                let vr = vr_bottom.row(i - k_keep);
+                let lw = lw_bottom.row(i - k_keep);
+                for j in 0..k_keep {
                     let inv = (mu_i - lambdas[j]).recip();
                     ll_row[j] = (vr[j] - lw[j]) * inv;
                     sll_row[j] = (vr[j] * mu_i - lw[j] * lambdas[j]) * inv;
@@ -289,101 +288,31 @@ impl LoewnerPencil {
             }
             let vr = vr_right.row(i);
             let lw = lw_right.row(i);
-            for (j, &lambda_j) in lambdas[k_old..].iter().enumerate() {
+            for (j, &lambda_j) in lambdas[k_keep..].iter().enumerate() {
                 let inv = (mu_i - lambda_j).recip();
-                ll_row[k_old + j] = (vr[j] - lw[j]) * inv;
-                sll_row[k_old + j] = (vr[j] * mu_i - lw[j] * lambda_j) * inv;
+                ll_row[k_keep + j] = (vr[j] - lw[j]) * inv;
+                sll_row[k_keep + j] = (vr[j] * mu_i - lw[j] * lambda_j) * inv;
             }
         });
 
-        // Commit.
-        self.ll = CMatrix::from_vec(k_total, k_total, ll_data)?;
-        self.sll = CMatrix::from_vec(k_total, k_total, sll_data)?;
-        self.w = w_all;
-        self.v = v_all;
-        self.l = l_all;
-        self.r = r_all;
-        self.lambdas = lambdas;
-        self.mus = mus;
-        for &j in new_pairs {
-            self.included_pairs.push(j);
-            self.pair_ts.push(data.pair_weights()[j]);
-        }
-        if self.x0.is_none() {
-            // Real shift |λ₁|: see the `x0` field docs — keeps the
-            // realified shifted pencil real for packed-real detection.
-            self.x0 = self.lambdas.first().map(|l| Complex::new(l.abs(), 0.0));
-        }
-        Ok(())
-    }
-
-    /// Drops the **leading** `drop_pairs` included sample pairs — the
-    /// expiry half of a sliding window (DESIGN.md §9), dual of
-    /// [`extend`](LoewnerPencil::extend). The stacked `W`/`V`/`L`/`R`,
-    /// both pencil matrices and the interpolation points shrink by
-    /// submatrix restriction — `O(K²)` copying, no GEMM, no rebuild —
-    /// and the surviving blocks equal a from-scratch
-    /// [`build_subset`](LoewnerPencil::build_subset) over the surviving
-    /// pairs bit-for-bit (every entry is a pure function of its own
-    /// pair's triples).
-    ///
-    /// Surviving pair indices are renumbered down by `drop_pairs`,
-    /// matching a caller that drops the same leading pairs from its
-    /// [`TangentialData`]; the order-detection shift
-    /// [`default_x0`](LoewnerPencil::default_x0) stays pinned to the
-    /// original λ₁ so the shifted pencil remains the same matrix family
-    /// across retractions.
-    ///
-    /// The retraction is transactional: on error the pencil is
-    /// unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MftiError::InvalidSamples`] when the retraction would
-    /// empty the pencil or orphan a surviving pair index (a surviving
-    /// pair numbered below `drop_pairs`).
-    pub fn retract(&mut self, drop_pairs: usize) -> Result<(), MftiError> {
-        if drop_pairs == 0 {
-            return Ok(());
-        }
-        if drop_pairs >= self.included_pairs.len() {
-            return Err(MftiError::InvalidSamples {
-                what: "retraction must leave at least one pair".to_string(),
-            });
-        }
-        if self.included_pairs[drop_pairs..]
-            .iter()
-            .any(|&j| j < drop_pairs)
-        {
-            return Err(MftiError::InvalidSamples {
-                what: "retraction would orphan a surviving pair index".to_string(),
-            });
-        }
-        let k_drop: usize = self.pair_ts[..drop_pairs].iter().map(|&t| 2 * t).sum();
-        let k_keep = self.ll.rows() - k_drop;
-
-        // Every fallible restriction happens before the commit.
-        let ll = self.ll.submatrix(k_drop, k_drop, k_keep, k_keep)?;
-        let sll = self.sll.submatrix(k_drop, k_drop, k_keep, k_keep)?;
-        let w = self.w.submatrix(0, k_drop, self.w.rows(), k_keep)?;
-        let v = self.v.submatrix(k_drop, 0, k_keep, self.v.cols())?;
-        let l = self.l.submatrix(k_drop, 0, k_keep, self.l.cols())?;
-        let r = self.r.submatrix(0, k_drop, self.r.rows(), k_keep)?;
-
-        self.ll = ll;
-        self.sll = sll;
-        self.w = w;
-        self.v = v;
-        self.l = l;
-        self.r = r;
-        self.lambdas.drain(..k_drop);
-        self.mus.drain(..k_drop);
-        self.included_pairs.drain(..drop_pairs);
-        for j in &mut self.included_pairs {
-            *j -= drop_pairs;
-        }
-        self.pair_ts.drain(..drop_pairs);
-        Ok(())
+        Ok(LoewnerPencil {
+            ll: CMatrix::from_vec(k, k, ll_data)?,
+            sll: CMatrix::from_vec(k, k, sll_data)?,
+            w,
+            v,
+            l,
+            r,
+            // The first slide pins the real shift |λ₁| (see `x0`).
+            x0: match lambdas.first() {
+                Some(lambda) if self.included_pairs.is_empty() => Complex::new(lambda.abs(), 0.0),
+                _ => self.x0,
+            },
+            lambdas,
+            mus,
+            included_pairs,
+            pair_ts,
+            freq_scale: self.freq_scale,
+        })
     }
 
     /// The Loewner matrix `𝕃` (`K × K`).
@@ -559,14 +488,11 @@ impl LoewnerPencil {
     /// pencil `x₀𝕃ᵣ − σ𝕃ᵣ` is a real matrix and order detection runs on
     /// the packed real path with singular values identical (unitary
     /// equivalence) to the complex `x₀𝕃 − σ𝕃` (DESIGN.md §5).
-    /// **Pinned** across [`retract`](LoewnerPencil::retract) — windowed
+    /// **Pinned** across [`slide`](LoewnerPencil::slide) — windowed
     /// sessions keep decomposing the same shifted pencil family even
     /// after the pair that donated λ₁ expires.
     pub fn default_x0(&self) -> Complex {
-        match self.x0 {
-            Some(x0) => x0,
-            None => Complex::new(self.lambdas[0].abs(), 0.0),
-        }
+        self.x0
     }
 }
 
@@ -615,18 +541,39 @@ mod tests {
         assert!(r2 < 1e-10, "shifted Loewner Sylvester residual {r2}");
     }
 
+    /// Bit-level equality of every matrix and point list two pencils
+    /// share with a from-scratch build.
+    fn assert_bit_identical(a: &LoewnerPencil, b: &LoewnerPencil) {
+        let bits = |m: &CMatrix| -> Vec<(u64, u64)> {
+            m.as_slice()
+                .iter()
+                .map(|z| (z.re.to_bits(), z.im.to_bits()))
+                .collect()
+        };
+        for (x, y, what) in [
+            (a.ll(), b.ll(), "𝕃"),
+            (a.sll(), b.sll(), "σ𝕃"),
+            (a.w(), b.w(), "W"),
+            (a.v(), b.v(), "V"),
+        ] {
+            assert_eq!(bits(x), bits(y), "{what} differs");
+        }
+        assert_eq!(a.lambdas(), b.lambdas());
+        assert_eq!(a.mus(), b.mus());
+    }
+
     #[test]
-    fn incremental_extension_matches_direct_build() {
+    fn grow_only_slide_matches_direct_build() {
         let (data, _) = make_data(10, 2, 8, 2);
         let direct = LoewnerPencil::build_subset(&data, &[0, 1, 2, 3]).unwrap();
-        let mut inc = LoewnerPencil::build_subset(&data, &[0, 1]).unwrap();
-        inc.extend(&data, &[2, 3]).unwrap();
-        assert!(inc.ll().approx_eq(direct.ll(), 1e-13));
-        assert!(inc.sll().approx_eq(direct.sll(), 1e-13));
-        assert!(inc.w().approx_eq(direct.w(), 0.0));
-        assert!(inc.v().approx_eq(direct.v(), 0.0));
-        assert_eq!(inc.lambdas(), direct.lambdas());
-        assert_eq!(inc.mus(), direct.mus());
+        let grown = LoewnerPencil::build_subset(&data, &[0, 1])
+            .unwrap()
+            .slide(0, &data, &[2, 3])
+            .unwrap();
+        assert_bit_identical(&grown, &direct);
+        assert_eq!(grown.included_pairs(), &[0, 1, 2, 3]);
+        assert_eq!(grown.pair_ts(), direct.pair_ts());
+        assert_eq!(grown.default_x0(), direct.default_x0());
     }
 
     #[test]
@@ -660,55 +607,66 @@ mod tests {
     }
 
     #[test]
-    fn retraction_matches_a_from_scratch_build_of_the_survivors() {
+    fn drop_only_slide_matches_a_from_scratch_build_of_the_survivors() {
         let (data, _) = make_data(10, 2, 12, 2);
-        let mut windowed = LoewnerPencil::build_subset(&data, &[0, 1, 2, 3, 4]).unwrap();
-        let pinned_x0 = windowed.default_x0();
-        windowed.retract(2).unwrap();
+        let full = LoewnerPencil::build_subset(&data, &[0, 1, 2, 3, 4]).unwrap();
+        let windowed = full.slide(2, &data, &[]).unwrap();
 
         let direct = LoewnerPencil::build_subset(&data, &[2, 3, 4]).unwrap();
-        assert!(windowed.ll().approx_eq(direct.ll(), 0.0));
-        assert!(windowed.sll().approx_eq(direct.sll(), 0.0));
-        assert!(windowed.w().approx_eq(direct.w(), 0.0));
-        assert!(windowed.v().approx_eq(direct.v(), 0.0));
-        assert_eq!(windowed.lambdas(), direct.lambdas());
-        assert_eq!(windowed.mus(), direct.mus());
+        assert_bit_identical(&windowed, &direct);
         // Surviving pairs are renumbered to the window frame …
         assert_eq!(windowed.included_pairs(), &[0, 1, 2]);
         assert_eq!(windowed.pair_ts(), &[2, 2, 2]);
-        // … and the order-detection shift stays pinned to the original λ₁.
-        assert_eq!(windowed.default_x0(), pinned_x0);
-        assert_ne!(windowed.default_x0(), windowed.lambdas()[0]);
+        // … the order-detection shift stays pinned to the original λ₁ …
+        assert_eq!(windowed.default_x0(), full.default_x0());
+        assert_ne!(windowed.default_x0(), direct.default_x0());
+        // … and the pencil it slid from is still the five-pair pencil.
+        let again = LoewnerPencil::build_subset(&data, &[0, 1, 2, 3, 4]).unwrap();
+        assert_bit_identical(&full, &again);
+        assert_eq!(full.included_pairs(), &[0, 1, 2, 3, 4]);
     }
 
     #[test]
-    fn retract_then_extend_slides_the_window() {
+    fn drop_plus_grow_slide_moves_the_window() {
         let (data, _) = make_data(8, 2, 10, 1);
-        let mut windowed = LoewnerPencil::build_subset(&data, &[0, 1, 2, 3]).unwrap();
-        windowed.retract(1).unwrap();
-        // After renumbering, data pair 4 sits at window frame … but the
-        // pencil checks indices against the *caller's* data, so extend
-        // with the original indices shifted down by the retraction.
-        windowed.extend(&data, &[4]).unwrap();
+        let start = LoewnerPencil::build_subset(&data, &[0, 1, 2, 3]).unwrap();
+        // Survivors renumber down by one; the new pair indexes the
+        // caller's `data` as given.
+        let windowed = start.slide(1, &data, &[4]).unwrap();
         assert_eq!(windowed.order(), 8);
         let direct = LoewnerPencil::build_subset(&data, &[1, 2, 3, 4]).unwrap();
-        assert!(windowed.ll().approx_eq(direct.ll(), 0.0));
-        assert!(windowed.sll().approx_eq(direct.sll(), 0.0));
+        assert_bit_identical(&windowed, &direct);
+        assert_eq!(windowed.included_pairs(), &[0, 1, 2, 4]);
+        assert_eq!(windowed.pair_ts(), &[1, 1, 1, 1]);
+        assert_eq!(windowed.default_x0(), start.default_x0());
     }
 
     #[test]
-    fn invalid_retractions_are_rejected_and_transactional() {
-        let (data, _) = make_data(6, 2, 4, 1);
-        let mut pencil = LoewnerPencil::build_subset(&data, &[0, 1]).unwrap();
-        let before = pencil.ll().clone();
-        // Emptying the pencil is refused.
-        assert!(pencil.retract(2).is_err());
-        assert!(pencil.retract(5).is_err());
-        assert_eq!(pencil.order(), before.rows());
-        assert!(pencil.ll().approx_eq(&before, 0.0));
-        // A no-op retraction is fine.
-        pencil.retract(0).unwrap();
+    fn invalid_slides_are_refused_and_leave_the_pencil_untouched() {
+        let (data, _) = make_data(6, 2, 8, 1);
+        let pencil = LoewnerPencil::build_subset(&data, &[0, 1]).unwrap();
+        let before = pencil.clone();
+        // Evicting every pair (or more) is refused, even with new pairs.
+        assert!(pencil.slide(2, &data, &[]).is_err());
+        assert!(pencil.slide(2, &data, &[2, 3]).is_err());
+        assert!(pencil.slide(5, &data, &[]).is_err());
+        // A new pair already included, repeated, or out of range.
+        assert!(pencil.slide(0, &data, &[1]).is_err());
+        assert!(pencil.slide(0, &data, &[2, 3, 2]).is_err());
+        assert!(pencil.slide(0, &data, &[7]).is_err());
+        // After evicting one pair the survivor is window pair 0, so
+        // data pair 0 is a duplicate there.
+        assert!(pencil.slide(1, &data, &[0]).is_err());
+        assert_bit_identical(&pencil, &before);
         assert_eq!(pencil.included_pairs(), &[0, 1]);
+        // A slide that neither evicts nor grows is a copy.
+        let same = pencil.slide(0, &data, &[]).unwrap();
+        assert_bit_identical(&same, &pencil);
+        assert_eq!(same.included_pairs(), &[0, 1]);
+        assert_eq!(same.default_x0(), pencil.default_x0());
+        // A survivor numbered below the evicted prefix would be orphaned.
+        let unordered = LoewnerPencil::build_subset(&data, &[1, 0]).unwrap();
+        assert!(unordered.slide(1, &data, &[]).is_err());
     }
 
     #[test]
@@ -716,8 +674,9 @@ mod tests {
         let (data, _) = make_data(6, 2, 4, 1);
         assert!(LoewnerPencil::build_subset(&data, &[]).is_err());
         assert!(LoewnerPencil::build_subset(&data, &[5]).is_err());
-        let mut pencil = LoewnerPencil::build_subset(&data, &[0]).unwrap();
-        assert!(pencil.extend(&data, &[0]).is_err()); // duplicate
-        assert!(pencil.extend(&data, &[7]).is_err()); // out of range
+        assert!(LoewnerPencil::build_subset(&data, &[0, 0]).is_err()); // duplicate
+        let pencil = LoewnerPencil::build_subset(&data, &[0]).unwrap();
+        assert!(pencil.slide(0, &data, &[0]).is_err()); // duplicate
+        assert!(pencil.slide(0, &data, &[7]).is_err()); // out of range
     }
 }

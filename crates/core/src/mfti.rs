@@ -172,22 +172,31 @@ impl Mfti {
     /// Propagates data-validation, SVD and order-selection failures.
     pub fn fit_detailed(&self, samples: &SampleSet) -> Result<FitResult, MftiError> {
         let start = Stopwatch::start();
-        let data = TangentialData::build(samples, self.directions, &self.weights)?;
-        let pencil = LoewnerPencil::build(&data)?;
-        self.fit_pencil(&pencil, start)
+        // The tangential data and the complex pencil live only until
+        // the realification: detection and projection read the real
+        // state alone.
+        let state = {
+            let data = TangentialData::build(samples, self.directions, &self.weights)?;
+            RealPencilState::new(&LoewnerPencil::build(&data)?, self.realify_tol)?
+        };
+        self.fit_real(&state, start)
     }
 
     /// Runs the realization stage on an already-built pencil (shared
-    /// with Algorithm 2, which grows the pencil incrementally): one
-    /// realification, one real detection, then the projection
-    /// ([`RealPencilState`]). A stalled QR sweep degrades through the
-    /// recovery ladder (DESIGN.md §8) instead of failing the fit.
+    /// with Algorithm 2, which grows the pencil by slides): one
+    /// realification, then [`fit_real`](Self::fit_real).
     pub(crate) fn fit_pencil(
         &self,
         pencil: &LoewnerPencil,
         start: Stopwatch,
     ) -> Result<FitResult, MftiError> {
-        let state = RealPencilState::new(pencil, self.realify_tol)?;
+        self.fit_real(&RealPencilState::new(pencil, self.realify_tol)?, start)
+    }
+
+    /// One real detection, then the projection ([`RealPencilState`]).
+    /// A stalled QR sweep degrades through the recovery ladder
+    /// (DESIGN.md §8) instead of failing the fit.
+    fn fit_real(&self, state: &RealPencilState, start: Stopwatch) -> Result<FitResult, MftiError> {
         let detection = state.detection()?;
         let sv = detection.singular_values().to_vec();
         let order = self.order_selection.detect(&sv)?;
@@ -195,7 +204,7 @@ impl Mfti {
             model: state.realize(order)?,
             pencil_singular_values: sv,
             detected_order: order,
-            pencil_order: pencil.order(),
+            pencil_order: state.order(),
             svd_fallbacks: detection.fallback_methods(),
             elapsed: start.elapsed(),
         })

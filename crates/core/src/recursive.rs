@@ -181,7 +181,7 @@ impl RecursiveMfti {
             }
         }
 
-        let mut pencil: Option<LoewnerPencil> = None;
+        let mut pencil = LoewnerPencil::empty(&data);
         let mut rounds: Vec<RoundInfo> = Vec::new();
 
         // Promote the real direction blocks once: the residual loop below
@@ -198,14 +198,8 @@ impl RecursiveMfti {
         let result = loop {
             let take = k0.min(remaining.len());
             let batch: Vec<usize> = remaining.drain(..take).collect();
-            let pencil_ref: &LoewnerPencil = match pencil.take() {
-                Some(mut p) => {
-                    p.extend(&data, &batch)?;
-                    pencil.insert(p)
-                }
-                None => pencil.insert(LoewnerPencil::build_subset(&data, &batch)?),
-            };
-            let fit = self.base.fit_pencil(pencil_ref, start)?;
+            pencil = pencil.slide(0, &data, &batch)?;
+            let fit = self.base.fit_pencil(&pencil, start)?;
 
             // Tangential residual on the samples not yet admitted
             // (step 6: err = ‖w − H(λ)r‖ + ‖v − lH(μ)‖). All λ/μ probes
@@ -255,14 +249,10 @@ impl RecursiveMfti {
             remaining = errs.into_iter().map(|(j, _)| j).collect();
         };
 
-        let used_pairs = pencil
-            .as_ref()
-            .map(|p| p.included_pairs().to_vec())
-            .unwrap_or_default();
         Ok(RecursiveFit {
             result,
             rounds,
-            used_pairs,
+            used_pairs: pencil.included_pairs().to_vec(),
         })
     }
 

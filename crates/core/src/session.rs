@@ -6,9 +6,10 @@
 //! four things the one-shot call cannot offer:
 //!
 //! 1. **Incremental refits** — [`FitSession::append`] merges new
-//!    samples and grows the existing pencil block-wise
-//!    ([`LoewnerPencil::extend`], the machinery Algorithm 2 uses
-//!    internally) instead of rebuilding `O(K²)` blocks from scratch;
+//!    samples and slides the existing pencil to the new window
+//!    ([`LoewnerPencil::slide`], the step Algorithm 2 grows by),
+//!    computing only the new blocks instead of rebuilding `O(K²)` of
+//!    them from scratch;
 //! 2. **Incremental order detection** — the singular values of the
 //!    realified shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ` are *updated* per append
 //!    through a rank-revealing real [`SvdUpdater`] (the appended pencil
@@ -69,7 +70,7 @@ pub enum WindowPolicy {
     Unbounded,
     /// Sliding window: the pencil order is kept at or below `capacity`
     /// by evicting the **oldest** sample pairs as new ones stream in
-    /// ([`LoewnerPencil::retract`] + [`SvdUpdater::downdate_leading`],
+    /// ([`LoewnerPencil::slide`] + [`SvdUpdater::downdate_leading`],
     /// verified by a residual gate and re-anchored from a fresh
     /// decomposition when the advance fails — see DESIGN.md §9 for the
     /// validity conditions and the quarantine state machine).
@@ -418,12 +419,13 @@ impl FitSession {
     /// names the leading pairs to evict (none under
     /// [`WindowPolicy::Unbounded`]), tangential data are rebuilt over
     /// the live window (the surviving triples are bit-identical thanks
-    /// to prefix-stable directions), the Loewner pencil is retracted by
-    /// the evicted pairs and extended by **only the new rows/columns**
-    /// ([`LoewnerPencil::retract`], [`LoewnerPencil::extend`]), the
-    /// grown pencil is realified once (Lemma 3.2), and the
-    /// order-detection singular values of its shifted pencil
-    /// `x₀𝕃ᵣ − σ𝕃ᵣ` are refreshed — under the default
+    /// to prefix-stable directions), the Loewner pencil slides past the
+    /// evicted pairs and gains **only the new rows/columns**
+    /// ([`LoewnerPencil::slide`]), the slid pencil is realified whole
+    /// once (Lemma 3.2; its residual check is a maximum over the whole
+    /// matrix, which realified strips alone cannot reproduce bit for
+    /// bit), and the order-detection singular values of its shifted
+    /// pencil `x₀𝕃ᵣ − σ𝕃ᵣ` are refreshed — under the default
     /// [`SessionSvd::Updating`] by the one-shot fit's own detection on
     /// the first append and by a verified real [`SvdUpdater`] downdate
     /// and border update afterwards, by a fresh values-only
@@ -503,13 +505,8 @@ impl FitSession {
         let full_replacement = self.pencil.is_some() && evict.pairs == live_pairs;
         let pencil = match &self.pencil {
             Some(existing) if !full_replacement => {
-                // Retract *then* extend: the peak transient order never
-                // exceeds max(k_live, capacity).
-                let mut slid = existing.clone();
-                slid.retract(evict.pairs)?;
                 let fresh: Vec<usize> = (live_pairs - evict.pairs..data.num_pairs()).collect();
-                slid.extend(&data, &fresh)?;
-                slid
+                existing.slide(evict.pairs, &data, &fresh)?
             }
             _ => LoewnerPencil::build(&data)?,
         };

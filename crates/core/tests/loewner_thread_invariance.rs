@@ -41,37 +41,51 @@ fn assert_pencils_bit_identical(a: &LoewnerPencil, b: &LoewnerPencil, what: &str
 }
 
 #[test]
-fn build_and_extend_are_bit_identical_across_thread_counts() {
+fn build_and_slide_are_bit_identical_across_thread_counts() {
     // 4 ports × full weights × 32 samples ⇒ K = 128 > the parallel
     // gate, so the row fan-out actually spawns workers.
     let data = tangential_data(24, 4, 32);
     assert!(data.pencil_order() >= 128);
+    // The grow-only step computes 128² − 24² entries and the evicting
+    // step 112² − 16²: both past the gate of 96² new entries.
+    let grow = |data: &TangentialData| {
+        LoewnerPencil::build_subset(data, &[0, 1, 2])
+            .unwrap()
+            .slide(0, data, &(3..16).collect::<Vec<_>>())
+            .unwrap()
+    };
+    let evict = |data: &TangentialData| {
+        LoewnerPencil::build_subset(data, &[0, 1, 2, 3])
+            .unwrap()
+            .slide(2, data, &(4..16).collect::<Vec<_>>())
+            .unwrap()
+    };
 
     std::env::set_var("MFTI_THREADS", "1");
     let serial = LoewnerPencil::build(&data).unwrap();
-    let serial_grown = {
-        let mut p = LoewnerPencil::build_subset(&data, &[0, 1, 2]).unwrap();
-        p.extend(&data, &[3, 4, 5, 6, 7]).unwrap();
-        p
-    };
+    let serial_grown = grow(&data);
+    let serial_slid = evict(&data);
 
     for threads in ["2", "4", "8"] {
         std::env::set_var("MFTI_THREADS", threads);
         let par = LoewnerPencil::build(&data).unwrap();
         assert_pencils_bit_identical(&par, &serial, &format!("build at {threads} threads"));
-
-        let mut grown = LoewnerPencil::build_subset(&data, &[0, 1, 2]).unwrap();
-        grown.extend(&data, &[3, 4, 5, 6, 7]).unwrap();
         assert_pencils_bit_identical(
-            &grown,
+            &grow(&data),
             &serial_grown,
-            &format!("extend at {threads} threads"),
+            &format!("growing slide at {threads} threads"),
+        );
+        assert_pencils_bit_identical(
+            &evict(&data),
+            &serial_slid,
+            &format!("evicting slide at {threads} threads"),
         );
     }
     std::env::remove_var("MFTI_THREADS");
 
-    // And the grown pencil over pairs 0..8 equals the one-shot build of
-    // the same subset, bit for bit.
-    let direct = LoewnerPencil::build_subset(&data, &[0, 1, 2, 3, 4, 5, 6, 7]).unwrap();
-    assert_pencils_bit_identical(&serial_grown, &direct, "extend vs from-scratch");
+    // And each slid pencil equals the one-shot build over its pairs,
+    // bit for bit.
+    assert_pencils_bit_identical(&serial_grown, &serial, "growing slide vs from-scratch");
+    let direct = LoewnerPencil::build_subset(&data, &(2..16).collect::<Vec<_>>()).unwrap();
+    assert_pencils_bit_identical(&serial_slid, &direct, "evicting slide vs from-scratch");
 }
