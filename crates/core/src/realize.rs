@@ -15,7 +15,7 @@
 
 use std::sync::OnceLock;
 
-use mfti_numeric::{CMatrix, Complex, Matrix, RMatrix, Scalar, SvdFactors};
+use mfti_numeric::{kernel, CMatrix, Complex, Matrix, RMatrix, Scalar, SvdFactors};
 use mfti_statespace::DescriptorSystem;
 
 use crate::error::MftiError;
@@ -238,15 +238,31 @@ pub fn realize_real(
 /// reads (left of the wide stack, right of the tall one) never touch
 /// the QR's `Q`; a stalled sweep degrades through the recovery ladder
 /// ([`LadderSvd`], DESIGN.md §8).
+///
+/// Each stack is written once, straight into the working copy its
+/// bidiagonalization consumes — the wide one as its adjoint
+/// `[𝕃ᵀ; σ𝕃ᵀ]`, the orientation that decomposition works in — and
+/// only one is alive at a time.
 fn stacked_factors(
     pencil: &RealifiedPencil,
 ) -> Result<(LadderSvd<f64>, LadderSvd<f64>), MftiError> {
-    let row_stack = RMatrix::hstack(&[pencil.ll(), pencil.sll()])?;
-    let col_stack = RMatrix::vstack(&[pencil.ll(), pencil.sll()])?;
-    Ok((
-        LadderSvd::compute(&row_stack, SvdFactors::Left)?,
-        LadderSvd::compute(&col_stack, SvdFactors::Right)?,
-    ))
+    let halves = [pencil.ll(), pencil.sll()];
+    let rows = LadderSvd::compute_from_adjoint(
+        || RMatrix::adjoint_of_block_row(&halves),
+        SvdFactors::Left,
+    )?;
+    let cols = LadderSvd::compute_owned(
+        || {
+            let k = pencil.order();
+            RMatrix::from_vec(
+                2 * k,
+                k,
+                [halves[0].as_slice(), halves[1].as_slice()].concat(),
+            )
+        },
+        SvdFactors::Right,
+    )?;
+    Ok((rows, cols))
 }
 
 /// The accumulate-and-project half of [`realize_real`]: truncated
@@ -358,6 +374,13 @@ impl RealPencilState {
     /// detection's leading `r` factors ([`realize`](Self::realize)) or
     /// a session updater's `q` retained factors of the same shifted
     /// pencil (DESIGN.md §6).
+    ///
+    /// Neither stack is formed. `G = Ybᵀ[𝕃ᵣ σ𝕃ᵣ]` multiplies the packed
+    /// adjoint `[𝕃ᵣᵀ; σ𝕃ᵣᵀ]` — the one operand the fused `AᵀB` kernel
+    /// would pack from the stack, built from the halves — so `G`'s `2K`
+    /// columns keep their kernel lanes; `H = [𝕃ᵣ; σ𝕃ᵣ]Xb` runs each half
+    /// into its rows of one output, which its SVD then works in
+    /// (DESIGN.md §11).
     pub(crate) fn realize_restricted(
         &self,
         yb: &RMatrix,
@@ -366,12 +389,14 @@ impl RealPencilState {
     ) -> Result<DescriptorSystem<f64>, MftiError> {
         let pencil = &self.real;
         check_order(order, pencil.order())?;
-        let row_stack = RMatrix::hstack(&[pencil.ll(), pencil.sll()])?;
-        let col_stack = RMatrix::vstack(&[pencil.ll(), pencil.sll()])?;
-        let g = yb.mul_hermitian_left(&row_stack)?;
-        let h = col_stack.matmul(xb)?;
+        let halves = [pencil.ll(), pencil.sll()];
+        let g = yb
+            .adjoint()
+            .mul_transpose_right(&RMatrix::adjoint_of_block_row(&halves)?)?;
         let y = yb.matmul(&LadderSvd::compute(&g, SvdFactors::Left)?.accumulate_u(order)?)?;
-        let x = xb.matmul(&LadderSvd::compute(&h, SvdFactors::Right)?.accumulate_v(order)?)?;
+        drop(g);
+        let h = LadderSvd::compute_owned(|| kernel::mul_row_stack(&halves, xb), SvdFactors::Right)?;
+        let x = xb.matmul(&h.accumulate_v(order)?)?;
         project_real(pencil, &y, &x)
     }
 }
@@ -624,6 +649,103 @@ mod tests {
         }
         assert!(worst.is_finite());
         assert!(worst > 1e-8, "a rank-4 model cannot be exact for order 10");
+    }
+
+    /// The stacked formulation the projections replaced, kept as their
+    /// oracle: both stacks formed (entry by entry), `G`/`H` through the
+    /// fused kernels on them, and the dense route's two SVDs of the
+    /// stacks as given.
+    fn stacks(pencil: &RealifiedPencil) -> (RMatrix, RMatrix) {
+        let (ll, sll) = (pencil.ll(), pencil.sll());
+        let k = pencil.order();
+        let half = |i: usize, j: usize| if j < k { ll[(i, j)] } else { sll[(i, j - k)] };
+        let row_stack = RMatrix::from_fn(k, 2 * k, half);
+        let col_stack =
+            RMatrix::from_fn(
+                2 * k,
+                k,
+                |i, j| {
+                    if i < k {
+                        ll[(i, j)]
+                    } else {
+                        sll[(i - k, j)]
+                    }
+                },
+            );
+        (row_stack, col_stack)
+    }
+
+    fn stacked_oracle_dense(pencil: &RealifiedPencil, order: usize) -> DescriptorSystem<f64> {
+        let (row_stack, col_stack) = stacks(pencil);
+        let rows = LadderSvd::compute(&row_stack, SvdFactors::Left).unwrap();
+        let cols = LadderSvd::compute(&col_stack, SvdFactors::Right).unwrap();
+        realize_real_from_stacked(pencil, &rows, &cols, order).unwrap()
+    }
+
+    fn stacked_oracle_restricted(
+        pencil: &RealifiedPencil,
+        yb: &RMatrix,
+        xb: &RMatrix,
+        order: usize,
+    ) -> DescriptorSystem<f64> {
+        let (row_stack, col_stack) = stacks(pencil);
+        let g = yb.mul_hermitian_left(&row_stack).unwrap();
+        let h = col_stack.matmul(xb).unwrap();
+        let u = LadderSvd::compute(&g, SvdFactors::Left)
+            .unwrap()
+            .accumulate_u(order);
+        let v = LadderSvd::compute(&h, SvdFactors::Right)
+            .unwrap()
+            .accumulate_v(order);
+        let y = yb.matmul(&u.unwrap()).unwrap();
+        let x = xb.matmul(&v.unwrap()).unwrap();
+        project_real(pencil, &y, &x).unwrap()
+    }
+
+    fn model_bits(m: &DescriptorSystem<f64>) -> Vec<u64> {
+        let (e, a, b, c, d) = m.real_matrices();
+        [e, a, b, c, d]
+            .iter()
+            .flat_map(|x| x.iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn projections_without_stacks_match_the_stacked_oracle_bit_for_bit() {
+        // K ≡ 0 and K ≡ 2 (mod 4): in the second case a `K`-column half
+        // of `G` would leave two columns to the kernel's remainder lane,
+        // so `G` must keep its single `2K`-column partition. Each K also
+        // takes the blocked kernels (K²r far above the small-product
+        // cut) and a K-column block that is not a multiple of 48.
+        for (ports, t, k_samples) in [(2, 2, 50), (3, 3, 34), (3, 1, 98)] {
+            let (pencil, _, _, _) = setup(16, ports, ports, k_samples, t);
+            let state = RealPencilState::new(&pencil, 1e-9).unwrap();
+            let k = state.order();
+            assert!(k >= 96, "K = {k}");
+            let real = &state.real;
+            for order in [k / 8, k / 2] {
+                let restricted = state.realize(order).unwrap();
+                let (yb, xb) = state.detection().unwrap().accumulate_both(order).unwrap();
+                let want = stacked_oracle_restricted(real, &yb, &xb, order);
+                assert_eq!(
+                    model_bits(&restricted),
+                    model_bits(&want),
+                    "K = {k}, r = {order}"
+                );
+            }
+            // The retained route's wider bases (q > r) take the same path.
+            let q = k / 4 + 3;
+            let (yq, xq) = state.detection().unwrap().accumulate_both(q).unwrap();
+            let got = state.realize_restricted(&yq, &xq, q - 5).unwrap();
+            let want = stacked_oracle_restricted(real, &yq, &xq, q - 5);
+            assert_eq!(model_bits(&got), model_bits(&want), "K = {k}, q = {q}");
+            let dense = realize_real(real, k - 3).unwrap();
+            assert_eq!(
+                model_bits(&dense),
+                model_bits(&stacked_oracle_dense(real, k - 3)),
+                "K = {k}"
+            );
+        }
     }
 
     #[test]

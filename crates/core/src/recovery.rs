@@ -41,13 +41,45 @@ impl<T: Scalar> LadderSvd<T> {
     /// ([`NumericError::NotFinite`], shape errors) immediately — those
     /// are not recoverable by a backend change.
     pub(crate) fn compute(a: &Matrix<T>, factors: SvdFactors) -> Result<Self, NumericError> {
-        match Svd::bidiagonalize(a) {
+        Self::or_recover(Svd::bidiagonalize(a), || Ok(a.clone()), factors)
+    }
+
+    /// [`LadderSvd::compute`] of the matrix `build` returns, which the
+    /// lazy path consumes as its working copy instead of copying it;
+    /// `build` runs again only if the ladder must recover.
+    pub(crate) fn compute_owned(
+        build: impl Fn() -> Result<Matrix<T>, NumericError>,
+        factors: SvdFactors,
+    ) -> Result<Self, NumericError> {
+        Self::or_recover(Svd::bidiagonalize_owned(build()?), build, factors)
+    }
+
+    /// [`LadderSvd::compute`] of the wide matrix whose (tall) adjoint
+    /// `adjoint` returns: the lazy path works in that adjoint directly,
+    /// with the bits the wide matrix itself would give; `adjoint` runs
+    /// again only if the ladder must recover.
+    pub(crate) fn compute_from_adjoint(
+        adjoint: impl Fn() -> Result<Matrix<T>, NumericError>,
+        factors: SvdFactors,
+    ) -> Result<Self, NumericError> {
+        let lazy = Svd::bidiagonalize_owned(adjoint()?).map(PartialSvd::into_adjoint);
+        Self::or_recover(lazy, || Ok(adjoint()?.adjoint()), factors)
+    }
+
+    /// The lazy result, or on [`NumericError::NoConvergence`] the eager
+    /// ladder walk over the matrix `matrix` returns.
+    fn or_recover(
+        lazy: Result<PartialSvd<T>, NumericError>,
+        matrix: impl FnOnce() -> Result<Matrix<T>, NumericError>,
+        factors: SvdFactors,
+    ) -> Result<Self, NumericError> {
+        match lazy {
             Ok(partial) => Ok(LadderSvd::Lazy(Box::new(partial))),
             Err(e @ NumericError::NoConvergence { .. }) => {
                 // The lazy path *was* the Blocked rung; resume the
                 // ladder at Golub–Kahan and keep the original breakdown
                 // at the head of the trail.
-                let mut rec = Svd::compute_recovering(a, SvdMethod::GolubKahan, factors)?;
+                let mut rec = Svd::compute_recovering(&matrix()?, SvdMethod::GolubKahan, factors)?;
                 rec.fallbacks.insert(0, (SvdMethod::Blocked, e));
                 Ok(LadderSvd::Recovered(Box::new(rec)))
             }

@@ -28,9 +28,11 @@ impl<T: Scalar> Matrix<T> {
                 what: "submatrix exceeds matrix bounds",
             });
         }
-        Ok(Matrix::from_fn(height, width, |i, j| {
-            self[(row + i, col + j)]
-        }))
+        let mut data = Vec::with_capacity(height * width);
+        for i in row..row + height {
+            data.extend_from_slice(&self.row(i)[col..col + width]);
+        }
+        Matrix::from_vec(height, width, data)
     }
 
     /// Copies the listed rows (in order, repeats allowed) into a new matrix.
@@ -80,10 +82,9 @@ impl<T: Scalar> Matrix<T> {
                 what: "set_block exceeds matrix bounds",
             });
         }
+        let width = block.cols();
         for i in 0..block.rows() {
-            for j in 0..block.cols() {
-                self[(row + i, col + j)] = block[(i, j)];
-            }
+            self.row_mut(row + i)[col..col + width].copy_from_slice(block.row(i));
         }
         Ok(())
     }
@@ -136,6 +137,36 @@ impl<T: Scalar> Matrix<T> {
         for p in parts {
             out.set_block(offset, 0, p)?;
             offset += p.rows();
+        }
+        Ok(out)
+    }
+
+    /// The adjoint of a left-to-right stack, `[a | b | …]ᴴ =
+    /// [aᴴ; bᴴ; …]`, written straight into one allocation: no stacked
+    /// copy and no second transpose pass. Row `j` of the result is the
+    /// conjugated column `j` of the stack.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NumericError::InvalidArgument`] when the input is empty or
+    /// row counts differ.
+    pub fn adjoint_of_block_row(parts: &[&Self]) -> Result<Self, NumericError> {
+        let first = parts.first().ok_or(NumericError::InvalidArgument {
+            what: "block row of zero matrices",
+        })?;
+        let rows = first.rows();
+        if parts.iter().any(|p| p.rows() != rows) {
+            return Err(NumericError::InvalidArgument {
+                what: "block row requires equal row counts",
+            });
+        }
+        let cols: usize = parts.iter().map(|p| p.cols()).sum();
+        let mut out = Matrix::zeros(cols, rows);
+        let mut rest = out.as_mut_slice();
+        for p in parts {
+            let (block, tail) = rest.split_at_mut(p.cols() * rows);
+            crate::kernel::pack_transpose_into(p, true, block);
+            rest = tail;
         }
         Ok(out)
     }
@@ -224,6 +255,24 @@ mod tests {
         let v = RMatrix::vstack(&[&a, &b]).unwrap();
         assert_eq!(v.dims(), (4, 2));
         assert_eq!(v[(2, 0)], 1.0);
+    }
+
+    #[test]
+    fn adjoint_of_block_row_is_the_adjoint_of_the_stack() {
+        let a = counting(3, 2);
+        let b = counting(3, 5).scale(-0.5);
+        let want = RMatrix::hstack(&[&a, &b]).unwrap().adjoint();
+        let got = RMatrix::adjoint_of_block_row(&[&a, &b]).unwrap();
+        assert_eq!(got.dims(), (7, 3));
+        assert_eq!(got.as_slice(), want.as_slice());
+        let z = crate::matrix::CMatrix::from_fn(2, 3, |i, j| crate::c64(i as f64, j as f64 + 1.0));
+        let want = crate::matrix::CMatrix::hstack(&[&z, &z]).unwrap().adjoint();
+        assert_eq!(
+            crate::matrix::CMatrix::adjoint_of_block_row(&[&z, &z]).unwrap(),
+            want
+        );
+        assert!(RMatrix::adjoint_of_block_row(&[&a, &counting(2, 2)]).is_err());
+        assert!(RMatrix::adjoint_of_block_row(&[]).is_err());
     }
 
     #[test]

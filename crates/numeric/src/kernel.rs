@@ -32,8 +32,9 @@
 //! correctness reference for property tests and the benchmark baseline
 //! (`crates/bench/benches/gemm_kernels.rs` tracks the speedup).
 
+use crate::complex::Complex;
 use crate::error::NumericError;
-use crate::matrix::Matrix;
+use crate::matrix::{CMatrix, Matrix};
 use crate::scalar::Scalar;
 
 /// Block length along the shared `k` dimension: a packed row panel of
@@ -397,9 +398,17 @@ fn gemm_split<T: Scalar>(
 /// Packs the transpose of `m` (optionally conjugated) into a row-major
 /// `cols × rows` buffer, so its rows are contiguous in `m`'s row index.
 fn pack_transpose<T: Scalar>(m: &Matrix<T>, conjugate: bool) -> Vec<T> {
+    let mut packed = vec![T::ZERO; m.rows() * m.cols()];
+    pack_transpose_into(m, conjugate, &mut packed);
+    packed
+}
+
+/// [`pack_transpose`] into a caller-owned `cols × rows` buffer (which
+/// may be one block of a larger stacked operand).
+pub(crate) fn pack_transpose_into<T: Scalar>(m: &Matrix<T>, conjugate: bool, packed: &mut [T]) {
     let (rows, cols) = m.dims();
     let src = m.as_slice();
-    let mut packed = vec![T::ZERO; rows * cols];
+    debug_assert_eq!(packed.len(), rows * cols);
     // Tile the transpose so both source and destination touch a bounded
     // set of cache lines per tile.
     const TILE: usize = 32;
@@ -421,7 +430,6 @@ fn pack_transpose<T: Scalar>(m: &Matrix<T>, conjugate: bool) -> Vec<T> {
             }
         }
     }
-    packed
 }
 
 #[cfg(test)]
@@ -653,19 +661,29 @@ const SMALL_GEMM_OPS: usize = 4096;
 /// Streaming `i-k-j` product over row slices — no packing, no extra
 /// allocations beyond the output. The small-shape fast path of [`mul`].
 fn mul_small<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    let (m, kdim, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    for i in 0..m {
-        let a_row = a.row(i);
-        let out_row = out.row_mut(i);
-        for (k, &aik) in a_row.iter().enumerate().take(kdim) {
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    mul_small_into(a, b, out.as_mut_slice());
+    out
+}
+
+/// [`mul_small`] into zeroed row-major storage of the product's shape.
+fn mul_small_into<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, out: &mut [T]) {
+    let n = b.cols();
+    if n == 0 {
+        return;
+    }
+    for (a_row, out_row) in a
+        .as_slice()
+        .chunks_exact(a.cols().max(1))
+        .zip(out.chunks_exact_mut(n))
+    {
+        for (k, &aik) in a_row.iter().enumerate() {
             let b_row = &b.as_slice()[k * n..(k + 1) * n];
             for (o, &r) in out_row.iter_mut().zip(b_row) {
                 *o += aik * r;
             }
         }
     }
-    out
 }
 
 fn shape_err<T: Scalar>(op: &'static str, a: &Matrix<T>, b: &Matrix<T>) -> NumericError {
@@ -733,6 +751,134 @@ pub fn mul_blocked<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>) -> Result<Matrix<T>,
         let bt = pack_transpose(b, false);
         gemm_packed(a.as_slice(), &bt, m, n, kdim, T::ONE, out.as_mut_slice());
     }
+    Ok(out)
+}
+
+/// `[A₁; A₂; …]·B` without forming the stacked left operand: bit for
+/// bit [`mul`] of the stack. Every output row's arithmetic reads only
+/// its own left row and `B`, so each part runs the kernel [`mul`]
+/// would pick for the **whole** stacked shape (the small-product rule
+/// is applied to the total, not per part) into its own rows of one
+/// output, with `B` packed once.
+///
+/// # Errors
+///
+/// Returns [`NumericError::ShapeMismatch`] when a part's column count
+/// differs from `b.rows()`, and [`NumericError::InvalidArgument`] for
+/// an empty `parts`.
+pub fn mul_row_stack<T: Scalar>(
+    parts: &[&Matrix<T>],
+    b: &Matrix<T>,
+) -> Result<Matrix<T>, NumericError> {
+    if parts.is_empty() {
+        return Err(NumericError::InvalidArgument {
+            what: "mul_row_stack of zero matrices",
+        });
+    }
+    if let Some(bad) = parts.iter().find(|a| a.cols() != b.rows()) {
+        return Err(shape_err("matmul", bad, b));
+    }
+    let (kdim, n) = b.dims();
+    let m: usize = parts.iter().map(|a| a.rows()).sum();
+    let mut out = Matrix::zeros(m, n);
+    let small = m * kdim * n <= SMALL_GEMM_OPS;
+    let (packed, (bre, bim)) = match (small, T::IS_COMPLEX) {
+        (true, _) => (Vec::new(), (Vec::new(), Vec::new())),
+        (false, true) => (Vec::new(), split_transpose(b, false)),
+        (false, false) => (pack_transpose(b, false), (Vec::new(), Vec::new())),
+    };
+    let mut rest = out.as_mut_slice();
+    for a in parts {
+        let (rows, tail) = rest.split_at_mut(a.rows() * n);
+        rest = tail;
+        if small {
+            mul_small_into(a, b, rows);
+        } else if T::IS_COMPLEX {
+            let (are, aim) = split_rows(a, false);
+            gemm_split(&are, &aim, &bre, &bim, a.rows(), n, kdim, T::ONE, rows);
+        } else {
+            gemm_packed(a.as_slice(), &packed, a.rows(), n, kdim, T::ONE, rows);
+        }
+    }
+    Ok(out)
+}
+
+/// A complex product operand split once into the re/im planes the
+/// kernels multiply: `rows` rows of `kdim` entries, contiguous along the
+/// shared dimension — a left operand's own rows ([`SplitOperand::left`])
+/// or a right operand's columns ([`SplitOperand::right`]).
+///
+/// [`mul_split`] of two split operands is, bit for bit, the
+/// [`mul_blocked`] product they were split from. A caller that
+/// multiplies one constant operand against many small blocks — a
+/// frequency sweep walking its points in fixed chunks — splits the
+/// constant once instead of once per product.
+#[derive(Debug, Clone)]
+pub struct SplitOperand {
+    rows: usize,
+    kdim: usize,
+    pub(crate) re: Vec<f64>,
+    pub(crate) im: Vec<f64>,
+}
+
+impl SplitOperand {
+    /// `a` as the left operand of a product (its rows).
+    pub fn left(a: &CMatrix) -> Self {
+        let (re, im) = split_rows(a, false);
+        SplitOperand {
+            rows: a.rows(),
+            kdim: a.cols(),
+            re,
+            im,
+        }
+    }
+
+    /// `b` as the right operand of a product (its columns).
+    pub fn right(b: &CMatrix) -> Self {
+        let (re, im) = split_transpose(b, false);
+        SplitOperand {
+            rows: b.cols(),
+            kdim: b.rows(),
+            re,
+            im,
+        }
+    }
+
+    /// Wraps planes already in the split layout (`rows × kdim` each).
+    pub(crate) fn from_planes(rows: usize, kdim: usize, re: Vec<f64>, im: Vec<f64>) -> Self {
+        debug_assert!(re.len() == rows * kdim && im.len() == rows * kdim);
+        SplitOperand { rows, kdim, re, im }
+    }
+}
+
+/// `A·B` of a split left operand and a split right operand
+/// (`a.rows() × b.rows()`), bit for bit [`mul_blocked`] of the matrices
+/// they were split from.
+///
+/// # Errors
+///
+/// Returns [`NumericError::ShapeMismatch`] when the shared dimensions
+/// differ.
+pub fn mul_split(a: &SplitOperand, b: &SplitOperand) -> Result<CMatrix, NumericError> {
+    if a.kdim != b.kdim {
+        return Err(NumericError::ShapeMismatch {
+            op: "mul_split",
+            left: (a.rows, a.kdim),
+            right: (b.kdim, b.rows),
+        });
+    }
+    let mut out = CMatrix::zeros(a.rows, b.rows);
+    gemm_split(
+        &a.re,
+        &a.im,
+        &b.re,
+        &b.im,
+        a.rows,
+        b.rows,
+        a.kdim,
+        Complex::ONE,
+        out.as_mut_slice(),
+    );
     Ok(out)
 }
 
@@ -960,7 +1106,7 @@ mod tests {
     use super::*;
     use crate::complex::c64;
     use crate::matrix::{CMatrix, RMatrix};
-    use crate::oracle::{same_real_bits, uniform};
+    use crate::oracle::{same_complex_bits, same_real_bits, uniform};
     use proptest::prelude::*;
 
     fn cmat(rows: usize, cols: usize, seed: u64) -> CMatrix {
@@ -1072,6 +1218,51 @@ mod tests {
         let a_ok = CMatrix::zeros(2, 3);
         let b_ok = CMatrix::zeros(3, 2);
         assert!(accumulate_scaled(&mut c_bad, c64(1.0, 0.0), &a_ok, &b_ok).is_err());
+    }
+
+    #[test]
+    fn split_operands_multiply_with_the_blocked_bits() {
+        for &(m, k, n) in &[
+            (1usize, 1usize, 1usize),
+            (7, 13, 5),
+            (33, 300, 50),
+            (3, 257, 97),
+        ] {
+            let a = cmat(m, k, (m * 31 + k) as u64);
+            let b = cmat(k, n, (k * 31 + n) as u64);
+            let split = mul_split(&SplitOperand::left(&a), &SplitOperand::right(&b)).unwrap();
+            let blocked = mul_blocked(&a, &b).unwrap();
+            assert!(
+                same_complex_bits(split.as_slice(), blocked.as_slice()),
+                "{m}x{k}x{n}"
+            );
+        }
+        let a = SplitOperand::left(&cmat(2, 3, 1));
+        assert!(mul_split(&a, &SplitOperand::right(&cmat(4, 2, 2))).is_err());
+    }
+
+    #[test]
+    fn row_stack_products_match_the_stacked_product_bit_for_bit() {
+        // Tiny totals take the small-product path, larger ones the
+        // blocked kernel, whatever the parts' own sizes.
+        for &(r1, r2, k, n) in &[
+            (2usize, 3usize, 4usize, 3usize),
+            (5, 4, 9, 7),
+            (50, 46, 96, 22),
+            (9, 1, 300, 5),
+        ] {
+            let (a1, a2) = (cmat(r1, k, 3), cmat(r2, k, 4));
+            let b = cmat(k, n, 5);
+            let stacked = mul(&CMatrix::vstack(&[&a1, &a2]).unwrap(), &b).unwrap();
+            let got = mul_row_stack(&[&a1, &a2], &b).unwrap();
+            assert!(same_complex_bits(got.as_slice(), stacked.as_slice()));
+            let (a1, a2, b) = (a1.real_part(), a2.real_part(), b.imag_part());
+            let stacked = mul(&RMatrix::vstack(&[&a1, &a2]).unwrap(), &b).unwrap();
+            let got = mul_row_stack(&[&a1, &a2], &b).unwrap();
+            assert!(same_bits(&got, &stacked), "{r1}+{r2} x {k} x {n}");
+        }
+        assert!(mul_row_stack(&[&cmat(2, 3, 1)], &cmat(4, 2, 2)).is_err());
+        assert!(mul_row_stack::<f64>(&[], &RMatrix::zeros(1, 1)).is_err());
     }
 
     #[test]

@@ -114,8 +114,7 @@ pub use matrix::{CMatrix, Matrix, RMatrix};
 pub use qr::Qr;
 pub use scalar::Scalar;
 pub use schur::{
-    solve_shifted_triangular, solve_shifted_triangular_batch, solve_shifted_triangular_scaled,
-    strict_upper_max_abs, triangular_right_eigenvectors, Schur,
+    solve_shifted_triangular, triangular_right_eigenvectors, Schur, ShiftedTriangular, SHIFT_BLOCK,
 };
 pub use solve::{lstsq, solve};
 pub use svd::{

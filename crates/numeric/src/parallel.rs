@@ -30,6 +30,8 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! ```
 
+use std::sync::OnceLock;
+
 /// Hard ceiling on the worker count: beyond this, thread spawn overhead
 /// dwarfs any per-chunk win for the dense-sweep workloads in this repo.
 const MAX_THREADS: usize = 256;
@@ -38,11 +40,21 @@ const MAX_THREADS: usize = 256;
 /// environment variable when set to a positive integer, otherwise
 /// [`std::thread::available_parallelism`] (1 when even that is unknown).
 /// The result is clamped to `1..=256`.
+///
+/// The variable is read on every call, so a process (or a test) that
+/// changes it takes effect at the next call. The hardware count is
+/// resolved once per process: `available_parallelism` reads the cgroup
+/// files on Linux, which costs more than a small fit's sweep set-up.
 pub fn available_threads() -> usize {
-    let default = || std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    let hardware = || {
+        *HARDWARE.get_or_init(|| {
+            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+        })
+    };
     let n = match std::env::var("MFTI_THREADS") {
-        Ok(v) => parse_thread_override(&v).unwrap_or_else(default),
-        Err(_) => default(),
+        Ok(v) => parse_thread_override(&v).unwrap_or_else(hardware),
+        Err(_) => hardware(),
     };
     n.clamp(1, MAX_THREADS)
 }

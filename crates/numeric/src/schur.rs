@@ -46,6 +46,7 @@
 use crate::complex::{c64, Complex};
 use crate::error::NumericError;
 use crate::hessenberg::{hessenberg_form, Hessenberg};
+use crate::kernel::SplitOperand;
 use crate::matrix::{CMatrix, Matrix, RMatrix};
 use crate::scalar::Scalar;
 
@@ -871,9 +872,10 @@ fn francis_eigenvalues(mut h: RMatrix) -> Result<Vec<Complex>, NumericError> {
 /// How many shifts march down the rows together in one back-substitution
 /// block. Each row's `T` column then feeds `SHIFT_BLOCK × m` independent
 /// axpy streams (instruction-level parallelism the serial per-shift
-/// recurrence cannot offer), while the block's scratch planes
-/// (`SHIFT_BLOCK · m · n` reals per plane) stay cache-resident.
-const SHIFT_BLOCK: usize = 8;
+/// recurrence cannot offer), while the block's stretch of the solution
+/// planes (`SHIFT_BLOCK · m · n` reals per plane) stays cache-resident.
+/// Callers that feed a sweep in chunks size them as a multiple of it.
+pub const SHIFT_BLOCK: usize = 8;
 
 /// Column-sweep back-substitution for a **block** of shifts in lockstep
 /// over split-complex scratch planes: for each row `i` (bottom-up) and
@@ -1058,15 +1060,18 @@ pub fn solve_shifted_triangular(
     beta: Complex,
     b: &CMatrix,
 ) -> Result<CMatrix, NumericError> {
-    solve_shifted_triangular_scaled(t, alpha, beta, b, strict_upper_max_abs(t))
+    // One shift through the multi-shift kernel: a single implementation
+    // keeps one-at-a-time and batched solves bit-identical.
+    let mut out = ShiftedTriangular::new(t)?.solve(&[(alpha, beta)], b)?;
+    out.pop().ok_or(NumericError::InvalidArgument {
+        what: "one-shift batch solve produced no solution",
+    })
 }
 
 /// The largest modulus over the strict upper triangle of `t` — the
-/// precomputable part of [`solve_shifted_triangular`]'s singularity
-/// scale. Sweep evaluators call this once per factorization and pass the
-/// result to [`solve_shifted_triangular_scaled`] for every frequency,
-/// keeping the per-point cost at pure back-substitution.
-pub fn strict_upper_max_abs(t: &CMatrix) -> f64 {
+/// part of the singularity scale a [`ShiftedTriangular`] computes once
+/// for every shift it solves.
+fn strict_upper_max_abs(t: &CMatrix) -> f64 {
     let n = t.cols();
     let ts = t.as_slice();
     let mut max_sq = 0.0f64;
@@ -1078,160 +1083,198 @@ pub fn strict_upper_max_abs(t: &CMatrix) -> f64 {
     max_sq.sqrt()
 }
 
-/// [`solve_shifted_triangular`] with the strict-upper-triangle magnitude
-/// of `t` supplied by the caller (see [`strict_upper_max_abs`]), so the
-/// per-point work is exactly one back-substitution — no `O(n²)` scan.
-///
-/// # Errors
-///
-/// Same as [`solve_shifted_triangular`].
-pub fn solve_shifted_triangular_scaled(
-    t: &CMatrix,
-    alpha: Complex,
-    beta: Complex,
-    b: &CMatrix,
-    t_upper_max_abs: f64,
-) -> Result<CMatrix, NumericError> {
-    // One shift through the batch kernel: a single implementation keeps
-    // the scalar and multi-shift paths bit-identical by construction.
-    let mut out = solve_shifted_triangular_batch(t, &[(alpha, beta)], b, t_upper_max_abs)?;
-    out.pop().ok_or(NumericError::InvalidArgument {
-        what: "one-shift batch solve produced no solution",
-    })
+/// An upper-triangular `T` prepared once for many multi-shift solves
+/// `(αₖ·I + βₖ·T) Xₖ = B` — the inner kernel of Schur-form frequency
+/// sweeps, where every frequency contributes one `(αₖ, βₖ)` pair: its
+/// diagonal, its strict upper triangle split into the **column-major**
+/// re/im planes the back-substitution streams, and the singularity
+/// scale. Entries below the diagonal are ignored.
+#[derive(Debug, Clone)]
+pub struct ShiftedTriangular {
+    diag: Vec<Complex>,
+    /// Column `i` of the strict upper triangle at offset `i·n`.
+    tc_re: Vec<f64>,
+    tc_im: Vec<f64>,
+    upper_max: f64,
 }
 
-/// Multi-shift variant of [`solve_shifted_triangular_scaled`]: solves
-/// `(αₖ·I + βₖ·T) Xₖ = B` for a whole batch of shifts sharing one
-/// triangular factor and one right-hand side — the inner kernel of
-/// Schur-form frequency sweeps, where every frequency contributes one
-/// `(αₖ, βₖ)` pair.
-///
-/// The back-substitution streams each row tail of `T` across **all**
-/// shifts and right-hand-side columns while it is hot in cache, so the
-/// `O(n²)` factor traffic is paid once per batch instead of once per
-/// shift. Per shift, the arithmetic (operation order included) is
-/// exactly that of [`solve_shifted_triangular_scaled`], so batched and
-/// one-at-a-time solves produce **bit-identical** results — the property
-/// the deterministic parallel sweeps in `mfti-statespace` rely on when
-/// they split a sweep into per-worker blocks.
-///
-/// # Errors
-///
-/// * Shape errors as [`solve_shifted_triangular`];
-/// * [`NumericError::Singular`] if **any** shift makes `αₖ·I + βₖ·T`
-///   singular to working precision (detected upfront on the diagonal;
-///   callers that need to know *which* shift hit a pole re-run the
-///   scalar solver per shift).
-pub fn solve_shifted_triangular_batch(
-    t: &CMatrix,
-    shifts: &[(Complex, Complex)],
-    b: &CMatrix,
-    t_upper_max_abs: f64,
-) -> Result<Vec<CMatrix>, NumericError> {
-    if !t.is_square() {
-        return Err(NumericError::NotSquare {
-            op: "triangular batch solve",
-            dims: t.dims(),
-        });
-    }
-    let n = t.rows();
-    if b.rows() != n {
-        return Err(NumericError::ShapeMismatch {
-            op: "triangular batch solve",
-            left: t.dims(),
-            right: b.dims(),
-        });
-    }
-    let m = b.cols();
-    let k_shifts = shifts.len();
-    if n == 0 || k_shifts == 0 {
-        return Ok(vec![b.clone(); k_shifts]);
-    }
-    let ts = t.as_slice();
-
-    // Pivot pass: every shift's diagonal and singularity cut, up front.
-    // (A triangular matrix with a vanishing diagonal entry is singular
-    // no matter how large the off-diagonal part — but the cut must be
-    // *relative* to that part, or mildly scaled systems would pass.)
-    let mut inv_diag: Vec<Complex> = Vec::with_capacity(k_shifts * n);
-    for &(alpha, beta) in shifts {
-        let mut scale_sq = (beta.abs() * t_upper_max_abs)
-            .powi(2)
-            .max(f64::MIN_POSITIVE);
-        for i in 0..n {
-            scale_sq = scale_sq.max((alpha + beta * ts[i * n + i]).abs_sq());
+impl ShiftedTriangular {
+    /// Prepares `t`.
+    ///
+    /// # Errors
+    ///
+    /// [`NumericError::NotSquare`] for a non-square `t`.
+    pub fn new(t: &CMatrix) -> Result<Self, NumericError> {
+        if !t.is_square() {
+            return Err(NumericError::NotSquare {
+                op: "triangular batch solve",
+                dims: t.dims(),
+            });
         }
-        let cut_sq = (f64::EPSILON * f64::EPSILON) * scale_sq;
+        let n = t.rows();
+        let ts = t.as_slice();
+        // The back-substitution runs as a column sweep: finalizing x[i]
+        // pushes its contribution up into rows 0..i with one contiguous
+        // split-complex axpy — no dot-product reductions at all, just
+        // straight-line FMA streams.
+        let mut tc_re = vec![0.0f64; n * n];
+        let mut tc_im = vec![0.0f64; n * n];
         for i in 0..n {
-            let d = alpha + beta * ts[i * n + i];
-            if d.abs_sq() <= cut_sq {
-                return Err(NumericError::Singular {
-                    op: "triangular batch solve",
-                });
+            for j in 0..i {
+                let z = ts[j * n + i];
+                tc_re[i * n + j] = z.re;
+                tc_im[i * n + j] = z.im;
             }
-            inv_diag.push(d.recip());
         }
+        Ok(ShiftedTriangular {
+            diag: (0..n).map(|i| ts[i * n + i]).collect(),
+            tc_re,
+            tc_im,
+            upper_max: strict_upper_max_abs(t),
+        })
     }
 
-    // Split the strict upper triangle of T into **column-major** re/im
-    // planes once per batch. The back-substitution then runs as a column
-    // sweep: finalizing x[i] pushes its contribution up into rows 0..i
-    // with one contiguous split-complex axpy — no dot-product reductions
-    // at all, just straight-line FMA streams.
-    let mut tc_re = vec![0.0f64; n * n];
-    let mut tc_im = vec![0.0f64; n * n];
-    for i in 0..n {
-        for j in 0..i {
-            let z = ts[j * n + i];
-            tc_re[i * n + j] = z.re;
-            tc_im[i * n + j] = z.im;
-        }
+    /// Order `n` of `T`.
+    pub fn order(&self) -> usize {
+        self.diag.len()
     }
 
-    // Blocks of SHIFT_BLOCK shifts march down the rows in lockstep over
-    // one reused pair of scratch planes: each load of a `T` column feeds
-    // the whole block's independent axpy streams, and the block's
-    // columns stay cache-resident across the sweep.
-    let bs = b.as_slice();
-    let mut x_re = vec![0.0f64; SHIFT_BLOCK * m * n];
-    let mut x_im = vec![0.0f64; SHIFT_BLOCK * m * n];
-    let mut out = Vec::with_capacity(k_shifts);
-    for (kb, block) in shifts.chunks(SHIFT_BLOCK).enumerate() {
-        let block_len = block.len();
-        for (k, _) in block.iter().enumerate() {
-            for c in 0..m {
-                let base = (k * m + c) * n;
+    /// Solves every shift's system. The back-substitution streams each
+    /// row tail of `T` across **all** shifts and right-hand-side columns
+    /// while it is hot in cache, so the `O(n²)` factor traffic is paid
+    /// once per shift block instead of once per shift. Per shift, the
+    /// arithmetic (operation order included) never depends on the other
+    /// shifts, so batched and one-at-a-time solves produce
+    /// **bit-identical** results — the property the deterministic
+    /// parallel sweeps in `mfti-statespace` rely on when they split a
+    /// sweep into per-worker blocks and chunks.
+    ///
+    /// # Errors
+    ///
+    /// * [`NumericError::ShapeMismatch`] when `b` does not have `n` rows;
+    /// * [`NumericError::Singular`] if **any** shift makes `αₖ·I + βₖ·T`
+    ///   singular to working precision (detected upfront on the diagonal;
+    ///   callers that need to know *which* shift hit a pole solve each
+    ///   shift alone).
+    pub fn solve(
+        &self,
+        shifts: &[(Complex, Complex)],
+        b: &CMatrix,
+    ) -> Result<Vec<CMatrix>, NumericError> {
+        let n = self.order();
+        let m = b.cols();
+        if n == 0 || shifts.is_empty() {
+            self.check_rhs(b)?;
+            return Ok(vec![b.clone(); shifts.len()]);
+        }
+        let x = self.solve_split(shifts, b)?;
+        let (x_re, x_im) = (&x.re, &x.im);
+        (0..shifts.len())
+            .map(|k| {
+                let mut data = Vec::with_capacity(n * m);
                 for i in 0..n {
-                    let z = bs[i * m + c];
-                    x_re[base + i] = z.re;
-                    x_im[base + i] = z.im;
+                    for c in 0..m {
+                        let at = (k * m + c) * n + i;
+                        data.push(c64(x_re[at], x_im[at]));
+                    }
                 }
+                CMatrix::from_vec(n, m, data)
+            })
+            .collect()
+    }
+
+    /// Solves every shift's system and returns the solutions as the
+    /// right operand of a product, `[X₁ … X_K]` split
+    /// ([`SplitOperand`]): row `k·m + c` holds column `c` of `Xₖ`. That is
+    /// the layout the back-substitution already works in, so
+    /// `kernel::mul_split(&c, &solutions)` computes `C·[X₁ … X_K]` — bit
+    /// for bit `kernel::mul_blocked` of `C` and the side-by-side
+    /// solutions — without building a single `Xₖ`.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShiftedTriangular::solve`].
+    pub fn solve_split(
+        &self,
+        shifts: &[(Complex, Complex)],
+        b: &CMatrix,
+    ) -> Result<SplitOperand, NumericError> {
+        self.check_rhs(b)?;
+        let n = self.order();
+        let m = b.cols();
+        let k_shifts = shifts.len();
+
+        // Pivot pass: every shift's diagonal and singularity cut, up front.
+        // (A triangular matrix with a vanishing diagonal entry is singular
+        // no matter how large the off-diagonal part — but the cut must be
+        // *relative* to that part, or mildly scaled systems would pass.)
+        let mut inv_diag: Vec<Complex> = Vec::with_capacity(k_shifts * n);
+        for &(alpha, beta) in shifts {
+            let mut scale_sq = (beta.abs() * self.upper_max).powi(2).max(f64::MIN_POSITIVE);
+            for &t_ii in &self.diag {
+                scale_sq = scale_sq.max((alpha + beta * t_ii).abs_sq());
+            }
+            let cut_sq = (f64::EPSILON * f64::EPSILON) * scale_sq;
+            for &t_ii in &self.diag {
+                let d = alpha + beta * t_ii;
+                if d.abs_sq() <= cut_sq {
+                    return Err(NumericError::Singular {
+                        op: "triangular batch solve",
+                    });
+                }
+                inv_diag.push(d.recip());
             }
         }
-        let betas: Vec<Complex> = block.iter().map(|&(_, beta)| beta).collect();
-        let inv_block = &inv_diag[kb * SHIFT_BLOCK * n..kb * SHIFT_BLOCK * n + block_len * n];
-        backsub_block(
-            &tc_re,
-            &tc_im,
-            inv_block,
-            &betas,
-            &mut x_re[..block_len * m * n],
-            &mut x_im[..block_len * m * n],
-            n,
-            m,
-        );
-        for k in 0..block_len {
-            let mut data = Vec::with_capacity(n * m);
-            for i in 0..n {
+
+        // Blocks of SHIFT_BLOCK shifts march down the rows in lockstep,
+        // each in its own stretch of the solution planes: each load of a
+        // `T` column feeds the whole block's independent axpy streams,
+        // and the block's columns stay cache-resident across the sweep.
+        let bs = b.as_slice();
+        let mut x_re = vec![0.0f64; k_shifts * m * n];
+        let mut x_im = vec![0.0f64; k_shifts * m * n];
+        let block_entries = SHIFT_BLOCK * m * n;
+        let planes = x_re
+            .chunks_mut(block_entries.max(1))
+            .zip(x_im.chunks_mut(block_entries.max(1)));
+        for (kb, (block, (x_re, x_im))) in shifts.chunks(SHIFT_BLOCK).zip(planes).enumerate() {
+            for k in 0..block.len() {
                 for c in 0..m {
                     let base = (k * m + c) * n;
-                    data.push(c64(x_re[base + i], x_im[base + i]));
+                    for i in 0..n {
+                        let z = bs[i * m + c];
+                        x_re[base + i] = z.re;
+                        x_im[base + i] = z.im;
+                    }
                 }
             }
-            out.push(CMatrix::from_vec(n, m, data)?);
+            let betas: Vec<Complex> = block.iter().map(|&(_, beta)| beta).collect();
+            let inv_block = &inv_diag[kb * SHIFT_BLOCK * n..(kb * SHIFT_BLOCK + block.len()) * n];
+            backsub_block(
+                &self.tc_re,
+                &self.tc_im,
+                inv_block,
+                &betas,
+                x_re,
+                x_im,
+                n,
+                m,
+            );
         }
+        Ok(SplitOperand::from_planes(k_shifts * m, n, x_re, x_im))
     }
-    Ok(out)
+
+    fn check_rhs(&self, b: &CMatrix) -> Result<(), NumericError> {
+        let n = self.order();
+        if b.rows() != n {
+            return Err(NumericError::ShapeMismatch {
+                op: "triangular batch solve",
+                left: (n, n),
+                right: b.dims(),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Right eigenvector matrix of an upper-triangular `t` with
@@ -1324,6 +1367,23 @@ mod tests {
             .unwrap();
         let rel = (&back - a).norm_fro() / a.norm_fro().max(f64::MIN_POSITIVE);
         assert!(rel < tol, "reconstruction residual {rel:.2e}");
+    }
+
+    #[test]
+    fn split_solutions_feed_the_output_product_with_the_blocked_bits() {
+        let t = pseudo_random(23, 23, 0x51);
+        let b = pseudo_random(23, 3, 0x52);
+        let c = pseudo_random(4, 23, 0x53);
+        let shifts: Vec<(Complex, Complex)> = (0..19)
+            .map(|k| (Complex::ONE, c64(0.1 * k as f64, 1.0 + k as f64)))
+            .collect();
+        let tri = ShiftedTriangular::new(&t).unwrap();
+        let xs = tri.solve(&shifts, &b).unwrap();
+        let wide = CMatrix::hstack(&xs.iter().collect::<Vec<_>>()).unwrap();
+        let want = crate::kernel::mul_blocked(&c, &wide).unwrap();
+        let split = tri.solve_split(&shifts, &b).unwrap();
+        let got = crate::kernel::mul_split(&crate::kernel::SplitOperand::left(&c), &split).unwrap();
+        assert!(same_complex_bits(got.as_slice(), want.as_slice()));
     }
 
     #[test]
@@ -1534,14 +1594,16 @@ mod tests {
         let a = pseudo_random(17, 17, 0x99);
         let schur = Schur::compute(&a).unwrap();
         let (tm, _) = schur.into_parts();
-        let upper = strict_upper_max_abs(&tm);
         let b = pseudo_random(17, 3, 0x9a);
         let shifts: Vec<(Complex, Complex)> = (0..29)
             .map(|k| (Complex::ONE, c64(0.05 * k as f64, -0.3 + 0.07 * k as f64)))
             .collect();
-        let batch = solve_shifted_triangular_batch(&tm, &shifts, &b, upper).unwrap();
+        let batch = ShiftedTriangular::new(&tm)
+            .unwrap()
+            .solve(&shifts, &b)
+            .unwrap();
         for (&(alpha, beta), x_batch) in shifts.iter().zip(&batch) {
-            let x_scalar = solve_shifted_triangular_scaled(&tm, alpha, beta, &b, upper).unwrap();
+            let x_scalar = solve_shifted_triangular(&tm, alpha, beta, &b).unwrap();
             assert!(
                 x_batch
                     .as_slice()
@@ -1562,7 +1624,10 @@ mod tests {
             (Complex::ONE, Complex::ONE),
             (c64(-2.0, 0.0), Complex::ONE), // hits the λ = 2 pivot
         ];
-        let err = solve_shifted_triangular_batch(&tm, &shifts, &b, 0.0).unwrap_err();
+        let err = ShiftedTriangular::new(&tm)
+            .unwrap()
+            .solve(&shifts, &b)
+            .unwrap_err();
         assert!(matches!(err, NumericError::Singular { .. }));
     }
 
@@ -1570,9 +1635,9 @@ mod tests {
     fn batch_solve_handles_empty_inputs() {
         let tm = CMatrix::identity(3);
         let b = CMatrix::zeros(3, 2);
-        assert!(solve_shifted_triangular_batch(&tm, &[], &b, 0.0)
-            .unwrap()
-            .is_empty());
+        let tri = ShiftedTriangular::new(&tm).unwrap();
+        assert!(tri.solve(&[], &b).unwrap().is_empty());
+        assert!(tri.solve_split(&[], &b).unwrap().re.is_empty());
     }
 
     #[test]

@@ -300,6 +300,19 @@ impl Svd {
         PartialSvd::compute(a)
     }
 
+    /// [`Svd::bidiagonalize`] of a matrix handed over by value: the
+    /// panel sweep runs in `a`'s own storage (a wide `a` in its adjoint)
+    /// instead of a copy, with the same bits. Pair it with
+    /// [`PartialSvd::into_adjoint`] to decompose a wide matrix that is
+    /// cheaper to build as its adjoint.
+    ///
+    /// # Errors
+    ///
+    /// See [`Svd::compute`].
+    pub fn bidiagonalize_owned<T: Scalar>(a: Matrix<T>) -> Result<PartialSvd<T>, NumericError> {
+        PartialSvd::compute_owned(a)
+    }
+
     /// Thin SVD in the **input scalar type** (real factors for real
     /// input): `(U m×r, σ r, V n×r)` with `r = min(m, n)`, through the
     /// default blocked backend (which delegates small problems to the

@@ -158,26 +158,47 @@ impl<T: Scalar> PartialSvd<T> {
     pub(super) fn compute(a: &Matrix<T>) -> Result<Self, NumericError> {
         validate_input(a)?;
         if a.rows() < a.cols() {
-            let mut partial = Self::compute_tall(&a.adjoint())?;
-            partial.swapped = true;
-            return Ok(partial);
+            return Ok(Self::compute_tall(a.adjoint())?.into_adjoint());
+        }
+        Self::compute_tall(a.clone())
+    }
+
+    /// [`PartialSvd::compute`] on a matrix the sweep may work in: a tall
+    /// `a` becomes the working copy itself, a wide one is replaced by its
+    /// adjoint. Same bits as the borrowing entry.
+    pub(super) fn compute_owned(a: Matrix<T>) -> Result<Self, NumericError> {
+        validate_input(&a)?;
+        if a.rows() < a.cols() {
+            return Ok(Self::compute_tall(a.adjoint())?.into_adjoint());
         }
         Self::compute_tall(a)
+    }
+
+    /// The decomposition of `Aᴴ` from that of `A`: the same values, with
+    /// factor requests and results swapped (`A = UΣVᴴ ⇔ Aᴴ = VΣUᴴ`). A
+    /// wide matrix handed over as its (tall) adjoint then decomposes with
+    /// the bits [`Svd::bidiagonalize`](super::Svd::bidiagonalize) gives
+    /// the wide matrix itself.
+    #[must_use]
+    pub fn into_adjoint(mut self) -> Self {
+        self.swapped = !self.swapped;
+        self
     }
 
     /// The tall-orientation worker: the same scaling guard and panel
     /// sweep as [`svd_blocked`](super::blocked::svd_blocked), minus the
     /// factor accumulation and with the QR iteration run factor-free.
-    fn compute_tall(a: &Matrix<T>) -> Result<Self, NumericError> {
+    /// The sweep runs in `a` itself.
+    fn compute_tall(a: Matrix<T>) -> Result<Self, NumericError> {
         let (m, n) = a.dims();
         debug_assert!(m >= n);
         let scale = a.max_abs();
         let out_of_range = scale > 0.0 && !(1e-150..=1e150).contains(&scale);
-        let mut w = if out_of_range {
-            a.scale(1.0 / scale)
-        } else {
-            a.clone()
-        };
+        let mut w = a;
+        if out_of_range {
+            let inv = 1.0 / scale;
+            w.as_mut_slice().iter_mut().for_each(|x| *x = x.scale(inv));
+        }
         let rescale = if out_of_range { scale } else { 1.0 };
         let threads = parallel::available_threads();
 

@@ -4,6 +4,7 @@
 //! shared binary would race against (they read it through
 //! `parallel::available_threads` while running concurrently).
 
+use mfti_numeric::parallel::available_threads;
 use mfti_numeric::{c64, CMatrix, Svd, SvdMethod};
 
 fn pseudo_random_complex(m: usize, n: usize, mut seed: u64) -> CMatrix {
@@ -20,14 +21,18 @@ fn pseudo_random_complex(m: usize, n: usize, mut seed: u64) -> CMatrix {
 fn trailing_update_is_thread_count_invariant() {
     // The panel trailing update fans out per column block over
     // `MFTI_THREADS` workers; every bit of the decomposition must be
-    // independent of the worker count.
+    // independent of the worker count. The variable is read on every
+    // call (only the hardware fallback is resolved once), so each value
+    // set here is the count the next decomposition runs with.
     let a = pseudo_random_complex(160, 120, 0x7a11);
     let reference = {
         std::env::set_var("MFTI_THREADS", "1");
+        assert_eq!(available_threads(), 1);
         Svd::compute_with(&a, SvdMethod::Blocked).unwrap()
     };
     for threads in ["2", "3", "5", "8"] {
         std::env::set_var("MFTI_THREADS", threads);
+        assert_eq!(available_threads().to_string(), threads);
         let svd = Svd::compute_with(&a, SvdMethod::Blocked).unwrap();
         assert_eq!(
             reference.singular_values(),
@@ -52,4 +57,6 @@ fn trailing_update_is_thread_count_invariant() {
         );
     }
     std::env::remove_var("MFTI_THREADS");
+    let hardware = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    assert_eq!(available_threads(), hardware.clamp(1, 256));
 }

@@ -1,11 +1,12 @@
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
+use mfti_numeric::kernel::{self, SplitOperand};
 use mfti_numeric::{
     c64, generalized_eigenvalues, parallel, solve_shifted_hessenberg, solve_shifted_triangular,
-    solve_shifted_triangular_batch, solve_shifted_triangular_scaled, strict_upper_max_abs,
     triangular_right_eigenvectors, CMatrix, Complex, Hessenberg, Lu, Matrix, NumericError, RMatrix,
-    Scalar, Schur,
+    Scalar, Schur, ShiftedTriangular, SHIFT_BLOCK,
 };
 
 use crate::error::StateSpaceError;
@@ -55,30 +56,40 @@ pub enum SweepStrategy {
     Schur,
 }
 
+/// Points per chunk of a worker's block: the Schur and modal kernels
+/// evaluate one chunk at a time, so a sweep's buffers beyond its
+/// returned responses stay the size of one chunk per worker, however
+/// long the grid. A multiple of the solver's shift block, so every
+/// solve block but a chunk's last is full (DESIGN.md §11).
+const SWEEP_CHUNK: usize = 4 * SHIFT_BLOCK;
+
 /// The shared factorization a sweep group's per-point solves run
-/// against.
+/// against, with the output map in the form its products read.
 enum SweepKernel {
     /// `F⁻¹E = Q Hₘ Qᴴ`: each point pays one Givens triangularization
-    /// of `I + (s−s₀)Hₘ` plus back-substitution.
-    Hessenberg(CMatrix),
-    /// `F⁻¹E = Z Tₘ Zᴴ` with `Tₘ` upper triangular: each point is a
-    /// single back-substitution — no per-point factorization work. The
-    /// `f64` is `Tₘ`'s precomputed strict-upper magnitude (the solver's
-    /// singularity scale, hoisted out of the per-point loop).
-    Schur(CMatrix, f64),
+    /// of `I + (s−s₀)Hₘ` plus back-substitution, then `C̃·X`.
+    Hessenberg { hm: CMatrix, ct: CMatrix },
+    /// `F⁻¹E = Z Tₘ Zᴴ` with `Tₘ` upper triangular, prepared once for
+    /// multi-shift back-substitution (no per-point factorization work),
+    /// and `C̃` split once as the left operand of every chunk's
+    /// `C̃·[X₁ … X_k]`.
+    Schur {
+        tri: ShiftedTriangular,
+        ct: SplitOperand,
+    },
     /// Diagonalized refinement of the Schur form: when `Tₘ`'s
     /// eigenvector basis `V` is well-enough conditioned (validated by
     /// probe points against the back-substitution path at build time),
     /// the evaluator collapses to the common-pole pole–residue form
     /// `H(s) = Σᵢ Rᵢ/(1 + t·λᵢ) + D` with rank-1 residues
-    /// `Rᵢ = (C̃V)ᵢ·(V⁻¹B̃)ᵢ` — a whole block of points is then one
+    /// `Rᵢ = (C̃V)ᵢ·(V⁻¹B̃)ᵢ` — a chunk of points is then one
     /// `weights × residues` GEMM. Fields: eigenvalues `λ`, their
     /// magnitude scale (for the pole cut), and the `n × p·m` residue
-    /// matrix (row `i` = `vec(Rᵢ)`).
+    /// matrix (row `i` = `vec(Rᵢ)`), split once as the right operand.
     Modal {
         lambda: Vec<Complex>,
         lam_scale: f64,
-        residues: CMatrix,
+        residues: SplitOperand,
     },
 }
 
@@ -98,195 +109,165 @@ enum SweepKernel {
 struct SweepEvaluator {
     s0: Complex,
     kernel: SweepKernel,
-    ct: CMatrix,
     bt: CMatrix,
     d: CMatrix,
 }
 
 impl SweepEvaluator {
+    /// One point: a chunk of one, so a point's bits never depend on the
+    /// chunk it is swept in.
     fn eval(&self, s: Complex) -> Result<CMatrix, StateSpaceError> {
-        let t = s - self.s0;
-        let solved = match &self.kernel {
-            SweepKernel::Hessenberg(hm) => solve_shifted_hessenberg(hm, Complex::ONE, t, &self.bt),
-            SweepKernel::Schur(tm, upper_max) => {
-                solve_shifted_triangular_scaled(tm, Complex::ONE, t, &self.bt, *upper_max)
-            }
-            SweepKernel::Modal {
-                lambda,
-                lam_scale,
-                residues,
-            } => {
-                let mut w = Vec::with_capacity(lambda.len());
-                return match modal_weights(lambda, *lam_scale, t, &mut w) {
-                    Ok(()) => {
-                        let mut out = self.modal_responses(w, 1, residues);
-                        // mfti-lint: allow(MFTI-D7) — modal_responses
-                        // returns exactly the one requested point
-                        out.pop().expect("one point")
-                    }
-                    Err(NumericError::Singular { .. }) => {
-                        Err(StateSpaceError::EvaluationAtPole { re: s.re, im: s.im })
-                    }
-                    Err(e) => Err(e.into()),
-                };
-            }
-        };
-        let x = match solved {
-            Ok(x) => x,
-            Err(NumericError::Singular { .. }) => {
-                return Err(StateSpaceError::EvaluationAtPole { re: s.re, im: s.im })
-            }
-            Err(e) => return Err(e.into()),
-        };
-        self.output_of(&x)
+        self.responses(&[s])
+            .and_then(|h| {
+                h.into_iter().next().ok_or(NumericError::InvalidArgument {
+                    what: "one-point sweep produced no response",
+                })
+            })
+            .map_err(|e| match e {
+                NumericError::Singular { .. } => {
+                    StateSpaceError::EvaluationAtPole { re: s.re, im: s.im }
+                }
+                e => e.into(),
+            })
     }
 
-    /// Evaluates one worker's block of points. On the Schur kernel the
-    /// whole block goes through one multi-shift back-substitution (the
-    /// triangular factor is streamed once per block, not once per point);
-    /// on the modal kernel each point is `n` divisions and a row scale.
-    /// Either way one wide `C̃·[X₁ … X_K]` product finishes the block.
-    /// The arithmetic per point is bit-identical to
-    /// [`SweepEvaluator::eval`], so block boundaries — and therefore the
-    /// thread count — never change the result.
-    fn eval_block(&self, pts: &[Complex]) -> Vec<Result<CMatrix, StateSpaceError>> {
+    /// One chunk of a worker's block, per point: batched when no point
+    /// of the chunk hits a pole, else point by point, which attributes
+    /// the failure to its point and evaluates the rest with the same
+    /// bits.
+    fn eval_chunk(&self, pts: &[Complex]) -> Vec<Result<CMatrix, StateSpaceError>> {
+        match self.responses(pts) {
+            Ok(hs) => hs.into_iter().map(Ok).collect(),
+            Err(_) => pts.iter().map(|&s| self.eval(s)).collect(),
+        }
+    }
+
+    /// The responses at a chunk of points. On the Schur kernel the
+    /// chunk goes through one multi-shift back-substitution (the
+    /// triangular factor is streamed once per shift block, not once per
+    /// point) and one `C̃·[X₁ … X_k]` product straight from the solver's
+    /// planes; on the modal kernel each point is `n` divisions and the
+    /// chunk one `weights × residues` product; the Hessenberg kernel
+    /// solves point by point. A point's arithmetic never depends on the
+    /// other points of its chunk (per-shift solves, and each product
+    /// entry reads only its own row and column), so chunk boundaries —
+    /// and therefore the thread count — never change a bit.
+    /// `Err(Singular)` when any point hits a pole.
+    fn responses(&self, pts: &[Complex]) -> Result<Vec<CMatrix>, NumericError> {
+        let (p, m) = self.d.dims();
+        let with_d = |h: &[Complex], d: &[Complex]| -> Vec<Complex> {
+            h.iter().zip(d).map(|(&h_e, &d_e)| h_e + d_e).collect()
+        };
         match &self.kernel {
-            SweepKernel::Schur(tm, upper_max) => {
+            SweepKernel::Hessenberg { hm, ct } => pts
+                .iter()
+                .map(|&s| {
+                    let x = solve_shifted_hessenberg(hm, Complex::ONE, s - self.s0, &self.bt)?;
+                    let mut h = ct.matmul(&x)?;
+                    for (h_e, &d_e) in h.as_mut_slice().iter_mut().zip(self.d.as_slice()) {
+                        *h_e += d_e;
+                    }
+                    Ok(h)
+                })
+                .collect(),
+            SweepKernel::Schur { tri, ct } => {
                 let shifts: Vec<(Complex, Complex)> =
                     pts.iter().map(|&s| (Complex::ONE, s - self.s0)).collect();
-                // On error — some shift hit a pole, or the solve failed
-                // — the per-point path below attributes the failure to
-                // the right point and evaluates the rest bit-identically.
-                if let Ok(xs) = solve_shifted_triangular_batch(tm, &shifts, &self.bt, *upper_max) {
-                    return self.outputs_of(&xs);
-                }
+                // p × k·m: point k's response is columns k·m..(k+1)·m.
+                let h = kernel::mul_split(ct, &tri.solve_split(&shifts, &self.bt)?)?;
+                let (hs, ds, width) = (h.as_slice(), self.d.as_slice(), pts.len() * m);
+                (0..pts.len())
+                    .map(|k| {
+                        let mut data = Vec::with_capacity(p * m);
+                        for r in 0..p {
+                            let row = &hs[r * width + k * m..r * width + (k + 1) * m];
+                            data.extend(with_d(row, &ds[r * m..(r + 1) * m]));
+                        }
+                        CMatrix::from_vec(p, m, data)
+                    })
+                    .collect()
             }
             SweepKernel::Modal {
                 lambda,
                 lam_scale,
                 residues,
             } => {
-                // Weight matrix W (K × n), one row of `1/(1 + t·λᵢ)` per
-                // point; the whole block is then W·R plus feed-through.
+                // Weight matrix W (k × n), one row of `1/(1 + t·λᵢ)` per
+                // point; the chunk is then W·R plus feed-through, with
+                // point k's response in row k.
                 let mut w = Vec::with_capacity(pts.len() * lambda.len());
-                let mut hit_pole = false;
                 for &s in pts {
-                    if modal_weights(lambda, *lam_scale, s - self.s0, &mut w).is_err() {
-                        hit_pole = true;
-                        break;
-                    }
+                    modal_weights(lambda, *lam_scale, s - self.s0, &mut w)?;
                 }
-                if !hit_pole {
-                    return self.modal_responses(w, pts.len(), residues);
-                }
-                // A pole in the block: fall through to the per-point
-                // path, which attributes it to the right point.
-            }
-            SweepKernel::Hessenberg(_) => {}
-        }
-        pts.iter().map(|&z| self.eval(z)).collect()
-    }
-
-    /// `C̃·X + D` for one point — the per-point output product used by
-    /// the Hessenberg kernel (always) and by the Schur/modal kernels'
-    /// error paths (whose outputs are never returned: a pole in the
-    /// block errors the whole batch). Per-point and therefore
-    /// thread-invariant.
-    fn output_of(&self, x: &CMatrix) -> Result<CMatrix, StateSpaceError> {
-        let mut h = self.ct.matmul(x)?;
-        for (h_e, &d_e) in h.as_mut_slice().iter_mut().zip(self.d.as_slice()) {
-            *h_e += d_e;
-        }
-        Ok(h)
-    }
-
-    /// `C̃·Xₖ + D` for a whole block of solved points in one wide GEMM:
-    /// the per-point `p×m` panels are packed side by side into a
-    /// `n × K·m` operand, multiplied once, and split back out. Each
-    /// output column's bits depend only on its own point (blocked-kernel
-    /// guarantee), so this equals `K` separate [`Self::output_of`] calls.
-    fn outputs_of(&self, xs: &[CMatrix]) -> Vec<Result<CMatrix, StateSpaceError>> {
-        let k_pts = xs.len();
-        let (_, n) = self.ct.dims();
-        let m = self.d.cols();
-        if k_pts == 0 {
-            return Vec::new();
-        }
-        let mut wide = vec![Complex::ZERO; n * k_pts * m];
-        for (k, x) in xs.iter().enumerate() {
-            let xsl = x.as_slice();
-            for i in 0..n {
-                wide[i * k_pts * m + k * m..i * k_pts * m + (k + 1) * m]
-                    .copy_from_slice(&xsl[i * m..(i + 1) * m]);
+                let w = SplitOperand::left(&CMatrix::from_vec(pts.len(), lambda.len(), w)?);
+                let h = kernel::mul_split(&w, residues)?;
+                let hs = h.as_slice();
+                (0..pts.len())
+                    .map(|k| {
+                        CMatrix::from_vec(
+                            p,
+                            m,
+                            with_d(&hs[k * p * m..(k + 1) * p * m], self.d.as_slice()),
+                        )
+                    })
+                    .collect()
             }
         }
-        self.outputs_wide(wide, k_pts)
     }
+}
 
-    /// Modal tail: `W·R` in one GEMM (rows = points), split into
-    /// per-point `p×m` responses with the feed-through added. The
-    /// blocked kernel computes each output row independently, so a
-    /// point's bits do not depend on how many points share the call —
-    /// the scalar path and every block width agree exactly.
-    fn modal_responses(
-        &self,
-        w: Vec<Complex>,
-        k_pts: usize,
-        residues: &CMatrix,
-    ) -> Vec<Result<CMatrix, StateSpaceError>> {
-        let (p, m) = self.d.dims();
-        let n = residues.rows();
-        let w_mat = match CMatrix::from_vec(k_pts, n, w) {
-            Ok(w) => w,
-            Err(e) => return vec![Err(e.into()); k_pts],
-        };
-        let h_rows = match mfti_numeric::kernel::mul_blocked(&w_mat, residues) {
-            Ok(h) => h,
-            Err(e) => return vec![Err(e.into()); k_pts],
-        };
-        let hs = h_rows.as_slice();
-        let ds = self.d.as_slice();
-        (0..k_pts)
-            .map(|k| {
-                let row = &hs[k * p * m..(k + 1) * p * m];
-                let data: Vec<Complex> = row.iter().zip(ds).map(|(&h_e, &d_e)| h_e + d_e).collect();
-                CMatrix::from_vec(p, m, data).map_err(Into::into)
-            })
-            .collect()
-    }
+/// One worker's share of a sweep group: the output slots of sorted
+/// positions `first..first + out.len()`, and the lowest input index
+/// that failed among them with its error.
+struct Block<'a> {
+    first: usize,
+    out: &'a mut [CMatrix],
+    failure: Option<(usize, StateSpaceError)>,
+}
 
-    /// Shared tail of the block paths: multiply the packed `n × K·m`
-    /// state panel by `C̃` once and split the result back into per-point
-    /// `p×m` responses with the feed-through added.
-    fn outputs_wide(
-        &self,
-        wide: Vec<Complex>,
-        k_pts: usize,
-    ) -> Vec<Result<CMatrix, StateSpaceError>> {
-        let (p, n) = self.ct.dims();
-        let m = self.d.cols();
-        let wide = match CMatrix::from_vec(n, k_pts * m, wide) {
-            Ok(w) => w,
-            Err(e) => return vec![Err(e.into()); k_pts],
-        };
-        let h_wide = match mfti_numeric::kernel::mul_blocked(&self.ct, &wide) {
-            Ok(h) => h,
-            Err(e) => return vec![Err(e.into()); k_pts],
-        };
-        let hs = h_wide.as_slice();
-        let ds = self.d.as_slice();
-        (0..k_pts)
-            .map(|k| {
-                let mut data = Vec::with_capacity(p * m);
-                for r in 0..p {
-                    let row = &hs[r * k_pts * m + k * m..r * k_pts * m + (k + 1) * m];
-                    for (h_e, &d_e) in row.iter().zip(&ds[r * m..(r + 1) * m]) {
-                        data.push(*h_e + d_e);
+impl Block<'_> {
+    /// Walks the block in chunks of [`SWEEP_CHUNK`] points, so only one
+    /// chunk's points, results and kernel buffers are alive at a time:
+    /// `point` maps a sorted position to its input index and point,
+    /// `eval` turns a chunk of points into per-point results.
+    fn fill(
+        &mut self,
+        point: impl Fn(usize) -> (usize, Complex),
+        eval: impl Fn(&[Complex]) -> Vec<Result<CMatrix, StateSpaceError>>,
+    ) {
+        for (c, slots) in self.out.chunks_mut(SWEEP_CHUNK).enumerate() {
+            let first = self.first + c * SWEEP_CHUNK;
+            let pts: Vec<Complex> = (first..first + slots.len())
+                .map(|pos| point(pos).1)
+                .collect();
+            for ((pos, slot), result) in (first..).zip(slots).zip(eval(&pts)) {
+                match result {
+                    Ok(h) => *slot = h,
+                    Err(e) => {
+                        let i = point(pos).0;
+                        if self.failure.as_ref().is_none_or(|&(j, _)| i < j) {
+                            self.failure = Some((i, e));
+                        }
                     }
                 }
-                CMatrix::from_vec(p, m, data).map_err(Into::into)
-            })
-            .collect()
+            }
+        }
+    }
+}
+
+/// Moves `v[p]` to `v[order[p]]` for every position, one permutation
+/// cycle at a time, spending `order` as the visited marks: the sweep's
+/// un-sort, with no second output vector.
+fn scatter_in_place<T>(v: &mut [T], mut order: Vec<usize>) {
+    for start in 0..v.len() {
+        let mut dst = std::mem::replace(&mut order[start], usize::MAX);
+        if dst == usize::MAX {
+            continue;
+        }
+        while dst != start {
+            v.swap(start, dst);
+            dst = std::mem::replace(&mut order[dst], usize::MAX);
+        }
     }
 }
 
@@ -319,20 +300,29 @@ fn modal_weights(
     Ok(())
 }
 
+/// A shift-inverted pencil reduced to Hessenberg (`false`) or upper
+/// triangular Schur (`true`) form `M`, its basis `U` (`F⁻¹E = U M Uᴴ`)
+/// and `F⁻¹B`, all complex.
+struct Reduced {
+    m: CMatrix,
+    schur: bool,
+    basis: CMatrix,
+    fb: CMatrix,
+}
+
 /// The shift-inverted pencil at `s₀`, reduced in the operands' scalar
 /// type: `F = s₀E − A` factored by LU (refused below the `rcond` gate)
 /// and `F⁻¹E` reduced to Hessenberg form; with `use_schur` the complex
 /// Schur iteration continues from it, falling back to the Hessenberg
-/// kernel if the iteration does not converge. Returns the sweep kernel,
-/// its basis `U` (`F⁻¹E = U M Uᴴ`) and `F⁻¹B`, promoted to complex for
-/// the per-point kernels.
+/// form if the iteration does not converge. The results are promoted to
+/// complex for the per-point kernels.
 fn reduce_shifted<T: Scalar>(
     e: &Matrix<T>,
     a: &Matrix<T>,
     b: &Matrix<T>,
     s0: T,
     use_schur: bool,
-) -> Option<(SweepKernel, CMatrix, CMatrix)> {
+) -> Option<Reduced> {
     let n = a.rows();
     let f_data: Vec<T> = e
         .as_slice()
@@ -358,18 +348,19 @@ fn reduce_shifted<T: Scalar>(
     } else {
         None
     };
-    let (kernel, basis) = match schur {
-        Some(schur) => {
-            let (tm, z) = schur.into_parts();
-            let upper_max = strict_upper_max_abs(&tm);
-            (SweepKernel::Schur(tm, upper_max), z)
-        }
+    let ((m, basis), schur) = match schur {
+        Some(schur) => (schur.into_parts(), true),
         None => {
             let (hm, q) = hess.into_parts();
-            (SweepKernel::Hessenberg(hm.to_complex()), q.to_complex())
+            ((hm.to_complex(), q.to_complex()), false)
         }
     };
-    Some((kernel, basis, fb.to_complex()))
+    Some(Reduced {
+        m,
+        schur,
+        basis,
+        fb: fb.to_complex(),
+    })
 }
 
 /// How large `‖V⁻¹·(±1)‖∞` may grow before the eigenbasis is declared
@@ -387,10 +378,12 @@ const MODAL_MAX_BASIS_GROWTH: f64 = 1e3;
 /// points spanning the group's magnitude range. Ill-conditioned
 /// eigenbases (clustered resonances) fail a gate and the caller stays
 /// on the guaranteed triangular kernel.
-fn modal_upgrade(base: &SweepEvaluator, sigma: f64) -> Option<SweepEvaluator> {
-    let SweepKernel::Schur(tm, _) = &base.kernel else {
-        return None;
-    };
+fn modal_upgrade(
+    base: &SweepEvaluator,
+    tm: &CMatrix,
+    ct: &CMatrix,
+    sigma: f64,
+) -> Option<SweepEvaluator> {
     let v = triangular_right_eigenvectors(tm)?;
     // Conditioning gate: columns of V are unit-norm, so ‖V⁻¹b‖∞ for
     // ±1-pattern probes lower-bounds κ∞(V) up to a modest factor. Three
@@ -407,7 +400,7 @@ fn modal_upgrade(base: &SweepEvaluator, sigma: f64) -> Option<SweepEvaluator> {
         return None;
     }
     let bt_m = solve_shifted_triangular(&v, Complex::ZERO, Complex::ONE, &base.bt).ok()?;
-    let ct_m = mfti_numeric::kernel::mul_blocked(&base.ct, &v).ok()?;
+    let ct_m = kernel::mul_blocked(ct, &v).ok()?;
     let n = tm.rows();
     let (p, m) = (ct_m.rows(), bt_m.cols());
     let lambda: Vec<Complex> = (0..n).map(|i| tm[(i, i)]).collect();
@@ -428,7 +421,7 @@ fn modal_upgrade(base: &SweepEvaluator, sigma: f64) -> Option<SweepEvaluator> {
             }
         }
     }
-    let residues = CMatrix::from_vec(n, p * m, residues).ok()?;
+    let residues = SplitOperand::right(&CMatrix::from_vec(n, p * m, residues).ok()?);
     // The modal kernel evaluates purely from (λ, residues, D); the
     // rotated maps of the Schur basis are not needed.
     let modal = SweepEvaluator {
@@ -438,7 +431,6 @@ fn modal_upgrade(base: &SweepEvaluator, sigma: f64) -> Option<SweepEvaluator> {
             lam_scale,
             residues,
         },
-        ct: CMatrix::zeros(0, 0),
         bt: CMatrix::zeros(0, 0),
         d: base.d.clone(),
     };
@@ -452,10 +444,10 @@ fn modal_upgrade(base: &SweepEvaluator, sigma: f64) -> Option<SweepEvaluator> {
         c64(0.0, 0.01 * sigma),
         c64(0.4 * sigma, 0.9 * sigma),
     ];
-    // One block evaluation per path: the back-substitution side then
-    // pays its plane-splitting setup once for all probes.
-    let modal_h = modal.eval_block(&probes);
-    let schur_h = base.eval_block(&probes);
+    // One chunk per path: the back-substitution side then streams its
+    // factor once for all probes.
+    let modal_h = modal.eval_chunk(&probes);
+    let schur_h = base.eval_chunk(&probes);
     for (h_modal, h_schur) in modal_h.into_iter().zip(schur_h) {
         let (Ok(h_modal), Ok(h_schur)) = (h_modal, h_schur) else {
             return None;
@@ -789,7 +781,13 @@ impl<T: Scalar> DescriptorSystem<T> {
                     use_schur,
                 )
             };
-            let Some((kernel, basis, fb)) = reduced else {
+            let Some(Reduced {
+                m,
+                schur,
+                basis,
+                fb,
+            }) = reduced
+            else {
                 continue;
             };
             let Ok(bt) = basis.mul_hermitian_left(&fb) else {
@@ -798,22 +796,24 @@ impl<T: Scalar> DescriptorSystem<T> {
             let Ok(ct) = self.c.to_complex().matmul(&basis) else {
                 continue;
             };
-            let evaluator = SweepEvaluator {
-                s0,
-                kernel,
-                ct,
-                bt,
-                d: self.d.to_complex(),
+            let d = self.d.to_complex();
+            if !schur {
+                let kernel = SweepKernel::Hessenberg { hm: m, ct };
+                return Some(SweepEvaluator { s0, kernel, bt, d });
+            }
+            let Ok(tri) = ShiftedTriangular::new(&m) else {
+                continue;
             };
+            let kernel = SweepKernel::Schur {
+                tri,
+                ct: SplitOperand::left(&ct),
+            };
+            let evaluator = SweepEvaluator { s0, kernel, bt, d };
             // Schur kernels get one more opportunistic upgrade: when
             // Tₘ's eigenvector basis is well conditioned (validated
             // against the back-substitution path at probe points), the
             // sweep collapses further to the diagonal modal form.
-            // (`modal_upgrade` is a no-op for the other kernels.)
-            if let Some(modal) = modal_upgrade(&evaluator, sigma) {
-                return Some(modal);
-            }
-            return Some(evaluator);
+            return Some(modal_upgrade(&evaluator, &m, &ct, sigma).unwrap_or(evaluator));
         }
         None
     }
@@ -864,21 +864,32 @@ impl<T: Scalar> DescriptorSystem<T> {
         // cover a huge dynamic range of |s|, so wide sweeps are
         // segmented into ≤2-decade magnitude groups, each with its own
         // factorization. Typical log sweeps need one or two groups.
-        let mut by_magnitude: Vec<usize> = (0..s.len()).collect();
-        by_magnitude.sort_by(|&i, &j| s[i].abs().total_cmp(&s[j].abs()));
-        let mut groups: Vec<Vec<usize>> = Vec::new();
+        // Groups are runs of positions in magnitude order; a grid
+        // already in that order (every frequency sweep) is its own
+        // order and needs no permutation.
+        let by_magnitude = |i: usize, j: usize| s[i].abs().total_cmp(&s[j].abs());
+        let order: Option<Vec<usize>> =
+            (1..s.len())
+                .any(|i| by_magnitude(i - 1, i).is_gt())
+                .then(|| {
+                    let mut order: Vec<usize> = (0..s.len()).collect();
+                    order.sort_by(|&i, &j| by_magnitude(i, j));
+                    order
+                });
+        let input = |pos: usize| order.as_ref().map_or(pos, |order| order[pos]);
+        let mut groups: Vec<Range<usize>> = Vec::new();
         let mut base = 0.0f64;
-        for &i in &by_magnitude {
-            let mag = s[i].abs();
+        for pos in 0..s.len() {
+            let mag = s[input(pos)].abs();
             match groups.last_mut() {
                 Some(group) if base == 0.0 || mag <= 100.0 * base => {
-                    group.push(i);
+                    group.end = pos + 1;
                     if base == 0.0 {
                         base = mag;
                     }
                 }
                 _ => {
-                    groups.push(vec![i]);
+                    groups.push(pos..pos + 1);
                     base = mag;
                 }
             }
@@ -888,13 +899,15 @@ impl<T: Scalar> DescriptorSystem<T> {
         // (`SweepCache`), so repeated sweeps of the same model skip the
         // O(n³) build and pay only per-point work; the group's points
         // then fan out across the workers in contiguous static blocks,
-        // each solved with one multi-shift back-substitution on the
-        // Schur path.
+        // each walked in chunks that write straight into the output.
         let workers = threads.max(1);
-        let mut out: Vec<Option<Result<CMatrix, StateSpaceError>>> =
-            (0..s.len()).map(|_| None).collect();
-        for group in &groups {
-            let sigma = group.iter().map(|&i| s[i].abs()).fold(0.0f64, f64::max);
+        let mut out: Vec<CMatrix> = (0..s.len()).map(|_| CMatrix::zeros(0, 0)).collect();
+        let mut failure: Option<(usize, StateSpaceError)> = None;
+        for group in groups {
+            let sigma = group
+                .clone()
+                .map(|pos| s[input(pos)].abs())
+                .fold(0.0f64, f64::max);
             let shared_kernel = match strategy {
                 SweepStrategy::Hessenberg => Some(false),
                 SweepStrategy::Schur => Some(true),
@@ -919,27 +932,37 @@ impl<T: Scalar> DescriptorSystem<T> {
                 Some(built)
             });
             let block_len = group.len().div_ceil(workers).max(1);
-            let blocks: Vec<&[usize]> = group.chunks(block_len).collect();
-            let results = parallel::map_with(workers, &blocks, |_, idxs| match &evaluator {
-                Some(evaluator) => {
-                    let pts: Vec<Complex> = idxs.iter().map(|&i| s[i]).collect();
-                    evaluator.eval_block(&pts)
-                }
-                None => idxs.iter().map(|&i| self.eval(s[i])).collect(),
+            let mut blocks: Vec<Block> = out[group.clone()]
+                .chunks_mut(block_len)
+                .enumerate()
+                .map(|(b, out)| Block {
+                    first: group.start + b * block_len,
+                    out,
+                    failure: None,
+                })
+                .collect();
+            parallel::for_each_mut(workers, &mut blocks, |_, block| {
+                let point = |pos: usize| (input(pos), s[input(pos)]);
+                block.fill(point, |pts| match &evaluator {
+                    Some(evaluator) => evaluator.eval_chunk(pts),
+                    None => pts.iter().map(|&z| self.eval(z)).collect(),
+                });
             });
-            for (idxs, block) in blocks.iter().zip(results) {
-                for (&i, r) in idxs.iter().zip(block) {
-                    out[i] = Some(r);
+            for (i, e) in blocks.into_iter().filter_map(|block| block.failure) {
+                if failure.as_ref().is_none_or(|&(j, _)| i < j) {
+                    failure = Some((i, e));
                 }
             }
         }
-        // Gather in point order, so a pole error is reported for the
-        // lowest-index failing point — same as a serial fail-fast loop.
-        out.into_iter()
-            // mfti-lint: allow(MFTI-D7) — the executor's static chunks
-            // tile 0..points exactly, so every slot is filled
-            .map(|r| r.expect("every index visited"))
-            .collect()
+        // A pole error is reported for the lowest-index failing point —
+        // same as a serial fail-fast loop.
+        if let Some((_, e)) = failure {
+            return Err(e);
+        }
+        if let Some(order) = order {
+            scatter_in_place(&mut out, order);
+        }
+        Ok(out)
     }
 
     /// Promotes the model to complex scalars (no-op for complex models).
@@ -1218,6 +1241,22 @@ mod tests {
         DescriptorSystem::from_state_space(a, b, c, d).unwrap()
     }
 
+    /// `sys` with its resonances pairwise repeated (block `2k + 1`
+    /// copies block `2k`): a double pole per pair, whose clustered
+    /// eigenbasis keeps sweeps on the Schur back-substitution kernel
+    /// instead of the modal one.
+    fn repeated_resonance(sys: DescriptorSystem<f64>) -> DescriptorSystem<f64> {
+        let mut a = sys.a().clone();
+        let n = a.rows();
+        for k in (0..n / 2).step_by(2).filter(|&k| 2 * k + 3 < n) {
+            for (i, j) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
+                a[(2 * k + 2 + i, 2 * k + 2 + j)] = a[(2 * k + i, 2 * k + j)];
+            }
+        }
+        DescriptorSystem::from_state_space(a, sys.b().clone(), sys.c().clone(), sys.d().clone())
+            .unwrap()
+    }
+
     fn sweep_points(omega_hi: f64, k: usize) -> Vec<Complex> {
         (0..k)
             .map(|i| c64(0.0, omega_hi.powf((i + 1) as f64 / k as f64)))
@@ -1303,6 +1342,56 @@ mod tests {
         // The same batch without the pole evaluates fine.
         pts.pop();
         assert!(sys.eval_batch(&pts).is_ok());
+
+        // Chunk boundaries: one-group grids of chunk − 1 … 2·chunk + 3
+        // points with the pole at sorted position `at` — in the second
+        // chunk whenever the grid has one. The batch fails at every
+        // thread count naming the pole; without it, every thread count
+        // gives the per-point evaluator's bits. A second pole put first
+        // in the input (so the grid is no longer in magnitude order)
+        // has the lower index, and the error must name it instead.
+        let (near, far) = (poles[3], poles[6]);
+        for len in [
+            SWEEP_CHUNK - 1,
+            SWEEP_CHUNK,
+            SWEEP_CHUNK + 1,
+            2 * SWEEP_CHUNK + 3,
+        ] {
+            let at = (SWEEP_CHUNK + 3).min(len - 1);
+            let below = (0..at).map(|i| c64(0.0, 1.0 + 7.0 * i as f64 / at as f64));
+            let above = len - 1 - at;
+            let above = (0..above).map(|i| c64(0.0, 9.5 + 20.5 * i as f64 / above as f64));
+            let clean: Vec<Complex> = below.chain(above).collect();
+            let sigma = clean.iter().map(|z| z.abs()).fold(0.0, f64::max);
+            let per_point = sys.sweep_evaluator(sigma, true).unwrap();
+            let mut with_pole = clean.clone();
+            with_pole.insert(at, near);
+            let mut two_poles = with_pole.clone();
+            two_poles.insert(0, far);
+            for threads in [1, 2, 4] {
+                let run = |pts: &[Complex]| sys.eval_batch_with(pts, SweepStrategy::Auto, threads);
+                let named = |err: StateSpaceError| match err {
+                    StateSpaceError::EvaluationAtPole { re, im } => c64(re, im),
+                    other => panic!("len {len}, {threads} threads: {other:?}"),
+                };
+                assert_eq!(named(run(&with_pole).unwrap_err()), near, "len {len}");
+                assert_eq!(named(run(&two_poles).unwrap_err()), far, "len {len}");
+                // Pole-free: every point has the per-point evaluator's
+                // bits (the poles never set the group's `sigma`).
+                for (&z, h) in clean.iter().zip(run(&clean).unwrap()) {
+                    let want = per_point.eval(z).unwrap();
+                    assert!(same_bits(&h, &want), "len {len}, {threads} threads at {z}");
+                }
+            }
+        }
+    }
+
+    fn same_bits(a: &CMatrix, b: &CMatrix) -> bool {
+        a.dims() == b.dims()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits())
     }
 
     #[test]
@@ -1390,13 +1479,71 @@ mod tests {
             for threads in [2, 4, mfti_numeric::parallel::available_threads()] {
                 let par = sys.eval_batch_with(&pts, strategy, threads).unwrap();
                 for (i, (a, b)) in serial.iter().zip(&par).enumerate() {
-                    let identical = a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| {
-                        x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits()
-                    });
                     assert!(
-                        identical,
+                        same_bits(a, b),
                         "{strategy:?} at {threads} threads differs from serial at point {i}"
                     );
+                }
+            }
+        }
+
+        // Chunk boundaries: one-group grids (sigma = the last point) of
+        // chunk − 1, chunk, chunk + 1 and 2·chunk + 3 points give the
+        // per-point bits at every thread count — the shared evaluator's
+        // `eval` (LU for PointwiseLu) — and so does the longest grid fed
+        // in a shuffled order, which the sweep sorts and scatters back.
+        // The system's shared kernel is the modal one; its repeated-pole
+        // twin keeps the Schur back-substitution.
+        let twin = repeated_resonance(sys.clone());
+        for (sys, len) in [&sys, &twin].into_iter().flat_map(|sys| {
+            [
+                SWEEP_CHUNK - 1,
+                SWEEP_CHUNK,
+                SWEEP_CHUNK + 1,
+                2 * SWEEP_CHUNK + 3,
+            ]
+            .map(|len| (sys, len))
+        }) {
+            let grid: Vec<Complex> = (0..len)
+                .map(|i| c64(0.0, 2e3 * 50f64.powf(i as f64 / (len - 1) as f64)))
+                .collect();
+            let sigma = grid[len - 1].abs();
+            // 17 is coprime to 2·chunk + 3 = 67, so this permutes it.
+            let shuffled: Vec<usize> = (0..len).map(|i| (i * 17 + 5) % len).collect();
+            let shuffled_pts: Vec<Complex> = shuffled.iter().map(|&i| grid[i]).collect();
+            for strategy in [
+                SweepStrategy::Auto,
+                SweepStrategy::PointwiseLu,
+                SweepStrategy::Hessenberg,
+                SweepStrategy::Schur,
+            ] {
+                let per_point = |z: Complex| match strategy {
+                    SweepStrategy::PointwiseLu => sys.eval(z).unwrap(),
+                    SweepStrategy::Hessenberg => {
+                        sys.sweep_evaluator(sigma, false).unwrap().eval(z).unwrap()
+                    }
+                    _ => sys.sweep_evaluator(sigma, true).unwrap().eval(z).unwrap(),
+                };
+                let want: Vec<CMatrix> = grid.iter().map(|&z| per_point(z)).collect();
+                for threads in [1, 2, 4, mfti_numeric::parallel::available_threads()] {
+                    let got = sys.eval_batch_with(&grid, strategy, threads).unwrap();
+                    for (i, (h, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            same_bits(h, w),
+                            "{strategy:?}, len {len}, {threads} threads, point {i}"
+                        );
+                    }
+                    if len == 2 * SWEEP_CHUNK + 3 {
+                        let got = sys
+                            .eval_batch_with(&shuffled_pts, strategy, threads)
+                            .unwrap();
+                        for (h, &i) in got.iter().zip(&shuffled) {
+                            assert!(
+                                same_bits(h, &want[i]),
+                                "{strategy:?}, shuffled, {threads} threads, point {i}"
+                            );
+                        }
+                    }
                 }
             }
         }
