@@ -42,8 +42,8 @@ use criterion::{BenchResult, Criterion};
 
 use mfti_bench::{random_complex, random_real};
 use mfti_core::{
-    realify, FitSession, Fitter, LoewnerPencil, Mfti, OrderSelection, RecursiveMfti, SessionSvd,
-    TangentialData, Vfti, Weights,
+    realify, FitSession, Fitter, LoewnerPencil, Mfti, OrderSelection, RealifiedPencil,
+    RecursiveMfti, SessionSvd, TangentialData, Vfti, Weights,
 };
 use mfti_numeric::{kernel, parallel, Hessenberg, Lu, RMatrix, Schur, Svd, SvdMethod};
 use mfti_sampling::generators::{PdnBuilder, RandomSystemBuilder};
@@ -175,12 +175,13 @@ fn main() {
         });
 
     // --- per-stage fit timings (the mfti_full workload, staged) --------
-    // Where the fit's time goes: tangential data + pencil assembly
-    // (GEMM cross products + row-parallel divisor planes), the
-    // order-detection SVD (values-only blocked path), and realization
-    // (realification + the two single-factor stacked SVDs + the Lemma
-    // 3.4 projections). The stages are timed through the same structures
-    // `FitSession` drives, so they add up to the one-shot fit.
+    // Where the fit's time goes: the realified pencil's assembly
+    // straight from the tangential data (GEMM cross products over the
+    // first-member rows + row-parallel divisor planes + per-row-pair
+    // realification), the order-detection SVD (values-only blocked
+    // path), and realization (the two single-factor stacked SVDs + the
+    // Lemma 3.4 projections). The stages are timed through the same
+    // structures `FitSession` drives, so they add up to the one-shot fit.
     let config = Mfti::new().order_selection(selection);
     let stage_data = TangentialData::build(&samples, Default::default(), &Weights::Full)
         .expect("tangential data");
@@ -193,15 +194,15 @@ fn main() {
         .expect("order-detection svd");
     c.sample_size(10)
         .bench_function("fit_stage/assembly", |b| {
-            b.iter(|| LoewnerPencil::build(&stage_data).expect("assembly"))
+            b.iter(|| RealifiedPencil::build(&stage_data).expect("assembly"))
         })
         .bench_function("fit_stage/detect", |b| {
             // Real detection as the one-shot fit now runs it: the pinned
             // shift is real, so the realified shifted pencil is a real
-            // K×K matrix on the packed real GEMM path. The realification
-            // itself is hoisted out — the fit pays it once, shared with
-            // the stacked projections.
-            let real = realify(&stage_pencil, 1e-6).expect("realify");
+            // K×K matrix on the packed real GEMM path. The assembly is
+            // hoisted out — the fit pays it once, shared with the
+            // stacked projections.
+            let real = RealifiedPencil::build(&stage_data).expect("assembly");
             b.iter(|| Svd::singular_values_of(&real.shifted_pencil(x0)).expect("detect"))
         })
         .bench_function("fit_stage/realize", |b| {

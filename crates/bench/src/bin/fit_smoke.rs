@@ -5,8 +5,8 @@
 //! assembly (row-parallel) → order-detection SVD (panel-blocked, with
 //! the trailing update fanned per column block) → realization — under
 //! whatever `MFTI_THREADS` says, and prints one FNV-1a digest over
-//! every result bit: the pencil, the order-detection singular values
-//! and the realized model matrices. `verify.sh` runs this binary at 1
+//! every result bit: the realified pencil, the order-detection singular
+//! values and the realized model matrices. `verify.sh` runs this binary at 1
 //! and N workers and fails on any digest mismatch: the static-chunk
 //! executor guarantees the fit is bit-identical at every worker count.
 //! The fit runs through a single-batch `FitSession`, which the binary
@@ -56,9 +56,8 @@ fn main() {
         }
     };
     for m in [pencil.ll(), pencil.sll()] {
-        for z in m.iter() {
-            absorb(z.re.to_bits());
-            absorb(z.im.to_bits());
+        for x in m.iter() {
+            absorb(x.to_bits());
         }
     }
     for s in &sv {

@@ -66,10 +66,11 @@ impl Weights {
 /// `m × t`) or row (left, `t × p`): the corresponding interpolation
 /// condition `S(λ)r` / `ℓS(μ)` constrains nothing and the Loewner
 /// pencil silently loses rank. "Numerically zero" is relative to the
-/// block's own magnitude, so an all-zero block also fires.
-fn check_directions(dirs: &DirectionSet) -> Result<(), MftiError> {
+/// block's own magnitude, so an all-zero block also fires. Blocks are
+/// numbered from pair `first`.
+fn check_directions(dirs: &DirectionSet, first: usize) -> Result<(), MftiError> {
     let degenerate = |scale: f64, max: f64| max <= scale * f64::EPSILON;
-    for (j, r) in dirs.right.iter().enumerate() {
+    for (j, r) in (first..).zip(&dirs.right) {
         let (m, t) = r.dims();
         let scale = r.max_abs();
         for c in 0..t {
@@ -79,7 +80,7 @@ fn check_directions(dirs: &DirectionSet) -> Result<(), MftiError> {
             }
         }
     }
-    for (j, l) in dirs.left.iter().enumerate() {
+    for (j, l) in (first..).zip(&dirs.left) {
         let (t, p) = l.dims();
         let scale = l.max_abs();
         for r in 0..t {
@@ -155,12 +156,12 @@ impl TangentialData {
     }
 
     /// [`TangentialData::build`] with the direction stream resumed at
-    /// `origin` — the sliding-window form (DESIGN.md §9): a windowed
-    /// [`FitSession`](crate::FitSession) rebuilds its data over the
-    /// *live samples only* (so the duplicate-frequency gate scopes to
-    /// the window, not the full stream history) while each surviving
-    /// pair keeps the directions it was assigned when it first streamed
-    /// in.
+    /// `origin` — the sliding-window form (DESIGN.md §9): the data of a
+    /// window over the *live samples only* (so the duplicate-frequency
+    /// gate scopes to the window, not the full stream history) in which
+    /// each pair keeps the directions it was assigned when it first
+    /// streamed in. A windowed [`FitSession`](crate::FitSession) slides
+    /// its data to the same bits instead of rebuilding them.
     ///
     /// # Errors
     ///
@@ -171,40 +172,95 @@ impl TangentialData {
         weights: &Weights,
         origin: DirectionOrigin,
     ) -> Result<Self, MftiError> {
-        // The numeric ingestion gate runs first: non-finite data and
-        // duplicated interpolation points σ (which make the Loewner
-        // divided differences singular) never reach pencil assembly.
-        samples.validate()?;
-        let k = samples.len();
+        let (p, m) = samples.ports();
+        let empty = TangentialData {
+            right: Vec::new(),
+            left: Vec::new(),
+            pair_weights: Vec::new(),
+            outputs: p,
+            inputs: m,
+            freq_scale: 0.0,
+        };
+        empty.slide(0, samples, directions, weights, origin)
+    }
+
+    /// The data of a sliding window after an append, with the bits and
+    /// refusals of [`build_from`](Self::build_from) over `window` — the
+    /// live samples, survivors first — at the window's stream position
+    /// `origin`. Only the appended pairs' triples are built: the first
+    /// `evict_pairs` pairs of `self` are dropped and the survivors'
+    /// triples are kept (prefix-stable directions make them the ones a
+    /// rebuild would produce), renumbered to the window.
+    ///
+    /// # Errors
+    ///
+    /// See [`TangentialData::build`].
+    pub(crate) fn slide(
+        &self,
+        evict_pairs: usize,
+        window: &SampleSet,
+        directions: DirectionKind,
+        weights: &Weights,
+        origin: DirectionOrigin,
+    ) -> Result<Self, MftiError> {
+        // The numeric ingestion gate runs first, over the whole window:
+        // non-finite data and duplicated interpolation points σ (which
+        // make the Loewner divided differences singular) never reach
+        // pencil assembly.
+        window.validate()?;
+        let k = window.len();
         if !k.is_multiple_of(2) {
             return Err(MftiError::InvalidSamples {
                 what: format!("need an even number of samples >= 2, got {k}"),
             });
         }
-        if samples.freqs_hz().iter().any(|&f| f <= 0.0) {
+        if window.freqs_hz().iter().any(|&f| f <= 0.0) {
             return Err(MftiError::InvalidSamples {
                 what: "frequencies must be strictly positive (conjugate \
                        augmentation would collide at DC)"
                     .to_string(),
             });
         }
+        let (p, m) = window.ports();
+        let ts = weights.resolve(k / 2, p.min(m))?;
 
-        let (p, m) = samples.ports();
-        let pairs = k / 2;
-        let ts = weights.resolve(pairs, p.min(m))?;
-        let dirs: DirectionSet = generate_directions_from(directions, p, m, &ts, &ts, origin)?;
+        let shift = 2 * evict_pairs;
+        let mut right: Vec<RightTriple> = self.right[shift..]
+            .iter()
+            .map(|t| RightTriple {
+                sample_index: t.sample_index - shift,
+                ..t.clone()
+            })
+            .collect();
+        let mut left: Vec<LeftTriple> = self.left[shift..]
+            .iter()
+            .map(|t| LeftTriple {
+                sample_index: t.sample_index - shift,
+                ..t.clone()
+            })
+            .collect();
+        let first = right.len() / 2;
+        let new_ts = &ts[first..];
+        let dirs = generate_directions_from(
+            directions,
+            p,
+            m,
+            new_ts,
+            new_ts,
+            DirectionOrigin {
+                pairs: origin.pairs + first,
+                cols: origin.cols + ts[..first].iter().sum::<usize>(),
+            },
+        )?;
         // Built-in generators emit orthonormal blocks, but the gate also
         // guards any future user-supplied direction source: a zero
         // column/row makes its interpolation condition vacuous and the
         // pencil silently loses rank (DESIGN.md §8).
-        check_directions(&dirs)?;
+        check_directions(&dirs, first)?;
 
-        let mut right = Vec::with_capacity(k);
-        let mut left = Vec::with_capacity(k);
-        for j in 0..pairs {
+        for (j, (r, l)) in (first..).zip(dirs.right.iter().zip(&dirs.left)) {
             // Right data from sample 2j (paper: f_1, f_3, …).
-            let (f_r, s_r) = samples.get(2 * j);
-            let r = &dirs.right[j];
+            let (f_r, s_r) = window.get(2 * j);
             let w = s_r.matmul(&r.to_complex())?;
             let lambda = s_at_hz(f_r);
             right.push(RightTriple {
@@ -221,8 +277,7 @@ impl TangentialData {
             });
 
             // Left data from sample 2j+1 (paper: f_2, f_4, …).
-            let (f_l, s_l) = samples.get(2 * j + 1);
-            let l = &dirs.left[j];
+            let (f_l, s_l) = window.get(2 * j + 1);
             let v = l.to_complex().matmul(s_l)?;
             let mu = s_at_hz(f_l);
             left.push(LeftTriple {
@@ -242,7 +297,7 @@ impl TangentialData {
         // Pencil computations run in normalized frequency s' = s/ω₀ to
         // keep 𝕃 and σ𝕃 at comparable magnitudes (σ𝕃 ≈ ω·𝕃 otherwise,
         // which destroys the projection subspaces on wide-band data).
-        let freq_scale = samples
+        let freq_scale = window
             .freqs_hz()
             .iter()
             .fold(0.0f64, |acc, &f| acc.max(std::f64::consts::TAU * f));
@@ -420,7 +475,7 @@ mod tests {
             left: vec![good.clone(), good.clone()],
         };
         assert!(matches!(
-            check_directions(&dirs),
+            check_directions(&dirs, 0),
             Err(MftiError::DegenerateDirection { pair: 1 })
         ));
         let dirs = DirectionSet {
@@ -428,14 +483,14 @@ mod tests {
             left: vec![zero_col, good.clone()],
         };
         assert!(matches!(
-            check_directions(&dirs),
+            check_directions(&dirs, 0),
             Err(MftiError::DegenerateDirection { pair: 0 })
         ));
         let dirs = DirectionSet {
             right: vec![good.clone()],
             left: vec![good],
         };
-        assert!(check_directions(&dirs).is_ok());
+        assert!(check_directions(&dirs, 0).is_ok());
     }
 
     #[test]

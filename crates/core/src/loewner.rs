@@ -12,23 +12,30 @@
 //! [`LoewnerPencil::sylvester_residuals`] verifies numerically. A pencil
 //! is a value: [`LoewnerPencil::slide`] returns the next pencil of a
 //! window — leading pairs evicted, new pairs appended, only the new
-//! blocks computed — which is both the growth step of the recursive
-//! Algorithm 2 and the window step of a streaming session.
+//! blocks computed.
+//!
+//! The pipeline never forms this complex pencil: fits, sessions and
+//! the recursive Algorithm 2 assemble its realification straight from
+//! the data ([`RealifiedPencil::build`](crate::RealifiedPencil::build)),
+//! with the same bits. The complex pencil stays as the oracle that
+//! realification ([`realify`](crate::realify)), the complex projection
+//! and the equivalence tests read.
 //!
 //! # Assembly structure
 //!
 //! The numerators of all `K × K` scalar entries are the two cross
 //! products `V·R` and `L·W` of the *stacked* data/direction matrices —
 //! two thin GEMMs through the blocked kernel layer — and the divided
-//! differences are a row-wise elementwise pass over the Cauchy divisor
-//! plane `1/(μ_i − λ_j)`. Row construction fans out across cores
-//! ([`mfti_numeric::parallel`], one contiguous row range per worker);
-//! every row is a pure function of the cross-product rows and the
-//! interpolation points, so the assembled pencil is **bit-identical for
-//! every thread count**, and a [`slide`](LoewnerPencil::slide) equals
-//! the from-scratch [`build_subset`](LoewnerPencil::build_subset) over
-//! its pairs bit-for-bit (the blocked kernel computes each output entry
-//! independently of the call's width).
+//! differences are a row-wise elementwise pass ([`cauchy_row`]) over the
+//! Cauchy divisor plane `1/(μ_i − λ_j)`. Row construction fans out
+//! across cores ([`mfti_numeric::parallel`], one contiguous row range
+//! per worker); every row is a pure function of the cross-product rows
+//! and the interpolation points, so the assembled pencil is
+//! **bit-identical for every thread count**, and a
+//! [`slide`](LoewnerPencil::slide) equals the from-scratch
+//! [`build_subset`](LoewnerPencil::build_subset) over its pairs
+//! bit-for-bit (the blocked kernel computes each output entry
+//! independently of the call's shape).
 
 use mfti_numeric::{kernel, parallel, CMatrix, Complex, Svd};
 
@@ -36,19 +43,207 @@ use crate::data::TangentialData;
 use crate::error::MftiError;
 
 /// Below this many newly computed pencil entries (`K² − K_keep²` per
-/// [`LoewnerPencil::slide`]; for a from-scratch build, order < 96) the
-/// divided-difference work cannot amortize a thread spawn and assembly
-/// stays on one worker. Results are identical either way — the gate
-/// only affects scheduling.
-const PAR_MIN_ENTRIES: usize = 96 * 96;
+/// slide; for a from-scratch build, order < 96) the divided-difference
+/// work cannot amortize a thread spawn and assembly stays on one
+/// worker. Results are identical either way — the gate only affects
+/// scheduling.
+pub(crate) const PAR_MIN_ENTRIES: usize = 96 * 96;
 
-/// The assembled (possibly partial) Loewner pencil.
+/// The sample pairs a pencil spans, in inclusion order, with their
+/// block widths and the normalization and shift that the first slide of
+/// its chain pinned. The complex [`LoewnerPencil`] and the
+/// [`RealifiedPencil`](crate::RealifiedPencil) share it, so both refuse
+/// and renumber a slide alike.
+#[derive(Debug, Clone)]
+pub(crate) struct PairList {
+    /// Included pair indices (into the [`TangentialData`] pair list).
+    pub(crate) included: Vec<usize>,
+    /// Block width of each included pair.
+    pub(crate) ts: Vec<usize>,
+    /// Frequency normalization ω₀ applied to all interpolation points.
+    pub(crate) freq_scale: f64,
+    /// Pinned order-detection shift: `|λ₁|` for the first right
+    /// interpolation point ever included — **real**, so the realified
+    /// shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ` is a real matrix and Lemma 3.1
+    /// detection can run on the packed real path (DESIGN.md §5; with
+    /// Section 3.4's literal λ₁ = jω₁/ω₀ the realified shift would stay
+    /// complex and forfeit that). Pinning — rather than re-deriving from
+    /// the first surviving column — keeps the shifted pencil a
+    /// *consistent* matrix across slides, so an incrementally maintained
+    /// [`SvdUpdater`](mfti_numeric::SvdUpdater) over its realification
+    /// stays valid after the leading pairs expire. Any x₀ that is not a
+    /// system pole is admissible (Lemma 3.4); a point on the positive
+    /// real axis never coincides with a stable pole, and `|λ₁|` keeps
+    /// the shift at the magnitude of the normalized band. Zero only in
+    /// the empty list every build slides from; its first slide pins it.
+    pub(crate) x0: f64,
+}
+
+impl PairList {
+    /// No pairs, in `data`'s frequency normalization.
+    pub(crate) fn empty(data: &TangentialData) -> Self {
+        PairList {
+            included: Vec::new(),
+            ts: Vec::new(),
+            freq_scale: data.freq_scale(),
+            x0: 0.0,
+        }
+    }
+
+    /// Pencil order `K = Σ 2·t_j`.
+    pub(crate) fn order(&self) -> usize {
+        2 * self.ts.iter().sum::<usize>()
+    }
+
+    /// The list after [`LoewnerPencil::slide`]'s step — the leading
+    /// `evict_pairs` dropped, survivors renumbered down by it,
+    /// `new_pairs` of `data` appended — and the pencil order evicted.
+    ///
+    /// # Errors
+    ///
+    /// The refusals documented on [`LoewnerPencil::slide`].
+    pub(crate) fn slide(
+        &self,
+        evict_pairs: usize,
+        data: &TangentialData,
+        new_pairs: &[usize],
+    ) -> Result<(Self, usize), MftiError> {
+        let refuse = |what: &str| {
+            Err(MftiError::InvalidSamples {
+                what: what.to_string(),
+            })
+        };
+        if evict_pairs > 0 && evict_pairs >= self.included.len() {
+            return refuse("a slide must keep at least one surviving pair");
+        }
+        let survivors = &self.included[evict_pairs..];
+        if survivors.iter().any(|&j| j < evict_pairs) {
+            return refuse("slide would orphan a surviving pair index");
+        }
+        if survivors.is_empty() && new_pairs.is_empty() {
+            return refuse("empty pair selection");
+        }
+        if new_pairs.iter().any(|&j| j >= data.num_pairs()) {
+            return refuse("pair index out of range");
+        }
+        let mut included: Vec<usize> = survivors.iter().map(|&j| j - evict_pairs).collect();
+        // One flag per data pair catches a new pair that already
+        // survives and repeats inside `new_pairs` alike, in O(n).
+        let mut seen = vec![false; data.num_pairs()];
+        for &j in &included {
+            if let Some(flag) = seen.get_mut(j) {
+                *flag = true;
+            }
+        }
+        if new_pairs
+            .iter()
+            .any(|&j| std::mem::replace(&mut seen[j], true))
+        {
+            return refuse("pair already included");
+        }
+        included.extend_from_slice(new_pairs);
+        let mut ts = self.ts[evict_pairs..].to_vec();
+        ts.extend(new_pairs.iter().map(|&j| data.pair_weights()[j]));
+        let k_drop = 2 * self.ts[..evict_pairs].iter().sum::<usize>();
+        // The first slide pins the real shift |λ₁| (see `x0`).
+        let x0 = match new_pairs.first() {
+            Some(&j) if self.included.is_empty() => data.right()[2 * j]
+                .lambda
+                .scale(1.0 / self.freq_scale)
+                .abs(),
+            _ => self.x0,
+        };
+        let next = PairList {
+            included,
+            ts,
+            freq_scale: self.freq_scale,
+            x0,
+        };
+        Ok((next, k_drop))
+    }
+}
+
+/// The right triples of `pairs`, conjugates adjacent, as the stacked
+/// column operands of the assembly: `W` (`p × k`), `R` promoted to
+/// complex (`m × k`) and each column's `λ` scaled by `inv_scale`.
+pub(crate) fn right_stack(
+    data: &TangentialData,
+    pairs: &[usize],
+    inv_scale: f64,
+) -> Result<(CMatrix, CMatrix, Vec<Complex>), MftiError> {
+    let (p, m) = data.ports();
+    let triples = pairs.iter().flat_map(|&j| &data.right()[2 * j..2 * j + 2]);
+    let k = triples.clone().map(|rt| rt.r.cols()).sum();
+    let (mut w, mut r) = (CMatrix::zeros(p, k), CMatrix::zeros(m, k));
+    let mut lambdas = Vec::with_capacity(k);
+    for rt in triples {
+        w.set_block(0, lambdas.len(), &rt.w)?;
+        r.set_block(0, lambdas.len(), &rt.r.to_complex())?;
+        lambdas.extend(std::iter::repeat_n(rt.lambda.scale(inv_scale), rt.r.cols()));
+    }
+    Ok((w, r, lambdas))
+}
+
+/// The left triples of `pairs` as the stacked row operands: `V`
+/// (`k × m`), `L` promoted to complex (`k × p`) and each row's `μ`
+/// scaled by `inv_scale` — with `first_only`, only each pair's first
+/// member (the rows a realified assembly computes).
+pub(crate) fn left_stack(
+    data: &TangentialData,
+    pairs: &[usize],
+    inv_scale: f64,
+    first_only: bool,
+) -> Result<(CMatrix, CMatrix, Vec<Complex>), MftiError> {
+    let (p, m) = data.ports();
+    let members = if first_only { 1 } else { 2 };
+    let triples = pairs
+        .iter()
+        .flat_map(|&j| &data.left()[2 * j..2 * j + members]);
+    let k = triples.clone().map(|lt| lt.l.rows()).sum();
+    let (mut v, mut l) = (CMatrix::zeros(k, m), CMatrix::zeros(k, p));
+    let mut mus = Vec::with_capacity(k);
+    for lt in triples {
+        v.set_block(mus.len(), 0, &lt.v)?;
+        l.set_block(mus.len(), 0, &lt.l.to_complex())?;
+        mus.extend(std::iter::repeat_n(lt.mu.scale(inv_scale), lt.l.rows()));
+    }
+    Ok((v, l, mus))
+}
+
+/// One row of `𝕃` and `σ𝕃` over the columns at `lambdas`: the divided
+/// differences of the cross-product rows `vr = (V·R)[i, ·]` and
+/// `lw = (L·W)[i, ·]` at the row's left point `mu`. Every assembly —
+/// complex or realified, built or slid — writes its entries with this
+/// arithmetic.
+#[inline]
+pub(crate) fn cauchy_row(
+    mu: Complex,
+    vr: &[Complex],
+    lw: &[Complex],
+    lambdas: &[Complex],
+    ll: &mut [Complex],
+    sll: &mut [Complex],
+) {
+    for ((l, s), ((&vr, &lw), &lambda)) in ll
+        .iter_mut()
+        .zip(sll.iter_mut())
+        .zip(vr.iter().zip(lw).zip(lambdas))
+    {
+        let inv = (mu - lambda).recip();
+        *l = (vr - lw) * inv;
+        *s = (vr * mu - lw * lambda) * inv;
+    }
+}
+
+/// The assembled (possibly partial) complex Loewner pencil — the oracle
+/// the realified assembly is checked against.
 ///
 /// Row blocks correspond to *left* triples, column blocks to *right*
 /// triples; triples of each included sample pair appear with their
 /// conjugates adjacent, in inclusion order.
 #[derive(Debug, Clone)]
 pub struct LoewnerPencil {
+    pairs: PairList,
     ll: CMatrix,
     sll: CMatrix,
     /// Stacked data matrices: `W` is `p × K`, `V` is `K × m`.
@@ -62,27 +257,6 @@ pub struct LoewnerPencil {
     /// Interpolation points expanded to scalar columns/rows.
     lambdas: Vec<Complex>,
     mus: Vec<Complex>,
-    /// Included pair indices (into the [`TangentialData`] pair list).
-    included_pairs: Vec<usize>,
-    /// Block width of each included pair.
-    pair_ts: Vec<usize>,
-    /// Frequency normalization ω₀ applied to all interpolation points.
-    freq_scale: f64,
-    /// Pinned order-detection shift: `|λ₁|` for the first right
-    /// interpolation point ever included — **real**, so the realified
-    /// shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ` is a real matrix and Lemma 3.1
-    /// detection can run on the packed real path (DESIGN.md §5; with
-    /// Section 3.4's literal λ₁ = jω₁/ω₀ the realified shift would stay
-    /// complex and forfeit that). Pinning — rather than re-deriving from
-    /// `lambdas[0]` — keeps the shifted pencil a *consistent* matrix
-    /// across slides, so an incrementally maintained
-    /// [`SvdUpdater`](mfti_numeric::SvdUpdater) over its realification
-    /// stays valid after the leading pairs expire. Any x₀ that is not a system pole
-    /// is admissible (Lemma 3.4); a point on the positive real axis
-    /// never coincides with a stable pole, and `|λ₁|` keeps the shift at
-    /// the magnitude of the normalized band. Zero only in the empty
-    /// pencil every build slides from; its first slide pins it.
-    x0: Complex,
 }
 
 impl LoewnerPencil {
@@ -106,14 +280,9 @@ impl LoewnerPencil {
     /// Returns [`MftiError::InvalidSamples`] for an empty, duplicated or
     /// out-of-range selection.
     pub fn build_subset(data: &TangentialData, pairs: &[usize]) -> Result<Self, MftiError> {
-        Self::empty(data).slide(0, data, pairs)
-    }
-
-    /// The pencil over no pairs, in `data`'s frequency normalization:
-    /// the start every build slides from.
-    pub(crate) fn empty(data: &TangentialData) -> Self {
         let (p, m) = data.ports();
-        LoewnerPencil {
+        let empty = LoewnerPencil {
+            pairs: PairList::empty(data),
             ll: CMatrix::zeros(0, 0),
             sll: CMatrix::zeros(0, 0),
             w: CMatrix::zeros(p, 0),
@@ -122,11 +291,8 @@ impl LoewnerPencil {
             r: CMatrix::zeros(m, 0),
             lambdas: Vec::new(),
             mus: Vec::new(),
-            included_pairs: Vec::new(),
-            pair_ts: Vec::new(),
-            freq_scale: data.freq_scale(),
-            x0: Complex::ZERO,
-        }
+        };
+        empty.slide(0, data, pairs)
     }
 
     /// The next pencil of a window: this pencil without its **leading**
@@ -165,93 +331,39 @@ impl LoewnerPencil {
         data: &TangentialData,
         new_pairs: &[usize],
     ) -> Result<Self, MftiError> {
-        let refuse = |what: &str| {
-            Err(MftiError::InvalidSamples {
-                what: what.to_string(),
-            })
-        };
-        if evict_pairs > 0 && evict_pairs >= self.included_pairs.len() {
-            return refuse("a slide must keep at least one surviving pair");
-        }
-        let survivors = &self.included_pairs[evict_pairs..];
-        if survivors.iter().any(|&j| j < evict_pairs) {
-            return refuse("slide would orphan a surviving pair index");
-        }
-        if survivors.is_empty() && new_pairs.is_empty() {
-            return refuse("empty pair selection");
-        }
-        if new_pairs.iter().any(|&j| j >= data.num_pairs()) {
-            return refuse("pair index out of range");
-        }
-        let mut included_pairs: Vec<usize> = survivors.iter().map(|&j| j - evict_pairs).collect();
-        // One flag per data pair catches a new pair that already
-        // survives and repeats inside `new_pairs` alike, in O(n).
-        let mut seen = vec![false; data.num_pairs()];
-        for &j in &included_pairs {
-            if let Some(flag) = seen.get_mut(j) {
-                *flag = true;
-            }
-        }
-        if new_pairs
-            .iter()
-            .any(|&j| std::mem::replace(&mut seen[j], true))
-        {
-            return refuse("pair already included");
-        }
-        included_pairs.extend_from_slice(new_pairs);
-        let mut pair_ts = self.pair_ts[evict_pairs..].to_vec();
-        pair_ts.extend(new_pairs.iter().map(|&j| data.pair_weights()[j]));
+        let (pairs, k_drop) = self.pairs.slide(evict_pairs, data, new_pairs)?;
+        let k_keep = self.order() - k_drop;
+        let k = pairs.order();
+        let (p, m) = (self.w.rows(), self.v.cols());
 
         // Stacked data and interpolation points (normalized): the
         // survivors', then the new pairs' in triple order (conjugates
         // adjacent).
-        let k_drop: usize = self.pair_ts[..evict_pairs].iter().map(|&t| 2 * t).sum();
-        let k_keep = self.order() - k_drop;
-        let (p, m) = (self.w.rows(), self.v.cols());
+        let inv_scale = 1.0 / pairs.freq_scale;
+        let (w_new, r_new, lambdas_new) = right_stack(data, new_pairs, inv_scale)?;
+        let (v_new, l_new, mus_new) = left_stack(data, new_pairs, inv_scale, false)?;
         let w_keep = self.w.submatrix(0, k_drop, p, k_keep)?;
-        let v_keep = self.v.submatrix(k_drop, 0, k_keep, m)?;
-        let l_keep = self.l.submatrix(k_drop, 0, k_keep, p)?;
         let r_keep = self.r.submatrix(0, k_drop, m, k_keep)?;
-        let mut lambdas = self.lambdas[k_drop..].to_vec();
-        let mut mus = self.mus[k_drop..].to_vec();
-        let inv_scale = 1.0 / self.freq_scale;
-        let mut w_parts = vec![&w_keep];
-        let mut v_parts = vec![&v_keep];
-        let mut promoted: Vec<(CMatrix, CMatrix)> = Vec::new();
-        for &j in new_pairs {
-            for idx in [2 * j, 2 * j + 1] {
-                let (rt, lt) = (&data.right()[idx], &data.left()[idx]);
-                lambdas.extend(std::iter::repeat_n(rt.lambda.scale(inv_scale), rt.r.cols()));
-                mus.extend(std::iter::repeat_n(lt.mu.scale(inv_scale), lt.l.rows()));
-                w_parts.push(&rt.w);
-                v_parts.push(&lt.v);
-                promoted.push((rt.r.to_complex(), lt.l.to_complex()));
-            }
-        }
-        let r_parts: Vec<&CMatrix> = std::iter::once(&r_keep)
-            .chain(promoted.iter().map(|(r, _)| r))
-            .collect();
-        let l_parts: Vec<&CMatrix> = std::iter::once(&l_keep)
-            .chain(promoted.iter().map(|(_, l)| l))
-            .collect();
-        let w = CMatrix::hstack(&w_parts)?; // p × K
-        let v = CMatrix::vstack(&v_parts)?; // K × m
-        let r = CMatrix::hstack(&r_parts)?; // m × K
-        let l = CMatrix::vstack(&l_parts)?; // K × p
-        let k = v.rows();
-        let k_new = k - k_keep;
+        let w = CMatrix::hstack(&[&w_keep, &w_new])?; // p × K
+        let r = CMatrix::hstack(&[&r_keep, &r_new])?; // m × K
+        let v = CMatrix::vstack(&[&self.v.submatrix(k_drop, 0, k_keep, m)?, &v_new])?; // K × m
+        let l = CMatrix::vstack(&[&self.l.submatrix(k_drop, 0, k_keep, p)?, &l_new])?; // K × p
+        let lambdas = [&self.lambdas[k_drop..], &lambdas_new[..]].concat();
+        let mus = [&self.mus[k_drop..], &mus_new[..]].concat();
 
         // Cross products of the new strips, through the *unconditionally
         // blocked* kernel: each output entry's rounding depends only on
-        // its own row/column operands, never on the call width, which is
+        // its own row/column operands, never on the call shape, which is
         // what makes a slid pencil equal a from-scratch build
         // bit-for-bit.
-        let w_new = w.submatrix(0, k_keep, p, k_new)?;
-        let r_new = r.submatrix(0, k_keep, m, k_new)?;
-        let vr_right = kernel::mul_blocked(&v, &r_new)?;
-        let lw_right = kernel::mul_blocked(&l, &w_new)?;
-        let vr_bottom = kernel::mul_blocked(&v.submatrix(k_keep, 0, k_new, m)?, &r_keep)?;
-        let lw_bottom = kernel::mul_blocked(&l.submatrix(k_keep, 0, k_new, p)?, &w_keep)?;
+        let right = (
+            kernel::mul_blocked(&v, &r_new)?,
+            kernel::mul_blocked(&l, &w_new)?,
+        );
+        let bottom = (
+            kernel::mul_blocked(&v_new, &r_keep)?,
+            kernel::mul_blocked(&l_new, &w_keep)?,
+        );
 
         // Row-parallel divided-difference pass: row i of 𝕃/σ𝕃 is a pure
         // function of the cross-product rows, μ_i and the λs —
@@ -271,48 +383,36 @@ impl LoewnerPencil {
             .zip(sll_data.chunks_mut(row_len))
             .collect();
         parallel::for_each_mut(workers, &mut rows, |i, (ll_row, sll_row)| {
-            let mu_i = mus[i];
+            let (ll_keep, ll_new) = ll_row.split_at_mut(k_keep);
+            let (sll_keep, sll_new) = sll_row.split_at_mut(k_keep);
             if i < k_keep {
                 // Surviving row: its surviving columns keep their entries.
-                ll_row[..k_keep].copy_from_slice(&self.ll.row(k_drop + i)[k_drop..]);
-                sll_row[..k_keep].copy_from_slice(&self.sll.row(k_drop + i)[k_drop..]);
+                ll_keep.copy_from_slice(&self.ll.row(k_drop + i)[k_drop..]);
+                sll_keep.copy_from_slice(&self.sll.row(k_drop + i)[k_drop..]);
             } else {
-                // New row over the surviving columns.
-                let vr = vr_bottom.row(i - k_keep);
-                let lw = lw_bottom.row(i - k_keep);
-                for j in 0..k_keep {
-                    let inv = (mu_i - lambdas[j]).recip();
-                    ll_row[j] = (vr[j] - lw[j]) * inv;
-                    sll_row[j] = (vr[j] * mu_i - lw[j] * lambdas[j]) * inv;
-                }
+                let (vr, lw) = (bottom.0.row(i - k_keep), bottom.1.row(i - k_keep));
+                cauchy_row(mus[i], vr, lw, &lambdas[..k_keep], ll_keep, sll_keep);
             }
-            let vr = vr_right.row(i);
-            let lw = lw_right.row(i);
-            for (j, &lambda_j) in lambdas[k_keep..].iter().enumerate() {
-                let inv = (mu_i - lambda_j).recip();
-                ll_row[k_keep + j] = (vr[j] - lw[j]) * inv;
-                sll_row[k_keep + j] = (vr[j] * mu_i - lw[j] * lambda_j) * inv;
-            }
+            let (vr, lw) = (right.0.row(i), right.1.row(i));
+            cauchy_row(mus[i], vr, lw, &lambdas[k_keep..], ll_new, sll_new);
         });
 
         Ok(LoewnerPencil {
+            pairs,
             ll: CMatrix::from_vec(k, k, ll_data)?,
             sll: CMatrix::from_vec(k, k, sll_data)?,
             w,
             v,
             l,
             r,
-            // The first slide pins the real shift |λ₁| (see `x0`).
-            x0: match lambdas.first() {
-                Some(lambda) if self.included_pairs.is_empty() => Complex::new(lambda.abs(), 0.0),
-                _ => self.x0,
-            },
             lambdas,
             mus,
-            included_pairs,
-            pair_ts,
-            freq_scale: self.freq_scale,
         })
+    }
+
+    /// The pairs, widths and pinned normalization of this pencil.
+    pub(crate) fn pair_list(&self) -> &PairList {
+        &self.pairs
     }
 
     /// The Loewner matrix `𝕃` (`K × K`).
@@ -351,7 +451,7 @@ impl LoewnerPencil {
     /// `s' = s/ω₀`; realizations divide `E` by ω₀ to return to true
     /// frequency.
     pub fn freq_scale(&self) -> f64 {
-        self.freq_scale
+        self.pairs.freq_scale
     }
 
     /// Pencil order `K`.
@@ -361,12 +461,12 @@ impl LoewnerPencil {
 
     /// Indices of the included sample pairs, in inclusion order.
     pub fn included_pairs(&self) -> &[usize] {
-        &self.included_pairs
+        &self.pairs.included
     }
 
     /// Block widths of the included pairs, in inclusion order.
     pub fn pair_ts(&self) -> &[usize] {
-        &self.pair_ts
+        &self.pairs.ts
     }
 
     /// Residual norms of the two Sylvester identities (13):
@@ -383,7 +483,7 @@ impl LoewnerPencil {
         // Reassemble stacked L (K×p) and R (m×K) for the included pairs.
         let mut l_parts: Vec<CMatrix> = Vec::new();
         let mut r_parts: Vec<CMatrix> = Vec::new();
-        for &j in &self.included_pairs {
+        for &j in &self.pairs.included {
             for idx in [2 * j, 2 * j + 1] {
                 l_parts.push(data.left()[idx].l.to_complex());
                 r_parts.push(data.right()[idx].r.to_complex());
@@ -492,7 +592,7 @@ impl LoewnerPencil {
     /// sessions keep decomposing the same shifted pencil family even
     /// after the pair that donated λ₁ expires.
     pub fn default_x0(&self) -> Complex {
-        self.x0
+        Complex::new(self.pairs.x0, 0.0)
     }
 }
 

@@ -1,9 +1,10 @@
 //! Algorithm 1: MFTI of noise-free (or lightly noisy) data.
 //!
-//! Pipeline: directions → tangential data (Eqs. 6–7) → Loewner pencil
-//! (Eqs. 11–12, GEMM-structured assembly) → realification (Lemma 3.2)
-//! → order detection on the realified shifted pencil → real projection
-//! → descriptor model (`RealPencilState`). The SVD consumers ask for
+//! Pipeline: directions → tangential data (Eqs. 6–7) → realified
+//! Loewner pencil (Eqs. 11–12 and Lemma 3.2, assembled straight from
+//! the data by GEMM-structured first-member rows) → order detection on
+//! the realified shifted pencil → real projection → descriptor model
+//! (`RealPencilState`). The SVD consumers ask for
 //! exactly what they read: detection factors accumulate only the
 //! leading `r` columns, and each dense stacked SVD a single side
 //! (`mfti_numeric::SvdFactors`). Streaming callers that refit per
@@ -22,7 +23,6 @@ use mfti_statespace::DescriptorSystem;
 use crate::data::{TangentialData, Weights};
 use crate::directions::DirectionKind;
 use crate::error::MftiError;
-use crate::loewner::LoewnerPencil;
 use crate::realize::{OrderSelection, RealPencilState};
 
 /// Result of an MFTI/VFTI fit, with the diagnostics the paper plots.
@@ -88,7 +88,6 @@ pub struct Mfti {
     directions: DirectionKind,
     weights: Weights,
     order_selection: OrderSelection,
-    realify_tol: f64,
 }
 
 impl Default for Mfti {
@@ -106,7 +105,6 @@ impl Mfti {
             directions: DirectionKind::default(),
             weights: Weights::Full,
             order_selection: OrderSelection::default(),
-            realify_tol: 1e-6,
         }
     }
 
@@ -128,14 +126,6 @@ impl Mfti {
         self
     }
 
-    /// Tolerance on the imaginary residual allowed by the realification
-    /// (noisy data are still conjugate-closed, so the default `1e-6`
-    /// only trips on inconsistent inputs).
-    pub fn realify_tol(mut self, tol: f64) -> Self {
-        self.realify_tol = tol;
-        self
-    }
-
     /// Configured weights ([`Weights::Full`] resolves at build time).
     pub(crate) fn weights_ref(&self) -> &Weights {
         &self.weights
@@ -149,11 +139,6 @@ impl Mfti {
     /// Configured order-selection rule.
     pub(crate) fn order_selection_ref(&self) -> OrderSelection {
         self.order_selection
-    }
-
-    /// Configured realification tolerance.
-    pub(crate) fn realify_tol_ref(&self) -> f64 {
-        self.realify_tol
     }
 
     /// Runs Algorithm 1 on the sample set, returning the full
@@ -172,40 +157,36 @@ impl Mfti {
     /// Propagates data-validation, SVD and order-selection failures.
     pub fn fit_detailed(&self, samples: &SampleSet) -> Result<FitResult, MftiError> {
         let start = Stopwatch::start();
-        // The tangential data and the complex pencil live only until
-        // the realification: detection and projection read the real
-        // state alone.
+        // The tangential data live only until the realified pencil is
+        // assembled: detection and projection read the real state alone.
         let state = {
             let data = TangentialData::build(samples, self.directions, &self.weights)?;
-            RealPencilState::new(&LoewnerPencil::build(&data)?, self.realify_tol)?
+            RealPencilState::build(&data)?
         };
         self.fit_real(&state, start)
     }
 
-    /// Runs the realization stage on an already-built pencil (shared
-    /// with Algorithm 2, which grows the pencil by slides): one
-    /// realification, then [`fit_real`](Self::fit_real).
-    pub(crate) fn fit_pencil(
+    /// One real detection, then the projection
+    /// ([`RealPencilState::realize_once`]), on a pencil built or grown
+    /// by slides (Algorithm 2). The detection is this call's own: its
+    /// working state is dropped before the projection runs. A stalled QR
+    /// sweep degrades through the recovery ladder (DESIGN.md §8) instead
+    /// of failing the fit.
+    pub(crate) fn fit_real(
         &self,
-        pencil: &LoewnerPencil,
+        state: &RealPencilState,
         start: Stopwatch,
     ) -> Result<FitResult, MftiError> {
-        self.fit_real(&RealPencilState::new(pencil, self.realify_tol)?, start)
-    }
-
-    /// One real detection, then the projection ([`RealPencilState`]).
-    /// A stalled QR sweep degrades through the recovery ladder
-    /// (DESIGN.md §8) instead of failing the fit.
-    fn fit_real(&self, state: &RealPencilState, start: Stopwatch) -> Result<FitResult, MftiError> {
-        let detection = state.detection()?;
+        let detection = state.decompose_shifted()?;
         let sv = detection.singular_values().to_vec();
+        let svd_fallbacks = detection.fallback_methods();
         let order = self.order_selection.detect(&sv)?;
         Ok(FitResult {
-            model: state.realize(order)?,
+            model: state.realize_once(detection, order)?,
             pencil_singular_values: sv,
             detected_order: order,
             pencil_order: state.order(),
-            svd_fallbacks: detection.fallback_methods(),
+            svd_fallbacks,
             elapsed: start.elapsed(),
         })
     }
@@ -252,7 +233,7 @@ mod tests {
         let (set, sys) = samples(8, 2, 0, 10, 6);
         let real = Mfti::new().fit_detailed(&set).unwrap();
         let data = TangentialData::build(&set, DirectionKind::default(), &Weights::Full).unwrap();
-        let pencil = LoewnerPencil::build(&data).unwrap();
+        let pencil = crate::LoewnerPencil::build(&data).unwrap();
         let oracle =
             crate::realize::realize_complex(&pencil, pencil.default_x0(), real.detected_order)
                 .unwrap();

@@ -10,11 +10,23 @@
 //! turns `−T*𝕃T`, `−T*σ𝕃T`, `T*V` and `WT` into **real** matrices, so
 //! the final state-space model has real coefficients — a hard
 //! requirement for circuit back-ends (SPICE stamping).
+//!
+//! Every partner triple of [`TangentialData`] is its first member's
+//! conjugate (`−λ`, `conj W`, the same real directions), and IEEE
+//! rounding is symmetric under a sign change, so every partner row of
+//! `𝕃` and `σ𝕃` is its first-member row's exact conjugate under the
+//! swap of each column pair. [`RealifiedPencil::build`] therefore
+//! assembles only the first-member rows and forms each partner row from
+//! them, with the bits of [`realify`] over the complex pencil and no
+//! complex `K × K` matrix; [`realify`] stays as its oracle.
 
-use mfti_numeric::{c64, CMatrix, Complex, RMatrix};
+use mfti_numeric::{c64, kernel, parallel, CMatrix, Complex, RMatrix};
 
+use crate::data::TangentialData;
 use crate::error::MftiError;
-use crate::loewner::LoewnerPencil;
+use crate::loewner::{
+    cauchy_row, left_stack, right_stack, LoewnerPencil, PairList, PAR_MIN_ENTRIES,
+};
 
 /// The pencil after Lemma 3.2: everything real.
 #[derive(Debug, Clone)]
@@ -24,10 +36,172 @@ pub struct RealifiedPencil {
     w: RMatrix,
     v: RMatrix,
     max_imag_residual: f64,
-    freq_scale: f64,
+    pairs: PairList,
 }
 
 impl RealifiedPencil {
+    /// The realified pencil over all sample pairs of `data`, assembled
+    /// straight from the data: bit for bit
+    /// `realify(&LoewnerPencil::build(data), tol)`, at every thread
+    /// count, without forming the complex pencil (module docs). Each
+    /// pair's first-member rows of `𝕃` and `σ𝕃` come from the same
+    /// blocked products and divided differences as the complex
+    /// assembly, and each is realified together with its partner row
+    /// before the next is assembled.
+    ///
+    /// # Errors
+    ///
+    /// Propagates matrix-shape failures (impossible for data built by
+    /// [`TangentialData::build`]).
+    pub fn build(data: &TangentialData) -> Result<Self, MftiError> {
+        let all: Vec<usize> = (0..data.num_pairs()).collect();
+        Self::empty(data).slide(0, data, &all)
+    }
+
+    /// The pencil over no pairs, in `data`'s frequency normalization:
+    /// the start every build slides from.
+    pub(crate) fn empty(data: &TangentialData) -> Self {
+        let (p, m) = data.ports();
+        RealifiedPencil {
+            ll: RMatrix::zeros(0, 0),
+            sll: RMatrix::zeros(0, 0),
+            w: RMatrix::zeros(p, 0),
+            v: RMatrix::zeros(0, m),
+            max_imag_residual: 0.0,
+            pairs: PairList::empty(data),
+        }
+    }
+
+    /// [`LoewnerPencil::slide`]'s window step in real arithmetic, with
+    /// the bits of realifying the slid complex pencil: the surviving
+    /// block is copied and only the new strips are assembled and
+    /// realified — `O(K·k_new)` entries. `T` is block-diagonal per pair,
+    /// so a realified block over whole pairs depends only on those
+    /// pairs' complex entries.
+    ///
+    /// Unlike the complex pencil, this one keeps no stacked data: the
+    /// survivors' triples are read from `data` at their renumbered
+    /// indices, so `data` holds every pair of the next pencil — a window
+    /// that dropped the evicted prefix, or the same data when nothing is
+    /// evicted.
+    ///
+    /// # Errors
+    ///
+    /// The refusals of [`LoewnerPencil::slide`], and
+    /// [`MftiError::InvalidSamples`] when a survivor lies beyond `data`.
+    pub(crate) fn slide(
+        &self,
+        evict_pairs: usize,
+        data: &TangentialData,
+        new_pairs: &[usize],
+    ) -> Result<Self, MftiError> {
+        let (pairs, k_drop) = self.pairs.slide(evict_pairs, data, new_pairs)?;
+        if pairs.included.iter().any(|&j| j >= data.num_pairs()) {
+            return Err(MftiError::InvalidSamples {
+                what: "a surviving pair is missing from the data".to_string(),
+            });
+        }
+        let (k, k_keep) = (pairs.order(), self.order() - k_drop);
+        let n_keep = pairs.included.len() - new_pairs.len();
+        let new_ts = &pairs.ts[n_keep..];
+        let (p, m) = data.ports();
+        let inv_scale = 1.0 / pairs.freq_scale;
+
+        // Column operands of every pair, row operands of each pair's
+        // first member only, and the complex assembly's blocked
+        // products restricted to those rows: surviving rows over the
+        // new columns, new rows over every column.
+        let (w, r, lambdas) = right_stack(data, &pairs.included, inv_scale)?;
+        let w_new = w.submatrix(0, k_keep, p, k - k_keep)?;
+        let r_new = r.submatrix(0, k_keep, m, k - k_keep)?;
+        let (v_keep, l_keep, mus_keep) =
+            left_stack(data, &pairs.included[..n_keep], inv_scale, true)?;
+        let (v_new, l_new, mus_new) = left_stack(data, new_pairs, inv_scale, true)?;
+        let keep = (
+            kernel::mul_blocked(&v_keep, &r_new)?,
+            kernel::mul_blocked(&l_keep, &w_new)?,
+        );
+        let fresh = (
+            kernel::mul_blocked(&v_new, &r)?,
+            kernel::mul_blocked(&l_new, &w)?,
+        );
+
+        // One task per pair: its 2t realified rows are contiguous, and
+        // each is a pure function of its first-member rows — the same
+        // bits for every worker count.
+        let workers = if k * k - k_keep * k_keep < PAR_MIN_ENTRIES {
+            1
+        } else {
+            parallel::available_threads()
+        };
+        let mut ll = vec![0.0f64; k * k];
+        let mut sll = vec![0.0f64; k * k];
+        let mut tasks = Vec::with_capacity(pairs.ts.len());
+        let (mut ll_rest, mut sll_rest) = (&mut ll[..], &mut sll[..]);
+        let (mut off, mut half) = (0, 0);
+        for (q, &t) in pairs.ts.iter().enumerate() {
+            if q == n_keep {
+                half = 0;
+            }
+            let (ll_rows, tail) = std::mem::take(&mut ll_rest).split_at_mut(2 * t * k);
+            ll_rest = tail;
+            let (sll_rows, tail) = std::mem::take(&mut sll_rest).split_at_mut(2 * t * k);
+            sll_rest = tail;
+            tasks.push(((off, half, t), [ll_rows, sll_rows]));
+            off += 2 * t;
+            half += t;
+        }
+        parallel::for_each_mut(workers, &mut tasks, |q, ((off, half, t), outs)| {
+            let (off, half, t) = (*off, *half, *t);
+            // A surviving pair copies its surviving block and assembles
+            // its new columns; a new pair assembles whole rows.
+            let (c0, (vr, lw), mus, col_ts) = if q < n_keep {
+                for (out, prev) in outs.iter_mut().zip([&self.ll, &self.sll]) {
+                    for (row, out_row) in out.chunks_exact_mut(k).enumerate() {
+                        out_row[..k_keep].copy_from_slice(&prev.row(k_drop + off + row)[k_drop..]);
+                    }
+                }
+                (k_keep, &keep, &mus_keep, new_ts)
+            } else {
+                (0, &fresh, &mus_new, &pairs.ts[..])
+            };
+            let mut first = [vec![Complex::ZERO; k - c0], vec![Complex::ZERO; k - c0]];
+            for i in 0..t {
+                let h = half + i;
+                let [a_ll, a_sll] = &mut first;
+                cauchy_row(mus[h], vr.row(h), lw.row(h), &lambdas[c0..], a_ll, a_sll);
+                for (a, out) in first.iter().zip(outs.iter_mut()) {
+                    let (top, bottom) = out.split_at_mut(t * k);
+                    let rows = [
+                        &mut top[i * k + c0..(i + 1) * k],
+                        &mut bottom[i * k + c0..(i + 1) * k],
+                    ];
+                    realify_first_row(a, col_ts, rows);
+                }
+            }
+        });
+
+        // The thin data realify as the complex pencil's do, from the
+        // partner triples the data already holds.
+        let (v_both, _, _) = left_stack(data, new_pairs, inv_scale, false)?;
+        let w_real = RMatrix::hstack(&[
+            &self.w.submatrix(0, k_drop, p, k_keep)?,
+            &apply_t_right(&w_new, new_ts).real_part(),
+        ])?;
+        let v_real = RMatrix::vstack(&[
+            &self.v.submatrix(k_drop, 0, k_keep, m)?,
+            &apply_t_adjoint_left(&v_both, new_ts).real_part(),
+        ])?;
+        Ok(RealifiedPencil {
+            ll: RMatrix::from_vec(k, k, ll)?,
+            sll: RMatrix::from_vec(k, k, sll)?,
+            w: w_real,
+            v: v_real,
+            max_imag_residual: 0.0,
+            pairs,
+        })
+    }
+
     /// Real Loewner matrix `T*𝕃T`.
     pub fn ll(&self) -> &RMatrix {
         &self.ll
@@ -45,8 +219,10 @@ impl RealifiedPencil {
         &self.v
     }
     /// Largest relative imaginary part discarded by the realification —
-    /// a diagnostic for how conjugate-closed the data really were
-    /// (noise-free data: ≈ machine epsilon).
+    /// a diagnostic for how conjugate-closed the data really were. Zero
+    /// for data built by [`TangentialData::build`], and for a pencil
+    /// assembled straight from the data, whose partner rows cancel
+    /// every imaginary part by construction.
     pub fn max_imag_residual(&self) -> f64 {
         self.max_imag_residual
     }
@@ -56,7 +232,20 @@ impl RealifiedPencil {
     }
     /// Frequency normalization ω₀ inherited from the source pencil.
     pub fn freq_scale(&self) -> f64 {
-        self.freq_scale
+        self.pairs.freq_scale
+    }
+    /// Indices of the included sample pairs, in inclusion order.
+    pub(crate) fn included_pairs(&self) -> &[usize] {
+        &self.pairs.included
+    }
+    /// Block widths of the included pairs, in inclusion order.
+    pub(crate) fn pair_ts(&self) -> &[usize] {
+        &self.pairs.ts
+    }
+    /// The pinned real order-detection shift `x₀ = |λ₁|`
+    /// ([`LoewnerPencil::default_x0`]).
+    pub(crate) fn x0(&self) -> f64 {
+        self.pairs.x0
     }
 
     /// The **real** shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ` (`K × K`), assembled in
@@ -94,7 +283,8 @@ impl RealifiedPencil {
 }
 
 /// Applies the Lemma 3.2 transformation to a pencil built from
-/// conjugate-adjacent tangential data.
+/// conjugate-adjacent tangential data — the oracle that
+/// [`RealifiedPencil::build`] equals bit for bit.
 ///
 /// # Errors
 ///
@@ -127,7 +317,7 @@ pub fn realify(pencil: &LoewnerPencil, tol: f64) -> Result<RealifiedPencil, Mfti
         w: w_c.real_part(),
         v: v_c.real_part(),
         max_imag_residual: max_imag,
-        freq_scale: pencil.freq_scale(),
+        pairs: pencil.pair_list().clone(),
     })
 }
 
@@ -194,44 +384,78 @@ impl EntryScan {
     }
 }
 
+/// Rows `off+i` and `off+t+i` of `T*·X·T` from the rows
+/// `a = X[off+i, ·]` and `b = X[off+t+i, ·]` of one conjugate pair,
+/// over whole column pairs of widths `col_ts`: the two rows of `T*X`
+/// with [`apply_t_adjoint_left`]'s arithmetic, each pushed through `T`
+/// with [`apply_t_right`]'s and handed to `emit`, top row first.
+fn realify_row_pair(
+    a: &[Complex],
+    b: &[Complex],
+    col_ts: &[usize],
+    mut emit: impl FnMut(usize, &[Complex]),
+) {
+    let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
+    let (top, bottom): (Vec<Complex>, Vec<Complex>) = a
+        .iter()
+        .zip(b)
+        .map(|(&a, &b)| {
+            (
+                c64((a.re + b.re) * inv_sqrt2, (a.im + b.im) * inv_sqrt2),
+                c64((b.im - a.im) * inv_sqrt2, (a.re - b.re) * inv_sqrt2),
+            )
+        })
+        .unzip();
+    let mut product = vec![Complex::ZERO; a.len()];
+    for (h, pair_row) in [top, bottom].iter().enumerate() {
+        t_right_row(pair_row, &mut product, col_ts);
+        emit(h, &product);
+    }
+}
+
+/// The real parts of both realified rows of a conjugate pair from its
+/// first-member row `a` alone, written to `out` (top row first): the
+/// partner row is formed as `a`'s exact conjugate under the swap of
+/// each column pair (module docs), then realified with
+/// [`realify_row_pair`].
+fn realify_first_row(a: &[Complex], col_ts: &[usize], mut out: [&mut [f64]; 2]) {
+    let mut partner = Vec::with_capacity(a.len());
+    let mut off = 0;
+    for &t in col_ts {
+        let (first, second) = a[off..off + 2 * t].split_at(t);
+        partner.extend(second.iter().chain(first).map(|z| z.conj()));
+        off += 2 * t;
+    }
+    realify_row_pair(a, &partner, col_ts, |h, row| {
+        for (o, z) in out[h].iter_mut().zip(row) {
+            *o = z.re;
+        }
+    });
+}
+
 /// The real part of `T*·X·T` for a square `X`, and its realification
 /// residual `max |Im| / max(max |·|, MIN_POSITIVE)`, in one pass: per
-/// conjugate pair, the two rows of `T*X` are formed with
-/// [`apply_t_adjoint_left`]'s arithmetic, pushed through `T` with
-/// [`apply_t_right`]'s, and only their real parts are stored. The bits
-/// equal the two-step product's (`realify_square_two_step`), without
-/// its three `K × K` complex intermediates or `hypot` on every entry;
-/// an [`EntryScan`] that cannot vouch for `max |z|` falls back to the
-/// two-step product's scan.
+/// conjugate pair, [`realify_row_pair`] on its two rows, keeping only
+/// the real parts. The bits equal the two-step product's
+/// (`realify_square_two_step`), without its three `K × K` complex
+/// intermediates or `hypot` on every entry; an [`EntryScan`] that
+/// cannot vouch for `max |z|` falls back to the two-step product's
+/// scan.
 fn realify_square(x: &CMatrix, pair_ts: &[usize]) -> Result<(RMatrix, f64), MftiError> {
     let k = x.rows();
     debug_assert!(x.is_square() && pair_ts.iter().map(|t| 2 * t).sum::<usize>() == k);
-    let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
     let mut out = vec![0.0f64; k * k];
-    // Rows `off+i` and `off+t+i` of T*X, and one row of T*X·T.
-    let mut pair_rows = [vec![Complex::ZERO; k], vec![Complex::ZERO; k]];
-    let mut product_row = vec![Complex::ZERO; k];
     let mut scan = EntryScan::new();
     let mut off = 0;
     for &t in pair_ts {
         for i in 0..t {
             let rows = [off + i, off + t + i];
-            let [top, bottom] = &mut pair_rows;
-            for ((l1, l2), (&a, &b)) in top
-                .iter_mut()
-                .zip(bottom.iter_mut())
-                .zip(x.row(rows[0]).iter().zip(x.row(rows[1])))
-            {
-                *l1 = c64((a.re + b.re) * inv_sqrt2, (a.im + b.im) * inv_sqrt2);
-                *l2 = c64((b.im - a.im) * inv_sqrt2, (a.re - b.re) * inv_sqrt2);
-            }
-            for (pair_row, r) in pair_rows.iter().zip(rows) {
-                t_right_row(pair_row, &mut product_row, pair_ts);
-                for (o, z) in out[r * k..(r + 1) * k].iter_mut().zip(&product_row) {
+            realify_row_pair(x.row(rows[0]), x.row(rows[1]), pair_ts, |h, row| {
+                for (o, z) in out[rows[h] * k..(rows[h] + 1) * k].iter_mut().zip(row) {
                     *o = z.re;
                 }
-                scan.push_row(&product_row);
-            }
+                scan.push_row(row);
+            });
         }
         off += 2 * t;
     }

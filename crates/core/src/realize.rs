@@ -18,9 +18,10 @@ use std::sync::OnceLock;
 use mfti_numeric::{kernel, CMatrix, Complex, Matrix, RMatrix, Scalar, SvdFactors};
 use mfti_statespace::DescriptorSystem;
 
+use crate::data::TangentialData;
 use crate::error::MftiError;
 use crate::loewner::LoewnerPencil;
-use crate::realify::{realify, RealifiedPencil};
+use crate::realify::RealifiedPencil;
 use crate::recovery::LadderSvd;
 
 /// How to pick the reduced order from the singular-value profile of
@@ -281,19 +282,18 @@ fn realize_real_from_stacked(
 }
 
 /// One pencil generation in real arithmetic: the realified pencil
-/// (Lemma 3.2, residual-checked once) and the factorizations its
-/// realizations read, each filled on first use and then reused. The
-/// pinned shift is real (DESIGN.md §5), so the shifted pencil
-/// `x₀𝕃ᵣ − σ𝕃ᵣ` is a real matrix: detection runs on the packed real
-/// GEMM path, and its factors are the real bases the restricted
+/// (Lemma 3.2, assembled straight from the data) and the
+/// factorizations its realizations read, each filled on first use and
+/// then reused. The pinned shift is real (DESIGN.md §5), so the shifted
+/// pencil `x₀𝕃ᵣ − σ𝕃ᵣ` is a real matrix: detection runs on the packed
+/// real GEMM path, and its factors are the real bases the restricted
 /// projection reads. [`Mfti::fit`](crate::Fitter::fit) builds one per
-/// fit; a [`FitSession`](crate::FitSession) builds one per append and
+/// fit; a [`FitSession`](crate::FitSession) slides one per append and
 /// feeds its updater, its oracle and every `realize_with` from it, so a
 /// single-batch session realizes with the fit's bits at every order.
 #[derive(Debug, Clone)]
 pub(crate) struct RealPencilState {
     real: RealifiedPencil,
-    x0: f64,
     /// Bidiagonalization of `x₀𝕃ᵣ − σ𝕃ᵣ` (detection signal and
     /// restricted-projection bases).
     detection: OnceLock<LadderSvd<f64>>,
@@ -302,15 +302,40 @@ pub(crate) struct RealPencilState {
 }
 
 impl RealPencilState {
-    /// Realifies `pencil` (tolerance `realify_tol`): data that is not
-    /// conjugate-closed is refused before any factorization.
-    pub(crate) fn new(pencil: &LoewnerPencil, realify_tol: f64) -> Result<Self, MftiError> {
-        Ok(RealPencilState {
-            real: realify(pencil, realify_tol)?,
-            x0: pencil.default_x0().re,
+    /// A generation over `real`, its factorizations not yet filled.
+    fn over(real: RealifiedPencil) -> Self {
+        RealPencilState {
+            real,
             detection: OnceLock::new(),
             stacked: OnceLock::new(),
-        })
+        }
+    }
+
+    /// The generation over no pairs, that a recursive fit grows from.
+    pub(crate) fn empty(data: &TangentialData) -> Self {
+        Self::over(RealifiedPencil::empty(data))
+    }
+
+    /// The generation over every pair of `data`
+    /// ([`RealifiedPencil::build`]).
+    pub(crate) fn build(data: &TangentialData) -> Result<Self, MftiError> {
+        Ok(Self::over(RealifiedPencil::build(data)?))
+    }
+
+    /// The next generation of a window ([`RealifiedPencil::slide`]:
+    /// `data` holds every pair of the next pencil).
+    pub(crate) fn slide(
+        &self,
+        evict_pairs: usize,
+        data: &TangentialData,
+        new_pairs: &[usize],
+    ) -> Result<Self, MftiError> {
+        Ok(Self::over(self.real.slide(evict_pairs, data, new_pairs)?))
+    }
+
+    /// The realified pencil.
+    pub(crate) fn pencil(&self) -> &RealifiedPencil {
+        &self.real
     }
 
     /// Pencil order `K`.
@@ -327,23 +352,50 @@ impl RealPencilState {
         cols: usize,
     ) -> RMatrix {
         self.real
-            .shifted_pencil_block(self.x0, row, col, rows, cols)
+            .shifted_pencil_block(self.real.x0(), row, col, rows, cols)
     }
 
     /// The whole shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ`.
     pub(crate) fn shifted(&self) -> RMatrix {
-        self.real.shifted_pencil(self.x0)
+        self.real.shifted_pencil(self.real.x0())
     }
 
-    /// The shifted pencil's bidiagonalization through the recovery
-    /// ladder (DESIGN.md §8), computed on the first call.
+    /// A fresh bidiagonalization of the shifted pencil through the
+    /// recovery ladder (DESIGN.md §8), working in the matrix it builds.
+    pub(crate) fn decompose_shifted(&self) -> Result<LadderSvd<f64>, MftiError> {
+        Ok(LadderSvd::compute_owned(
+            || Ok(self.shifted()),
+            SvdFactors::Both,
+        )?)
+    }
+
+    /// [`decompose_shifted`](Self::decompose_shifted), computed on the
+    /// first call and kept for every later realization.
     pub(crate) fn detection(&self) -> Result<&LadderSvd<f64>, MftiError> {
         if let Some(detection) = self.detection.get() {
             return Ok(detection);
         }
-        let built = LadderSvd::compute(&self.shifted(), SvdFactors::Both)?;
+        let built = self.decompose_shifted()?;
         // A lost set race just drops an identical value.
         Ok(self.detection.get_or_init(|| built))
+    }
+
+    /// A one-shot fit's order-`order` model from its own `detection`
+    /// ([`decompose_shifted`](Self::decompose_shifted)), with
+    /// [`realize`](Self::realize)'s bits: the detection's working state
+    /// is dropped before the projection runs, and nothing is cached.
+    pub(crate) fn realize_once(
+        &self,
+        detection: LadderSvd<f64>,
+        order: usize,
+    ) -> Result<DescriptorSystem<f64>, MftiError> {
+        if 2 * order > self.order() {
+            drop(detection);
+            return realize_real(&self.real, order);
+        }
+        let (y, x) = detection.accumulate_both(order)?;
+        drop(detection);
+        self.realize_restricted(&y, &x, order)
     }
 
     /// Order-`order` real model. Dense requests (`2r > K`) take the
@@ -434,8 +486,9 @@ fn project<T: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::{TangentialData, Weights};
+    use crate::data::Weights;
     use crate::directions::DirectionKind;
+    use crate::realify::realify;
     use mfti_sampling::generators::RandomSystemBuilder;
     use mfti_sampling::{FrequencyGrid, SampleSet};
     use mfti_statespace::TransferFunction;
@@ -718,8 +771,8 @@ mod tests {
         // takes the blocked kernels (K²r far above the small-product
         // cut) and a K-column block that is not a multiple of 48.
         for (ports, t, k_samples) in [(2, 2, 50), (3, 3, 34), (3, 1, 98)] {
-            let (pencil, _, _, _) = setup(16, ports, ports, k_samples, t);
-            let state = RealPencilState::new(&pencil, 1e-9).unwrap();
+            let (_, data, _, _) = setup(16, ports, ports, k_samples, t);
+            let state = RealPencilState::build(&data).unwrap();
             let k = state.order();
             assert!(k >= 96, "K = {k}");
             let real = &state.real;
@@ -750,8 +803,8 @@ mod tests {
 
     #[test]
     fn pencil_state_fills_each_factorization_once_on_first_use() {
-        let (pencil, _, _, _) = setup(8, 2, 2, 10, 2);
-        let state = RealPencilState::new(&pencil, 1e-9).unwrap();
+        let (pencil, data, _, _) = setup(8, 2, 2, 10, 2);
+        let state = RealPencilState::build(&data).unwrap();
         assert!(state.detection.get().is_none() && state.stacked.get().is_none());
         let bits = |m: &DescriptorSystem<f64>| -> Vec<u64> {
             let (e, a, b, c, d) = m.real_matrices();

@@ -31,9 +31,10 @@ pub(crate) enum LadderSvd<T: Scalar> {
 
 impl<T: Scalar> LadderSvd<T> {
     /// Decomposes `a`, degrading `Blocked → GolubKahan → Jacobi` on
-    /// [`NumericError::NoConvergence`]. `factors` bounds what a
-    /// *recovered* (eager) decomposition materializes — pass exactly
-    /// the sides the caller will read; the lazy path ignores it.
+    /// [`NumericError::NoConvergence`]. `factors` names exactly the
+    /// sides the caller will read: a *recovered* (eager) decomposition
+    /// materializes only those, and the lazy path keeps only the state
+    /// they need and refuses any other side.
     ///
     /// # Errors
     ///
@@ -41,7 +42,10 @@ impl<T: Scalar> LadderSvd<T> {
     /// ([`NumericError::NotFinite`], shape errors) immediately — those
     /// are not recoverable by a backend change.
     pub(crate) fn compute(a: &Matrix<T>, factors: SvdFactors) -> Result<Self, NumericError> {
-        Self::or_recover(Svd::bidiagonalize(a), || Ok(a.clone()), factors)
+        if a.rows() < a.cols() {
+            return Self::compute_from_adjoint(|| Ok(a.adjoint()), factors);
+        }
+        Self::compute_owned(|| Ok(a.clone()), factors)
     }
 
     /// [`LadderSvd::compute`] of the matrix `build` returns, which the
@@ -51,7 +55,7 @@ impl<T: Scalar> LadderSvd<T> {
         build: impl Fn() -> Result<Matrix<T>, NumericError>,
         factors: SvdFactors,
     ) -> Result<Self, NumericError> {
-        Self::or_recover(Svd::bidiagonalize_owned(build()?), build, factors)
+        Self::or_recover(Svd::bidiagonalize_owned(build()?, factors), build, factors)
     }
 
     /// [`LadderSvd::compute`] of the wide matrix whose (tall) adjoint
@@ -62,7 +66,8 @@ impl<T: Scalar> LadderSvd<T> {
         adjoint: impl Fn() -> Result<Matrix<T>, NumericError>,
         factors: SvdFactors,
     ) -> Result<Self, NumericError> {
-        let lazy = Svd::bidiagonalize_owned(adjoint()?).map(PartialSvd::into_adjoint);
+        let lazy =
+            Svd::bidiagonalize_owned(adjoint()?, factors.swapped()).map(PartialSvd::into_adjoint);
         Self::or_recover(lazy, || Ok(adjoint()?.adjoint()), factors)
     }
 

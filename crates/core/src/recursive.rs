@@ -14,9 +14,8 @@ use mfti_statespace::Macromodel;
 use crate::data::{TangentialData, Weights};
 use crate::directions::DirectionKind;
 use crate::error::MftiError;
-use crate::loewner::LoewnerPencil;
 use crate::mfti::{FitResult, Mfti};
-use crate::realize::OrderSelection;
+use crate::realize::{OrderSelection, RealPencilState};
 
 /// Which remaining samples to admit next.
 ///
@@ -181,7 +180,7 @@ impl RecursiveMfti {
             }
         }
 
-        let mut pencil = LoewnerPencil::empty(&data);
+        let mut state = RealPencilState::empty(&data);
         let mut rounds: Vec<RoundInfo> = Vec::new();
 
         // Promote the real direction blocks once: the residual loop below
@@ -198,8 +197,8 @@ impl RecursiveMfti {
         let result = loop {
             let take = k0.min(remaining.len());
             let batch: Vec<usize> = remaining.drain(..take).collect();
-            pencil = pencil.slide(0, &data, &batch)?;
-            let fit = self.base.fit_pencil(&pencil, start)?;
+            state = state.slide(0, &data, &batch)?;
+            let fit = self.base.fit_real(&state, start)?;
 
             // Tangential residual on the samples not yet admitted
             // (step 6: err = ‖w − H(λ)r‖ + ‖v − lH(μ)‖). All λ/μ probes
@@ -252,7 +251,7 @@ impl RecursiveMfti {
         Ok(RecursiveFit {
             result,
             rounds,
-            used_pairs: pencil.included_pairs().to_vec(),
+            used_pairs: state.pencil().included_pairs().to_vec(),
         })
     }
 

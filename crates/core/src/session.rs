@@ -6,10 +6,10 @@
 //! four things the one-shot call cannot offer:
 //!
 //! 1. **Incremental refits** — [`FitSession::append`] merges new
-//!    samples and slides the existing pencil to the new window
-//!    ([`LoewnerPencil::slide`], the step Algorithm 2 grows by),
-//!    computing only the new blocks instead of rebuilding `O(K²)` of
-//!    them from scratch;
+//!    samples and slides the existing realified pencil to the new
+//!    window (the step Algorithm 2 grows by), assembling and realifying
+//!    only the new strips — `O(K·k)` entries — instead of rebuilding
+//!    `O(K²)` of them from scratch;
 //! 2. **Incremental order detection** — the singular values of the
 //!    realified shifted pencil `x₀𝕃ᵣ − σ𝕃ᵣ` are *updated* per append
 //!    through a rank-revealing real [`SvdUpdater`] (the appended pencil
@@ -28,10 +28,11 @@
 //!    borrowable between stages.
 //!
 //! Both [`WindowPolicy`] variants share one append path: an unbounded
-//! session is a sliding window that never evicts. Every append realifies
-//! the grown pencil once (Lemma 3.2, with its residual check); that one
-//! real pencil feeds the signal and every realization of the
-//! generation. Every append after the first advances the updater the
+//! session is a sliding window that never evicts. The session never
+//! forms the complex pencil: every append slides the realified pencil
+//! (Lemma 3.2, assembled straight from the data), and that one real
+//! pencil feeds the signal and every realization of the generation.
+//! Every append after the first advances the updater the
 //! same way — downdate the evicted pairs (none when unbounded), absorb
 //! the appended border, verify with a probe gate, check drift — and
 //! re-anchors from a fresh decomposition when a step fails (DESIGN.md
@@ -45,8 +46,8 @@ use crate::data::{TangentialData, Weights};
 use crate::directions::{check_block_width, DirectionOrigin};
 use crate::error::MftiError;
 use crate::fitter::{FitError, FitOutcome};
-use crate::loewner::LoewnerPencil;
 use crate::mfti::{FitResult, Mfti};
+use crate::realify::RealifiedPencil;
 use crate::realize::{OrderSelection, RealPencilState};
 
 /// One consistent generation of the order-detection signal, as
@@ -70,7 +71,7 @@ pub enum WindowPolicy {
     Unbounded,
     /// Sliding window: the pencil order is kept at or below `capacity`
     /// by evicting the **oldest** sample pairs as new ones stream in
-    /// ([`LoewnerPencil::slide`] + [`SvdUpdater::downdate_leading`],
+    /// (a slide of the realified pencil + [`SvdUpdater::downdate_leading`],
     /// verified by a residual gate and re-anchored from a fresh
     /// decomposition when the advance fails — see DESIGN.md §9 for the
     /// validity conditions and the quarantine state machine).
@@ -273,9 +274,9 @@ pub enum SessionSvd {
 ///   [`singular_values`](FitSession::singular_values) and the
 ///   realization calls only ever read this cache; **no call path can
 ///   observe a stale generation** (regression-tested below).
-/// * the realified pencil — every append realifies the grown pencil
-///   once and keeps it with the detection and stacked factorizations
-///   its realizations fill on first use. The first append runs the
+/// * the realified pencil — every append slides it to the new window
+///   and keeps it with the detection and stacked factorizations its
+///   realizations fill on first use. The first append runs the
 ///   one-shot fit's detection on it (a lazy bidiagonalization of the
 ///   real shifted pencil), so a single-batch session realizes with
 ///   [`Mfti::fit`](crate::Fitter::fit)'s bits at every order;
@@ -287,7 +288,7 @@ pub enum SessionSvd {
 ///   gate, check drift; a failed step re-anchors it from a fresh
 ///   decomposition. `T` is block-diagonal per sample pair, so the
 ///   realified pencil's rows and columns follow the pairs exactly as
-///   the complex pencil's do. The updater is dropped when a
+///   the complex pencil's would. The updater is dropped when a
 ///   [`SessionSvd::Fresh`] oracle is selected.
 /// * the [`order_trajectory`](FitSession::order_trajectory) — one
 ///   entry per append, resolved from the freshly refreshed `sv`.
@@ -297,7 +298,6 @@ pub struct FitSession {
     svd: SessionSvd,
     samples: Option<SampleSet>,
     data: Option<TangentialData>,
-    pencil: Option<LoewnerPencil>,
     /// The current generation's realified pencil, with the detection
     /// and stacked factorizations its realizations fill on first use;
     /// replaced by every `append`.
@@ -341,15 +341,13 @@ impl FitSession {
     pub const DEFAULT_REFRESH_THRESHOLD: f64 = 1e-9;
 
     /// Creates an empty session with the given fitter configuration
-    /// (weights, directions, order selection, realification tolerance)
-    /// and the default [`SessionSvd::Updating`] signal maintenance.
+    /// (weights, directions, order selection) and the default [`SessionSvd::Updating`] signal maintenance.
     pub fn new(config: Mfti) -> Self {
         FitSession {
             config,
             svd: SessionSvd::default(),
             samples: None,
             data: None,
-            pencil: None,
             real: None,
             updater: None,
             sv: None,
@@ -417,15 +415,14 @@ impl FitSession {
 
     /// Appends samples and grows the pipeline state: the window policy
     /// names the leading pairs to evict (none under
-    /// [`WindowPolicy::Unbounded`]), tangential data are rebuilt over
-    /// the live window (the surviving triples are bit-identical thanks
-    /// to prefix-stable directions), the Loewner pencil slides past the
-    /// evicted pairs and gains **only the new rows/columns**
-    /// ([`LoewnerPencil::slide`]), the slid pencil is realified whole
-    /// once (Lemma 3.2; its residual check is a maximum over the whole
-    /// matrix, which realified strips alone cannot reproduce bit for
-    /// bit), and the order-detection singular values of its shifted
-    /// pencil `x₀𝕃ᵣ − σ𝕃ᵣ` are refreshed — under the default
+    /// [`WindowPolicy::Unbounded`]), the tangential data drop the
+    /// evicted triples and gain only the new pairs' (the survivors are
+    /// bit-identical thanks to prefix-stable directions), the realified
+    /// pencil slides past the evicted pairs and assembles and realifies
+    /// **only the new strips** — `O(K·k)` entries, with the bits of
+    /// realifying the whole slid complex pencil — and the
+    /// order-detection singular values of its shifted pencil
+    /// `x₀𝕃ᵣ − σ𝕃ᵣ` are refreshed — under the default
     /// [`SessionSvd::Updating`] by the one-shot fit's own detection on
     /// the first append and by a verified real [`SvdUpdater`] downdate
     /// and border update afterwards, by a fresh values-only
@@ -434,7 +431,7 @@ impl FitSession {
     /// [`order_trajectory`](FitSession::order_trajectory).
     ///
     /// The operation is transactional: on error the session — samples,
-    /// pencil, realified pencil, updater, cached signal and trajectory —
+    /// data, realified pencil, updater, cached signal and trajectory —
     /// is left unchanged.
     ///
     /// # Errors
@@ -447,9 +444,6 @@ impl FitSession {
     ///   uniform block width lies outside `[1, min(m, p)]`, when a
     ///   `PerPair` weight vector no longer matches the pair count, or
     ///   when one arrives under a sliding window;
-    /// * [`FitError::Mfti`] with [`MftiError::RealificationResidual`]
-    ///   when the grown pencil is not conjugate-closed, on any append
-    ///   (every append realifies, as the one-shot fit does);
     /// * [`FitError::Mfti`] wrapping numeric failures of the signal
     ///   refresh (non-finite data, an exhausted re-anchor ladder).
     pub fn append(&mut self, new: &SampleSet) -> Result<(), FitError> {
@@ -488,29 +482,30 @@ impl FitSession {
         };
         // Surviving pairs keep their stream-position direction blocks:
         // window pair 0 is stream pair `evicted_pairs + evict.pairs`.
-        let data = TangentialData::build_from(
-            &samples,
-            self.config.directions_ref(),
-            self.config.weights_ref(),
-            DirectionOrigin {
-                pairs: self.evicted_pairs + evict.pairs,
-                cols: self.evicted_cols + evict.cols,
-            },
-        )?;
+        let origin = DirectionOrigin {
+            pairs: self.evicted_pairs + evict.pairs,
+            cols: self.evicted_cols + evict.cols,
+        };
+        let (directions, weights) = (self.config.directions_ref(), self.config.weights_ref());
 
         // A full replacement (every live pair expired) rebuilds from
         // scratch — x₀ and ω₀ re-pin to the new band, and the signal
         // necessarily re-anchors fresh.
         let live_pairs = self.num_pairs();
-        let full_replacement = self.pencil.is_some() && evict.pairs == live_pairs;
-        let pencil = match &self.pencil {
-            Some(existing) if !full_replacement => {
+        let full_replacement = self.real.is_some() && evict.pairs == live_pairs;
+        let (data, real) = match (&self.data, &self.real) {
+            (Some(old), Some(prev)) if !full_replacement => {
+                let data = old.slide(evict.pairs, &samples, directions, weights, origin)?;
                 let fresh: Vec<usize> = (live_pairs - evict.pairs..data.num_pairs()).collect();
-                existing.slide(evict.pairs, &data, &fresh)?
+                let real = prev.slide(evict.pairs, &data, &fresh)?;
+                (data, real)
             }
-            _ => LoewnerPencil::build(&data)?,
+            _ => {
+                let data = TangentialData::build_from(&samples, directions, weights, origin)?;
+                let real = RealPencilState::build(&data)?;
+                (data, real)
+            }
         };
-        let real = RealPencilState::new(&pencil, self.config.realify_tol_ref())?;
         let generation = self.advance_signal(&real, evict.order, full_replacement)?;
 
         // Commit (everything fallible already happened).
@@ -527,7 +522,6 @@ impl FitSession {
         });
         self.samples = Some(samples);
         self.data = Some(data);
-        self.pencil = Some(pencil);
         self.real = Some(real);
         self.updater = generation.updater;
         self.sv = Some(generation.sv);
@@ -573,9 +567,9 @@ impl FitSession {
         // `k_new <= capacity` guarantees the walk stops at or before a
         // full replacement.
         let mut evict = Eviction::default();
-        if let Some(pencil) = &self.pencil {
-            let ts = pencil.pair_ts();
-            while pencil.order() - evict.order + k_new > capacity {
+        if let Some(real) = &self.real {
+            let ts = real.pencil().pair_ts();
+            while real.order() - evict.order + k_new > capacity {
                 evict.order += 2 * ts[evict.pairs];
                 evict.cols += ts[evict.pairs];
                 evict.pairs += 1;
@@ -619,8 +613,8 @@ impl FitSession {
     }
 
     /// Computes the next generation of the order-detection signal for
-    /// the slid pencil's realification `real`, without touching `self`
-    /// (the caller commits).
+    /// the slid realified pencil `real`, without touching `self` (the
+    /// caller commits).
     ///
     /// Past the first append the updater advances in four steps:
     /// downdate the `k_evict` evicted leading rows and columns (none
@@ -650,7 +644,7 @@ impl FitSession {
             // Only the three border strips and three probe columns —
             // first, middle and last of the window — are assembled,
             // never the full K×K shifted matrix, so the work beyond the
-            // realification and the update itself stays O(K·k_new).
+            // update itself stays O(K·k_new).
             let k_surv = prev.order() - k_evict;
             let k_new = k - k_surv;
             let cols = real.shifted_block(0, k_surv, k_surv, k_new);
@@ -760,19 +754,21 @@ impl FitSession {
         self.data.as_ref()
     }
 
-    /// The incrementally grown Loewner pencil (stage 3).
-    pub fn pencil(&self) -> Option<&LoewnerPencil> {
-        self.pencil.as_ref()
+    /// The incrementally slid realified Loewner pencil (stage 3): the
+    /// session never forms the complex pencil, whose realification this
+    /// equals bit for bit.
+    pub fn pencil(&self) -> Option<&RealifiedPencil> {
+        self.real.as_ref().map(RealPencilState::pencil)
     }
 
     /// Number of sample pairs currently woven into the pencil.
     pub fn num_pairs(&self) -> usize {
-        self.pencil.as_ref().map_or(0, |p| p.included_pairs().len())
+        self.pencil().map_or(0, |p| p.included_pairs().len())
     }
 
     /// Current pencil order `K` (0 before the first append).
     pub fn pencil_order(&self) -> usize {
-        self.pencil.as_ref().map_or(0, LoewnerPencil::order)
+        self.pencil().map_or(0, RealifiedPencil::order)
     }
 
     /// Detected model order after each append, in append order — the
@@ -1058,11 +1054,11 @@ mod tests {
         }
         let q = session.retained_rank().unwrap();
         assert!(2 * q <= session.pencil_order(), "q {q} declines the route");
-        let real = crate::realify::realify(session.pencil().unwrap(), 1e-6).unwrap();
+        let real = session.pencil().unwrap();
         let freqs = all.freqs_hz();
         for r in 1..=q {
             let retained = session.realize_with(OrderSelection::Fixed(r)).unwrap();
-            let dense = crate::realize::realize_real(&real, r).unwrap();
+            let dense = crate::realize::realize_real(real, r).unwrap();
             let (rr, rd) = (
                 retained.model().response_batch_hz(freqs).unwrap(),
                 dense.response_batch_hz(freqs).unwrap(),
@@ -1430,6 +1426,120 @@ mod tests {
             all.subset(&[3, 4, 5, 6]).unwrap().freqs_hz()
         );
         assert!(session.realize().is_ok());
+    }
+
+    /// Field-for-field, bit-for-bit equality of two tangential data sets.
+    fn assert_same_data(a: &TangentialData, b: &TangentialData) {
+        let cbits = |m: &mfti_numeric::CMatrix| -> Vec<(u64, u64)> {
+            m.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        let rbits = |m: &RMatrix| -> Vec<u64> { m.iter().map(|x| x.to_bits()).collect() };
+        let point = |z: mfti_numeric::Complex| (z.re.to_bits(), z.im.to_bits());
+        assert_eq!(a.ports(), b.ports());
+        assert_eq!(a.pair_weights(), b.pair_weights());
+        assert_eq!(a.freq_scale().to_bits(), b.freq_scale().to_bits());
+        assert_eq!(a.right().len(), b.right().len());
+        for (x, y) in a.right().iter().zip(b.right()) {
+            assert_eq!(point(x.lambda), point(y.lambda));
+            assert_eq!((rbits(&x.r), cbits(&x.w)), (rbits(&y.r), cbits(&y.w)));
+            assert_eq!(x.sample_index, y.sample_index);
+        }
+        assert_eq!(a.left().len(), b.left().len());
+        for (x, y) in a.left().iter().zip(b.left()) {
+            assert_eq!(point(x.mu), point(y.mu));
+            assert_eq!((rbits(&x.l), cbits(&x.v)), (rbits(&y.l), cbits(&y.v)));
+            assert_eq!(x.sample_index, y.sample_index);
+        }
+    }
+
+    #[test]
+    fn every_append_keeps_the_bits_of_a_rebuild_and_of_the_complex_oracle() {
+        // After every append of a growing stream, an evicting window
+        // (cyclic directions, whose column offset follows the evictions)
+        // and a window whose batch replaces every live pair, the slid
+        // data equal a rebuild over the live window, and the slid
+        // realified pencil equals the realification of the complex
+        // oracle pencil slid alongside.
+        let all = workload(16);
+        let (head, rest) = split_edges_first(&all, 6);
+        let pairs = |idx: &[usize]| rest.subset(idx).unwrap();
+        let cyclic = Mfti::new().directions(crate::DirectionKind::CyclicIdentity);
+        let streams = [
+            (
+                Mfti::new(),
+                WindowPolicy::Unbounded,
+                vec![
+                    head.clone(),
+                    pairs(&[0, 1]),
+                    pairs(&[2, 3, 4, 5]),
+                    pairs(&[6, 7]),
+                ],
+            ),
+            (
+                cyclic.weights(Weights::Uniform(1)),
+                WindowPolicy::Sliding { capacity: 8 },
+                (0..rest.len())
+                    .step_by(2)
+                    .fold(vec![head.clone()], |mut v, i| {
+                        v.push(pairs(&[i, i + 1]));
+                        v
+                    }),
+            ),
+            (
+                Mfti::new(),
+                WindowPolicy::Sliding { capacity: 8 },
+                vec![pairs(&[0, 1, 2, 3]), pairs(&[4, 5, 6, 7]), pairs(&[8, 9])],
+            ),
+        ];
+        for (config, policy, batches) in streams {
+            let mut session = FitSession::new(config.clone()).window(policy);
+            let mut oracle: Option<crate::LoewnerPencil> = None;
+            for batch in &batches {
+                let live = session.num_pairs();
+                session.append(batch).unwrap();
+                let evicted = session.signal_trajectory().last().unwrap().evicted_pairs;
+                let data = session.data().unwrap();
+                let rebuilt = TangentialData::build_from(
+                    session.samples().unwrap(),
+                    config.directions_ref(),
+                    config.weights_ref(),
+                    DirectionOrigin {
+                        pairs: session.evicted_pairs,
+                        cols: session.evicted_cols,
+                    },
+                )
+                .unwrap();
+                assert_same_data(data, &rebuilt);
+
+                let fresh: Vec<usize> = (live - evicted..data.num_pairs()).collect();
+                let slid = match oracle {
+                    Some(prev) if evicted < live => prev.slide(evicted, data, &fresh).unwrap(),
+                    _ => crate::LoewnerPencil::build(data).unwrap(),
+                };
+                let want = crate::realify::realify(&slid, 0.0).unwrap();
+                let got = session.pencil().unwrap();
+                let bits = |m: &RMatrix| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                for (x, y) in [
+                    (got.ll(), want.ll()),
+                    (got.sll(), want.sll()),
+                    (got.w(), want.w()),
+                    (got.v(), want.v()),
+                ] {
+                    assert_eq!(
+                        bits(x),
+                        bits(y),
+                        "{policy:?}, append {}",
+                        session.trajectory.len()
+                    );
+                }
+                oracle = Some(slid);
+            }
+            assert_eq!(session.order_trajectory().len(), batches.len());
+            assert_eq!(
+                session.evicted_pairs() > 0,
+                policy != WindowPolicy::Unbounded
+            );
+        }
     }
 
     #[test]

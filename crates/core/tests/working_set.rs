@@ -1,8 +1,9 @@
 //! Per-operation working sets, counted by a global allocator that
 //! forwards every call to the system allocator (the benchmark's
 //! `heap_peak_mb` counter): the restricted projection never holds a
-//! stacked copy of the pencil, and a frequency sweep's buffers beyond
-//! the responses it returns do not grow with the grid. Its own binary,
+//! stacked copy of the pencil, a window append never holds a complex
+//! pencil, and a frequency sweep's buffers beyond the responses it
+//! returns do not grow with the grid. Its own binary,
 //! because the counters are process-global; every test holds `LOCK`, so
 //! one measures at a time.
 
@@ -10,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::{Mutex, MutexGuard};
 
-use mfti_core::{DirectionKind, FitSession, Mfti, OrderSelection, Weights};
+use mfti_core::{DirectionKind, FitSession, Mfti, OrderSelection, Weights, WindowPolicy};
 use mfti_numeric::{c64, CMatrix, Complex, RMatrix};
 use mfti_sampling::generators::RandomSystemBuilder;
 use mfti_sampling::{FrequencyGrid, SampleSet};
@@ -118,6 +119,45 @@ fn restricted_projection_holds_no_stacked_pencil() {
             "K = {k}: peak {peak} B above the start, stacks {stacks} B"
         );
     }
+}
+
+#[test]
+fn window_append_holds_no_complex_pencil() {
+    let _guard = lock();
+    // One-pair appends of a clean 2-port stream at full weights
+    // (4 rows and columns per pair) under a 96-wide window: 24 live
+    // pairs, and every append past the 24th evicts one.
+    let sys = RandomSystemBuilder::new(10, 2, 2)
+        .d_rank(2)
+        .band(1e6, 1e9)
+        .seed(0x77_1ADE + 96)
+        .build()
+        .unwrap();
+    let appends = 40;
+    let grid = FrequencyGrid::log_space(1e6, 1e9, 2 * appends).unwrap();
+    let set = SampleSet::from_system(&sys, &grid).unwrap();
+    let mut session = FitSession::new(Mfti::new()).window(WindowPolicy::Sliding { capacity: 96 });
+    let mut peaks = Vec::new();
+    for p in 0..appends {
+        let pair = set.subset(&[2 * p, 2 * p + 1]).unwrap();
+        let (appended, peak) = peak_above_start(|| session.append(&pair));
+        appended.unwrap();
+        if p >= 30 {
+            peaks.push(peak);
+        }
+    }
+    let k = session.pencil_order();
+    assert_eq!(k, 96);
+    assert!(session.evicted_pairs() > 0);
+    // The complex 𝕃 and σ𝕃 alone would take 2 · K² · 16 bytes. The
+    // counters are process-wide, so the minimum over the steady
+    // appends strips a sibling test's stray allocation.
+    let complex_pencil = 2 * k * k * 16;
+    let steady = peaks.iter().copied().min().unwrap();
+    assert!(
+        steady < complex_pencil,
+        "steady append peak {steady} B above the start, complex pencil {complex_pencil} B"
+    );
 }
 
 /// Order-`n` stable system with resonances spread over `[1, ω_hi]`

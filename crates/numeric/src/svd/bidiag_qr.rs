@@ -35,16 +35,17 @@ pub(super) fn finish_bidiagonal<T: Scalar>(
     want_v: bool,
     rescale: f64,
 ) -> Result<SvdTriplet<T>, NumericError> {
-    let mut ut = if want_u {
-        u.transpose()
-    } else {
-        Matrix::<T>::zeros(0, 0)
-    };
-    let mut vt = if want_v {
-        v.transpose()
-    } else {
-        Matrix::<T>::zeros(0, 0)
-    };
+    // Each factor lives in one orientation at a time: the source is
+    // released once transposed, and each rotated transpose once turned
+    // back, so at most three factor-sized buffers are ever live.
+    let mut ut = Matrix::<T>::zeros(0, 0);
+    let mut vt = Matrix::<T>::zeros(0, 0);
+    if want_u {
+        ut = std::mem::replace(&mut u, Matrix::zeros(0, 0)).transpose();
+    }
+    if want_v {
+        vt = std::mem::replace(&mut v, Matrix::zeros(0, 0)).transpose();
+    }
     bidiag_qr(
         &mut d,
         &mut e,
@@ -52,7 +53,7 @@ pub(super) fn finish_bidiagonal<T: Scalar>(
         want_v.then_some(&mut vt),
     )?;
     if want_u {
-        u = ut.transpose();
+        u = std::mem::replace(&mut ut, Matrix::zeros(0, 0)).transpose();
     }
     if want_v {
         v = vt.transpose();

@@ -135,7 +135,8 @@ impl SvdFactors {
 
     /// The factor request seen through the adjoint (`A = UΣV*` ⇔
     /// `A* = VΣU*`): left and right swap.
-    fn swapped(self) -> Self {
+    #[must_use]
+    pub fn swapped(self) -> Self {
         match self {
             SvdFactors::Left => SvdFactors::Right,
             SvdFactors::Right => SvdFactors::Left,
@@ -306,11 +307,19 @@ impl Svd {
     /// [`PartialSvd::into_adjoint`] to decompose a wide matrix that is
     /// cheaper to build as its adjoint.
     ///
+    /// `factors` declares the sides [`PartialSvd::accumulate`] may
+    /// later be asked for; any other request is refused. A very tall
+    /// input then keeps its QR-first reflectors only when the left side
+    /// is declared, since only that side reads them.
+    ///
     /// # Errors
     ///
     /// See [`Svd::compute`].
-    pub fn bidiagonalize_owned<T: Scalar>(a: Matrix<T>) -> Result<PartialSvd<T>, NumericError> {
-        PartialSvd::compute_owned(a)
+    pub fn bidiagonalize_owned<T: Scalar>(
+        a: Matrix<T>,
+        factors: SvdFactors,
+    ) -> Result<PartialSvd<T>, NumericError> {
+        PartialSvd::compute_owned(a, factors)
     }
 
     /// Thin SVD in the **input scalar type** (real factors for real

@@ -102,11 +102,17 @@ fn pad4(cols: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct PartialSvd<T: Scalar> {
     /// Q-less blocked QR state when the tall input took the QR-first
-    /// route (`m ≥ 2n`, see [`QR_FIRST_RATIO`]): the bidiagonalization
-    /// then ran on the `n × n` triangle `R`, and left-factor requests
-    /// lift their slab back through these reflectors. `None` on the
-    /// direct route.
+    /// route (`m ≥ 2n`, see [`QR_FIRST_RATIO`]) and the left side was
+    /// declared: the bidiagonalization then ran on the `n × n` triangle
+    /// `R`, and left-factor requests lift their slab back through these
+    /// reflectors. `None` on the direct route, and on the QR-first route
+    /// when no declared side reads `Q`.
     qr: Option<QrFirst<T>>,
+    /// Rows of the input in the tall orientation.
+    rows: usize,
+    /// The factor sides declared at bidiagonalization, in the tall
+    /// orientation; a request for any other side is refused.
+    declared: SvdFactors,
     /// Reflector tails in the tall (`m ≥ n`) orientation: left tails
     /// below the diagonal, right tails beyond the superdiagonal —
     /// exactly where the panel sweep zeroed them out.
@@ -158,20 +164,21 @@ impl<T: Scalar> PartialSvd<T> {
     pub(super) fn compute(a: &Matrix<T>) -> Result<Self, NumericError> {
         validate_input(a)?;
         if a.rows() < a.cols() {
-            return Ok(Self::compute_tall(a.adjoint())?.into_adjoint());
+            return Ok(Self::compute_tall(a.adjoint(), SvdFactors::Both)?.into_adjoint());
         }
-        Self::compute_tall(a.clone())
+        Self::compute_tall(a.clone(), SvdFactors::Both)
     }
 
     /// [`PartialSvd::compute`] on a matrix the sweep may work in: a tall
     /// `a` becomes the working copy itself, a wide one is replaced by its
-    /// adjoint. Same bits as the borrowing entry.
-    pub(super) fn compute_owned(a: Matrix<T>) -> Result<Self, NumericError> {
+    /// adjoint. Only the `factors` sides may be accumulated later. Same
+    /// bits as the borrowing entry.
+    pub(super) fn compute_owned(a: Matrix<T>, factors: SvdFactors) -> Result<Self, NumericError> {
         validate_input(&a)?;
         if a.rows() < a.cols() {
-            return Ok(Self::compute_tall(a.adjoint())?.into_adjoint());
+            return Ok(Self::compute_tall(a.adjoint(), factors.swapped())?.into_adjoint());
         }
-        Self::compute_tall(a)
+        Self::compute_tall(a, factors)
     }
 
     /// The decomposition of `Aᴴ` from that of `A`: the same values, with
@@ -188,8 +195,10 @@ impl<T: Scalar> PartialSvd<T> {
     /// The tall-orientation worker: the same scaling guard and panel
     /// sweep as [`svd_blocked`](super::blocked::svd_blocked), minus the
     /// factor accumulation and with the QR iteration run factor-free.
-    /// The sweep runs in `a` itself.
-    fn compute_tall(a: Matrix<T>) -> Result<Self, NumericError> {
+    /// The sweep runs in `a` itself. The QR-first reflectors are kept
+    /// only when `declared` asks for the left side, the one that reads
+    /// them.
+    fn compute_tall(a: Matrix<T>, declared: SvdFactors) -> Result<Self, NumericError> {
         let (m, n) = a.dims();
         debug_assert!(m >= n);
         let scale = a.max_abs();
@@ -206,7 +215,7 @@ impl<T: Scalar> PartialSvd<T> {
         let qr = if m >= QR_FIRST_RATIO * n && n >= 2 {
             let (qr, r_mat) = qr_factor(w, threads)?;
             w = r_mat;
-            Some(qr)
+            declared.left().then_some(qr)
         } else {
             None
         };
@@ -239,6 +248,8 @@ impl<T: Scalar> PartialSvd<T> {
         )?;
         Ok(PartialSvd {
             qr,
+            rows: m,
+            declared,
             w,
             tauq,
             taup,
@@ -254,8 +265,7 @@ impl<T: Scalar> PartialSvd<T> {
 
     /// Dimensions of the decomposed matrix (original orientation).
     pub fn dims(&self) -> (usize, usize) {
-        let n = self.w.cols();
-        let m = self.qr.as_ref().map_or(self.w.rows(), |qr| qr.w.rows());
+        let (m, n) = (self.rows, self.w.cols());
         if self.swapped {
             (n, m)
         } else {
@@ -290,7 +300,9 @@ impl<T: Scalar> PartialSvd<T> {
     /// # Errors
     ///
     /// [`NumericError::InvalidArgument`] when `r` is zero or exceeds
-    /// `min(m, n)`; propagates QR-sweep and shape failures.
+    /// `min(m, n)`, or when a requested side was not declared at
+    /// bidiagonalization ([`Svd::bidiagonalize_owned`](super::Svd::bidiagonalize_owned));
+    /// propagates QR-sweep and shape failures.
     pub fn accumulate(
         &self,
         factors: SvdFactors,
@@ -309,6 +321,11 @@ impl<T: Scalar> PartialSvd<T> {
             factors
         };
         let (want_u, want_v) = (tall.left(), tall.right());
+        if (want_u && !self.declared.left()) || (want_v && !self.declared.right()) {
+            return Err(NumericError::InvalidArgument {
+                what: "partial svd factor side not declared at bidiagonalization",
+            });
+        }
 
         // Replay the QR rotations into compact n×n factors, once per
         // side. The stream (and the σ ordering the sort sees) matches
@@ -683,6 +700,39 @@ mod tests {
             for (x, y) in partial.singular_values().iter().zip(&fresh) {
                 assert!((x - y).abs() <= 1e-12 * fresh[0], "σ drift {x} vs {y}");
             }
+        }
+    }
+
+    #[test]
+    fn declared_sides_keep_the_bits_and_refuse_the_rest() {
+        // (96, 40) takes the QR-first route; declaring only the right
+        // side drops its reflectors, which only the left side reads.
+        for &(m, n) in &[(96, 40), (40, 96), (30, 30)] {
+            let a = pseudo_random_complex(m, n, (m * 13 + n) as u64);
+            let both = Svd::bidiagonalize(&a).unwrap();
+            let bits = |x: &CMatrix| -> Vec<u64> {
+                x.iter()
+                    .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                    .collect()
+            };
+            let right = Svd::bidiagonalize_owned(a.clone(), SvdFactors::Right).unwrap();
+            assert_eq!(right.dims(), (m, n));
+            assert_eq!(right.singular_values(), both.singular_values());
+            let r = 7;
+            assert_eq!(
+                bits(&right.accumulate_v(r).unwrap()),
+                bits(&both.accumulate_v(r).unwrap())
+            );
+            assert!(right.accumulate_u(r).is_err());
+            assert!(right.accumulate(SvdFactors::Both, r).is_err());
+            let left = Svd::bidiagonalize_owned(a.clone(), SvdFactors::Left).unwrap();
+            assert_eq!(
+                bits(&left.accumulate_u(r).unwrap()),
+                bits(&both.accumulate_u(r).unwrap())
+            );
+            assert!(left.accumulate_v(r).is_err());
+            let values = Svd::bidiagonalize_owned(a, SvdFactors::ValuesOnly).unwrap();
+            assert!(values.accumulate_u(r).is_err() && values.accumulate_v(r).is_err());
         }
     }
 

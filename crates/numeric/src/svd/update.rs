@@ -401,20 +401,23 @@ impl<T: Scalar> SvdUpdater<T> {
 
         // --- Rotate the bases into the new singular directions ----------
         // U' = [U Q_c 0; 0 0 I]·U_B — a thin GEMM on the old-coordinate
-        // rows, a copy on the new ones (and symmetrically for V').
-        let left_basis = match &qc {
-            Some(qc) => self.u.append_cols(qc)?,
+        // rows, a copy on the new ones (and symmetrically for V'). Each
+        // widened basis is dropped as soon as its product is formed.
+        let left_basis = match qc {
+            Some(qc) => self.u.append_cols(&qc)?,
             None => self.u.clone(),
         };
         let mut u_new = kernel::mul_blocked(&left_basis, &ub.submatrix(0, 0, q + kcb, rmin)?)?;
+        drop(left_basis);
         if kr > 0 {
             u_new = u_new.append_rows(&ub.submatrix(q + kcb, 0, kr, rmin)?)?;
         }
-        let right_basis = match &qr_basis {
-            Some(qr) => self.v.append_cols(qr)?,
+        let right_basis = match qr_basis {
+            Some(qr) => self.v.append_cols(&qr)?,
             None => self.v.clone(),
         };
         let mut v_new = kernel::mul_blocked(&right_basis, &vb.submatrix(0, 0, q + krb, rmin)?)?;
+        drop(right_basis);
         if kc > 0 {
             v_new = v_new.append_rows(&vb.submatrix(q + krb, 0, kc, rmin)?)?;
         }
@@ -507,11 +510,9 @@ impl<T: Scalar> SvdUpdater<T> {
             });
         }
 
-        // Row-deleted bases and their QR restriction factors.
-        let u2 = self.u.submatrix(kr, 0, m2, q)?;
-        let v2 = self.v.submatrix(kc, 0, n2, q)?;
-        let qr_u = Qr::compute(&u2)?;
-        let qr_v = Qr::compute(&v2)?;
+        // QR restriction factors of the row-deleted bases.
+        let qr_u = Qr::compute(&self.u.submatrix(kr, 0, m2, q)?)?;
+        let qr_v = Qr::compute(&self.v.submatrix(kc, 0, n2, q)?)?;
         let ru = qr_u.r();
         let rv = qr_v.r();
 

@@ -24,7 +24,7 @@
 //! on both signals.
 
 use mfti::core::{
-    realify, DirectionKind, FitSession, LoewnerPencil, Mfti, MftiError, OrderSelection,
+    realify, DirectionKind, LoewnerPencil, MftiError, OrderSelection, RealifiedPencil,
     TangentialData, Weights,
 };
 use mfti::numeric::Svd;
@@ -147,37 +147,36 @@ fn gapless_spectrum_detects_identically_in_real_and_complex() {
     assert_equivalent(&gapless_samples(), "gapless");
 }
 
-/// Realification comes first in the pipeline: data that fails the
-/// conjugate-closure residual check must be refused before any
-/// factorization is paid for. Witness ordering without timing:
-/// `realify_tol(-1.0)` always trips (the residual is ≥ 0) and
-/// `Fixed(0)` always fails detection — a detect-then-realify pipeline
-/// would surface `OrderSelection`; the pipeline must surface
-/// `RealificationResidual`. A session's first append runs the same
-/// detection, so it refuses the batch and stays empty.
+/// The realification oracle refuses a pencil whose imaginary residual
+/// exceeds its tolerance before anything is factorized: a negative
+/// tolerance always trips it (the residual is ≥ 0). The pipeline itself
+/// never realifies a complex pencil — fits and sessions assemble the
+/// realified pencil straight from the data — so the conjugate structure
+/// this check guarded is now the invariant that
+/// `tests/properties.rs::partner_rows_are_exact_conjugates` tests, and
+/// on such data the residual is exactly zero and the oracle equals the
+/// direct assembly bit for bit.
 #[test]
 fn realification_residual_fires_before_any_factorization() {
     let samples = gapped_samples();
-    let config = Mfti::new()
-        .realify_tol(-1.0)
-        .order_selection(OrderSelection::Fixed(0));
-    let err = config
-        .fit_detailed(&samples)
-        .expect_err("negative tolerance must refuse every dataset");
-    match err {
-        MftiError::RealificationResidual { max_imag } => {
-            assert!(max_imag >= 0.0, "residual is a magnitude");
+    let pencil = pencil_of(&samples);
+    match realify(&pencil, -1.0) {
+        Err(MftiError::RealificationResidual { max_imag }) => {
+            assert_eq!(max_imag, 0.0, "partner rows cancel every imaginary part");
         }
-        other => panic!("the fit must fail realification before detection, got {other:?}"),
+        other => panic!("a negative tolerance must refuse every pencil, got {other:?}"),
     }
-
-    let mut session = FitSession::new(config);
-    match session.append(&samples) {
-        Err(mfti::core::FitError::Mfti(MftiError::RealificationResidual { .. })) => {}
-        other => panic!("the first append must fail realification, got {other:?}"),
+    let oracle = realify(&pencil, 0.0).expect("an exact realification passes at zero");
+    let data = TangentialData::build(&samples, DirectionKind::default(), &Weights::Uniform(2))
+        .expect("data");
+    let direct = RealifiedPencil::build(&data).expect("direct assembly");
+    let bits = |m: &mfti::numeric::RMatrix| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for (a, b, what) in [
+        (oracle.ll(), direct.ll(), "𝕃ᵣ"),
+        (oracle.sll(), direct.sll(), "σ𝕃ᵣ"),
+        (oracle.w(), direct.w(), "Wᵣ"),
+        (oracle.v(), direct.v(), "Vᵣ"),
+    ] {
+        assert_eq!(bits(a), bits(b), "{what} differs from the oracle");
     }
-    assert_eq!(session.pencil_order(), 0);
-    assert!(session.samples().is_none());
-    assert!(session.singular_values().is_err());
-    assert!(session.order_trajectory().is_empty());
 }

@@ -4,6 +4,7 @@
 use mfti::core::{
     metrics, realify, DirectionKind, Fitter, LoewnerPencil, Mfti, TangentialData, Weights,
 };
+use mfti::numeric::{CMatrix, Complex};
 use mfti::sampling::generators::RandomSystemBuilder;
 use mfti::sampling::{FrequencyGrid, NoiseModel, SampleSet};
 use proptest::prelude::*;
@@ -54,8 +55,83 @@ fn build(sc: &Scenario) -> (SampleSet, TangentialData, LoewnerPencil) {
     (samples, data, pencil)
 }
 
+/// Bits of `z`'s parts.
+fn bits(z: Complex) -> (u64, u64) {
+    (z.re.to_bits(), z.im.to_bits())
+}
+
+/// Whether every partner row of `x` (row `off+t+i` of a pair of width
+/// `t` at offset `off`) is the exact conjugate of its first-member row
+/// (`off+i`) under the swap of each column pair.
+fn partner_rows_are_conjugates(x: &CMatrix, ts: &[usize]) -> bool {
+    let mut off = 0;
+    let mut all = true;
+    for &t in ts {
+        for i in 0..t {
+            let (first, partner) = (x.row(off + i), x.row(off + t + i));
+            let mut c = 0;
+            for &u in ts {
+                for j in 0..u {
+                    all &= bits(partner[c + j]) == bits(first[c + u + j].conj());
+                    all &= bits(partner[c + u + j]) == bits(first[c + j].conj());
+                }
+                c += 2 * u;
+            }
+        }
+        off += 2 * t;
+    }
+    all
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The invariant the realified assembly rests on: the partner triple
+    /// of each pair is its first member's conjugate (`−λ`, `conj W`, the
+    /// same real directions) and IEEE rounding is symmetric under a sign
+    /// change, so every partner row of `𝕃` and `σ𝕃` is its first-member
+    /// row's exact conjugate under the column-pair swap — on clean and
+    /// noisy data, 1–4 ports, uniform, full and per-pair widths, and
+    /// `K ≡ 0` and `K ≡ 2 (mod 4)`.
+    #[test]
+    fn partner_rows_are_exact_conjugates(seed in 1u64..10_000) {
+        let mut k_mod4 = [false; 4];
+        for ports in 1..=4usize {
+            for pairs in [3usize, 4] {
+                let dut = RandomSystemBuilder::new(8, ports, ports)
+                    .band(1e2, 1e5)
+                    .d_rank(ports / 2)
+                    .seed(seed + ports as u64)
+                    .build()
+                    .expect("valid");
+                let grid = FrequencyGrid::log_space(1e2, 1e5, 2 * pairs).expect("grid");
+                let clean = SampleSet::from_system(&dut, &grid).expect("sampling");
+                let samples = if seed % 2 == 0 {
+                    NoiseModel::additive_relative(1e-3).apply(&clean, seed)
+                } else {
+                    clean
+                };
+                let per_pair = (0..pairs).map(|j| 1 + (j + seed as usize) % ports).collect();
+                for weights in [
+                    Weights::Uniform(1 + seed as usize % ports),
+                    Weights::Full,
+                    Weights::PerPair(per_pair),
+                ] {
+                    let data = TangentialData::build(&samples, DirectionKind::default(), &weights)
+                        .expect("data");
+                    let pencil = LoewnerPencil::build(&data).expect("pencil");
+                    k_mod4[pencil.order() % 4] = true;
+                    for (x, what) in [(pencil.ll(), "𝕃"), (pencil.sll(), "σ𝕃")] {
+                        prop_assert!(
+                            partner_rows_are_conjugates(x, pencil.pair_ts()),
+                            "{what}: ports {ports}, pairs {pairs}, {weights:?}"
+                        );
+                    }
+                }
+            }
+        }
+        prop_assert!(k_mod4[0] && k_mod4[2], "both K ≡ 0 and K ≡ 2 (mod 4) covered");
+    }
 
     /// Eq. (13): both Sylvester identities hold for every configuration.
     #[test]
