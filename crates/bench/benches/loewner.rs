@@ -1,11 +1,12 @@
-//! Criterion bench: Loewner pencil assembly and incremental growth.
+//! Criterion bench: realified Loewner pencil assembly, the pencil every
+//! fit and session builds straight from the data.
 //!
-//! Validates the complexity claim behind Algorithm 2: sliding an
-//! existing pencil to one more batch is far cheaper than rebuilding it.
+//! The incremental slide's flat per-append cost is gated by
+//! `window_bench` and `crates/core/tests/working_set.rs`, not here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use mfti_core::{DirectionKind, LoewnerPencil, TangentialData, Weights};
+use mfti_core::{DirectionKind, RealifiedPencil, TangentialData, Weights};
 use mfti_sampling::generators::RandomSystemBuilder;
 use mfti_sampling::{FrequencyGrid, SampleSet};
 
@@ -31,28 +32,11 @@ fn bench_build(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("k{k}_t{t}_K{}", data.pencil_order())),
             &data,
-            |b, data| b.iter(|| LoewnerPencil::build(data).expect("build")),
+            |b, data| b.iter(|| RealifiedPencil::build(data).expect("build")),
         );
     }
     group.finish();
 }
 
-fn bench_slide_vs_rebuild(c: &mut Criterion) {
-    let data = data_for(64, 4, 2);
-    let pairs: Vec<usize> = (0..28).collect();
-    let base = LoewnerPencil::build_subset(&data, &pairs).expect("subset");
-    let mut group = c.benchmark_group("loewner_grow_by_4");
-    group.bench_function("incremental_slide", |b| {
-        b.iter(|| base.slide(0, &data, &[28, 29, 30, 31]).expect("slide"))
-    });
-    group.bench_function("full_rebuild", |b| {
-        b.iter(|| {
-            let all: Vec<usize> = (0..32).collect();
-            LoewnerPencil::build_subset(&data, &all).expect("build")
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_build, bench_slide_vs_rebuild);
+criterion_group!(benches, bench_build);
 criterion_main!(benches);

@@ -11,15 +11,17 @@
 //! Both satisfy the Sylvester equations (13), which
 //! [`LoewnerPencil::sylvester_residuals`] verifies numerically. A pencil
 //! is a value: [`LoewnerPencil::slide`] returns the next pencil of a
-//! window — leading pairs evicted, new pairs appended, only the new
-//! blocks computed.
+//! window — leading pairs evicted, new pairs appended — at the
+//! normalization its chain pinned.
 //!
 //! The pipeline never forms this complex pencil: fits, sessions and
 //! the recursive Algorithm 2 assemble its realification straight from
 //! the data ([`RealifiedPencil::build`](crate::RealifiedPencil::build)),
-//! with the same bits. The complex pencil stays as the oracle that
-//! realification ([`realify`](crate::realify)), the complex projection
-//! and the equivalence tests read.
+//! with the same bits, and slide it incrementally. The complex pencil
+//! stays as the oracle that realification ([`realify`](crate::realify)),
+//! the complex projection and the equivalence tests read, so every
+//! pencil — built or slid — is assembled from scratch over its pairs
+//! and shares none of the realified slide's incremental logic.
 //!
 //! # Assembly structure
 //!
@@ -31,22 +33,18 @@
 //! across cores ([`mfti_numeric::parallel`], one contiguous row range
 //! per worker); every row is a pure function of the cross-product rows
 //! and the interpolation points, so the assembled pencil is
-//! **bit-identical for every thread count**, and a
-//! [`slide`](LoewnerPencil::slide) equals the from-scratch
-//! [`build_subset`](LoewnerPencil::build_subset) over its pairs
-//! bit-for-bit (the blocked kernel computes each output entry
-//! independently of the call's shape).
+//! **bit-identical for every thread count**.
 
 use mfti_numeric::{kernel, parallel, CMatrix, Complex, Svd};
 
 use crate::data::TangentialData;
 use crate::error::MftiError;
 
-/// Below this many newly computed pencil entries (`K² − K_keep²` per
-/// slide; for a from-scratch build, order < 96) the divided-difference
-/// work cannot amortize a thread spawn and assembly stays on one
-/// worker. Results are identical either way — the gate only affects
-/// scheduling.
+/// Below this many newly computed pencil entries (`K²` for a
+/// from-scratch assembly, order < 96; `K² − K_keep²` per realified
+/// slide) the divided-difference work cannot amortize a thread spawn
+/// and assembly stays on one worker. Results are identical either way —
+/// the gate only affects scheduling.
 pub(crate) const PAR_MIN_ENTRIES: usize = 96 * 96;
 
 /// The sample pairs a pencil spans, in inclusion order, with their
@@ -127,13 +125,14 @@ impl PairList {
             return refuse("pair index out of range");
         }
         let mut included: Vec<usize> = survivors.iter().map(|&j| j - evict_pairs).collect();
+        if included.iter().any(|&j| j >= data.num_pairs()) {
+            return refuse("a surviving pair is missing from the data");
+        }
         // One flag per data pair catches a new pair that already
         // survives and repeats inside `new_pairs` alike, in O(n).
         let mut seen = vec![false; data.num_pairs()];
         for &j in &included {
-            if let Some(flag) = seen.get_mut(j) {
-                *flag = true;
-            }
+            seen[j] = true;
         }
         if new_pairs
             .iter()
@@ -249,11 +248,6 @@ pub struct LoewnerPencil {
     /// Stacked data matrices: `W` is `p × K`, `V` is `K × m`.
     w: CMatrix,
     v: CMatrix,
-    /// Stacked direction matrices (promoted to complex once): `L` is
-    /// `K × p`, `R` is `m × K` — the left operands of the assembly
-    /// GEMMs, kept so a slide never re-promotes surviving blocks.
-    l: CMatrix,
-    r: CMatrix,
     /// Interpolation points expanded to scalar columns/rows.
     lambdas: Vec<Complex>,
     mus: Vec<Complex>,
@@ -272,48 +266,27 @@ impl LoewnerPencil {
     }
 
     /// Builds the pencil over a subset of sample pairs (Algorithm 2's
-    /// starting point): a [`slide`](LoewnerPencil::slide) of the empty
-    /// pencil.
+    /// starting point): the pairs a [`slide`](LoewnerPencil::slide) of
+    /// the empty pencil would include.
     ///
     /// # Errors
     ///
     /// Returns [`MftiError::InvalidSamples`] for an empty, duplicated or
     /// out-of-range selection.
     pub fn build_subset(data: &TangentialData, pairs: &[usize]) -> Result<Self, MftiError> {
-        let (p, m) = data.ports();
-        let empty = LoewnerPencil {
-            pairs: PairList::empty(data),
-            ll: CMatrix::zeros(0, 0),
-            sll: CMatrix::zeros(0, 0),
-            w: CMatrix::zeros(p, 0),
-            v: CMatrix::zeros(0, m),
-            l: CMatrix::zeros(0, p),
-            r: CMatrix::zeros(m, 0),
-            lambdas: Vec::new(),
-            mus: Vec::new(),
-        };
-        empty.slide(0, data, pairs)
+        let (pairs, _) = PairList::empty(data).slide(0, data, pairs)?;
+        Self::assemble(pairs, data)
     }
 
     /// The next pencil of a window: this pencil without its **leading**
     /// `evict_pairs` included sample pairs, plus `new_pairs` of `data`
-    /// (step 4 of Algorithm 2: "update W, V, 𝕃 and σ𝕃 instead of
-    /// calculating them all from the beginning"; the window step of
-    /// DESIGN.md §9). `self` is left as it was.
+    /// (step 4 of Algorithm 2; the window step of DESIGN.md §9),
+    /// assembled from scratch over its pairs. `self` is left as it was.
     ///
-    /// The surviving block of `𝕃`/`σ𝕃` (rows and columns from the
-    /// evicted prefix on) and the new strips are written straight into
-    /// one fresh `K × K` allocation each. The strips' numerators come
-    /// from four thin GEMMs over the stacked data (`V·R_new`, `L·W_new`,
-    /// `V_new·R_keep`, `L_new·W_keep`) and the divided differences are
-    /// applied row-parallel, so the result equals a from-scratch
-    /// [`build_subset`](LoewnerPencil::build_subset) over the survivors
-    /// and `new_pairs` bit-for-bit (every entry is a pure function of its
-    /// own pairs' triples).
-    ///
-    /// Surviving pair indices are renumbered down by `evict_pairs`,
-    /// matching a caller that drops the same leading pairs from its
-    /// [`TangentialData`]; `new_pairs` index that `data`. The frequency
+    /// Surviving pair indices are renumbered down by `evict_pairs`, and
+    /// `data` holds every pair of the next pencil at those indices: a
+    /// window that dropped the evicted prefix, or the same data when
+    /// nothing is evicted. `new_pairs` index that `data`. The frequency
     /// normalization and the order-detection shift
     /// [`default_x0`](LoewnerPencil::default_x0) stay pinned to the
     /// first pencil of the chain, so the shifted pencil remains the same
@@ -324,53 +297,34 @@ impl LoewnerPencil {
     /// Returns [`MftiError::InvalidSamples`] when the slide would evict
     /// every included pair or leave the pencil empty, would orphan a
     /// surviving pair index (a survivor numbered below `evict_pairs`),
-    /// or names an out-of-range or already-included new pair.
+    /// finds a survivor missing from `data`, or names an out-of-range or
+    /// already-included new pair.
     pub fn slide(
         &self,
         evict_pairs: usize,
         data: &TangentialData,
         new_pairs: &[usize],
     ) -> Result<Self, MftiError> {
-        let (pairs, k_drop) = self.pairs.slide(evict_pairs, data, new_pairs)?;
-        let k_keep = self.order() - k_drop;
-        let k = pairs.order();
-        let (p, m) = (self.w.rows(), self.v.cols());
+        let (pairs, _) = self.pairs.slide(evict_pairs, data, new_pairs)?;
+        Self::assemble(pairs, data)
+    }
 
-        // Stacked data and interpolation points (normalized): the
-        // survivors', then the new pairs' in triple order (conjugates
-        // adjacent).
+    /// The pencil over `pairs` of `data` at `pairs`' normalization: the
+    /// stacked operands, the two cross products through the
+    /// *unconditionally blocked* kernel (each output entry's rounding
+    /// depends only on its own row and column operands, never on the
+    /// call shape) and the row-parallel divided-difference pass. Row `i`
+    /// of `𝕃`/`σ𝕃` is a pure function of the cross-product rows, `μ_i`
+    /// and the `λ`s — bit-identical for every worker count (static
+    /// chunking).
+    fn assemble(pairs: PairList, data: &TangentialData) -> Result<Self, MftiError> {
         let inv_scale = 1.0 / pairs.freq_scale;
-        let (w_new, r_new, lambdas_new) = right_stack(data, new_pairs, inv_scale)?;
-        let (v_new, l_new, mus_new) = left_stack(data, new_pairs, inv_scale, false)?;
-        let w_keep = self.w.submatrix(0, k_drop, p, k_keep)?;
-        let r_keep = self.r.submatrix(0, k_drop, m, k_keep)?;
-        let w = CMatrix::hstack(&[&w_keep, &w_new])?; // p × K
-        let r = CMatrix::hstack(&[&r_keep, &r_new])?; // m × K
-        let v = CMatrix::vstack(&[&self.v.submatrix(k_drop, 0, k_keep, m)?, &v_new])?; // K × m
-        let l = CMatrix::vstack(&[&self.l.submatrix(k_drop, 0, k_keep, p)?, &l_new])?; // K × p
-        let lambdas = [&self.lambdas[k_drop..], &lambdas_new[..]].concat();
-        let mus = [&self.mus[k_drop..], &mus_new[..]].concat();
+        let (w, r, lambdas) = right_stack(data, &pairs.included, inv_scale)?;
+        let (v, l, mus) = left_stack(data, &pairs.included, inv_scale, false)?;
+        let (vr, lw) = (kernel::mul_blocked(&v, &r)?, kernel::mul_blocked(&l, &w)?);
 
-        // Cross products of the new strips, through the *unconditionally
-        // blocked* kernel: each output entry's rounding depends only on
-        // its own row/column operands, never on the call shape, which is
-        // what makes a slid pencil equal a from-scratch build
-        // bit-for-bit.
-        let right = (
-            kernel::mul_blocked(&v, &r_new)?,
-            kernel::mul_blocked(&l, &w_new)?,
-        );
-        let bottom = (
-            kernel::mul_blocked(&v_new, &r_keep)?,
-            kernel::mul_blocked(&l_new, &w_keep)?,
-        );
-
-        // Row-parallel divided-difference pass: row i of 𝕃/σ𝕃 is a pure
-        // function of the cross-product rows, μ_i and the λs —
-        // bit-identical for every worker count (static chunking). Each
-        // worker writes its block of rows straight into the fresh
-        // storage.
-        let workers = if k * k - k_keep * k_keep < PAR_MIN_ENTRIES {
+        let k = pairs.order();
+        let workers = if k * k < PAR_MIN_ENTRIES {
             1
         } else {
             parallel::available_threads()
@@ -383,18 +337,7 @@ impl LoewnerPencil {
             .zip(sll_data.chunks_mut(row_len))
             .collect();
         parallel::for_each_mut(workers, &mut rows, |i, (ll_row, sll_row)| {
-            let (ll_keep, ll_new) = ll_row.split_at_mut(k_keep);
-            let (sll_keep, sll_new) = sll_row.split_at_mut(k_keep);
-            if i < k_keep {
-                // Surviving row: its surviving columns keep their entries.
-                ll_keep.copy_from_slice(&self.ll.row(k_drop + i)[k_drop..]);
-                sll_keep.copy_from_slice(&self.sll.row(k_drop + i)[k_drop..]);
-            } else {
-                let (vr, lw) = (bottom.0.row(i - k_keep), bottom.1.row(i - k_keep));
-                cauchy_row(mus[i], vr, lw, &lambdas[..k_keep], ll_keep, sll_keep);
-            }
-            let (vr, lw) = (right.0.row(i), right.1.row(i));
-            cauchy_row(mus[i], vr, lw, &lambdas[k_keep..], ll_new, sll_new);
+            cauchy_row(mus[i], vr.row(i), lw.row(i), &lambdas, ll_row, sll_row);
         });
 
         Ok(LoewnerPencil {
@@ -403,8 +346,6 @@ impl LoewnerPencil {
             sll: CMatrix::from_vec(k, k, sll_data)?,
             w,
             v,
-            l,
-            r,
             lambdas,
             mus,
         })
@@ -473,26 +414,17 @@ impl LoewnerPencil {
     /// `‖𝕃Λ − M𝕃 − (LW − VR)‖_F` and `‖σ𝕃Λ − Mσ𝕃 − (LWΛ − MVR)‖_F`,
     /// both relative to the magnitude of the left-hand sides.
     ///
-    /// The stacked direction matrices are reconstructed on the fly, so
-    /// this is a *verification* tool (tests, debugging), not a hot path.
+    /// The stacked direction matrices are gathered from `data` (which
+    /// holds the included pairs at their indices) on the fly, so this
+    /// is a *verification* tool (tests, debugging), not a hot path.
     ///
     /// # Errors
     ///
     /// Propagates shape errors (impossible for internally built pencils).
     pub fn sylvester_residuals(&self, data: &TangentialData) -> Result<(f64, f64), MftiError> {
-        // Reassemble stacked L (K×p) and R (m×K) for the included pairs.
-        let mut l_parts: Vec<CMatrix> = Vec::new();
-        let mut r_parts: Vec<CMatrix> = Vec::new();
-        for &j in &self.pairs.included {
-            for idx in [2 * j, 2 * j + 1] {
-                l_parts.push(data.left()[idx].l.to_complex());
-                r_parts.push(data.right()[idx].r.to_complex());
-            }
-        }
-        let l_refs: Vec<&CMatrix> = l_parts.iter().collect();
-        let r_refs: Vec<&CMatrix> = r_parts.iter().collect();
-        let l = CMatrix::vstack(&l_refs)?;
-        let r = CMatrix::hstack(&r_refs)?;
+        let inv_scale = 1.0 / self.pairs.freq_scale;
+        let (_, r, _) = right_stack(data, &self.pairs.included, inv_scale)?; // m×K
+        let (_, l, _) = left_stack(data, &self.pairs.included, inv_scale, false)?; // K×p
 
         let scale_cols = |m: &CMatrix, d: &[Complex]| -> CMatrix {
             let mut out = m.clone();
@@ -600,9 +532,12 @@ impl LoewnerPencil {
 mod tests {
     use super::*;
     use crate::data::Weights;
-    use crate::directions::DirectionKind;
+    use crate::directions::{DirectionKind, DirectionOrigin};
+    use crate::realify::RealifiedPencil;
     use mfti_sampling::generators::RandomSystemBuilder;
     use mfti_sampling::{FrequencyGrid, SampleSet};
+
+    const DIRECTIONS: DirectionKind = DirectionKind::RandomOrthonormal { seed: 9 };
 
     fn make_data(order: usize, ports: usize, k: usize, t: usize) -> (TangentialData, SampleSet) {
         let sys = RandomSystemBuilder::new(order, ports, ports)
@@ -611,13 +546,23 @@ mod tests {
             .unwrap();
         let grid = FrequencyGrid::log_space(1e2, 1e4, k).unwrap();
         let set = SampleSet::from_system(&sys, &grid).unwrap();
-        let data = TangentialData::build(
-            &set,
-            DirectionKind::RandomOrthonormal { seed: 9 },
-            &Weights::Uniform(t),
-        )
-        .unwrap();
+        let data = TangentialData::build(&set, DIRECTIONS, &Weights::Uniform(t)).unwrap();
         (data, set)
+    }
+
+    /// The data of a window over pairs `from..to` of `make_data`'s
+    /// `set` (width `t`): each pair keeps the directions it had there.
+    fn window_data(set: &SampleSet, from: usize, to: usize, t: usize) -> TangentialData {
+        TangentialData::build_from(
+            &set.subset(&(2 * from..2 * to).collect::<Vec<_>>()).unwrap(),
+            DIRECTIONS,
+            &Weights::Uniform(t),
+            DirectionOrigin {
+                pairs: from,
+                cols: from * t,
+            },
+        )
+        .unwrap()
     }
 
     #[test]
@@ -708,9 +653,9 @@ mod tests {
 
     #[test]
     fn drop_only_slide_matches_a_from_scratch_build_of_the_survivors() {
-        let (data, _) = make_data(10, 2, 12, 2);
+        let (data, set) = make_data(10, 2, 12, 2);
         let full = LoewnerPencil::build_subset(&data, &[0, 1, 2, 3, 4]).unwrap();
-        let windowed = full.slide(2, &data, &[]).unwrap();
+        let windowed = full.slide(2, &window_data(&set, 2, 5, 2), &[]).unwrap();
 
         let direct = LoewnerPencil::build_subset(&data, &[2, 3, 4]).unwrap();
         assert_bit_identical(&windowed, &direct);
@@ -728,24 +673,39 @@ mod tests {
 
     #[test]
     fn drop_plus_grow_slide_moves_the_window() {
-        let (data, _) = make_data(8, 2, 10, 1);
+        let (data, set) = make_data(8, 2, 10, 1);
         let start = LoewnerPencil::build_subset(&data, &[0, 1, 2, 3]).unwrap();
-        // Survivors renumber down by one; the new pair indexes the
-        // caller's `data` as given.
-        let windowed = start.slide(1, &data, &[4]).unwrap();
+        // Survivors renumber down by one into the window's frame, where
+        // the new stream pair 4 is window pair 3.
+        let windowed = start.slide(1, &window_data(&set, 1, 5, 1), &[3]).unwrap();
         assert_eq!(windowed.order(), 8);
         let direct = LoewnerPencil::build_subset(&data, &[1, 2, 3, 4]).unwrap();
         assert_bit_identical(&windowed, &direct);
-        assert_eq!(windowed.included_pairs(), &[0, 1, 2, 4]);
+        assert_eq!(windowed.included_pairs(), &[0, 1, 2, 3]);
         assert_eq!(windowed.pair_ts(), &[1, 1, 1, 1]);
         assert_eq!(windowed.default_x0(), start.default_x0());
     }
 
     #[test]
     fn invalid_slides_are_refused_and_leave_the_pencil_untouched() {
-        let (data, _) = make_data(6, 2, 8, 1);
+        let (data, set) = make_data(6, 2, 8, 1);
         let pencil = LoewnerPencil::build_subset(&data, &[0, 1]).unwrap();
         let before = pencil.clone();
+        // Data without a survivor (pair 1) is refused by both slides.
+        let short = window_data(&set, 0, 1, 1);
+        let missing = "a surviving pair is missing from the data";
+        let real = RealifiedPencil::empty(&data)
+            .slide(0, &data, &[0, 1])
+            .unwrap();
+        for refused in [
+            pencil.slide(0, &short, &[]).map(|_| ()),
+            real.slide(0, &short, &[]).map(|_| ()),
+        ] {
+            assert!(
+                matches!(&refused, Err(MftiError::InvalidSamples { what }) if what == missing),
+                "{refused:?}"
+            );
+        }
         // Evicting every pair (or more) is refused, even with new pairs.
         assert!(pencil.slide(2, &data, &[]).is_err());
         assert!(pencil.slide(2, &data, &[2, 3]).is_err());

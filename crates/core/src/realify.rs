@@ -18,7 +18,9 @@
 //! swap of each column pair. [`RealifiedPencil::build`] therefore
 //! assembles only the first-member rows and forms each partner row from
 //! them, with the bits of [`realify`] over the complex pencil and no
-//! complex `K × K` matrix; [`realify`] stays as its oracle.
+//! complex `K × K` matrix. [`realify`] stays as its oracle, in the
+//! plainest form that keeps those bits: the two-step structured product
+//! `(T*X)·T` of each pencil matrix, then the real parts.
 
 use mfti_numeric::{c64, kernel, parallel, CMatrix, Complex, RMatrix};
 
@@ -79,16 +81,14 @@ impl RealifiedPencil {
     /// so a realified block over whole pairs depends only on those
     /// pairs' complex entries.
     ///
-    /// Unlike the complex pencil, this one keeps no stacked data: the
-    /// survivors' triples are read from `data` at their renumbered
-    /// indices, so `data` holds every pair of the next pencil — a window
-    /// that dropped the evicted prefix, or the same data when nothing is
-    /// evicted.
+    /// As for the complex pencil, `data` holds every pair of the next
+    /// pencil at the renumbered indices — a window that dropped the
+    /// evicted prefix, or the same data when nothing is evicted — and
+    /// the survivors' triples are read from it.
     ///
     /// # Errors
     ///
-    /// The refusals of [`LoewnerPencil::slide`], and
-    /// [`MftiError::InvalidSamples`] when a survivor lies beyond `data`.
+    /// The refusals of [`LoewnerPencil::slide`].
     pub(crate) fn slide(
         &self,
         evict_pairs: usize,
@@ -96,11 +96,6 @@ impl RealifiedPencil {
         new_pairs: &[usize],
     ) -> Result<Self, MftiError> {
         let (pairs, k_drop) = self.pairs.slide(evict_pairs, data, new_pairs)?;
-        if pairs.included.iter().any(|&j| j >= data.num_pairs()) {
-            return Err(MftiError::InvalidSamples {
-                what: "a surviving pair is missing from the data".to_string(),
-            });
-        }
         let (k, k_keep) = (pairs.order(), self.order() - k_drop);
         let n_keep = pairs.included.len() - new_pairs.len();
         let new_ts = &pairs.ts[n_keep..];
@@ -294,111 +289,50 @@ impl RealifiedPencil {
 pub fn realify(pencil: &LoewnerPencil, tol: f64) -> Result<RealifiedPencil, MftiError> {
     // T has two entries per row and column, so the conjugations are
     // applied structurally — O(K²) row/column combinations per product
-    // instead of dense K×K GEMMs against a 2-sparse matrix. 𝕃 and σ𝕃
-    // are realified in one fused pass each (`realify_square`); the thin
-    // W and V take the two-step appliers.
+    // instead of dense K×K GEMMs against a 2-sparse matrix.
     let ts = pencil.pair_ts();
-    let (ll, ll_imag) = realify_square(pencil.ll(), ts)?;
-    let (sll, sll_imag) = realify_square(pencil.sll(), ts)?;
-    let w_c = apply_t_right(pencil.w(), ts);
-    let v_c = apply_t_adjoint_left(pencil.v(), ts);
-
-    let mut max_imag = 0.0f64.max(ll_imag).max(sll_imag);
-    for m in [&w_c, &v_c] {
-        let scale = m.max_abs().max(f64::MIN_POSITIVE);
-        max_imag = max_imag.max(m.imag_part().max_abs() / scale);
-    }
+    let square = |x: &CMatrix| apply_t_right(&apply_t_adjoint_left(x, ts), ts);
+    let products = [
+        square(pencil.ll()),
+        square(pencil.sll()),
+        apply_t_right(pencil.w(), ts),
+        apply_t_adjoint_left(pencil.v(), ts),
+    ];
+    let max_imag = products.iter().fold(0.0f64, |acc, m| {
+        acc.max(m.imag_part().max_abs() / m.max_abs().max(f64::MIN_POSITIVE))
+    });
     if max_imag > tol {
         return Err(MftiError::RealificationResidual { max_imag });
     }
+    let [ll, sll, w, v] = products.map(|m| m.real_part());
     Ok(RealifiedPencil {
         ll,
         sll,
-        w: w_c.real_part(),
-        v: v_c.real_part(),
+        w,
+        v,
         max_imag_residual: max_imag,
         pairs: pencil.pair_list().clone(),
     })
 }
 
-/// `|z|²` within this factor of the running maximum marks an entry
-/// whose `|z|` may be the largest: 16ε covers the rounding of `|z|²`
-/// and of `hypot`, so no entry outside it can hold `max |z|`.
-const NEAR_MAX_SQ: f64 = 1.0 - 16.0 * f64::EPSILON;
-
-/// Below this `max |z|²` the squares may have lost relative accuracy to
-/// underflow, and the 16ε window no longer brackets `max |z|`.
-const MIN_EXACT_SQ: f64 = f64::MIN_POSITIVE / f64::EPSILON;
-
-/// Running maxima over the entries of one realified matrix: `max |Im z|`
-/// exactly, and `max |z|` with `hypot` evaluated only for entries whose
-/// `|z|²` is within [`NEAR_MAX_SQ`] of the running `max |z|²` — the
-/// values [`Matrix::max_abs`](mfti_numeric::Matrix::max_abs) of the
-/// complex product and of its imaginary part would give, bit for bit.
-struct EntryScan {
-    max_imag: f64,
-    max_sq: f64,
-    max_abs: f64,
-    saw_nan: bool,
-}
-
-impl EntryScan {
-    fn new() -> Self {
-        EntryScan {
-            max_imag: 0.0,
-            max_sq: 0.0,
-            max_abs: 0.0,
-            saw_nan: false,
-        }
+/// The real parts of both realified rows of a conjugate pair from its
+/// first-member row `a` alone, written to `out` (top row first): the
+/// partner row `b` is formed as `a`'s exact conjugate under the swap of
+/// each column pair (module docs), the two rows of `T*X` are formed
+/// from `a` and `b` with [`apply_t_adjoint_left`]'s arithmetic, and
+/// each is pushed through `T` with [`apply_t_right`]'s.
+fn realify_first_row(a: &[Complex], col_ts: &[usize], out: [&mut [f64]; 2]) {
+    let mut partner = Vec::with_capacity(a.len());
+    let mut off = 0;
+    for &t in col_ts {
+        let (first, second) = a[off..off + 2 * t].split_at(t);
+        partner.extend(second.iter().chain(first).map(|z| z.conj()));
+        off += 2 * t;
     }
-
-    /// Scans one row: its imaginary and squared maxima in one pass,
-    /// then `hypot` only if the row reaches the running `max |z|²`.
-    fn push_row(&mut self, row: &[Complex]) {
-        let (mut max_imag, mut max_sq, mut nan) = (0.0f64, 0.0f64, false);
-        for z in row {
-            max_imag = max_imag.max(z.im.abs());
-            let sq = z.abs_sq();
-            max_sq = max_sq.max(sq);
-            nan |= sq.is_nan();
-        }
-        self.max_imag = self.max_imag.max(max_imag);
-        self.saw_nan |= nan;
-        if max_sq >= self.max_sq * NEAR_MAX_SQ {
-            self.max_sq = self.max_sq.max(max_sq);
-            let near = self.max_sq * NEAR_MAX_SQ;
-            for z in row {
-                if z.abs_sq() >= near {
-                    self.max_abs = self.max_abs.max(z.abs());
-                }
-            }
-        }
-    }
-
-    /// `max |z|`, or `None` when the shortcut cannot vouch for it: a
-    /// NaN `|z|²` (`hypot` of NaN and ∞ is ∞), or a maximum `|z|²` that
-    /// overflowed or sits in the underflow range.
-    fn max_abs(&self) -> Option<f64> {
-        let exact = !self.saw_nan && self.max_sq.is_finite() && self.max_sq >= MIN_EXACT_SQ;
-        exact.then_some(self.max_abs)
-    }
-}
-
-/// Rows `off+i` and `off+t+i` of `T*·X·T` from the rows
-/// `a = X[off+i, ·]` and `b = X[off+t+i, ·]` of one conjugate pair,
-/// over whole column pairs of widths `col_ts`: the two rows of `T*X`
-/// with [`apply_t_adjoint_left`]'s arithmetic, each pushed through `T`
-/// with [`apply_t_right`]'s and handed to `emit`, top row first.
-fn realify_row_pair(
-    a: &[Complex],
-    b: &[Complex],
-    col_ts: &[usize],
-    mut emit: impl FnMut(usize, &[Complex]),
-) {
     let inv_sqrt2 = std::f64::consts::FRAC_1_SQRT_2;
     let (top, bottom): (Vec<Complex>, Vec<Complex>) = a
         .iter()
-        .zip(b)
+        .zip(&partner)
         .map(|(&a, &b)| {
             (
                 c64((a.re + b.re) * inv_sqrt2, (a.im + b.im) * inv_sqrt2),
@@ -407,63 +341,12 @@ fn realify_row_pair(
         })
         .unzip();
     let mut product = vec![Complex::ZERO; a.len()];
-    for (h, pair_row) in [top, bottom].iter().enumerate() {
+    for (pair_row, out_row) in [top, bottom].iter().zip(out) {
         t_right_row(pair_row, &mut product, col_ts);
-        emit(h, &product);
-    }
-}
-
-/// The real parts of both realified rows of a conjugate pair from its
-/// first-member row `a` alone, written to `out` (top row first): the
-/// partner row is formed as `a`'s exact conjugate under the swap of
-/// each column pair (module docs), then realified with
-/// [`realify_row_pair`].
-fn realify_first_row(a: &[Complex], col_ts: &[usize], mut out: [&mut [f64]; 2]) {
-    let mut partner = Vec::with_capacity(a.len());
-    let mut off = 0;
-    for &t in col_ts {
-        let (first, second) = a[off..off + 2 * t].split_at(t);
-        partner.extend(second.iter().chain(first).map(|z| z.conj()));
-        off += 2 * t;
-    }
-    realify_row_pair(a, &partner, col_ts, |h, row| {
-        for (o, z) in out[h].iter_mut().zip(row) {
+        for (o, z) in out_row.iter_mut().zip(&product) {
             *o = z.re;
         }
-    });
-}
-
-/// The real part of `T*·X·T` for a square `X`, and its realification
-/// residual `max |Im| / max(max |·|, MIN_POSITIVE)`, in one pass: per
-/// conjugate pair, [`realify_row_pair`] on its two rows, keeping only
-/// the real parts. The bits equal the two-step product's
-/// (`realify_square_two_step`), without its three `K × K` complex
-/// intermediates or `hypot` on every entry; an [`EntryScan`] that
-/// cannot vouch for `max |z|` falls back to the two-step product's
-/// scan.
-fn realify_square(x: &CMatrix, pair_ts: &[usize]) -> Result<(RMatrix, f64), MftiError> {
-    let k = x.rows();
-    debug_assert!(x.is_square() && pair_ts.iter().map(|t| 2 * t).sum::<usize>() == k);
-    let mut out = vec![0.0f64; k * k];
-    let mut scan = EntryScan::new();
-    let mut off = 0;
-    for &t in pair_ts {
-        for i in 0..t {
-            let rows = [off + i, off + t + i];
-            realify_row_pair(x.row(rows[0]), x.row(rows[1]), pair_ts, |h, row| {
-                for (o, z) in out[rows[h] * k..(rows[h] + 1) * k].iter_mut().zip(row) {
-                    *o = z.re;
-                }
-                scan.push_row(row);
-            });
-        }
-        off += 2 * t;
     }
-    let max_abs = scan
-        .max_abs()
-        .unwrap_or_else(|| apply_t_right(&apply_t_adjoint_left(x, pair_ts), pair_ts).max_abs());
-    let residual = scan.max_imag / max_abs.max(f64::MIN_POSITIVE);
-    Ok((RMatrix::from_vec(k, k, out)?, residual))
 }
 
 /// Computes `T* X` without materializing `T`: per conjugate pair of
@@ -554,18 +437,9 @@ fn apply_t_right_columnwise(x: &CMatrix, pair_ts: &[usize]) -> CMatrix {
     out
 }
 
-/// [`realify_square`] as the two-step product and full scans. Test
-/// oracle.
-#[cfg(test)]
-fn realify_square_two_step(x: &CMatrix, pair_ts: &[usize]) -> (RMatrix, f64) {
-    let m = apply_t_right_columnwise(&apply_t_adjoint_left(x, pair_ts), pair_ts);
-    let scale = m.max_abs().max(f64::MIN_POSITIVE);
-    (m.real_part(), m.imag_part().max_abs() / scale)
-}
-
 /// Builds `T = blkdiag(T_i)` for the given per-pair block widths (the
 /// dense form the structured appliers are validated against in tests).
-#[cfg_attr(not(test), allow(dead_code))]
+#[cfg(test)]
 fn build_t(pair_ts: &[usize]) -> CMatrix {
     let k: usize = pair_ts.iter().map(|t| 2 * t).sum();
     let mut t_matrix = CMatrix::zeros(k, k);
@@ -725,11 +599,12 @@ mod tests {
     }
 
     #[test]
-    fn fused_realification_matches_the_two_step_product_bit_for_bit() {
+    fn row_wise_t_application_matches_the_column_walk_bit_for_bit() {
         let pair_layouts: [&[usize]; 5] = [&[1], &[2, 2, 2], &[2, 1, 3], &[3; 7], &[1, 4, 2, 5]];
-        // Ordinary magnitudes, and the overflow / underflow ranges of
-        // |z|² where the scan falls back to the full `hypot` pass.
+        // Ordinary magnitudes, and the overflow and underflow ranges.
         let scales = [1.0, 1e-3, 1e160, 1e-160, 1e-300];
+        let bits =
+            |m: &CMatrix| -> Vec<f64> { m.as_slice().iter().flat_map(|z| [z.re, z.im]).collect() };
         for (case, (ts, scale)) in pair_layouts
             .iter()
             .flat_map(|ts| scales.iter().map(move |&s| (*ts, s)))
@@ -738,20 +613,16 @@ mod tests {
             for seed in 0..12u64 {
                 let seed = seed * 31 + case as u64;
                 let k: usize = ts.iter().map(|t| 2 * t).sum();
-                let x = edge_matrix(ts, k, scale, seed);
-                let (got, got_res) = realify_square(&x, ts).unwrap();
-                let (want, want_res) = realify_square_two_step(&x, ts);
-                assert!(same_real(&got, &want), "real part, ts {ts:?}, seed {seed}");
-                assert!(
-                    same_bits(got_res, want_res),
-                    "residual {got_res:e} vs {want_res:e}, ts {ts:?}, seed {seed}"
-                );
+                let square = apply_t_adjoint_left(&edge_matrix(ts, k, scale, seed), ts);
                 let wide = edge_matrix(ts, 3, scale, seed + 1).transpose();
-                let got = apply_t_right(&wide, ts);
-                let want = apply_t_right_columnwise(&wide, ts);
-                let bits = |m: &CMatrix| m.as_slice().iter().flat_map(|z| [z.re, z.im]).collect();
-                let (got, want): (Vec<f64>, Vec<f64>) = (bits(&got), bits(&want));
-                assert!(got.iter().zip(&want).all(|(&a, &b)| same_bits(a, b)));
+                for x in [square, wide] {
+                    let got = bits(&apply_t_right(&x, ts));
+                    let want = bits(&apply_t_right_columnwise(&x, ts));
+                    assert!(
+                        got.iter().zip(&want).all(|(&a, &b)| same_bits(a, b)),
+                        "ts {ts:?}, seed {seed}"
+                    );
+                }
             }
         }
     }
@@ -762,16 +633,17 @@ mod tests {
             let (p, _) = pencil(order, ports, k, t);
             let got = realify(&p, 1e-6).unwrap();
             let ts = p.pair_ts();
-            let (ll, ll_res) = realify_square_two_step(p.ll(), ts);
-            let (sll, sll_res) = realify_square_two_step(p.sll(), ts);
+            let two_step = |x: &CMatrix| apply_t_right_columnwise(&apply_t_adjoint_left(x, ts), ts);
+            let (ll, sll) = (two_step(p.ll()), two_step(p.sll()));
             let w = apply_t_right_columnwise(p.w(), ts);
             let v = apply_t_adjoint_left(p.v(), ts);
-            let mut max_imag = 0.0f64.max(ll_res).max(sll_res);
-            for m in [&w, &v] {
+            let mut max_imag = 0.0f64;
+            for m in [&ll, &sll, &w, &v] {
                 max_imag =
                     max_imag.max(m.imag_part().max_abs() / m.max_abs().max(f64::MIN_POSITIVE));
             }
-            assert!(same_real(got.ll(), &ll) && same_real(got.sll(), &sll));
+            assert!(same_real(got.ll(), &ll.real_part()));
+            assert!(same_real(got.sll(), &sll.real_part()));
             assert!(same_real(got.w(), &w.real_part()) && same_real(got.v(), &v.real_part()));
             assert!(same_bits(got.max_imag_residual(), max_imag));
         }

@@ -1459,7 +1459,9 @@ mod tests {
         // and a window whose batch replaces every live pair, the slid
         // data equal a rebuild over the live window, and the slid
         // realified pencil equals the realification of the complex
-        // oracle pencil slid alongside.
+        // oracle pencil slid alongside. On both windows some append's
+        // data carry an ω₀ of their own away from the pinned one, which
+        // the oracle keeps assembling at.
         let all = workload(16);
         let (head, rest) = split_edges_first(&all, 6);
         let pairs = |idx: &[usize]| rest.subset(idx).unwrap();
@@ -1494,6 +1496,7 @@ mod tests {
         for (config, policy, batches) in streams {
             let mut session = FitSession::new(config.clone()).window(policy);
             let mut oracle: Option<crate::LoewnerPencil> = None;
+            let mut unpinned_window = false;
             for batch in &batches {
                 let live = session.num_pairs();
                 session.append(batch).unwrap();
@@ -1518,6 +1521,7 @@ mod tests {
                 };
                 let want = crate::realify::realify(&slid, 0.0).unwrap();
                 let got = session.pencil().unwrap();
+                unpinned_window |= data.freq_scale() != got.freq_scale();
                 let bits = |m: &RMatrix| m.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 for (x, y) in [
                     (got.ll(), want.ll()),
@@ -1539,6 +1543,9 @@ mod tests {
                 session.evicted_pairs() > 0,
                 policy != WindowPolicy::Unbounded
             );
+            if policy != WindowPolicy::Unbounded {
+                assert!(unpinned_window, "{policy:?}: ω₀ never left the pin");
+            }
         }
     }
 

@@ -8,8 +8,8 @@
 use std::sync::{Mutex, MutexGuard};
 
 use mfti_core::{
-    realify, DirectionKind, FitSession, LoewnerPencil, Mfti, RealifiedPencil, TangentialData,
-    Weights,
+    realify, DirectionKind, DirectionOrigin, FitSession, LoewnerPencil, Mfti, RealifiedPencil,
+    TangentialData, Weights,
 };
 use mfti_numeric::{CMatrix, RMatrix};
 use mfti_sampling::generators::RandomSystemBuilder;
@@ -64,8 +64,19 @@ fn build_and_slide_are_bit_identical_across_thread_counts() {
     // gate, so the row fan-out actually spawns workers.
     let data = tangential_data(24, 4, 32);
     assert!(data.pencil_order() >= 128);
-    // The grow-only step computes 128² − 24² entries and the evicting
-    // step 112² − 16²: both past the gate of 96² new entries.
+    // The evicting step slides onto the window over stream pairs 2..16,
+    // each pair at the directions it streamed in with (4 columns each).
+    let window = TangentialData::build_from(
+        &samples(24, 4, 32)
+            .subset(&(4..32).collect::<Vec<_>>())
+            .unwrap(),
+        DirectionKind::RandomOrthonormal { seed: 11 },
+        &Weights::Full,
+        DirectionOrigin { pairs: 2, cols: 8 },
+    )
+    .unwrap();
+    // The grow-only step assembles K = 128 and the evicting step
+    // K = 112: both past the gate of 96² entries.
     let grow = |data: &TangentialData| {
         LoewnerPencil::build_subset(data, &[0, 1, 2])
             .unwrap()
@@ -75,7 +86,7 @@ fn build_and_slide_are_bit_identical_across_thread_counts() {
     let evict = |data: &TangentialData| {
         LoewnerPencil::build_subset(data, &[0, 1, 2, 3])
             .unwrap()
-            .slide(2, data, &(4..16).collect::<Vec<_>>())
+            .slide(2, &window, &(2..14).collect::<Vec<_>>())
             .unwrap()
     };
 

@@ -54,7 +54,6 @@ use crate::kernel;
 use crate::matrix::Matrix;
 use crate::qr::Qr;
 use crate::scalar::Scalar;
-use crate::svd::bidiag_qr::SvdTriplet;
 use crate::svd::{Svd, SvdMethod};
 
 /// Default relative retained-tail floor: singular values below
@@ -81,12 +80,11 @@ pub const DOWNDATE_COND_FLOOR: f64 = 1e-8;
 /// `A ≈ U diag(σ) V*`.
 ///
 /// Create one from the initial matrix ([`SvdUpdater::new`]), then
-/// absorb appended rows/columns ([`SvdUpdater::append_rows`],
-/// [`SvdUpdater::append_cols`]) or a simultaneous border of both
+/// absorb appended borders of rows and columns
 /// ([`SvdUpdater::append_border`] — the shape of a growing square
-/// pencil). Every append costs `O((m + n)(q + k)²)` with `q` the
-/// retained rank, instead of the `O(min(m,n)²·max(m,n))` of a fresh
-/// decomposition.
+/// pencil; either strip may be empty). Every append costs
+/// `O((m + n)(q + k)²)` with `q` the retained rank, instead of the
+/// `O(min(m,n)²·max(m,n))` of a fresh decomposition.
 ///
 /// ```
 /// use mfti_numeric::{CMatrix, Svd, SvdUpdater, c64};
@@ -136,28 +134,19 @@ impl<T: Scalar> SvdUpdater<T> {
     /// Same as [`Svd::compute`]: empty or non-finite input, QR-sweep
     /// stall.
     pub fn new(a: &Matrix<T>) -> Result<Self, NumericError> {
-        Self::with_floor(a, DEFAULT_UPDATE_FLOOR)
+        Self::with_floor_method(a, DEFAULT_UPDATE_FLOOR, SvdMethod::Blocked)
     }
 
     /// Seeds the updater with an explicit relative retained-tail floor
-    /// (`0 ≤ rel_floor < 1`); singular values below `rel_floor · σ₁`
-    /// are dropped from the retained state after the seed decomposition
-    /// and after every append. `0.0` retains everything (exact but no
-    /// longer sublinear for full-rank streams).
-    ///
-    /// # Errors
-    ///
-    /// [`NumericError::InvalidArgument`] for a floor outside `[0, 1)`;
-    /// otherwise as [`SvdUpdater::new`].
-    pub fn with_floor(a: &Matrix<T>, rel_floor: f64) -> Result<Self, NumericError> {
-        Self::with_floor_method(a, rel_floor, SvdMethod::Blocked)
-    }
-
-    /// [`SvdUpdater::with_floor`] with an explicit seed backend — the
-    /// re-anchoring ladder (DESIGN.md §9) needs a Golub–Kahan-seeded
-    /// updater when the blocked seed itself has stalled. Only the
-    /// scalar-generic backends ([`SvdMethod::Blocked`],
-    /// [`SvdMethod::GolubKahan`]) are supported.
+    /// (`0 ≤ rel_floor < 1`) and seed backend. Singular values below
+    /// `rel_floor · σ₁` are dropped from the retained state after the
+    /// seed decomposition and after every append; `0.0` retains
+    /// everything (exact but no longer sublinear for full-rank
+    /// streams). The re-anchoring ladder (DESIGN.md §9) needs a
+    /// Golub–Kahan-seeded updater when the blocked seed itself has
+    /// stalled. Only the scalar-generic backends
+    /// ([`SvdMethod::Blocked`], [`SvdMethod::GolubKahan`]) are
+    /// supported.
     ///
     /// # Errors
     ///
@@ -218,31 +207,6 @@ impl<T: Scalar> SvdUpdater<T> {
         &self.v
     }
 
-    /// The leading `r` retained triplets `(U_r, σ_r, V_r)` in the
-    /// **native scalar type** — real streams hand back real factors, so
-    /// downstream projections stay on the packed real GEMM path (the
-    /// realization stage consumes this on the session's retained-factor
-    /// fast path instead of re-decomposing the grown pencil).
-    ///
-    /// # Errors
-    ///
-    /// [`NumericError::InvalidArgument`] when `r` exceeds the retained
-    /// rank — the truncated tail is gone; callers needing more columns
-    /// must fall back to a fresh decomposition.
-    pub fn truncate_native(&self, r: usize) -> Result<SvdTriplet<T>, NumericError> {
-        if r > self.s.len() {
-            return Err(NumericError::InvalidArgument {
-                what: "truncation rank exceeds the retained rank",
-            });
-        }
-        let idx: Vec<usize> = (0..r).collect();
-        Ok((
-            self.u.select_cols(&idx)?,
-            self.s[..r].to_vec(),
-            self.v.select_cols(&idx)?,
-        ))
-    }
-
     /// Upper bound (Frobenius, hence Weyl) on the deviation of any
     /// reported singular value from the exact one, accumulated over all
     /// truncations so far.
@@ -259,16 +223,6 @@ impl<T: Scalar> SvdUpdater<T> {
     /// the truncation boundary.
     pub fn retain_floor(&self) -> f64 {
         self.rel_floor * self.s.first().copied().unwrap_or(0.0)
-    }
-
-    /// Numerical rank: retained values above `rel_tol · σ₁` (mirrors
-    /// [`Svd::rank`]).
-    pub fn rank(&self, rel_tol: f64) -> usize {
-        let smax = self.s.first().copied().unwrap_or(0.0);
-        if smax == 0.0 {
-            return 0;
-        }
-        self.s.iter().take_while(|&&x| x > rel_tol * smax).count()
     }
 
     /// Absorbs a simultaneous border append: the factored matrix grows
@@ -431,30 +385,6 @@ impl<T: Scalar> SvdUpdater<T> {
         dropped += self.truncate_retained();
         self.discarded += dropped;
         Ok(())
-    }
-
-    /// Absorbs `kr` appended rows (`kr × cols`); see
-    /// [`SvdUpdater::append_border`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SvdUpdater::append_border`].
-    pub fn append_rows(&mut self, rows_new: &Matrix<T>) -> Result<(), NumericError> {
-        let empty_cols = Matrix::<T>::zeros(self.rows, 0);
-        let empty_corner = Matrix::<T>::zeros(rows_new.rows(), 0);
-        self.append_border(&empty_cols, rows_new, &empty_corner)
-    }
-
-    /// Absorbs `kc` appended columns (`rows × kc`); see
-    /// [`SvdUpdater::append_border`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SvdUpdater::append_border`].
-    pub fn append_cols(&mut self, cols_new: &Matrix<T>) -> Result<(), NumericError> {
-        let empty_rows = Matrix::<T>::zeros(0, self.cols);
-        let empty_corner = Matrix::<T>::zeros(0, cols_new.cols());
-        self.append_border(cols_new, &empty_rows, &empty_corner)
     }
 
     /// Removes the leading `kr` rows and `kc` columns from the factored
@@ -686,8 +616,12 @@ mod tests {
         let full = pseudo_random_complex(14, 10, 0xabcd);
         let a = full.submatrix(0, 0, 10, 10).unwrap();
         let mut upd = SvdUpdater::new(&a).unwrap();
-        upd.append_rows(&full.submatrix(10, 0, 4, 10).unwrap())
-            .unwrap();
+        upd.append_border(
+            &CMatrix::zeros(10, 0),
+            &full.submatrix(10, 0, 4, 10).unwrap(),
+            &CMatrix::zeros(4, 0),
+        )
+        .unwrap();
         let fresh = Svd::singular_values_of(&full).unwrap();
         assert_sv_close(upd.singular_values(), &fresh, 1e-12);
 
@@ -695,8 +629,12 @@ mod tests {
         let wide = pseudo_random_complex(10, 14, 0x1234);
         let a = wide.submatrix(0, 0, 10, 10).unwrap();
         let mut upd = SvdUpdater::new(&a).unwrap();
-        upd.append_cols(&wide.submatrix(0, 10, 10, 4).unwrap())
-            .unwrap();
+        upd.append_border(
+            &wide.submatrix(0, 10, 10, 4).unwrap(),
+            &CMatrix::zeros(0, 10),
+            &CMatrix::zeros(0, 4),
+        )
+        .unwrap();
         let fresh = Svd::singular_values_of(&wide).unwrap();
         assert_sv_close(upd.singular_values(), &fresh, 1e-12);
     }
@@ -723,7 +661,8 @@ mod tests {
             "retained rank {} for a rank-3 stream",
             upd.retained_rank()
         );
-        assert_eq!(upd.rank(1e-8), 3);
+        let s = upd.singular_values();
+        assert_eq!(s.iter().filter(|&&x| x > 1e-8 * s[0]).count(), 3);
         let fresh = Svd::singular_values_of(&full).unwrap();
         assert_sv_close(upd.singular_values(), &fresh, 1e-11);
     }
@@ -758,7 +697,13 @@ mod tests {
         assert_eq!(upd.singular_values(), &before[..]);
 
         // Wrong row count on the appended columns.
-        assert!(upd.append_cols(&pseudo_random_complex(7, 2, 4)).is_err());
+        assert!(upd
+            .append_border(
+                &pseudo_random_complex(7, 2, 4),
+                &CMatrix::zeros(0, 8),
+                &CMatrix::zeros(0, 2),
+            )
+            .is_err());
         // Wrong corner shape.
         assert!(upd
             .append_border(
@@ -775,12 +720,14 @@ mod tests {
     #[test]
     fn rejects_invalid_floor_and_nonfinite_borders() {
         let a = pseudo_random_complex(6, 6, 9);
-        assert!(SvdUpdater::with_floor(&a, 1.5).is_err());
-        assert!(SvdUpdater::with_floor(&a, -0.1).is_err());
+        for floor in [1.5, -0.1] {
+            assert!(SvdUpdater::with_floor_method(&a, floor, SvdMethod::Blocked).is_err());
+        }
         let mut upd = SvdUpdater::new(&a).unwrap();
         let mut bad = pseudo_random_complex(6, 1, 10);
         bad[(0, 0)] = c64(f64::NAN, 0.0);
-        assert!(upd.append_cols(&bad).is_err());
+        let (no_rows, no_corner) = (CMatrix::zeros(0, 6), CMatrix::zeros(0, 1));
+        assert!(upd.append_border(&bad, &no_rows, &no_corner).is_err());
     }
 
     #[test]
@@ -924,7 +871,8 @@ mod tests {
         // recorded discard is the roundoff-level border residual of the
         // already-complete 8×8 seed basis.
         let full = pseudo_random_complex(12, 12, 0xcafe);
-        let mut exact = SvdUpdater::with_floor(&full.submatrix(0, 0, 8, 8).unwrap(), 0.0).unwrap();
+        let seed = full.submatrix(0, 0, 8, 8).unwrap();
+        let mut exact = SvdUpdater::with_floor_method(&seed, 0.0, SvdMethod::Blocked).unwrap();
         exact
             .append_border(
                 &full.submatrix(0, 8, 8, 4).unwrap(),

@@ -281,8 +281,12 @@ fn wide_stream_of_row_appends_matches_fresh_svd() {
     let wide = full.submatrix(0, 0, rows0, n).expect("wide seed");
     let mut upd = SvdUpdater::new(&wide).expect("seed svd");
     for (appends, r) in (rows0..32).enumerate() {
-        upd.append_rows(&full.submatrix(r, 0, 1, n).expect("row"))
-            .expect("append");
+        upd.append_border(
+            &CMatrix::zeros(r, 0),
+            &full.submatrix(r, 0, 1, n).expect("row"),
+            &CMatrix::zeros(1, 0),
+        )
+        .expect("append");
         let sub = full.submatrix(0, 0, r + 1, n).expect("in range");
         let fresh = Svd::compute_factors(&sub, SvdMethod::Blocked, SvdFactors::ValuesOnly)
             .expect("fresh svd");

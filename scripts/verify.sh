@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1-plus verification for the MFTI workspace:
-#   build → tests (debug, then release numeric) → benches compile → lint
-#   → benchmark package tests → digest smokes (thread invariance and
-#   committed digests) → perf snapshot.
+#   build → tests (debug, then release numeric and core) → benches
+#   compile → lint → benchmark package tests → digest smokes (thread
+#   invariance and committed digests) → perf snapshot.
 #
 # Usage: scripts/verify.sh [--no-bench-run]
 #   --no-bench-run  skip the timing snapshot (CI boxes with noisy clocks)
@@ -18,6 +18,11 @@ run cargo test -q --workspace
 # only where the optimizer vectorizes, and the run above is the debug
 # profile.
 run cargo test -q --release -p mfti-numeric
+# The core crate's bit-identity tests (realified assembly == realified
+# oracle, slide == from-scratch build, thread invariance, session ==
+# one-shot fit) also run in the release profile, which the smokes and
+# the benchmark use.
+run cargo test -q --release -p mfti-core
 run cargo bench --no-run --workspace
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --all --check
