@@ -58,6 +58,11 @@ pub(crate) struct PairList {
     pub(crate) included: Vec<usize>,
     /// Block width of each included pair.
     pub(crate) ts: Vec<usize>,
+    /// Raw interpolation point of each included pair: the `λ` of its
+    /// first right triple, as [`TangentialData`] stores it. A slide
+    /// checks every survivor against it, so data that holds other pairs
+    /// at the survivors' renumbered indices is refused.
+    points: Vec<Complex>,
     /// Frequency normalization ω₀ applied to all interpolation points.
     pub(crate) freq_scale: f64,
     /// Pinned order-detection shift: `|λ₁|` for the first right
@@ -83,6 +88,7 @@ impl PairList {
         PairList {
             included: Vec::new(),
             ts: Vec::new(),
+            points: Vec::new(),
             freq_scale: data.freq_scale(),
             x0: 0.0,
         }
@@ -128,6 +134,14 @@ impl PairList {
         if included.iter().any(|&j| j >= data.num_pairs()) {
             return refuse("a surviving pair is missing from the data");
         }
+        let point = |j: usize| data.right()[2 * j].lambda;
+        let differs = included
+            .iter()
+            .zip(&self.points[evict_pairs..])
+            .any(|(&j, &at)| point(j) != at);
+        if differs {
+            return refuse("a surviving pair's interpolation point differs in the data");
+        }
         // One flag per data pair catches a new pair that already
         // survives and repeats inside `new_pairs` alike, in O(n).
         let mut seen = vec![false; data.num_pairs()];
@@ -143,18 +157,18 @@ impl PairList {
         included.extend_from_slice(new_pairs);
         let mut ts = self.ts[evict_pairs..].to_vec();
         ts.extend(new_pairs.iter().map(|&j| data.pair_weights()[j]));
+        let mut points = self.points[evict_pairs..].to_vec();
+        points.extend(new_pairs.iter().map(|&j| point(j)));
         let k_drop = 2 * self.ts[..evict_pairs].iter().sum::<usize>();
         // The first slide pins the real shift |λ₁| (see `x0`).
         let x0 = match new_pairs.first() {
-            Some(&j) if self.included.is_empty() => data.right()[2 * j]
-                .lambda
-                .scale(1.0 / self.freq_scale)
-                .abs(),
+            Some(&j) if self.included.is_empty() => point(j).scale(1.0 / self.freq_scale).abs(),
             _ => self.x0,
         };
         let next = PairList {
             included,
             ts,
+            points,
             freq_scale: self.freq_scale,
             x0,
         };
@@ -297,7 +311,9 @@ impl LoewnerPencil {
     /// Returns [`MftiError::InvalidSamples`] when the slide would evict
     /// every included pair or leave the pencil empty, would orphan a
     /// surviving pair index (a survivor numbered below `evict_pairs`),
-    /// finds a survivor missing from `data`, or names an out-of-range or
+    /// finds a survivor missing from `data` or a different interpolation
+    /// point at a survivor's renumbered index (data that still holds the
+    /// evicted prefix, say), or names an out-of-range or
     /// already-included new pair.
     pub fn slide(
         &self,
@@ -727,6 +743,31 @@ mod tests {
         // A survivor numbered below the evicted prefix would be orphaned.
         let unordered = LoewnerPencil::build_subset(&data, &[1, 0]).unwrap();
         assert!(unordered.slide(1, &data, &[]).is_err());
+    }
+
+    #[test]
+    fn slides_refuse_data_that_holds_other_pairs_at_the_survivors() {
+        // The stream data the pencil was built from, handed to a slide
+        // that evicts: its pairs 0–2 are not the survivors 2–4.
+        let (data, set) = make_data(10, 2, 12, 2);
+        let pencil = LoewnerPencil::build_subset(&data, &[0, 1, 2, 3, 4]).unwrap();
+        let real = RealifiedPencil::empty(&data)
+            .slide(0, &data, &[0, 1, 2, 3, 4])
+            .unwrap();
+        let differs = "a surviving pair's interpolation point differs in the data";
+        for refused in [
+            pencil.slide(2, &data, &[]).map(|_| ()),
+            real.slide(2, &data, &[]).map(|_| ()),
+        ] {
+            assert!(
+                matches!(&refused, Err(MftiError::InvalidSamples { what }) if what == differs),
+                "{refused:?}"
+            );
+        }
+        // The window over the survivors slides.
+        let window = window_data(&set, 2, 6, 2);
+        assert!(pencil.slide(2, &window, &[]).is_ok());
+        assert!(real.slide(2, &window, &[]).is_ok());
     }
 
     #[test]

@@ -12,16 +12,22 @@
 //!    bidiagonalization (the `zgebrd`/`zlabrd` phase shared with the
 //!    blocked backend) and keeps the reflector tails (`W`), the scaling
 //!    factors `tauq`/`taup` and the real bidiagonal alive. The singular
-//!    values are resolved eagerly with a factor-less QR iteration — the
-//!    rotation stream does not depend on which factors absorb it, so
-//!    they are bit-identical to any later factor-bearing run.
+//!    values are resolved eagerly by the QR iteration — the rotation
+//!    stream does not depend on which factors absorb it, so they are
+//!    bit-identical to any later factor-bearing run. A decomposition
+//!    declared for one side only
+//!    ([`Svd::bidiagonalize_owned`](super::Svd::bidiagonalize_owned))
+//!    runs that iteration once, rotating the side's compact factor of
+//!    step 2 as it goes; the others run it factor-free and replay it on
+//!    their first accumulation.
 //! 2. [`PartialSvd::accumulate`] first replays the QR rotations into
 //!    **compact** `n × n` identity factors (cheap: the rotations touch
-//!    `n`-vectors, never `m`-vectors), normalizes signs/order, truncates
-//!    to the leading `r` columns, and only then applies the Householder
-//!    reflectors through backward WY blocks to an `m × r` slab instead
-//!    of the full `m × min(m, n)` factor — the accumulation GEMMs
-//!    shrink by `min(m, n)/r`.
+//!    `n`-vectors, never `m`-vectors; a lone declared side's factor came
+//!    with the values), normalizes signs/order, truncates to the leading
+//!    `r` columns, and only then applies the Householder reflectors
+//!    through backward WY blocks to an `m × r` slab instead of the full
+//!    `m × min(m, n)` factor — the accumulation GEMMs shrink by
+//!    `min(m, n)/r`.
 //!
 //! **Bit-identity contract.** `accumulate(_, r)` returns exactly the
 //! leading `r` columns of `accumulate(_, min(m, n))`, bit for bit, at
@@ -132,11 +138,12 @@ pub struct PartialSvd<T: Scalar> {
     /// The input was wide and is stored as its adjoint: factor requests
     /// and results swap through `A = UΣV*  ⇔  A* = VΣU*`.
     swapped: bool,
-    /// Replayed compact rotation factors (`n × n`, tall orientation),
-    /// cached on the first accumulation per side: the bidiagonal-QR
-    /// rotation stream is deterministic, so every replay produces the
-    /// same bits — repeated accumulations (a session re-realizing at a
-    /// new order) skip the replay and pay only the rank-limited WY
+    /// Compact rotation factors (`n × n`, tall orientation): filled by
+    /// the eager QR iteration when only this side is declared, else
+    /// cached on the first accumulation per side. The bidiagonal-QR
+    /// rotation stream is deterministic, so every run produces the same
+    /// bits — repeated accumulations (a session re-realizing at a new
+    /// order) skip the replay and pay only the rank-limited WY
     /// application.
     compact_u: OnceLock<Matrix<T>>,
     /// Right-side counterpart of [`Self::compact_u`].
@@ -194,10 +201,10 @@ impl<T: Scalar> PartialSvd<T> {
 
     /// The tall-orientation worker: the same scaling guard and panel
     /// sweep as [`svd_blocked`](super::blocked::svd_blocked), minus the
-    /// factor accumulation and with the QR iteration run factor-free.
-    /// The sweep runs in `a` itself. The QR-first reflectors are kept
-    /// only when `declared` asks for the left side, the one that reads
-    /// them.
+    /// factor accumulation. The sweep runs in `a` itself. The QR-first
+    /// reflectors are kept only when `declared` asks for the left side,
+    /// the one that reads them. The QR iteration rotates the compact
+    /// factor of a lone declared side, and runs factor-free otherwise.
     fn compute_tall(a: Matrix<T>, declared: SvdFactors) -> Result<Self, NumericError> {
         let (m, n) = a.dims();
         debug_assert!(m >= n);
@@ -234,18 +241,35 @@ impl<T: Scalar> PartialSvd<T> {
             i0 += nb;
         }
 
-        // Values now: the rotation stream is factor-independent, so a
-        // factor-free run yields the same bits as any later
-        // `accumulate` replay.
-        let (_, values, _) = finish_bidiagonal(
-            Matrix::<T>::zeros(0, 0),
-            Matrix::<T>::zeros(0, 0),
+        // Values now: the rotation stream is factor-independent, so this
+        // run yields the same bits as any later `accumulate` replay. A
+        // lone declared side rides along, and that replay is this run;
+        // a stall still fails here, inside the caller's decomposition.
+        let one_side = declared.left() != declared.right();
+        let (want_u, want_v) = (one_side && declared.left(), one_side && declared.right());
+        let compact = |want: bool| {
+            if want {
+                Matrix::<T>::identity(n)
+            } else {
+                Matrix::<T>::zeros(0, 0)
+            }
+        };
+        let (ub, values, vb) = finish_bidiagonal(
+            compact(want_u),
+            compact(want_v),
             d.clone(),
             e.clone(),
-            false,
-            false,
+            want_u,
+            want_v,
             rescale,
         )?;
+        let cached = |want: bool, factor: Matrix<T>| {
+            if want {
+                OnceLock::from(factor)
+            } else {
+                OnceLock::new()
+            }
+        };
         Ok(PartialSvd {
             qr,
             rows: m,
@@ -258,8 +282,8 @@ impl<T: Scalar> PartialSvd<T> {
             rescale,
             values,
             swapped: false,
-            compact_u: OnceLock::new(),
-            compact_v: OnceLock::new(),
+            compact_u: cached(want_u, ub),
+            compact_v: cached(want_v, vb),
         })
     }
 
@@ -328,8 +352,9 @@ impl<T: Scalar> PartialSvd<T> {
         }
 
         // Replay the QR rotations into compact n×n factors, once per
-        // side. The stream (and the σ ordering the sort sees) matches
-        // the eager values run bit for bit, so the cached factors are
+        // side, unless the eager run already rotated this one. The
+        // stream (and the σ ordering the sort sees) matches the eager
+        // values run bit for bit, so the cached factors are
         // indistinguishable from a fresh replay.
         let need_u = want_u && self.compact_u.get().is_none();
         let need_v = want_v && self.compact_v.get().is_none();
@@ -705,34 +730,53 @@ mod tests {
 
     #[test]
     fn declared_sides_keep_the_bits_and_refuse_the_rest() {
-        // (96, 40) takes the QR-first route; declaring only the right
-        // side drops its reflectors, which only the left side reads.
-        for &(m, n) in &[(96, 40), (40, 96), (30, 30)] {
-            let a = pseudo_random_complex(m, n, (m * 13 + n) as u64);
-            let both = Svd::bidiagonalize(&a).unwrap();
-            let bits = |x: &CMatrix| -> Vec<u64> {
-                x.iter()
+        // (96, 40), (97, 40) and the wide (40, 96) take the QR-first
+        // route; declaring only the right side drops its reflectors,
+        // which only the left side reads. A one-sided decomposition
+        // rotates its compact factor in the values run, and must still
+        // give the two-sided decomposition's values and factor columns,
+        // bit for bit at every rank, in both scalar types.
+        fn check<T: Scalar>(a: &Matrix<T>) {
+            let (m, n) = a.dims();
+            let bits = |x: &Matrix<T>| -> Vec<u64> {
+                x.to_complex()
+                    .iter()
                     .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
                     .collect()
             };
+            let value_bits = |p: &PartialSvd<T>| -> Vec<u64> {
+                p.singular_values().iter().map(|x| x.to_bits()).collect()
+            };
+            let both = Svd::bidiagonalize(a).unwrap();
             let right = Svd::bidiagonalize_owned(a.clone(), SvdFactors::Right).unwrap();
-            assert_eq!(right.dims(), (m, n));
-            assert_eq!(right.singular_values(), both.singular_values());
-            let r = 7;
-            assert_eq!(
-                bits(&right.accumulate_v(r).unwrap()),
-                bits(&both.accumulate_v(r).unwrap())
-            );
-            assert!(right.accumulate_u(r).is_err());
-            assert!(right.accumulate(SvdFactors::Both, r).is_err());
             let left = Svd::bidiagonalize_owned(a.clone(), SvdFactors::Left).unwrap();
-            assert_eq!(
-                bits(&left.accumulate_u(r).unwrap()),
-                bits(&both.accumulate_u(r).unwrap())
-            );
-            assert!(left.accumulate_v(r).is_err());
-            let values = Svd::bidiagonalize_owned(a, SvdFactors::ValuesOnly).unwrap();
-            assert!(values.accumulate_u(r).is_err() && values.accumulate_v(r).is_err());
+            for one in [&right, &left] {
+                assert_eq!(one.dims(), (m, n));
+                assert_eq!(value_bits(one), value_bits(&both), "({m},{n})");
+            }
+            for r in [1, 7, m.min(n)] {
+                assert_eq!(
+                    bits(&right.accumulate_v(r).unwrap()),
+                    bits(&both.accumulate_v(r).unwrap()),
+                    "({m},{n}), V to rank {r}"
+                );
+                assert_eq!(
+                    bits(&left.accumulate_u(r).unwrap()),
+                    bits(&both.accumulate_u(r).unwrap()),
+                    "({m},{n}), U to rank {r}"
+                );
+            }
+            assert!(right.accumulate_u(7).is_err());
+            assert!(right.accumulate(SvdFactors::Both, 7).is_err());
+            assert!(left.accumulate_v(7).is_err());
+            let values = Svd::bidiagonalize_owned(a.clone(), SvdFactors::ValuesOnly).unwrap();
+            assert_eq!(value_bits(&values), value_bits(&both));
+            assert!(values.accumulate_u(7).is_err() && values.accumulate_v(7).is_err());
+        }
+        for &(m, n) in &[(96, 40), (97, 40), (40, 96), (30, 30)] {
+            let a = pseudo_random_complex(m, n, (m * 13 + n) as u64);
+            check(&a);
+            check(&a.real_part());
         }
     }
 

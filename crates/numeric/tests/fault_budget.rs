@@ -142,3 +142,38 @@ fn capped_iterations_force_no_convergence_on_real_input() {
     assert!(Schur::compute(&m).is_ok());
     assert!(eigenvalues(&m).is_ok());
 }
+
+/// A decomposition declared for one side runs its single QR iteration,
+/// the one that also rotates that side's compact factor, when it is
+/// computed: a stall fails the decomposition call itself — where the
+/// realization stage's recovery ladder catches it — never a later
+/// accumulation. The ladder then resumes at Golub–Kahan, which stalls
+/// too, and ends at Jacobi with the declared side. Tall, QR-first and
+/// wide shapes alike; disarmed, the same calls succeed.
+#[test]
+fn one_sided_bidiagonalization_stalls_inside_the_decomposition_call() {
+    let _serial = serial();
+    let square = pseudo_random(40, 0x51de);
+    let tall = RMatrix::from_fn(96, 40, |i, j| square[(i % 40, j)].re + 0.01 * i as f64);
+    for a in [tall.clone(), tall.adjoint(), square.real_part()] {
+        for factors in [SvdFactors::Left, SvdFactors::Right] {
+            {
+                let _fault = InjectedFault::cap_qr_iterations(1);
+                let lazy = Svd::bidiagonalize_owned(a.clone(), factors);
+                assert!(
+                    matches!(lazy, Err(NumericError::NoConvergence { .. })),
+                    "{:?} {factors:?}: {lazy:?}",
+                    a.dims()
+                );
+                let rec = Svd::compute_recovering(&a, SvdMethod::GolubKahan, factors).unwrap();
+                assert_eq!(rec.method, SvdMethod::Jacobi);
+                let trail: Vec<SvdMethod> = rec.fallbacks.iter().map(|(m, _)| *m).collect();
+                assert_eq!(trail, [SvdMethod::GolubKahan]);
+                let k = a.rows().min(a.cols());
+                assert_eq!(rec.svd.singular_values().len(), k);
+            }
+            let lazy = Svd::bidiagonalize_owned(a.clone(), factors).unwrap();
+            assert!(lazy.accumulate(factors, 5).is_ok());
+        }
+    }
+}

@@ -1,4 +1,4 @@
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -42,7 +42,10 @@ fn schur_amortizes(order: usize, points: usize) -> bool {
 pub enum SweepStrategy {
     /// Heuristic selection: per-point LU for short/small sweeps, one
     /// shared Hessenberg reduction for medium ones, and a full Schur
-    /// form once the sweep length amortizes the QR iteration.
+    /// form once the sweep length amortizes the QR iteration. Groups
+    /// are set up from the highest magnitude down, and a modal
+    /// evaluator serves the group below it when that group's gate
+    /// accepts it (DESIGN.md §10).
     #[default]
     Auto,
     /// Force the per-point `O(n³)` LU loop (no shared factorization).
@@ -108,12 +111,40 @@ enum SweepKernel {
 /// of an `O(n³)` LU factorization.
 struct SweepEvaluator {
     s0: Complex,
+    /// The magnitude scale the shift was chosen for: that of the group
+    /// whose own reduction built this evaluator, however many lower
+    /// groups it serves.
+    sigma: f64,
     kernel: SweepKernel,
     bt: CMatrix,
     d: CMatrix,
 }
 
 impl SweepEvaluator {
+    fn is_modal(&self) -> bool {
+        matches!(self.kernel, SweepKernel::Modal { .. })
+    }
+
+    /// `true` when this modal evaluator may serve a lower magnitude
+    /// group in place of that group's own set-up (DESIGN.md §10): it
+    /// reproduces `own`, the group's Hessenberg kernel, within the modal
+    /// gate's bound at the gate's probes scaled to the group's `sigma`
+    /// (lowest magnitude first), then at its own resonances inside the
+    /// group's span ([`resonance_probes`]). Stops at the first probe
+    /// that disagrees.
+    fn serves(&self, own: &SweepEvaluator, sigma: f64) -> bool {
+        let SweepKernel::Modal { lambda, .. } = &self.kernel else {
+            return false;
+        };
+        gate_probes(sigma)
+            .into_iter()
+            .chain(resonance_probes(lambda, self.s0, sigma))
+            .all(|z| match (self.eval(z), own.eval(z)) {
+                (Ok(h), Ok(want)) => within_gate(&h, &want),
+                _ => false,
+            })
+    }
+
     /// One point: a chunk of one, so a point's bits never depend on the
     /// chunk it is swept in.
     fn eval(&self, s: Complex) -> Result<CMatrix, StateSpaceError> {
@@ -300,29 +331,25 @@ fn modal_weights(
     Ok(())
 }
 
-/// A shift-inverted pencil reduced to Hessenberg (`false`) or upper
-/// triangular Schur (`true`) form `M`, its basis `U` (`F⁻¹E = U M Uᴴ`)
-/// and `F⁻¹B`, all complex.
-struct Reduced {
-    m: CMatrix,
-    schur: bool,
-    basis: CMatrix,
-    fb: CMatrix,
+/// The shift-inverted pencil at `s₀` reduced to Hessenberg form, in
+/// the operands' scalar type: `F⁻¹E = Q Hₘ Qᴴ` and `F⁻¹B`.
+struct Shifted<T: Scalar> {
+    hess: Hessenberg<T>,
+    fb: Matrix<T>,
 }
 
-/// The shift-inverted pencil at `s₀`, reduced in the operands' scalar
-/// type: `F = s₀E − A` factored by LU (refused below the `rcond` gate)
-/// and `F⁻¹E` reduced to Hessenberg form; with `use_schur` the complex
-/// Schur iteration continues from it, falling back to the Hessenberg
-/// form if the iteration does not converge. The results are promoted to
-/// complex for the per-point kernels.
+/// The first half of a group's set-up at `s₀`, in the operands' scalar
+/// type: `F = s₀E − A` factored by LU (refused below the `rcond` gate),
+/// the solves `F⁻¹E` and `F⁻¹B`, and `F⁻¹E` reduced to Hessenberg form.
+/// A group offered a modal evaluator from above stops here when the
+/// offer is accepted; otherwise [`Shifted::hessenberg_kernel`] or
+/// [`Shifted::schur_kernel`] continues from this form.
 fn reduce_shifted<T: Scalar>(
     e: &Matrix<T>,
     a: &Matrix<T>,
     b: &Matrix<T>,
     s0: T,
-    use_schur: bool,
-) -> Option<Reduced> {
+) -> Option<Shifted<T>> {
     let n = a.rows();
     let f_data: Vec<T> = e
         .as_slice()
@@ -340,27 +367,131 @@ fn reduce_shifted<T: Scalar>(
     let m_mat = lu.solve(e).ok()?;
     let fb = lu.solve(b).ok()?;
     let hess = Hessenberg::compute(&m_mat).ok()?;
-    // The Schur upgrade re-uses the Hessenberg factorization (the QR
-    // iteration starts from Q) and only costs the accumulated iteration
-    // itself.
-    let schur = if use_schur {
-        Schur::from_hessenberg(&hess).ok()
-    } else {
-        None
-    };
-    let ((m, basis), schur) = match schur {
-        Some(schur) => (schur.into_parts(), true),
-        None => {
-            let (hm, q) = hess.into_parts();
-            ((hm.to_complex(), q.to_complex()), false)
-        }
-    };
-    Some(Reduced {
-        m,
-        schur,
-        basis,
-        fb: fb.to_complex(),
-    })
+    Some(Shifted { hess, fb })
+}
+
+impl<T: Scalar> Shifted<T> {
+    /// The Hessenberg kernel at `s0`: `Hₘ`, `C̃ = C·Q` and
+    /// `B̃ = Qᴴ·F⁻¹B`, promoted to complex for the per-point solves.
+    fn hessenberg_kernel(
+        &self,
+        c: &CMatrix,
+        d: &CMatrix,
+        s0: Complex,
+        sigma: f64,
+    ) -> Option<SweepEvaluator> {
+        let q = self.hess.q().to_complex();
+        let bt = q.mul_hermitian_left(&self.fb.to_complex()).ok()?;
+        let ct = c.matmul(&q).ok()?;
+        let kernel = SweepKernel::Hessenberg {
+            hm: self.hess.h().to_complex(),
+            ct,
+        };
+        Some(SweepEvaluator {
+            s0,
+            sigma,
+            kernel,
+            bt,
+            d: d.clone(),
+        })
+    }
+
+    /// The second half of a Schur group's set-up, from the Schur form
+    /// the iteration continued from the Hessenberg form (it starts from
+    /// `Q` and costs only the accumulated iteration itself): the
+    /// triangular kernel, upgraded to the modal one when the eigenbasis
+    /// passes the gates. `None` refuses the shift.
+    fn schur_kernel(
+        &self,
+        schur: Schur,
+        c: &CMatrix,
+        d: &CMatrix,
+        s0: Complex,
+        sigma: f64,
+    ) -> Option<SweepEvaluator> {
+        let (tm, z) = schur.into_parts();
+        let bt = z.mul_hermitian_left(&self.fb.to_complex()).ok()?;
+        let ct = c.matmul(&z).ok()?;
+        let kernel = SweepKernel::Schur {
+            tri: ShiftedTriangular::new(&tm).ok()?,
+            ct: SplitOperand::left(&ct),
+        };
+        let evaluator = SweepEvaluator {
+            s0,
+            sigma,
+            kernel,
+            bt,
+            d: d.clone(),
+        };
+        // One more opportunistic upgrade: when Tₘ's eigenvector basis
+        // is well conditioned (validated against the back-substitution
+        // path at probe points), the sweep collapses further to the
+        // diagonal modal form.
+        Some(modal_upgrade(&evaluator, &tm, &ct, sigma).unwrap_or(evaluator))
+    }
+}
+
+/// The modal gates' probe points for a magnitude group of scale
+/// `sigma`, lowest magnitude first: the imaginary axis across the
+/// ≤ 2-decade span a group may hold (`sigma` down to `0.01·sigma`) and
+/// one point off it.
+fn gate_probes(sigma: f64) -> [Complex; 6] {
+    [
+        c64(0.0, 0.01 * sigma),
+        c64(0.0, 0.031 * sigma),
+        c64(0.0, 0.097 * sigma),
+        c64(0.0, 0.31 * sigma),
+        c64(0.4 * sigma, 0.9 * sigma),
+        c64(0.0, sigma),
+    ]
+}
+
+/// How many resonances inside a lower group's span an offered modal
+/// evaluator is probed at, on top of [`gate_probes`].
+const RESONANCE_PROBES: usize = 4;
+
+/// The points of a group of scale `sigma` where a modal evaluator built
+/// at the shift `s0` from the eigenvalues `lambda` is least accurate: the
+/// imaginary-axis points `j·|Im p|` nearest its poles `p = s₀ − 1/λ`
+/// inside the group's span, most amplified first, at most
+/// [`RESONANCE_PROBES`] of them. There `1 + t·λ = λ·(s − p)` cancels,
+/// so a weight's relative error grows like `|s − s₀|/|s − p|`: a shift
+/// far above the group pays `|s − s₀| ≈ σ_above` where the group's own
+/// shift would pay `≈ sigma`, and [`gate_probes`]' fixed points can
+/// miss the peak.
+fn resonance_probes(lambda: &[Complex], s0: Complex, sigma: f64) -> Vec<Complex> {
+    let span = 0.01 * sigma..=sigma;
+    let mut scored: Vec<(f64, Complex)> = lambda
+        .iter()
+        .filter(|lam| lam.abs() > 0.0)
+        .filter_map(|&lam| {
+            let p = s0 - lam.recip();
+            let z = c64(0.0, p.im.abs());
+            span.contains(&z.im)
+                .then(|| ((z - s0).abs() / (z - p).abs(), z))
+        })
+        .collect();
+    // A real model's conjugate poles share one probe point, scored by
+    // the worse of the two.
+    scored.sort_by(|x, y| x.1.im.total_cmp(&y.1.im));
+    scored.dedup_by(|later, kept| {
+        let shared = later.1.im - kept.1.im <= 1e-9 * kept.1.im;
+        kept.0 = if shared { kept.0.max(later.0) } else { kept.0 };
+        shared
+    });
+    scored.sort_by(|x, y| y.0.total_cmp(&x.0));
+    scored
+        .into_iter()
+        .take(RESONANCE_PROBES)
+        .map(|(_, z)| z)
+        .collect()
+}
+
+/// The modal gates' agreement test: `h` within `1e-13` of `reference`,
+/// relative to the reference's largest entry.
+fn within_gate(h: &CMatrix, reference: &CMatrix) -> bool {
+    let denom = reference.max_abs().max(f64::MIN_POSITIVE);
+    (h - reference).max_abs() / denom <= 1e-13
 }
 
 /// How large `‖V⁻¹·(±1)‖∞` may grow before the eigenbasis is declared
@@ -426,6 +557,7 @@ fn modal_upgrade(
     // rotated maps of the Schur basis are not needed.
     let modal = SweepEvaluator {
         s0: base.s0,
+        sigma: base.sigma,
         kernel: SweepKernel::Modal {
             lambda,
             lam_scale,
@@ -434,97 +566,91 @@ fn modal_upgrade(
         bt: CMatrix::zeros(0, 0),
         d: base.d.clone(),
     };
-    // Frequency probes covering the full ≤2-decade span a magnitude
-    // group may hold (sigma down to 0.01·sigma), plus one off-axis.
-    let probes = [
-        c64(0.0, sigma),
-        c64(0.0, 0.31 * sigma),
-        c64(0.0, 0.097 * sigma),
-        c64(0.0, 0.031 * sigma),
-        c64(0.0, 0.01 * sigma),
-        c64(0.4 * sigma, 0.9 * sigma),
-    ];
     // One chunk per path: the back-substitution side then streams its
     // factor once for all probes.
+    let probes = gate_probes(sigma);
     let modal_h = modal.eval_chunk(&probes);
     let schur_h = base.eval_chunk(&probes);
-    for (h_modal, h_schur) in modal_h.into_iter().zip(schur_h) {
-        let (Ok(h_modal), Ok(h_schur)) = (h_modal, h_schur) else {
-            return None;
-        };
-        let denom = h_schur.max_abs().max(f64::MIN_POSITIVE);
-        if (&h_modal - &h_schur).max_abs() / denom > 1e-13 {
-            return None;
-        }
-    }
-    Some(modal)
+    let agree = modal_h.into_iter().zip(schur_h).all(|pair| match pair {
+        (Ok(h_modal), Ok(h_schur)) => within_gate(&h_modal, &h_schur),
+        _ => false,
+    });
+    agree.then_some(modal)
 }
 
-/// Memoized sweep factorizations, keyed on the magnitude-group scale
-/// and the kernel flavor the group selected.
+/// Memoized sweep factorizations, keyed on the magnitude group: its
+/// scale, the kernel flavor it selected, and the evaluator it was
+/// offered from above.
 ///
 /// Building a [`SweepEvaluator`] is the `O(n³)` part of a batched sweep
 /// (LU + Hessenberg + Schur + modal validation); repeated sweeps of the
 /// same model — the serving-layer hot path — hit the cache and pay only
-/// per-point work. The cache can never go stale: a
-/// [`DescriptorSystem`]'s matrices are immutable after construction
-/// (every "mutation" builds a new system, and [`Clone`] starts the copy
-/// with an empty cache), so a cached evaluator is exactly the one a
-/// fresh build would produce. Entries are capped; see
+/// per-point work. A group that a modal evaluator from above serves
+/// (DESIGN.md §10) is cached with that same evaluator, so a warm sweep
+/// neither re-validates the offer nor moves a bit. The cache can never
+/// go stale: a [`DescriptorSystem`]'s matrices are immutable after
+/// construction (every "mutation" builds a new system, and [`Clone`]
+/// starts the copy with an empty cache), and the key holds everything
+/// else a build reads, so a cached evaluator is exactly the one a fresh
+/// build would produce. Entries are capped; see
 /// [`SWEEP_CACHE_MAX_ENTRIES`].
 struct SweepCache {
-    // mfti-lint: allow(MFTI-D1) — keyed access only: entries are read
-    // through `get` by exact (σ-bits, kernel-flavor) key and the cap
-    // check uses `len`/`clear`; the map is never iterated, so hash
-    // order cannot reach any sweep result.
-    map: Mutex<HashMap<(u64, bool), Arc<SweepEvaluator>>>,
+    map: Mutex<BTreeMap<SweepKey, Arc<SweepEvaluator>>>,
 }
 
-/// Upper bound on distinct (magnitude group, kernel flavor) entries kept
-/// per system. Sweeps of one model reuse a handful of magnitude groups;
-/// hitting the cap (adversarially many distinct sigmas) clears the map
-/// rather than growing without bound.
+/// A magnitude group's cache key: the exact bits of its scale, its
+/// Schur-upgrade flag, and the scale of the group whose reduction built
+/// the modal evaluator offered to it, if any — the only inputs
+/// [`DescriptorSystem::sweep_evaluator`] depends on besides the
+/// (immutable) matrices. Only a Schur group's own set-up builds a modal
+/// evaluator, so that scale names the offer exactly.
+type SweepKey = (u64, bool, Option<u64>);
+
+/// Upper bound on distinct (magnitude group, kernel flavor, offer)
+/// entries kept per system. Sweeps of one model reuse a handful of
+/// magnitude groups; hitting the cap (adversarially many distinct
+/// sigmas) clears the map rather than growing without bound.
 const SWEEP_CACHE_MAX_ENTRIES: usize = 32;
 
 impl SweepCache {
     fn new() -> Self {
         SweepCache {
-            map: Mutex::new(HashMap::new()),
+            map: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Cache key: the exact bit pattern of the group's magnitude scale
-    /// plus the Schur-upgrade flag — the only inputs
-    /// [`DescriptorSystem::sweep_evaluator`] depends on besides the
-    /// (immutable) matrices.
-    fn key(sigma: f64, use_schur: bool) -> (u64, bool) {
-        (sigma.to_bits(), use_schur)
+    fn key(sigma: f64, use_schur: bool, offer: Option<&Arc<SweepEvaluator>>) -> SweepKey {
+        (
+            sigma.to_bits(),
+            use_schur,
+            offer.map(|offer| offer.sigma.to_bits()),
+        )
     }
 
-    fn get(&self, sigma: f64, use_schur: bool) -> Option<Arc<SweepEvaluator>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<SweepKey, Arc<SweepEvaluator>>> {
         self.map
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&Self::key(sigma, use_schur))
-            .cloned()
     }
 
-    fn insert(&self, sigma: f64, use_schur: bool, evaluator: Arc<SweepEvaluator>) {
-        let mut map = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+    fn get(&self, key: SweepKey) -> Option<Arc<SweepEvaluator>> {
+        self.lock().get(&key).cloned()
+    }
+
+    fn insert(&self, key: SweepKey, evaluator: Arc<SweepEvaluator>) {
+        let mut map = self.lock();
         if map.len() >= SWEEP_CACHE_MAX_ENTRIES {
             map.clear();
         }
-        map.insert(Self::key(sigma, use_schur), evaluator);
+        map.insert(key, evaluator);
     }
 
+    /// Distinct evaluators held: groups one evaluator serves count once.
     fn len(&self) -> usize {
-        self.map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+        let mut held: Vec<*const SweepEvaluator> = self.lock().values().map(Arc::as_ptr).collect();
+        held.sort_unstable();
+        held.dedup();
+        held.len()
     }
 }
 
@@ -752,13 +878,26 @@ impl<T: Scalar> DescriptorSystem<T> {
     /// `use_schur` the Hessenberg form is upgraded to a full Schur form
     /// (falling back to Hessenberg if the QR iteration fails).
     ///
+    /// `offer` is the modal evaluator of the magnitude group just above
+    /// (DESIGN.md §10). Once the group's own shift is reduced to
+    /// Hessenberg form, the offer is checked against that form's kernel
+    /// ([`SweepEvaluator::serves`]) and, when it passes, returned in
+    /// place of the rest of the set-up. A refused offer costs the check
+    /// alone: the set-up continues from the same Hessenberg form, with
+    /// the bits a build without an offer gives.
+    ///
     /// The set-up runs in the model's scalar type while the shift is
     /// real: a real model at a real candidate shift factors, solves and
     /// reduces to Hessenberg form in `f64`; only the Hessenberg form is
     /// promoted to complex, for the Schur iteration and the per-point
     /// kernels (DESIGN.md §10). The complex third candidate promotes the
     /// model for its own attempt only.
-    fn sweep_evaluator(&self, sigma: f64, use_schur: bool) -> Option<SweepEvaluator> {
+    fn sweep_evaluator(
+        &self,
+        sigma: f64,
+        use_schur: bool,
+        offer: Option<&Arc<SweepEvaluator>>,
+    ) -> Option<Arc<SweepEvaluator>> {
         // Magnitude scale of the points served by this evaluator; shifts
         // live at this radius so that s₀E and A stay balanced inside F.
         let sigma = if sigma > 0.0 { sigma } else { 1.0 };
@@ -769,53 +908,65 @@ impl<T: Scalar> DescriptorSystem<T> {
             c64(2.75 * sigma, 0.0),
             c64(0.731 * sigma, 1.303 * sigma),
         ];
-        for s0 in candidates {
-            let reduced = if s0.im == 0.0 {
-                reduce_shifted(&self.e, &self.a, &self.b, T::from_f64(s0.re), use_schur)
+        candidates.into_iter().find_map(|s0| {
+            if s0.im == 0.0 {
+                let shifted = reduce_shifted(&self.e, &self.a, &self.b, T::from_f64(s0.re))?;
+                self.finish_setup(shifted, s0, sigma, use_schur, offer)
             } else {
-                reduce_shifted(
-                    &self.e.to_complex(),
-                    &self.a.to_complex(),
-                    &self.b.to_complex(),
-                    s0,
-                    use_schur,
-                )
-            };
-            let Some(Reduced {
-                m,
-                schur,
-                basis,
-                fb,
-            }) = reduced
-            else {
-                continue;
-            };
-            let Ok(bt) = basis.mul_hermitian_left(&fb) else {
-                continue;
-            };
-            let Ok(ct) = self.c.to_complex().matmul(&basis) else {
-                continue;
-            };
-            let d = self.d.to_complex();
-            if !schur {
-                let kernel = SweepKernel::Hessenberg { hm: m, ct };
-                return Some(SweepEvaluator { s0, kernel, bt, d });
+                let promoted = self.to_complex();
+                let shifted = reduce_shifted(&promoted.e, &promoted.a, &promoted.b, s0)?;
+                self.finish_setup(shifted, s0, sigma, use_schur, offer)
             }
-            let Ok(tri) = ShiftedTriangular::new(&m) else {
-                continue;
-            };
-            let kernel = SweepKernel::Schur {
-                tri,
-                ct: SplitOperand::left(&ct),
-            };
-            let evaluator = SweepEvaluator { s0, kernel, bt, d };
-            // Schur kernels get one more opportunistic upgrade: when
-            // Tₘ's eigenvector basis is well conditioned (validated
-            // against the back-substitution path at probe points), the
-            // sweep collapses further to the diagonal modal form.
-            return Some(modal_upgrade(&evaluator, &m, &ct, sigma).unwrap_or(evaluator));
+        })
+    }
+
+    /// The rest of a group's set-up from its reduction at `s0`: the
+    /// offer when it serves the group, else the group's own Hessenberg
+    /// or Schur kernel continued from `shifted`. `None` refuses the
+    /// shift.
+    fn finish_setup<U: Scalar>(
+        &self,
+        shifted: Shifted<U>,
+        s0: Complex,
+        sigma: f64,
+        use_schur: bool,
+        offer: Option<&Arc<SweepEvaluator>>,
+    ) -> Option<Arc<SweepEvaluator>> {
+        let (c, d) = (self.c.to_complex(), self.d.to_complex());
+        let own = offer.and_then(|_| shifted.hessenberg_kernel(&c, &d, s0, sigma));
+        if let (Some(offer), Some(own)) = (offer, &own) {
+            if offer.serves(own, sigma) {
+                return Some(Arc::clone(offer));
+            }
         }
-        None
+        if use_schur {
+            if let Ok(schur) = Schur::from_hessenberg(&shifted.hess) {
+                return shifted.schur_kernel(schur, &c, &d, s0, sigma).map(Arc::new);
+            }
+        }
+        own.or_else(|| shifted.hessenberg_kernel(&c, &d, s0, sigma))
+            .map(Arc::new)
+    }
+
+    /// The evaluator of a magnitude group of scale `sigma` with the
+    /// given flavor and offer, from the model's [`SweepCache`] or built
+    /// and memoized there.
+    fn group_evaluator(
+        &self,
+        sigma: f64,
+        use_schur: bool,
+        offer: Option<&Arc<SweepEvaluator>>,
+    ) -> Option<Arc<SweepEvaluator>> {
+        let key = SweepCache::key(sigma, use_schur, offer);
+        if let Some(hit) = self.sweep_cache.get(key) {
+            return Some(hit);
+        }
+        // A `None` build (no well-conditioned shift) is not cached: it
+        // is rare, cheap to rediscover, and the pointwise fallback is
+        // always correct.
+        let built = self.sweep_evaluator(sigma, use_schur, offer)?;
+        self.sweep_cache.insert(key, Arc::clone(&built));
+        Some(built)
     }
 
     /// Batched evaluation with explicit control over the sweep kernel
@@ -900,10 +1051,15 @@ impl<T: Scalar> DescriptorSystem<T> {
         // O(n³) build and pay only per-point work; the group's points
         // then fan out across the workers in contiguous static blocks,
         // each walked in chunks that write straight into the output.
+        // Groups are set up from the highest magnitude down: under
+        // `Auto`, a modal evaluator is offered to the group just below,
+        // which keeps it when it passes that group's gate (DESIGN.md
+        // §10). The offers are checked serially, before the fan-out.
         let workers = threads.max(1);
         let mut out: Vec<CMatrix> = (0..s.len()).map(|_| CMatrix::zeros(0, 0)).collect();
         let mut failure: Option<(usize, StateSpaceError)> = None;
-        for group in groups {
+        let mut above: Option<Arc<SweepEvaluator>> = None;
+        for group in groups.into_iter().rev() {
             let sigma = group
                 .clone()
                 .map(|pos| s[input(pos)].abs())
@@ -919,18 +1075,11 @@ impl<T: Scalar> DescriptorSystem<T> {
                 }
                 _ => None,
             };
-            let evaluator: Option<Arc<SweepEvaluator>> = shared_kernel.and_then(|use_schur| {
-                if let Some(hit) = self.sweep_cache.get(sigma, use_schur) {
-                    return Some(hit);
-                }
-                // A `None` build (no well-conditioned shift) is not
-                // cached: it is rare, cheap to rediscover, and the
-                // pointwise fallback is always correct.
-                let built = Arc::new(self.sweep_evaluator(sigma, use_schur)?);
-                self.sweep_cache
-                    .insert(sigma, use_schur, Arc::clone(&built));
-                Some(built)
-            });
+            let offer = above
+                .take()
+                .filter(|above| strategy == SweepStrategy::Auto && above.is_modal());
+            let evaluator = shared_kernel
+                .and_then(|use_schur| self.group_evaluator(sigma, use_schur, offer.as_ref()));
             let block_len = group.len().div_ceil(workers).max(1);
             let mut blocks: Vec<Block> = out[group.clone()]
                 .chunks_mut(block_len)
@@ -953,6 +1102,7 @@ impl<T: Scalar> DescriptorSystem<T> {
                     failure = Some((i, e));
                 }
             }
+            above = evaluator;
         }
         // A pole error is reported for the lowest-index failing point —
         // same as a serial fail-fast loop.
@@ -977,9 +1127,10 @@ impl<T: Scalar> DescriptorSystem<T> {
         }
     }
 
-    /// Number of sweep factorizations currently memoized on this model
-    /// (diagnostics for tests and serving metrics; see the
-    /// `SweepCache` internals for the caching policy).
+    /// Number of distinct sweep factorizations currently memoized on
+    /// this model: magnitude groups served by one evaluator count once
+    /// (diagnostics for tests and serving metrics; see the `SweepCache`
+    /// internals for the caching policy).
     pub fn cached_sweep_groups(&self) -> usize {
         self.sweep_cache.len()
     }
@@ -1363,7 +1514,7 @@ mod tests {
             let above = (0..above).map(|i| c64(0.0, 9.5 + 20.5 * i as f64 / above as f64));
             let clean: Vec<Complex> = below.chain(above).collect();
             let sigma = clean.iter().map(|z| z.abs()).fold(0.0, f64::max);
-            let per_point = sys.sweep_evaluator(sigma, true).unwrap();
+            let per_point = sys.sweep_evaluator(sigma, true, None).unwrap();
             let mut with_pole = clean.clone();
             with_pole.insert(at, near);
             let mut two_poles = with_pole.clone();
@@ -1519,10 +1670,16 @@ mod tests {
             ] {
                 let per_point = |z: Complex| match strategy {
                     SweepStrategy::PointwiseLu => sys.eval(z).unwrap(),
-                    SweepStrategy::Hessenberg => {
-                        sys.sweep_evaluator(sigma, false).unwrap().eval(z).unwrap()
-                    }
-                    _ => sys.sweep_evaluator(sigma, true).unwrap().eval(z).unwrap(),
+                    SweepStrategy::Hessenberg => sys
+                        .sweep_evaluator(sigma, false, None)
+                        .unwrap()
+                        .eval(z)
+                        .unwrap(),
+                    _ => sys
+                        .sweep_evaluator(sigma, true, None)
+                        .unwrap()
+                        .eval(z)
+                        .unwrap(),
                 };
                 let want: Vec<CMatrix> = grid.iter().map(|&z| per_point(z)).collect();
                 for threads in [1, 2, 4, mfti_numeric::parallel::available_threads()] {
@@ -1612,6 +1769,95 @@ mod tests {
             let _ = sys.eval_batch(&pts).unwrap();
         }
         assert!(sys.cached_sweep_groups() <= SWEEP_CACHE_MAX_ENTRIES);
+    }
+
+    /// `k` points on the imaginary axis over the three decades
+    /// `[lo, 1000·lo]` rad/s: a lower magnitude group of two decades and
+    /// an upper one of one.
+    fn three_decades(lo: f64, k: usize) -> Vec<Complex> {
+        (0..k)
+            .map(|i| c64(0.0, lo * 1e3f64.powf(i as f64 / (k - 1) as f64)))
+            .collect()
+    }
+
+    #[test]
+    fn a_modal_evaluator_serves_the_group_below_when_it_passes_the_gate() {
+        let sys = resonant_system(40, 3, 1e6, 0x3dec);
+        let pts = three_decades(1e3, 60);
+        let split = 100.0 * pts[0].abs();
+        let top = sys.sweep_evaluator(pts[59].abs(), true, None).unwrap();
+        assert!(top.is_modal());
+        let cold = sys.eval_batch_with(&pts, SweepStrategy::Auto, 1).unwrap();
+        // Two magnitude groups, one factorization: every point, the
+        // lower group's too, carries the top evaluator's bits.
+        assert_eq!(sys.cached_sweep_groups(), 1);
+        for (&z, h) in pts.iter().zip(&cold) {
+            assert!(same_bits(h, &top.eval(z).unwrap()), "at {z}");
+            let direct = sys.eval(z).unwrap();
+            let rel = (h - &direct).max_abs() / direct.max_abs();
+            let bound = if z.abs() <= split { 1e-13 } else { 1e-12 };
+            assert!(rel <= bound, "deviation {rel:.2e} from LU at {z}");
+        }
+        // The decision is cached: a warm sweep neither re-validates nor
+        // moves a bit, and a cold one gives the same bits at every
+        // thread count.
+        let warm = sys.eval_batch_with(&pts, SweepStrategy::Auto, 1).unwrap();
+        assert_eq!(sys.cached_sweep_groups(), 1);
+        for threads in [1, 2, 4] {
+            let fresh = sys.clone();
+            let got = fresh
+                .eval_batch_with(&pts, SweepStrategy::Auto, threads)
+                .unwrap();
+            assert_eq!(fresh.cached_sweep_groups(), 1);
+            for (i, ((h, c), w)) in got.iter().zip(&cold).zip(&warm).enumerate() {
+                assert!(
+                    same_bits(h, c) && same_bits(w, c),
+                    "{threads} threads, point {i}"
+                );
+            }
+        }
+        // The lower group swept alone is offered nothing, so the cached
+        // decision does not reach it: it builds its own evaluator.
+        let lower: Vec<Complex> = pts.iter().copied().filter(|z| z.abs() <= split).collect();
+        let own = sys
+            .sweep_evaluator(lower[lower.len() - 1].abs(), true, None)
+            .unwrap();
+        let alone = sys.eval_batch(&lower).unwrap();
+        assert_eq!(sys.cached_sweep_groups(), 2);
+        for (&z, h) in lower.iter().zip(&alone) {
+            assert!(same_bits(h, &own.eval(z).unwrap()), "alone at {z}");
+        }
+        // Forced strategies keep one factorization per group.
+        let forced = sys.clone();
+        let _ = forced
+            .eval_batch_with(&pts, SweepStrategy::Schur, 1)
+            .unwrap();
+        assert_eq!(forced.cached_sweep_groups(), 2);
+    }
+
+    #[test]
+    fn a_group_that_refuses_the_offer_keeps_its_own_bits() {
+        // Resonances over seven decades: the top group's modal evaluator
+        // misses the lower group's gate, which then finishes its own
+        // set-up from the Hessenberg form it validated against.
+        let sys = resonant_system(48, 2, 1e7, 11);
+        let pts = three_decades(1e2, 60);
+        let top = sys.sweep_evaluator(pts[59].abs(), true, None).unwrap();
+        assert!(top.is_modal(), "the top group offers its evaluator");
+        let schur = sys
+            .clone()
+            .eval_batch_with(&pts, SweepStrategy::Schur, 1)
+            .unwrap();
+        for threads in [1, 2, 4] {
+            let fresh = sys.clone();
+            let auto = fresh
+                .eval_batch_with(&pts, SweepStrategy::Auto, threads)
+                .unwrap();
+            assert_eq!(fresh.cached_sweep_groups(), 2);
+            for (i, (h, want)) in auto.iter().zip(&schur).enumerate() {
+                assert!(same_bits(h, want), "{threads} threads, point {i}");
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,34 @@ fn assert_batch_matches_pointwise<M: Macromodel>(model: &M, label: &str) {
     }
 }
 
+/// Three-decade sweeps of order-40 models whose two magnitude groups
+/// may share the top group's pole–residue evaluator (DESIGN.md §10).
+/// With the resonances in the top decade the lower group takes it; with
+/// them inside the lower group's span the evaluator's shift, two decades
+/// above, loses accuracy at those peaks and the group's gate must refuse
+/// it (its six fixed probes alone accepted it, at 1.9e-12 from the LU).
+/// Either way every point agrees with the per-point LU to 1e-12.
+#[test]
+fn shared_sweep_evaluators_stay_within_the_pointwise_budget() {
+    let grid = FrequencyGrid::log_space(1e5, 1e8, 120).expect("grid");
+    let pts: Vec<_> = grid.points().iter().map(|&f| s_at_hz(f)).collect();
+    for (band, factorizations) in [((1e7, 1e8), 1), ((1e5, 1e6), 2)] {
+        let model = RandomSystemBuilder::new(40, 3, 3)
+            .band(band.0, band.1)
+            .d_rank(3)
+            .seed(0x5107)
+            .build()
+            .expect("valid");
+        let batch = model.eval_batch(&pts).expect("batch eval");
+        assert_eq!(model.cached_sweep_groups(), factorizations, "{band:?}");
+        for (&s, h) in pts.iter().zip(&batch) {
+            let direct = model.eval(s).expect("pointwise eval");
+            let rel = (h - &direct).max_abs() / direct.max_abs().max(1e-300);
+            assert!(rel < 1e-12, "{band:?}: deviation {rel:.2e} at {s}");
+        }
+    }
+}
+
 #[test]
 fn eval_batch_agrees_on_real_descriptor_systems() {
     let outcome = Mfti::new().fit(&samples(12)).expect("fit");
