@@ -45,7 +45,7 @@ use mfti_core::{
     realify, FitSession, Fitter, LoewnerPencil, Mfti, OrderSelection, RealifiedPencil,
     RecursiveMfti, SessionSvd, TangentialData, Vfti, Weights,
 };
-use mfti_numeric::{kernel, parallel, Hessenberg, Lu, RMatrix, Schur, Svd, SvdMethod};
+use mfti_numeric::{kernel, parallel, Hessenberg, Lu, RMatrix, Schur, Svd};
 use mfti_sampling::generators::{PdnBuilder, RandomSystemBuilder};
 use mfti_sampling::{FrequencyGrid, NoiseModel, SampleSet};
 use mfti_statespace::{Macromodel, SweepStrategy, TransferFunction};
@@ -280,7 +280,7 @@ fn main() {
             s
         };
         let updating = preload(SessionSvd::Updating);
-        let fresh = preload(SessionSvd::Fresh(SvdMethod::Blocked));
+        let fresh = preload(SessionSvd::Fresh);
         c.sample_size(20)
             .bench_function(&format!("session_stream/k{pencil_order}/updating"), |b| {
                 b.iter(|| {

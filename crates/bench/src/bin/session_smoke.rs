@@ -5,8 +5,9 @@
 //! Streams a clean 2-port workload through `FitSession` one sample pair
 //! at a time under whatever `MFTI_THREADS` says — every append grows
 //! the pencil by thin GEMM strips and absorbs them into the
-//! rank-revealing `SvdUpdater` (seed decomposition through the blocked
-//! backend's fanned trailing update, border updates through the
+//! rank-revealing `SvdUpdater` (seeded at the second append from the
+//! first batch's K = 4 pencil, a size the blocked backend hands to its
+//! Golub–Kahan path; border updates through the
 //! deterministically-chunked kernels) — and prints one FNV-1a digest
 //! over every per-append singular value, the order trajectory and the
 //! final realized model bits. `verify.sh` runs this binary at 1 and N
@@ -23,8 +24,10 @@ use mfti_sampling::{FrequencyGrid, SampleSet};
 fn main() {
     // Order-14 system, 2 ports, full weights (t = 2): every streamed
     // pair grows the pencil by 4, reaching K = 96 after 24 pairs — past
-    // the Loewner row-parallel gate (K ≥ 96) and deep into the blocked
-    // SVD's panel path for the updater's seed decomposition.
+    // the Loewner row-parallel gate (K ≥ 96). The updater's seed is the
+    // first batch's K = 4 pencil, so it runs Golub–Kahan, not the
+    // blocked panel path (`window_smoke`'s noisy capacity-48 stream
+    // pins that one).
     let sys = RandomSystemBuilder::new(14, 2, 2)
         .d_rank(2)
         .band(1e6, 1e9)

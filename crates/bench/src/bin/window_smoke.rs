@@ -2,30 +2,35 @@
 //! session** hot path (`scripts/verify.sh`, alongside `session_smoke`).
 //!
 //! Streams a 2-port workload through a `FitSession` under
-//! [`WindowPolicy::Sliding`] twice — clean, then with seeded additive
-//! noise — and prints one FNV-1a digest per stream over every
-//! per-append singular value, the order trajectory, the windowed
-//! provenance events (evictions, quarantines, re-anchor rungs) and the
-//! final realized model bits. The clean stream's steady state runs the
-//! verified `SvdUpdater::downdate_leading` evictions, the residual
-//! probe gate and evicting pencil slides without a single re-anchor; the
-//! noisy window is full rank, so every steady-state eviction is refused
-//! and re-anchors from a fresh decomposition. `verify.sh` runs this
+//! [`WindowPolicy::Sliding`] three times — clean, then with seeded
+//! additive noise at capacities 24 and 48 — and prints one FNV-1a
+//! digest per stream over every per-append singular value, the order
+//! trajectory, the windowed provenance events (evictions, quarantines,
+//! re-anchor rungs) and the final realized model bits. The clean
+//! stream's steady state runs the verified
+//! `SvdUpdater::downdate_leading` evictions, the residual probe gate
+//! and evicting pencil slides without a single re-anchor; the noisy
+//! windows are full rank, so every steady-state eviction is refused and
+//! re-anchors from a fresh decomposition. At capacity 48 that
+//! decomposition is a 48 × 48 pencil, the first size the blocked
+//! backend runs through its panel path instead of delegating to
+//! Golub–Kahan, so the third digest pins the blocked re-anchor seed.
+//! `verify.sh` runs this
 //! binary at 1 and N workers and fails on any digest mismatch: the
 //! bounded-memory signal, including every eviction and re-anchor
 //! decision, must be bit-identical at every worker count (DESIGN.md §9).
 //!
 //! Usage: `MFTI_THREADS=k cargo run --release -p mfti-bench --bin
 //! window_smoke` (prints `window digest: <hex> (…) noisy digest: <hex>
-//! (…)`).
+//! (…) noisy-48 digest: <hex> (…)`).
 
 use mfti_core::{FitSession, Mfti, Reanchor, WindowPolicy};
 use mfti_sampling::generators::RandomSystemBuilder;
 use mfti_sampling::{FrequencyGrid, NoiseModel, SampleSet};
 
-/// Streams `all` through a capacity-24 window and returns its digest
+/// Streams `all` through a window of `capacity` and returns its digest
 /// with a one-line summary of the final state.
-fn stream_digest(all: &SampleSet) -> (u64, String) {
+fn stream_digest(all: &SampleSet, capacity: usize) -> (u64, String) {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut absorb = |bits: u64| {
         for byte in bits.to_le_bytes() {
@@ -36,7 +41,7 @@ fn stream_digest(all: &SampleSet) -> (u64, String) {
 
     // Band edges first (they set the normalization), then one pair per
     // append; digest the windowed signal after every single append.
-    let mut session = FitSession::new(Mfti::new()).window(WindowPolicy::Sliding { capacity: 24 });
+    let mut session = FitSession::new(Mfti::new()).window(WindowPolicy::Sliding { capacity });
     let k = all.len();
     let mut batches = vec![all.subset(&[0, k - 1]).expect("edges")];
     let mut i = 1;
@@ -53,7 +58,7 @@ fn stream_digest(all: &SampleSet) -> (u64, String) {
         }
     }
     assert!(
-        peak <= 24,
+        peak <= capacity,
         "window overflowed its capacity: peak pencil order {peak}"
     );
 
@@ -98,6 +103,7 @@ fn main() {
     // and the 24-pair stream forces 18 pairs of evictions — enough
     // steady-state slides to exercise downdates and probe gates on the
     // clean stream and a fresh re-anchor per slide on the noisy one.
+    // At capacity 48 the window holds 12 pairs and evicts 12.
     let sys = RandomSystemBuilder::new(10, 2, 2)
         .d_rank(2)
         .band(1e6, 1e9)
@@ -108,10 +114,12 @@ fn main() {
     let clean = SampleSet::from_system(&sys, &grid).expect("sampling");
     let noisy = NoiseModel::additive_relative(1e-4).apply(&clean, 0x51_1DE5);
 
-    let (clean_hash, clean_summary) = stream_digest(&clean);
-    let (noisy_hash, noisy_summary) = stream_digest(&noisy);
+    let (clean_hash, clean_summary) = stream_digest(&clean, 24);
+    let (noisy_hash, noisy_summary) = stream_digest(&noisy, 24);
+    let (wide_hash, wide_summary) = stream_digest(&noisy, 48);
     println!(
         "window digest: {clean_hash:016x} ({clean_summary}) \
-         noisy digest: {noisy_hash:016x} ({noisy_summary})"
+         noisy digest: {noisy_hash:016x} ({noisy_summary}) \
+         noisy-48 digest: {wide_hash:016x} ({wide_summary})"
     );
 }

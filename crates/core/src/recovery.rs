@@ -7,11 +7,11 @@
 //! leading columns. That path rides the implicit-shift bidiagonal QR
 //! iteration — which can, on adversarial or fault-injected data, stall
 //! without converging. [`LadderSvd`] wraps the call: on
-//! [`NumericError::NoConvergence`] it retries eagerly through the
-//! degradation ladder ([`SvdMethod::ladder`], ending at the
-//! structurally unrelated one-sided Jacobi rung) instead of failing the
-//! fit, and records which rungs broke down for the caller's
-//! diagnostics.
+//! [`NumericError::NoConvergence`] it resumes the one ladder walk
+//! ([`Svd::compute_recovering`], ending at the structurally unrelated
+//! one-sided Jacobi rung) instead of failing the fit, keeps its factors
+//! in the input scalar type, and records which rungs broke down for the
+//! caller's diagnostics. Sessions re-anchor through the same walk.
 
 use mfti_numeric::{
     Matrix, NumericError, PartialSvd, Scalar, Svd, SvdFactors, SvdMethod, SvdRecovery,
@@ -26,7 +26,7 @@ pub(crate) enum LadderSvd<T: Scalar> {
     Lazy(Box<PartialSvd<T>>),
     /// The blocked QR sweep stalled; the ladder walk produced an eager
     /// decomposition (with the breakdown trail) instead.
-    Recovered(Box<SvdRecovery>),
+    Recovered(Box<SvdRecovery<T>>),
 }
 
 impl<T: Scalar> LadderSvd<T> {
@@ -96,7 +96,7 @@ impl<T: Scalar> LadderSvd<T> {
     pub(crate) fn singular_values(&self) -> &[f64] {
         match self {
             LadderSvd::Lazy(p) => p.singular_values(),
-            LadderSvd::Recovered(r) => r.svd.singular_values(),
+            LadderSvd::Recovered(r) => &r.s,
         }
     }
 
@@ -118,11 +118,7 @@ impl<T: Scalar> LadderSvd<T> {
     pub(crate) fn accumulate_both(&self, r: usize) -> Result<(Matrix<T>, Matrix<T>), NumericError> {
         match self {
             LadderSvd::Lazy(p) => p.accumulate(SvdFactors::Both, r),
-            LadderSvd::Recovered(rec) => {
-                check_rank(r, rec.svd.singular_values().len())?;
-                let (u, _s, v) = rec.svd.truncate(r);
-                Ok((demote(&u), demote(&v)))
-            }
+            LadderSvd::Recovered(rec) => Ok((leading(&rec.u, r)?, leading(&rec.v, r)?)),
         }
     }
 
@@ -134,11 +130,7 @@ impl<T: Scalar> LadderSvd<T> {
     pub(crate) fn accumulate_u(&self, r: usize) -> Result<Matrix<T>, NumericError> {
         match self {
             LadderSvd::Lazy(p) => p.accumulate_u(r),
-            LadderSvd::Recovered(rec) => {
-                check_rank(r, rec.svd.singular_values().len())?;
-                let (u, _s, _v) = rec.svd.truncate(r);
-                Ok(demote(&u))
-            }
+            LadderSvd::Recovered(rec) => leading(&rec.u, r),
         }
     }
 
@@ -150,32 +142,21 @@ impl<T: Scalar> LadderSvd<T> {
     pub(crate) fn accumulate_v(&self, r: usize) -> Result<Matrix<T>, NumericError> {
         match self {
             LadderSvd::Lazy(p) => p.accumulate_v(r),
-            LadderSvd::Recovered(rec) => {
-                check_rank(r, rec.svd.singular_values().len())?;
-                let (_u, _s, v) = rec.svd.truncate(r);
-                Ok(demote(&v))
-            }
+            LadderSvd::Recovered(rec) => leading(&rec.v, r),
         }
     }
 }
 
-/// Guards [`Svd::truncate`]'s panic contract behind a typed error —
-/// the recovery path must never turn an out-of-range order into a
-/// panic.
-fn check_rank(r: usize, have: usize) -> Result<(), NumericError> {
-    if r == 0 || r > have {
+/// The leading `r` columns of a recovered factor, refused as a typed
+/// error (never a panic) for `r = 0`, `r` beyond the decomposition, or
+/// a factor the decomposition skipped.
+fn leading<T: Scalar>(factor: &Matrix<T>, r: usize) -> Result<Matrix<T>, NumericError> {
+    if r == 0 || r > factor.cols() {
         return Err(NumericError::InvalidArgument {
             what: "accumulation rank outside the decomposition",
         });
     }
-    Ok(())
-}
-
-/// Demotes an eager (always-complex) [`Svd`] factor back to the input
-/// scalar type; for real inputs every backend produces real factors, so
-/// the dropped imaginary parts are exactly zero.
-fn demote<T: Scalar>(m: &Matrix<mfti_numeric::Complex>) -> Matrix<T> {
-    m.map(T::from_complex_lossy)
+    factor.submatrix(0, 0, factor.rows(), r)
 }
 
 #[cfg(test)]

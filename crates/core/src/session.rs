@@ -39,7 +39,9 @@
 //! §9).
 
 use mfti_numeric::diag::Stopwatch;
-use mfti_numeric::{NumericError, RMatrix, Svd, SvdFactors, SvdMethod, SvdUpdater};
+use mfti_numeric::{
+    NumericError, RMatrix, Svd, SvdFactors, SvdMethod, SvdUpdater, DEFAULT_UPDATE_FLOOR,
+};
 use mfti_sampling::SampleSet;
 
 use crate::data::{TangentialData, Weights};
@@ -105,6 +107,9 @@ pub enum Reanchor {
     /// The blocked seed itself stalled (`NoConvergence`); the
     /// Golub–Kahan rung re-seeded the updater.
     GolubKahan,
+    /// Both QR rungs stalled; the one-sided Jacobi rung re-seeded the
+    /// updater.
+    Jacobi,
 }
 
 /// The leading prefix of the live window that an append evicts — all
@@ -197,11 +202,11 @@ pub enum SessionSvd {
     /// append — `O(K·(q + t)²)` per append instead of `O(K³)`.
     #[default]
     Updating,
-    /// Fresh values-only decomposition with the given backend on every
-    /// append — the exact-arithmetic oracle the updating path is tested
-    /// against, and the right choice when appends are rare and pencils
-    /// effectively full-rank.
-    Fresh(SvdMethod),
+    /// Fresh values-only decomposition on every append, walking the
+    /// recovery ladder from the blocked backend — the exact-arithmetic
+    /// oracle the updating path is tested against, and the right choice
+    /// when appends are rare and pencils effectively full-rank.
+    Fresh,
 }
 
 /// A staged, incrementally refittable MFTI pipeline.
@@ -396,7 +401,7 @@ impl FitSession {
     /// [`append`](FitSession::append); switching to a fresh oracle
     /// drops the retained updater state.
     pub fn svd(mut self, strategy: SessionSvd) -> Self {
-        if matches!(strategy, SessionSvd::Fresh(_)) {
+        if strategy == SessionSvd::Fresh {
             self.updater = None;
         }
         self.svd = strategy;
@@ -594,18 +599,16 @@ impl FitSession {
 
     /// The [`SessionSvd::Fresh`] oracle's signal on every append:
     /// a values-only decomposition of `x₀𝕃ᵣ − σ𝕃ᵣ` that walks the
-    /// recovery ladder from the chosen backend (DESIGN.md §8), so a
+    /// recovery ladder from the blocked backend (DESIGN.md §8), so a
     /// stalled sweep degrades and is recorded rather than failing the
     /// append.
-    fn fresh_signal(
-        real: &RealPencilState,
-        method: SvdMethod,
-    ) -> Result<SignalGeneration, FitError> {
-        let rec = Svd::compute_recovering(&real.shifted(), method, SvdFactors::ValuesOnly)
-            .map_err(MftiError::from)?;
+    fn fresh_signal(real: &RealPencilState) -> Result<SignalGeneration, FitError> {
+        let rec =
+            Svd::compute_recovering(&real.shifted(), SvdMethod::Blocked, SvdFactors::ValuesOnly)
+                .map_err(MftiError::from)?;
         Ok(SignalGeneration {
             updater: None,
-            sv: rec.svd.singular_values().to_vec(),
+            sv: rec.s,
             diagnostic: SignalDiagnostic::with_fallbacks(
                 rec.fallbacks.iter().map(|(m, _)| *m).collect(),
             ),
@@ -621,17 +624,18 @@ impl FitSession {
     /// under [`WindowPolicy::Unbounded`]), absorb the appended border,
     /// run the probe gate, check drift. A refused step or a tripped gate
     /// quarantines the candidate; that, drift past the refresh
-    /// threshold, or a full-window replacement re-anchors on the
-    /// two-rung ladder of DESIGN.md §9 — a fresh blocked decomposition,
-    /// then Golub–Kahan on `NoConvergence`.
+    /// threshold, or a full-window replacement re-anchors the updater
+    /// from the recovery ladder's decomposition of the live window
+    /// (DESIGN.md §8, §9): blocked, then Golub–Kahan, then Jacobi on
+    /// `NoConvergence`.
     fn advance_signal(
         &self,
         real: &RealPencilState,
         k_evict: usize,
         full_replacement: bool,
     ) -> Result<SignalGeneration, FitError> {
-        if let SessionSvd::Fresh(method) = self.svd {
-            return Self::fresh_signal(real, method);
+        if self.svd == SessionSvd::Fresh {
+            return Self::fresh_signal(real);
         }
         let Some(prev) = &self.real else {
             return Self::first_signal(real);
@@ -692,29 +696,26 @@ impl FitSession {
             }
         }
 
-        // The re-anchor ladder: a fresh blocked seed of the live
-        // window, then the Golub–Kahan backend when the blocked sweep
-        // itself stalls. Exhaustion fails the append transactionally —
-        // the quarantined candidate was never committed.
+        // The re-anchor: the recovery ladder's decomposition of the live
+        // window seeds a fresh updater. Exhaustion fails the append
+        // transactionally — the quarantined candidate was never
+        // committed.
         let mut fallbacks = Vec::new();
         let (live, reanchor) = match live {
             Some(upd) => (upd, None),
             None => {
-                let shifted = real.shifted();
-                match SvdUpdater::new(&shifted) {
-                    Ok(upd) => (upd, Some(Reanchor::FreshBlocked)),
-                    Err(NumericError::NoConvergence { .. }) => {
-                        fallbacks.push(SvdMethod::Blocked);
-                        let upd = SvdUpdater::with_floor_method(
-                            &shifted,
-                            mfti_numeric::DEFAULT_UPDATE_FLOOR,
-                            SvdMethod::GolubKahan,
-                        )
+                let rec =
+                    Svd::compute_recovering(&real.shifted(), SvdMethod::Blocked, SvdFactors::Both)
                         .map_err(MftiError::from)?;
-                        (upd, Some(Reanchor::GolubKahan))
-                    }
-                    Err(err) => return Err(MftiError::from(err).into()),
-                }
+                fallbacks = rec.fallbacks.iter().map(|(m, _)| *m).collect();
+                let rung = match rec.method {
+                    SvdMethod::Blocked => Reanchor::FreshBlocked,
+                    SvdMethod::GolubKahan => Reanchor::GolubKahan,
+                    _ => Reanchor::Jacobi,
+                };
+                let upd = SvdUpdater::from_factors(rec.u, rec.s, rec.v, DEFAULT_UPDATE_FLOOR)
+                    .map_err(MftiError::from)?;
+                (upd, Some(rung))
             }
         };
 
@@ -988,7 +989,7 @@ mod tests {
         let tail = rest.subset(&[4, 5, 6, 7, 8, 9, 10, 11]).unwrap();
 
         let mut updating = FitSession::new(Mfti::new());
-        let mut oracle = FitSession::new(Mfti::new()).svd(SessionSvd::Fresh(SvdMethod::Blocked));
+        let mut oracle = FitSession::new(Mfti::new()).svd(SessionSvd::Fresh);
         for batch in [&head, &mid, &tail] {
             updating.append(batch).unwrap();
             oracle.append(batch).unwrap();
@@ -1109,7 +1110,7 @@ mod tests {
         let (head, rest) = split_edges_first(&all, 6);
         let mid = rest.subset(&[0, 1]).unwrap();
         let tail = rest.subset(&[2, 3, 4, 5, 6, 7, 8, 9]).unwrap();
-        for strategy in [SessionSvd::Updating, SessionSvd::Fresh(SvdMethod::Blocked)] {
+        for strategy in [SessionSvd::Updating, SessionSvd::Fresh] {
             let mut session = FitSession::new(Mfti::new()).svd(strategy);
             session.append(&head).unwrap();
             let sv1 = session.singular_values().unwrap().to_vec();
@@ -1221,7 +1222,7 @@ mod tests {
         assert!(session.signal_error_bound().is_some());
 
         // The fresh oracle's signal is exact by construction: no bound.
-        let mut oracle = FitSession::new(Mfti::new()).svd(SessionSvd::Fresh(SvdMethod::Blocked));
+        let mut oracle = FitSession::new(Mfti::new()).svd(SessionSvd::Fresh);
         oracle.append(&head).unwrap();
         assert!(oracle.signal_trajectory()[0].error_bound.is_none());
         assert!(oracle.signal_error_bound().is_none());
@@ -1268,7 +1269,7 @@ mod tests {
         let mut updating = FitSession::new(Mfti::new()).window(window);
         let mut oracle = FitSession::new(Mfti::new())
             .window(window)
-            .svd(SessionSvd::Fresh(SvdMethod::Blocked));
+            .svd(SessionSvd::Fresh);
 
         updating.append(&head).unwrap();
         oracle.append(&head).unwrap();

@@ -7,11 +7,11 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use mfti_core::{FitResult, FitSession, Mfti, OrderSelection};
+use mfti_core::{FitResult, FitSession, Mfti, OrderSelection, Reanchor, WindowPolicy};
 use mfti_numeric::faults::InjectedFault;
 use mfti_numeric::SvdMethod;
 use mfti_sampling::generators::RandomSystemBuilder;
-use mfti_sampling::{FrequencyGrid, SampleSet};
+use mfti_sampling::{FrequencyGrid, NoiseModel, SampleSet};
 use mfti_statespace::{DescriptorSystem, Macromodel};
 
 /// `InjectedFault` serializes only while armed: a test's disarmed
@@ -136,4 +136,86 @@ fn one_sided_stacks_degrade_through_the_ladder() {
         .expect("dense realize recovers");
     let model = served.model().as_real().expect("descriptor model");
     assert_eq!(model_bits(model), model_bits(&capped.model));
+}
+
+/// A sliding-window session re-anchors through the same ladder a fit
+/// walks. On noisy data the window is full rank, so every steady-state
+/// append refuses its downdate, quarantines the updater and re-anchors
+/// from a fresh decomposition of the live window. With both QR rungs
+/// stalled that decomposition comes from the Jacobi rung: the append
+/// succeeds, records the trail, matches an uncapped twin's σ and still
+/// realizes. With every rung stalled the append fails typed and leaves
+/// the session as it was.
+#[test]
+fn qr_stalled_window_reanchors_through_jacobi() {
+    let _serial = serial();
+    let sys = RandomSystemBuilder::new(10, 2, 2)
+        .d_rank(2)
+        .band(1e6, 1e9)
+        .seed(0x51_1DE5)
+        .build()
+        .expect("valid");
+    let grid = FrequencyGrid::log_space(1e6, 1e9, 24).expect("grid");
+    let clean = SampleSet::from_system(&sys, &grid).expect("sampling");
+    let noisy = NoiseModel::additive_relative(1e-4).apply(&clean, 0x51_1DE5);
+    // Band edges first, then one pair per append; capacity 16 holds four
+    // pairs, so the fifth append is the first to evict.
+    let k = noisy.len();
+    let mut batches = vec![noisy.subset(&[0, k - 1]).expect("edges")];
+    for i in (1..k - 1).step_by(2) {
+        batches.push(noisy.subset(&[i, i + 1]).expect("pair"));
+    }
+    let mut session = FitSession::new(Mfti::new()).window(WindowPolicy::Sliding { capacity: 16 });
+    for batch in &batches[..5] {
+        session.append(batch).expect("uncapped append");
+    }
+    assert!(session.retained_rank().is_some(), "the updater exists");
+
+    let mut twin = session.clone();
+    twin.append(&batches[5]).expect("uncapped twin");
+    let last = twin.signal_trajectory().last().expect("record");
+    assert!(last.quarantined && last.evicted_pairs > 0);
+    assert_eq!(last.reanchor, Some(Reanchor::FreshBlocked));
+
+    {
+        let _cap = InjectedFault::cap_qr_iterations(1);
+        session
+            .append(&batches[5])
+            .expect("the Jacobi rung re-anchors");
+    }
+    let last = session.signal_trajectory().last().expect("record");
+    assert!(last.quarantined);
+    assert_eq!(last.reanchor, Some(Reanchor::Jacobi));
+    assert_eq!(
+        last.svd_fallbacks,
+        [SvdMethod::Blocked, SvdMethod::GolubKahan]
+    );
+    let (got, want) = (
+        session.singular_values().expect("σ"),
+        twin.singular_values().expect("σ"),
+    );
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(want) {
+        assert!(
+            (g - w).abs() <= 1e-10 * want[0],
+            "σ {g:e} vs uncapped {w:e}"
+        );
+    }
+    let served = session.realize().expect("realize from the Jacobi seed");
+    assert_eq!(served.order(), twin.realize().expect("twin").order());
+
+    // Every rung stalled: a typed refusal, and the session is untouched.
+    let (order, sv, appends) = (
+        session.pencil_order(),
+        session.singular_values().expect("σ").to_vec(),
+        session.signal_trajectory().len(),
+    );
+    {
+        let _cap = InjectedFault::cap_all_iterations(1);
+        assert!(session.append(&batches[6]).is_err(), "ladder exhausts");
+    }
+    assert_eq!(session.pencil_order(), order);
+    assert_eq!(session.singular_values().expect("σ"), &sv[..]);
+    assert_eq!(session.signal_trajectory().len(), appends);
+    assert!(session.realize().is_ok());
 }

@@ -65,7 +65,10 @@ pub enum FaultKind {
     NearDefectivePencil,
     /// The bidiagonal/Schur QR budgets capped at one iteration: the
     /// Blocked and Golub–Kahan rungs break down and recovery must come
-    /// from the Jacobi rung (or surface typed non-convergence).
+    /// from the Jacobi rung (or surface typed non-convergence). Run
+    /// through the four engines and, once its updater exists, through a
+    /// sliding-window [`FitSession`] whose every re-anchor must come
+    /// from the Jacobi rung too.
     QrStall,
     /// Every iterative kernel capped at once: no SVD rung can converge
     /// and the whole ladder must fail *typed*.
@@ -86,8 +89,8 @@ pub enum FaultKind {
     DowndateCancellationStorm,
     /// A forced re-anchor (always-firing drift threshold) while every
     /// iterative kernel is capped at one sweep: the re-anchor ladder —
-    /// fresh blocked, then Golub–Kahan — exhausts and the windowed
-    /// append must fail *typed and transactionally*.
+    /// fresh blocked, then Golub–Kahan, then Jacobi — exhausts and the
+    /// windowed append must fail *typed and transactionally*.
     GateFailureExhaustion,
 }
 
@@ -456,7 +459,7 @@ fn window_batches(kind: FaultKind, base: &SampleSet) -> Result<Vec<SampleSet>, C
                 .collect::<Result<Vec<_>, CampaignError>>()?;
             Ok(batches)
         }
-        FaultKind::GateFailureExhaustion => {
+        FaultKind::QrStall | FaultKind::GateFailureExhaustion => {
             let mut batches = vec![subset(&order[..4])?];
             for pair in order[4..].chunks(2) {
                 batches.push(subset(pair)?);
@@ -487,10 +490,16 @@ fn drive_window_fault(
     }
     let mut guard = None;
     for (i, batch) in batches.iter().enumerate() {
-        if kind == FaultKind::GateFailureExhaustion && i == 2 {
-            // Arm the total iteration cap only once the updater exists:
-            // the quarantined advance now finds every ladder rung dead.
-            guard = Some(InjectedFault::cap_all_iterations(1));
+        // Arm the caps only once the updater exists. Under the QR cap
+        // an advance whose update stalls can re-anchor only from the
+        // Jacobi rung; under the total cap the quarantined advance
+        // finds every ladder rung dead.
+        if i == 2 {
+            guard = match kind {
+                FaultKind::QrStall => Some(InjectedFault::cap_qr_iterations(1)),
+                FaultKind::GateFailureExhaustion => Some(InjectedFault::cap_all_iterations(1)),
+                _ => None,
+            };
         }
         if let Err(e) = session.append(batch) {
             drop(guard);
@@ -532,6 +541,51 @@ fn drive_window_fault(
     }
 }
 
+/// Drives `kind` through one sliding-window [`FitSession`]
+/// ([`drive_window_fault`], wrapped in `catch_unwind`) and digests the
+/// outcome into `fnv`.
+fn window_record(
+    kind: FaultKind,
+    base: &SampleSet,
+    probes: &[f64],
+    fnv: &mut Fnv,
+) -> Result<RunRecord, CampaignError> {
+    let batches = window_batches(kind, base)?;
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        drive_window_fault(kind, &batches, probes)
+    }));
+    fnv.text(kind.as_str());
+    fnv.text("mfti-session-window");
+    let outcome = match caught {
+        Ok((outcome, bits)) => {
+            match &outcome {
+                RunOutcome::Fitted { order } => {
+                    fnv.bits(1);
+                    fnv.bits(*order as u64);
+                    for b in bits {
+                        fnv.bits(b);
+                    }
+                }
+                RunOutcome::TypedError { message } => {
+                    fnv.bits(2);
+                    fnv.text(message);
+                }
+                RunOutcome::Panicked => fnv.bits(3),
+            }
+            outcome
+        }
+        Err(_) => {
+            fnv.bits(3);
+            RunOutcome::Panicked
+        }
+    };
+    Ok(RunRecord {
+        fault: kind,
+        engine: "mfti-session-window",
+        outcome,
+    })
+}
+
 /// The four engines of the workspace behind the object-safe trait.
 fn engines() -> Vec<Box<dyn Fitter>> {
     vec![
@@ -566,42 +620,7 @@ pub fn run_campaign(seed: u64) -> Result<CampaignReport, CampaignError> {
     let mut fnv = Fnv::new();
     for kind in FaultKind::ALL {
         if kind.is_window_fault() {
-            // Eviction fault classes run through one sliding-window
-            // session (the machinery under attack), one record each.
-            let batches = window_batches(kind, &base)?;
-            let caught = catch_unwind(AssertUnwindSafe(|| {
-                drive_window_fault(kind, &batches, &probes)
-            }));
-            fnv.text(kind.as_str());
-            fnv.text("mfti-session-window");
-            let outcome = match caught {
-                Ok((outcome, bits)) => {
-                    match &outcome {
-                        RunOutcome::Fitted { order } => {
-                            fnv.bits(1);
-                            fnv.bits(*order as u64);
-                            for b in bits {
-                                fnv.bits(b);
-                            }
-                        }
-                        RunOutcome::TypedError { message } => {
-                            fnv.bits(2);
-                            fnv.text(message);
-                        }
-                        RunOutcome::Panicked => fnv.bits(3),
-                    }
-                    outcome
-                }
-                Err(_) => {
-                    fnv.bits(3);
-                    RunOutcome::Panicked
-                }
-            };
-            records.push(RunRecord {
-                fault: kind,
-                engine: "mfti-session-window",
-                outcome,
-            });
+            records.push(window_record(kind, &base, &probes, &mut fnv)?);
             continue;
         }
         let samples = inject(kind, &base, &mut rng)?;
@@ -653,6 +672,11 @@ pub fn run_campaign(seed: u64) -> Result<CampaignReport, CampaignError> {
                 outcome,
             });
         }
+        if kind == FaultKind::QrStall {
+            // The stall also runs through a windowed session, whose
+            // re-anchors walk the same ladder as the engines' fits.
+            records.push(window_record(kind, &base, &probes, &mut fnv)?);
+        }
     }
     Ok(CampaignReport {
         seed,
@@ -692,11 +716,16 @@ mod tests {
     }
 
     /// Expected campaign size: four engines per one-shot fault class,
-    /// one windowed-session record per eviction fault class.
+    /// one windowed-session record per eviction fault class, and one
+    /// more windowed record for the QR stall.
     fn expected_records() -> usize {
         FaultKind::ALL
             .iter()
-            .map(|k| if k.is_window_fault() { 1 } else { 4 })
+            .map(|&k| match k {
+                k if k.is_window_fault() => 1,
+                FaultKind::QrStall => 5,
+                _ => 4,
+            })
             .sum()
     }
 
@@ -754,13 +783,24 @@ mod tests {
             );
         }
         // The exhausted ladder is a refusal, never a model served off a
-        // quarantined factorization.
+        // quarantined factorization; its last rung is Jacobi.
         match &report.of_fault(FaultKind::GateFailureExhaustion)[0].outcome {
             RunOutcome::TypedError { message } => {
-                assert!(message.starts_with("mfti:"), "unexpected class: {message}")
+                assert!(message.starts_with("mfti:"), "unexpected class: {message}");
+                assert!(message.contains("jacobi"), "last rung: {message}");
             }
             other => panic!("exhausted ladder must refuse, got {other:?}"),
         }
+        // A QR stall leaves the Jacobi rung alive: the windowed session
+        // re-anchors from it and keeps serving.
+        let stall = report.of_fault(FaultKind::QrStall);
+        assert_eq!(stall.len(), 5);
+        assert_eq!(stall[4].engine, "mfti-session-window");
+        assert!(
+            matches!(stall[4].outcome, RunOutcome::Fitted { .. }),
+            "QR-stalled window: {:?}",
+            stall[4].outcome
+        );
     }
 
     #[test]

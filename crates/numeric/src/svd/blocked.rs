@@ -112,12 +112,13 @@ pub(crate) fn svd_blocked<T: Scalar>(
 
     // --- Phase 2: WY-blocked accumulation of the requested factors -------
     let u = if want_u {
-        accumulate_u(&w, &tauq)?
+        let eye = Matrix::from_fn(m, n, |i, j| if i == j { T::ONE } else { T::ZERO });
+        accumulate(eye, column_wy_blocks(&w, &tauq))?
     } else {
         Matrix::<T>::zeros(0, 0)
     };
     let v = if want_v {
-        accumulate_v(&w, &taup)?
+        accumulate(Matrix::identity(n), row_wy_blocks(&w, &taup))?
     } else {
         Matrix::<T>::zeros(0, 0)
     };
@@ -527,56 +528,64 @@ pub(super) fn larft<T: Scalar>(v: &Matrix<T>, taus: &[T]) -> Matrix<T> {
     t
 }
 
-/// Accumulates `U = H_0 H_1 ⋯ H_{n−1}` (left reflectors, tails stored
-/// below `w`'s diagonal) applied to the leading `m × n` identity,
-/// one WY block at a time from the last panel backwards. Applying the
-/// block at `i0` only touches rows/columns `i0..`, because every
-/// untouched column is still a unit vector supported above `i0`.
-fn accumulate_u<T: Scalar>(w: &Matrix<T>, tauq: &[T]) -> Result<Matrix<T>, NumericError> {
-    let (m, n) = w.dims();
-    let mut u = Matrix::<T>::zeros(m, n);
-    for i in 0..n {
-        u[(i, i)] = T::ONE;
-    }
-    let starts: Vec<usize> = (0..n).step_by(NB).collect();
-    for &i0 in starts.iter().rev() {
-        let nb = NB.min(n - i0);
-        let rows = m - i0;
-        let mut vblk = Matrix::<T>::zeros(rows, nb);
-        for j in 0..nb {
-            let k = i0 + j;
-            vblk[(j, j)] = T::ONE;
-            for r in k + 1..m {
-                vblk[(r - i0, j)] = w[(r, k)];
-            }
+/// The WY block of the column-stored reflectors `i0 .. i0 + nb` (tails
+/// below the diagonal of `w`'s columns, as the left reflectors of the
+/// panel sweep and of the QR-first factorization keep them): the tails
+/// gathered into a unit-lower `V` over rows `i0..` and its [`larft`]
+/// factor `T`, so the block acts as `I − V·T·Vᴴ` on those rows.
+pub(super) fn column_wy_block<T: Scalar>(
+    w: &Matrix<T>,
+    taus: &[T],
+    i0: usize,
+    nb: usize,
+) -> (Matrix<T>, Matrix<T>) {
+    let m = w.rows();
+    let mut vblk = Matrix::<T>::zeros(m - i0, nb);
+    for j in 0..nb {
+        let k = i0 + j;
+        vblk[(j, j)] = T::ONE;
+        for r in k + 1..m {
+            vblk[(r - i0, j)] = w[(r, k)];
         }
-        let tmat = larft(&vblk, &tauq[i0..i0 + nb]);
-        let mut usub = u.submatrix(i0, i0, rows, n - i0)?;
-        let w1 = kernel::mul_hermitian_left(&vblk, &usub)?;
-        let w2 = tmat.matmul(&w1)?;
-        kernel::accumulate_scaled(&mut usub, T::from_f64(-1.0), &vblk, &w2)?;
-        u.set_block(i0, i0, &usub)?;
     }
-    Ok(u)
+    let tmat = larft(&vblk, &taus[i0..i0 + nb]);
+    (vblk, tmat)
 }
 
-/// Accumulates `V = P_0 P_1 ⋯ P_{n−2}` (right reflectors, tails stored
-/// right of `w`'s superdiagonal; reflector `k` acts on coordinates
-/// `k+1..n`), by the same backward WY blocks as [`accumulate_u`].
-fn accumulate_v<T: Scalar>(w: &Matrix<T>, taup: &[T]) -> Result<Matrix<T>, NumericError> {
+/// A WY block `(row0, V, T)`: `I − V·T·Vᴴ` acting on rows
+/// `row0 .. row0 + V.rows()`.
+pub(super) type WyBlock<T> = (usize, Matrix<T>, Matrix<T>);
+
+/// [`column_wy_block`] of every `NB`-wide panel of `w`'s columns, from
+/// the last panel backwards — the order that applies
+/// `H_0 H_1 ⋯ H_{n−1}` to a matrix on its right.
+pub(super) fn column_wy_blocks<'a, T: Scalar>(
+    w: &'a Matrix<T>,
+    taus: &'a [T],
+) -> impl Iterator<Item = WyBlock<T>> + 'a {
     let n = w.cols();
-    let mut v = Matrix::<T>::identity(n);
-    if n < 2 {
-        return Ok(v);
-    }
-    let starts: Vec<usize> = (0..n).step_by(NB).collect();
-    for &i0 in starts.iter().rev() {
-        let nb = NB.min(n - i0).min(n - 1 - i0);
+    (0..n).step_by(NB).rev().map(move |i0| {
+        let (vblk, tmat) = column_wy_block(w, taus, i0, NB.min(n - i0));
+        (i0, vblk, tmat)
+    })
+}
+
+/// The WY blocks of `w`'s row-stored right reflectors (reflector `k`
+/// acts on coordinates `k+1..n`, its tail stored right of the
+/// superdiagonal), panel by panel from the last backwards: each tail
+/// gathered into a unit-lower `V` over coordinates `i0 + 1..` with its
+/// [`larft`] factor.
+pub(super) fn row_wy_blocks<'a, T: Scalar>(
+    w: &'a Matrix<T>,
+    taus: &'a [T],
+) -> impl Iterator<Item = WyBlock<T>> + 'a {
+    let n = w.cols();
+    (0..n).step_by(NB).rev().filter_map(move |i0| {
+        let nb = NB.min(n - 1 - i0);
         if nb == 0 {
-            continue;
+            return None;
         }
-        let rows = n - i0 - 1; // coordinates i0+1..n
-        let mut vblk = Matrix::<T>::zeros(rows, nb);
+        let mut vblk = Matrix::<T>::zeros(n - i0 - 1, nb);
         for j in 0..nb {
             let k = i0 + j;
             vblk[(j, j)] = T::ONE;
@@ -584,14 +593,29 @@ fn accumulate_v<T: Scalar>(w: &Matrix<T>, taup: &[T]) -> Result<Matrix<T>, Numer
                 vblk[(c - i0 - 1, j)] = w[(k, c)];
             }
         }
-        let tmat = larft(&vblk, &taup[i0..i0 + nb]);
-        let mut vsub = v.submatrix(i0 + 1, i0 + 1, rows, rows)?;
-        let w1 = kernel::mul_hermitian_left(&vblk, &vsub)?;
+        let tmat = larft(&vblk, &taus[i0..i0 + nb]);
+        Some((i0 + 1, vblk, tmat))
+    })
+}
+
+/// Applies backward WY `blocks` to `x`, a leading identity, giving the
+/// accumulated factor (`U = H_0 ⋯ H_{n−1}` or `V = P_0 ⋯ P_{n−2}`).
+/// The block at `row0` only touches rows and columns `row0..`, because
+/// every column left of it is still a unit vector supported above
+/// `row0`.
+fn accumulate<T: Scalar>(
+    mut x: Matrix<T>,
+    blocks: impl Iterator<Item = WyBlock<T>>,
+) -> Result<Matrix<T>, NumericError> {
+    let (m, n) = x.dims();
+    for (row0, vblk, tmat) in blocks {
+        let mut sub = x.submatrix(row0, row0, m - row0, n - row0)?;
+        let w1 = kernel::mul_hermitian_left(&vblk, &sub)?;
         let w2 = tmat.matmul(&w1)?;
-        kernel::accumulate_scaled(&mut vsub, T::from_f64(-1.0), &vblk, &w2)?;
-        v.set_block(i0 + 1, i0 + 1, &vsub)?;
+        kernel::accumulate_scaled(&mut sub, T::from_f64(-1.0), &vblk, &w2)?;
+        x.set_block(row0, row0, &sub)?;
     }
-    Ok(v)
+    Ok(x)
 }
 
 #[cfg(test)]

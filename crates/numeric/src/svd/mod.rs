@@ -11,8 +11,18 @@
 //!   reflector at a time (the LINPACK/JAMA structure). Kept as the
 //!   rank-1 reference oracle the blocked path is validated against.
 //! * [`SvdMethod::Jacobi`] — one-sided complex Jacobi. Slower but
-//!   structurally unrelated, which makes it a strong cross-check in tests
-//!   and an ablation point in the benchmark suite.
+//!   structurally unrelated, which makes it the last rung of the
+//!   recovery ladder, a strong cross-check in tests and an ablation
+//!   point in the benchmark suite.
+//!
+//! One dispatch runs every backend in the input scalar type: real
+//! matrices stay real (Jacobi promotes its input and demotes its
+//! factors, exactly, since real input leaves every imaginary part
+//! zero), and only the [`Svd`] container promotes its factors to
+//! complex. [`Svd::compute_recovering`] is the one walk of the
+//! degradation ladder ([`SvdMethod::ladder`]); it returns native
+//! factors, so the fitting pipeline's recovered decompositions and a
+//! session's re-anchor seed ([`SvdUpdater::from_factors`]) stay real.
 //!
 //! For *streams* of row/column appends — the `FitSession` serving path,
 //! where the shifted Loewner pencil grows with every arriving
@@ -78,13 +88,20 @@ impl SvdMethod {
     }
 }
 
-/// Outcome of [`Svd::compute_recovering`]: the decomposition together
-/// with the record of backends that broke down before one converged.
+/// Outcome of [`Svd::compute_recovering`]: the thin decomposition
+/// `A = U diag(s) V*` in the input scalar type, together with the
+/// record of backends that broke down before one converged.
 #[derive(Debug, Clone)]
-pub struct SvdRecovery {
-    /// The successful decomposition.
-    pub svd: Svd,
-    /// The backend that produced [`SvdRecovery::svd`].
+pub struct SvdRecovery<T: Scalar> {
+    /// Left singular vectors (`m × min(m, n)`); empty (`0×0`) when the
+    /// requested [`SvdFactors`] skip them.
+    pub u: Matrix<T>,
+    /// Singular values in descending order.
+    pub s: Vec<f64>,
+    /// Right singular vectors (`n × min(m, n)`), *not* conjugated;
+    /// empty (`0×0`) when skipped.
+    pub v: Matrix<T>,
+    /// The backend that produced the decomposition.
     pub method: SvdMethod,
     /// Backends that failed with [`NumericError::NoConvergence`] before
     /// `method` succeeded, in attempt order; empty on a first-try
@@ -92,7 +109,7 @@ pub struct SvdRecovery {
     pub fallbacks: Vec<(SvdMethod, NumericError)>,
 }
 
-impl SvdRecovery {
+impl<T: Scalar> SvdRecovery<T> {
     /// Whether any ladder rung broke down before the decomposition
     /// succeeded (a "logged recovery" in the fault-harness taxonomy).
     #[must_use]
@@ -209,21 +226,15 @@ impl Svd {
         method: SvdMethod,
         factors: SvdFactors,
     ) -> Result<Self, NumericError> {
-        validate_input(a)?;
-        // All backends assume m >= n; handle wide matrices through the
-        // adjoint: A = U Σ V*  ⇔  A* = V Σ U*. The transpose happens in
-        // the input scalar type — real inputs stay real all the way into
-        // the blocked backend.
-        if a.rows() < a.cols() {
-            let adj = a.adjoint();
-            let svd = Self::dispatch(&adj, method, factors.swapped())?;
-            return Ok(Svd {
-                u: svd.v,
-                s: svd.s,
-                v: svd.u,
-            });
-        }
-        Self::dispatch(a, method, factors)
+        // Real matrices run the real path (a quarter of the complex
+        // flops); only the returned factors are promoted, here at the
+        // scalar-agnostic container boundary.
+        let (u, s, v) = Self::factors_native(a, method, factors)?;
+        Ok(Svd {
+            u: u.to_complex(),
+            s,
+            v: v.to_complex(),
+        })
     }
 
     /// Computes the SVD with breakdown recovery: walks the degradation
@@ -234,11 +245,14 @@ impl Svd {
     /// are not recoverable by a backend change and propagate
     /// immediately.
     ///
-    /// This is the defensive entry point of the fitting pipeline
-    /// (DESIGN.md §8): a stalled QR sweep degrades to the structurally
-    /// unrelated Jacobi rung instead of failing the whole fit, and the
-    /// caller gets the breakdown trail in
-    /// [`SvdRecovery::fallbacks`] to log.
+    /// This is the one ladder walk of the workspace (DESIGN.md §8): the
+    /// fitting pipeline's recovered decompositions and a session's
+    /// re-anchor seed both come from it. A stalled QR sweep degrades to
+    /// the structurally unrelated Jacobi rung instead of failing, and
+    /// the caller gets the breakdown trail in
+    /// [`SvdRecovery::fallbacks`] to log. The factors come back in the
+    /// input scalar type (real stays real); each rung's are bit for bit
+    /// those [`Svd::compute_factors`] gives for it, before promotion.
     ///
     /// # Errors
     ///
@@ -248,13 +262,15 @@ impl Svd {
         a: &Matrix<T>,
         method: SvdMethod,
         factors: SvdFactors,
-    ) -> Result<SvdRecovery, NumericError> {
+    ) -> Result<SvdRecovery<T>, NumericError> {
         let mut fallbacks: Vec<(SvdMethod, NumericError)> = Vec::new();
         for &rung in method.ladder() {
-            match Self::compute_factors(a, rung, factors) {
-                Ok(svd) => {
+            match Self::factors_native(a, rung, factors) {
+                Ok((u, s, v)) => {
                     return Ok(SvdRecovery {
-                        svd,
+                        u,
+                        s,
+                        v,
                         method: rung,
                         fallbacks,
                     })
@@ -279,7 +295,7 @@ impl Svd {
     ///
     /// See [`Svd::compute`].
     pub fn singular_values_of<T: Scalar>(a: &Matrix<T>) -> Result<Vec<f64>, NumericError> {
-        Ok(Self::compute_factors(a, SvdMethod::default(), SvdFactors::ValuesOnly)?.s)
+        Ok(Self::factors_native(a, SvdMethod::default(), SvdFactors::ValuesOnly)?.1)
     }
 
     /// Splits the decomposition at the bidiagonal: the returned
@@ -323,88 +339,25 @@ impl Svd {
     }
 
     /// Thin SVD in the **input scalar type** (real factors for real
-    /// input): `(U m×r, σ r, V n×r)` with `r = min(m, n)`, through the
-    /// default blocked backend (which delegates small problems to the
-    /// rank-1 reference path). This is the factorization engine of
+    /// input): `(U m×r, σ r, V n×r)` with `r = min(m, n)` and skipped
+    /// factors `0×0`. The one dispatch over the three backends, behind
+    /// [`Svd::compute_factors`], [`Svd::compute_recovering`] and
     /// [`SvdUpdater`], which must keep realified pencils on the packed
-    /// real GEMM path across updates; [`Svd`] promotes the same triplet
-    /// to complex at its container boundary.
+    /// real GEMM path across updates.
     pub(crate) fn factors_native<T: Scalar>(
-        a: &Matrix<T>,
-        want_u: bool,
-        want_v: bool,
-    ) -> Result<bidiag_qr::SvdTriplet<T>, NumericError> {
-        Self::factors_native_with(a, SvdMethod::Blocked, want_u, want_v)
-    }
-
-    /// [`Svd::factors_native`] with an explicit backend — the
-    /// degradation rungs of [`SvdUpdater`] re-anchoring need a native
-    /// Golub–Kahan seed when the blocked path has already stalled.
-    /// Only the scalar-generic backends are supported (the one-sided
-    /// Jacobi rung is complex-only and lives behind [`Svd::compute_with`]).
-    pub(crate) fn factors_native_with<T: Scalar>(
-        a: &Matrix<T>,
-        method: SvdMethod,
-        want_u: bool,
-        want_v: bool,
-    ) -> Result<bidiag_qr::SvdTriplet<T>, NumericError> {
-        validate_input(a)?;
-        if a.rows() < a.cols() {
-            // A = U Σ V*  ⇔  A* = V Σ U*: factor wants swap through the
-            // adjoint, exactly as in `compute_factors`.
-            let (v, s, u) = Self::backend_native(&a.adjoint(), method, want_v, want_u)?;
-            return Ok((u, s, v));
-        }
-        Self::backend_native(a, method, want_u, want_v)
-    }
-
-    fn backend_native<T: Scalar>(
-        a: &Matrix<T>,
-        method: SvdMethod,
-        want_u: bool,
-        want_v: bool,
-    ) -> Result<bidiag_qr::SvdTriplet<T>, NumericError> {
-        match method {
-            SvdMethod::Blocked => blocked::svd_blocked(a, want_u, want_v),
-            SvdMethod::GolubKahan => golub_kahan::svd_golub_kahan(a, want_u, want_v),
-            SvdMethod::Jacobi => Err(NumericError::InvalidArgument {
-                what: "native factorization supports the blocked and Golub–Kahan backends",
-            }),
-        }
-    }
-
-    fn dispatch<T: Scalar>(
         a: &Matrix<T>,
         method: SvdMethod,
         factors: SvdFactors,
-    ) -> Result<Self, NumericError> {
-        let (want_u, want_v) = (factors.left(), factors.right());
-        let (u, s, v) = match method {
-            // The blocked and Golub–Kahan backends are scalar-generic:
-            // real matrices run the real path (a quarter of the complex
-            // flops) and only the returned factors are promoted, here at
-            // the scalar-agnostic container boundary.
-            SvdMethod::Blocked => {
-                let (u, s, v) = blocked::svd_blocked(a, want_u, want_v)?;
-                (u.to_complex(), s, v.to_complex())
-            }
-            SvdMethod::GolubKahan => {
-                let (u, s, v) = golub_kahan::svd_golub_kahan(a, want_u, want_v)?;
-                (u.to_complex(), s, v.to_complex())
-            }
-            SvdMethod::Jacobi => {
-                // The one-sided Jacobi iteration produces both factors as
-                // a by-product; honoring the request means dropping the
-                // unwanted ones after the fact.
-                let (u, s, v) = jacobi::svd_jacobi(&a.to_complex())?;
-                (
-                    if want_u { u } else { CMatrix::zeros(0, 0) },
-                    s,
-                    if want_v { v } else { CMatrix::zeros(0, 0) },
-                )
-            }
-        };
-        Ok(Svd { u, s, v })
+    ) -> Result<bidiag_qr::SvdTriplet<T>, NumericError> {
+        validate_input(a)?;
+        // All backends assume m >= n; handle wide matrices through the
+        // adjoint: A = U Σ V*  ⇔  A* = V Σ U*. The transpose happens in
+        // the input scalar type.
+        if a.rows() < a.cols() {
+            let (v, s, u) = backend(&a.adjoint(), method, factors.swapped())?;
+            return Ok((u, s, v));
+        }
+        backend(a, method, factors)
     }
 
     /// Left singular vectors (`m × min(m,n)`); empty (`0×0`) when the
@@ -514,6 +467,34 @@ impl Svd {
             (Some(&max), Some(&min)) if min > 0.0 => max / min,
             (Some(_), _) => f64::INFINITY,
             _ => f64::NAN,
+        }
+    }
+}
+
+/// Runs `method` on a tall (`m ≥ n`) `a`, in `a`'s scalar type.
+fn backend<T: Scalar>(
+    a: &Matrix<T>,
+    method: SvdMethod,
+    factors: SvdFactors,
+) -> Result<bidiag_qr::SvdTriplet<T>, NumericError> {
+    let (want_u, want_v) = (factors.left(), factors.right());
+    match method {
+        SvdMethod::Blocked => blocked::svd_blocked(a, want_u, want_v),
+        SvdMethod::GolubKahan => golub_kahan::svd_golub_kahan(a, want_u, want_v),
+        SvdMethod::Jacobi => {
+            // The one-sided iteration is complex-only. On real input
+            // every rotation keeps the imaginary parts zero, so the
+            // demotion is exact. Both factors come as a by-product;
+            // honoring the request means dropping the unwanted ones.
+            let (u, s, v) = jacobi::svd_jacobi(&a.to_complex())?;
+            let demote = |m: CMatrix, want: bool| {
+                if want {
+                    m.map(T::from_complex_lossy)
+                } else {
+                    Matrix::zeros(0, 0)
+                }
+            };
+            Ok((demote(u, want_u), s, demote(v, want_v)))
         }
     }
 }
@@ -734,7 +715,12 @@ mod tests {
         let rec = Svd::compute_recovering(&a, SvdMethod::Blocked, SvdFactors::Both).unwrap();
         assert_eq!(rec.method, SvdMethod::Blocked);
         assert!(!rec.recovered());
-        check_svd(&a, &rec.svd, 1e-11);
+        let svd = Svd {
+            u: rec.u,
+            s: rec.s,
+            v: rec.v,
+        };
+        check_svd(&a, &svd, 1e-11);
     }
 
     #[test]
@@ -743,6 +729,60 @@ mod tests {
         bad[(1, 2)] = c64(f64::INFINITY, 0.0);
         let err = Svd::compute_recovering(&bad, SvdMethod::Blocked, SvdFactors::Both).unwrap_err();
         assert!(matches!(err, NumericError::NotFinite { .. }));
+    }
+
+    fn bits(m: &CMatrix) -> Vec<u64> {
+        m.iter()
+            .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn each_rung_of_the_walk_gives_the_compute_factors_bits() {
+        // Entered at any rung, a healthy walk stops there and returns
+        // that rung's `compute_factors` factors in the input scalar
+        // type: real input keeps their real parts (the promotion adds
+        // zero imaginary parts), complex input the factors themselves.
+        // Tall and wide, above and below the panel threshold.
+        fn check<T: Scalar>(a: &Matrix<T>) {
+            for method in [SvdMethod::Blocked, SvdMethod::GolubKahan, SvdMethod::Jacobi] {
+                for factors in [SvdFactors::Both, SvdFactors::Left, SvdFactors::ValuesOnly] {
+                    let rec = Svd::compute_recovering(a, method, factors).unwrap();
+                    let svd = Svd::compute_factors(a, method, factors).unwrap();
+                    assert_eq!(rec.method, method);
+                    assert!(rec.fallbacks.is_empty());
+                    let want: Vec<u64> =
+                        svd.singular_values().iter().map(|x| x.to_bits()).collect();
+                    let got: Vec<u64> = rec.s.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want, "{:?} {method:?} {factors:?}: σ", a.dims());
+                    assert_eq!(bits(&rec.u.to_complex()), bits(svd.u()), "{method:?} U");
+                    assert_eq!(bits(&rec.v.to_complex()), bits(svd.v()), "{method:?} V");
+                }
+            }
+        }
+        let tall = pseudo_random_complex(60, 50, 0x1adde7);
+        let wide = pseudo_random_complex(9, 13, 0x71de);
+        for a in [&tall, &wide] {
+            check(a);
+            check(&a.real_part());
+        }
+    }
+
+    #[test]
+    fn jacobi_factors_of_real_input_are_real() {
+        // The Jacobi rung runs in complex arithmetic; on real input every
+        // rotation leaves the imaginary parts exactly zero, which is what
+        // makes its demotion to real factors exact.
+        for &(m, n) in &[(12, 30), (30, 12), (33, 33), (64, 48)] {
+            let real = pseudo_random_complex(m, n, (m * 131 + n) as u64).real_part();
+            let (u, s, v) =
+                Svd::factors_native(&real.to_complex(), SvdMethod::Jacobi, SvdFactors::Both)
+                    .unwrap();
+            assert_eq!(s.len(), m.min(n));
+            for z in u.iter().chain(v.iter()) {
+                assert_eq!(z.im, 0.0, "({m},{n}): imaginary part {:e}", z.im);
+            }
+        }
     }
 
     #[test]

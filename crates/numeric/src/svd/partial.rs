@@ -58,7 +58,9 @@ use crate::parallel;
 use crate::qr::reflector;
 use crate::scalar::Scalar;
 use crate::svd::bidiag_qr::finish_bidiagonal;
-use crate::svd::blocked::{bidiag_panel, larft, trailing_update, NB};
+use crate::svd::blocked::{
+    bidiag_panel, column_wy_block, column_wy_blocks, row_wy_blocks, trailing_update, WyBlock, NB,
+};
 use crate::svd::{validate_input, SvdFactors};
 
 /// Minimum slab columns assigned per worker before the accumulation
@@ -436,30 +438,9 @@ impl<T: Scalar> PartialSvd<T> {
     /// the same backward-WY machinery — so the leading-`r` bits still
     /// match the full-rank run at every worker count.
     fn apply_left_reflectors(&self, ub: &Matrix<T>, r: usize) -> Result<Matrix<T>, NumericError> {
-        let (m, n) = self.w.dims();
-        let rp = pad4(r);
-        let mut slab = Matrix::<T>::zeros(m, rp);
-        for i in 0..n {
-            let src = &ub.row(i)[..r];
-            slab.row_mut(i)[..r].copy_from_slice(src);
-        }
-        let starts: Vec<usize> = (0..n).step_by(NB).collect();
-        let mut blocks = Vec::new();
-        for &i0 in starts.iter().rev() {
-            let nb = NB.min(n - i0);
-            let rows = m - i0;
-            let mut vblk = Matrix::<T>::zeros(rows, nb);
-            for j in 0..nb {
-                let k = i0 + j;
-                vblk[(j, j)] = T::ONE;
-                for row in k + 1..m {
-                    vblk[(row - i0, j)] = self.w[(row, k)];
-                }
-            }
-            let tmat = larft(&vblk, &self.tauq[i0..i0 + nb]);
-            blocks.push((i0, vblk, tmat));
-        }
-        apply_wy_blocks(&mut slab, &blocks)?;
+        let m = self.w.rows();
+        let mut slab = zero_extended(ub, m, r);
+        apply_wy_blocks(&mut slab, column_wy_blocks(&self.w, &self.tauq))?;
         let Some(qr) = &self.qr else {
             return slab.submatrix(0, 0, m, r);
         };
@@ -467,26 +448,8 @@ impl<T: Scalar> PartialSvd<T> {
         // QR-first lift: U = Q_qr · U_R, with Q_qr's panels applied as
         // backward WY blocks on the zero-extended `mq × rp` slab.
         let mq = qr.w.rows();
-        let mut big = Matrix::<T>::zeros(mq, rp);
-        for i in 0..m {
-            big.row_mut(i).copy_from_slice(slab.row(i));
-        }
-        let mut blocks = Vec::new();
-        for &i0 in starts.iter().rev() {
-            let nb = NB.min(n - i0);
-            let rows = mq - i0;
-            let mut vblk = Matrix::<T>::zeros(rows, nb);
-            for j in 0..nb {
-                let k = i0 + j;
-                vblk[(j, j)] = T::ONE;
-                for row in k + 1..mq {
-                    vblk[(row - i0, j)] = qr.w[(row, k)];
-                }
-            }
-            let tmat = larft(&vblk, &qr.taus[i0..i0 + nb]);
-            blocks.push((i0, vblk, tmat));
-        }
-        apply_wy_blocks(&mut big, &blocks)?;
+        let mut big = zero_extended(&slab, mq, slab.cols());
+        apply_wy_blocks(&mut big, column_wy_blocks(&qr.w, &qr.taus))?;
         big.submatrix(0, 0, mq, r)
     }
 
@@ -495,37 +458,19 @@ impl<T: Scalar> PartialSvd<T> {
     /// slab `Vb(:, 1..r)` (`n × r`).
     fn apply_right_reflectors(&self, vb: &Matrix<T>, r: usize) -> Result<Matrix<T>, NumericError> {
         let n = self.w.cols();
-        let rp = pad4(r);
-        let mut slab = Matrix::<T>::zeros(n, rp);
-        for i in 0..n {
-            let src = &vb.row(i)[..r];
-            slab.row_mut(i)[..r].copy_from_slice(src);
-        }
-        if n < 2 {
-            return slab.submatrix(0, 0, n, r);
-        }
-        let mut blocks = Vec::new();
-        let starts: Vec<usize> = (0..n).step_by(NB).collect();
-        for &i0 in starts.iter().rev() {
-            let nb = NB.min(n - i0).min(n - 1 - i0);
-            if nb == 0 {
-                continue;
-            }
-            let rows = n - i0 - 1;
-            let mut vblk = Matrix::<T>::zeros(rows, nb);
-            for j in 0..nb {
-                let k = i0 + j;
-                vblk[(j, j)] = T::ONE;
-                for c in k + 2..n {
-                    vblk[(c - i0 - 1, j)] = self.w[(k, c)];
-                }
-            }
-            let tmat = larft(&vblk, &self.taup[i0..i0 + nb]);
-            blocks.push((i0 + 1, vblk, tmat));
-        }
-        apply_wy_blocks(&mut slab, &blocks)?;
+        let mut slab = zero_extended(vb, n, r);
+        apply_wy_blocks(&mut slab, row_wy_blocks(&self.w, &self.taup))?;
         slab.submatrix(0, 0, n, r)
     }
+}
+
+/// `src`'s leading `r` columns on top of a `rows × pad4(r)` zero slab.
+fn zero_extended<T: Scalar>(src: &Matrix<T>, rows: usize, r: usize) -> Matrix<T> {
+    let mut slab = Matrix::<T>::zeros(rows, pad4(r));
+    for i in 0..src.rows() {
+        slab.row_mut(i)[..r].copy_from_slice(&src.row(i)[..r]);
+    }
+    slab
 }
 
 /// Applies a backward sequence of WY blocks to `slab`, fanning the
@@ -535,8 +480,9 @@ impl<T: Scalar> PartialSvd<T> {
 /// per-column bits match the serial sweep for every worker count.
 fn apply_wy_blocks<T: Scalar>(
     slab: &mut Matrix<T>,
-    blocks: &[(usize, Matrix<T>, Matrix<T>)],
+    blocks: impl Iterator<Item = WyBlock<T>>,
 ) -> Result<(), NumericError> {
+    let blocks: Vec<WyBlock<T>> = blocks.collect();
     let (rows, cols) = slab.dims();
     if blocks.is_empty() || cols == 0 {
         return Ok(());
@@ -554,7 +500,7 @@ fn apply_wy_blocks<T: Scalar>(
     let updated = parallel::try_map_with(workers, &ranges, |_, &(ca, cb)| {
         let width = cb - ca;
         let mut sub = slab.submatrix(0, ca, rows, width)?;
-        for (row0, vblk, tmat) in blocks {
+        for (row0, vblk, tmat) in &blocks {
             let span = vblk.rows();
             let mut ssub = sub.submatrix(*row0, 0, span, width)?;
             let w1 = kernel::mul_hermitian_left(vblk, &ssub)?;
@@ -630,15 +576,7 @@ fn qr_factor<T: Scalar>(
         // C := (I − V·T·Vᴴ)ᴴ·C = C − V·(Tᴴ·(Vᴴ·C)).
         if i0 + nb < n {
             let rows = m - i0;
-            let mut vblk = Matrix::<T>::zeros(rows, nb);
-            for j in 0..nb {
-                let k = i0 + j;
-                vblk[(j, j)] = T::ONE;
-                for row in k + 1..m {
-                    vblk[(row - i0, j)] = a[(row, k)];
-                }
-            }
-            let tmat = larft(&vblk, &taus[i0..i0 + nb]);
+            let (vblk, tmat) = column_wy_block(&a, &taus, i0, nb);
             let c0 = i0 + nb;
             let width = n - c0;
             let workers = threads

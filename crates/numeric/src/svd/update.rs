@@ -44,7 +44,11 @@
 //!
 //! The updater is generic over the scalar: realified *real* pencils keep
 //! every GEMM, reflector and rotation on the packed real path — no
-//! complex promotion anywhere in the update loop. All arithmetic routes
+//! complex promotion anywhere in the update loop. It is seeded either by
+//! its own blocked decomposition ([`SvdUpdater::new`]) or from factors a
+//! caller already holds ([`SvdUpdater::from_factors`]) — a session
+//! re-anchor seeds it from whichever rung of the
+//! [`Svd::compute_recovering`] ladder converged. All arithmetic routes
 //! through deterministically-chunked kernels, so updated singular
 //! values are **bit-identical for every `MFTI_THREADS`** (asserted by
 //! `tests/svd_update_thread_invariance.rs`).
@@ -54,7 +58,7 @@ use crate::kernel;
 use crate::matrix::Matrix;
 use crate::qr::Qr;
 use crate::scalar::Scalar;
-use crate::svd::{Svd, SvdMethod};
+use crate::svd::{Svd, SvdFactors, SvdMethod};
 
 /// Default relative retained-tail floor: singular values below
 /// `1e-13 · σ₁` are truncated from the retained factorization after
@@ -115,8 +119,6 @@ pub struct SvdUpdater<T: Scalar> {
     s: Vec<f64>,
     /// Right basis, `cols × q`.
     v: Matrix<T>,
-    rows: usize,
-    cols: usize,
     rel_floor: f64,
     /// Accumulated Frobenius-norm bound on everything truncated so far —
     /// by Weyl's inequality, a bound on the perturbation of every
@@ -134,42 +136,61 @@ impl<T: Scalar> SvdUpdater<T> {
     /// Same as [`Svd::compute`]: empty or non-finite input, QR-sweep
     /// stall.
     pub fn new(a: &Matrix<T>) -> Result<Self, NumericError> {
-        Self::with_floor_method(a, DEFAULT_UPDATE_FLOOR, SvdMethod::Blocked)
+        let (u, s, v) = Svd::factors_native(a, SvdMethod::Blocked, SvdFactors::Both)?;
+        Self::from_factors(u, s, v, DEFAULT_UPDATE_FLOOR)
     }
 
-    /// Seeds the updater with an explicit relative retained-tail floor
-    /// (`0 ≤ rel_floor < 1`) and seed backend. Singular values below
-    /// `rel_floor · σ₁` are dropped from the retained state after the
-    /// seed decomposition and after every append; `0.0` retains
-    /// everything (exact but no longer sublinear for full-rank
-    /// streams). The re-anchoring ladder (DESIGN.md §9) needs a
-    /// Golub–Kahan-seeded updater when the blocked seed itself has
-    /// stalled. Only the scalar-generic backends
-    /// ([`SvdMethod::Blocked`], [`SvdMethod::GolubKahan`]) are
-    /// supported.
+    /// Seeds the updater with a thin decomposition `A = U diag(s) V*`
+    /// the caller already holds (`U` rows × r, `s` r descending,
+    /// `V` cols × r, `r = min(rows, cols)`), e.g. the factors of a
+    /// [`Svd::compute_recovering`] walk, truncated to the retained rank
+    /// at the relative floor `rel_floor` (`0 ≤ rel_floor < 1`; `0.0`
+    /// retains everything, exact but no longer sublinear for full-rank
+    /// streams). Singular values below `rel_floor · σ₁` are dropped from
+    /// the retained state now and after every append. Seeded with the
+    /// blocked factors at the default floor, it is [`SvdUpdater::new`],
+    /// bit for bit.
     ///
     /// # Errors
     ///
-    /// [`NumericError::InvalidArgument`] for a floor outside `[0, 1)`
-    /// or the complex-only Jacobi backend; otherwise as
-    /// [`SvdUpdater::new`].
-    pub fn with_floor_method(
-        a: &Matrix<T>,
+    /// [`NumericError::InvalidArgument`] for a floor outside `[0, 1)` or
+    /// singular values that are not descending and non-negative,
+    /// [`NumericError::ShapeMismatch`] for factors that are not a
+    /// complete thin decomposition, [`NumericError::NotFinite`] for
+    /// NaN/∞ entries.
+    pub fn from_factors(
+        u: Matrix<T>,
+        s: Vec<f64>,
+        v: Matrix<T>,
         rel_floor: f64,
-        method: SvdMethod,
     ) -> Result<Self, NumericError> {
         if !(0.0..1.0).contains(&rel_floor) {
             return Err(NumericError::InvalidArgument {
                 what: "svd update floor must lie in [0, 1)",
             });
         }
-        let (u, s, v) = Svd::factors_native_with(a, method, true, true)?;
+        let r = s.len();
+        if r == 0 || u.cols() != r || v.cols() != r || r != u.rows().min(v.rows()) {
+            return Err(NumericError::ShapeMismatch {
+                op: "svd update seed: thin factors",
+                left: u.dims(),
+                right: v.dims(),
+            });
+        }
+        if !u.is_finite() || !v.is_finite() || !s.iter().all(|x| x.is_finite()) {
+            return Err(NumericError::NotFinite {
+                op: "svd update seed",
+            });
+        }
+        if s.windows(2).any(|w| w[0] < w[1]) || s[r - 1] < 0.0 {
+            return Err(NumericError::InvalidArgument {
+                what: "svd update seed values must be descending and non-negative",
+            });
+        }
         let mut updater = SvdUpdater {
             u,
             s,
             v,
-            rows: a.rows(),
-            cols: a.cols(),
             rel_floor,
             discarded: 0.0,
         };
@@ -179,7 +200,7 @@ impl<T: Scalar> SvdUpdater<T> {
 
     /// Dimensions of the (virtually) factored matrix.
     pub fn dims(&self) -> (usize, usize) {
-        (self.rows, self.cols)
+        (self.u.rows(), self.v.rows())
     }
 
     /// Number of retained singular triplets `q` — the working set every
@@ -248,17 +269,18 @@ impl<T: Scalar> SvdUpdater<T> {
     ) -> Result<(), NumericError> {
         let kc = cols_new.cols();
         let kr = rows_new.rows();
-        if cols_new.rows() != self.rows && kc > 0 {
+        let (rows, cols) = self.dims();
+        if cols_new.rows() != rows && kc > 0 {
             return Err(NumericError::ShapeMismatch {
                 op: "svd update: appended columns",
-                left: (self.rows, self.cols),
+                left: (rows, cols),
                 right: cols_new.dims(),
             });
         }
-        if rows_new.cols() != self.cols && kr > 0 {
+        if rows_new.cols() != cols && kr > 0 {
             return Err(NumericError::ShapeMismatch {
                 op: "svd update: appended rows",
-                left: (self.rows, self.cols),
+                left: (rows, cols),
                 right: rows_new.dims(),
             });
         }
@@ -295,7 +317,7 @@ impl<T: Scalar> SvdUpdater<T> {
             let refine = kernel::mul_hermitian_left(&self.u, &resid)?;
             kernel::accumulate_scaled(&mut resid, minus_one, &self.u, &refine)?;
             cu = &cu + &refine;
-            if q < self.rows {
+            if q < rows {
                 let qr = Qr::compute(&resid)?;
                 (cu, Some(qr.q_thin()), Some(qr.r()))
             } else {
@@ -316,7 +338,7 @@ impl<T: Scalar> SvdUpdater<T> {
             let refine = kernel::mul_blocked(&resid, &self.v)?;
             kernel::accumulate_scaled_adjoint_right(&mut resid, minus_one, &refine, &self.v)?;
             rv = &rv + &refine;
-            if q < self.cols {
+            if q < cols {
                 // R − Rᵥ V* = L_r Q_r* via QR of the adjoint.
                 let qr = Qr::compute(&resid.adjoint())?;
                 (rv, Some(qr.q_thin()), Some(qr.r().adjoint()))
@@ -350,7 +372,7 @@ impl<T: Scalar> SvdUpdater<T> {
                 b.set_block(q + kcb, q + krb, corner)?;
             }
         }
-        let (ub, s_new, vb) = Svd::factors_native(&b, true, true)?;
+        let (ub, s_new, vb) = Svd::factors_native(&b, SvdMethod::Blocked, SvdFactors::Both)?;
         let rmin = s_new.len();
 
         // --- Rotate the bases into the new singular directions ----------
@@ -380,10 +402,7 @@ impl<T: Scalar> SvdUpdater<T> {
         self.u = u_new;
         self.s = s_new;
         self.v = v_new;
-        self.rows += kr;
-        self.cols += kc;
-        dropped += self.truncate_retained();
-        self.discarded += dropped;
+        self.discarded += dropped + self.truncate_retained();
         Ok(())
     }
 
@@ -426,14 +445,15 @@ impl<T: Scalar> SvdUpdater<T> {
         if kr == 0 && kc == 0 {
             return Ok(());
         }
-        if kr >= self.rows || kc >= self.cols {
+        let (rows, cols) = self.dims();
+        if kr >= rows || kc >= cols {
             return Err(NumericError::InvalidArgument {
                 what: "svd downdate must leave a nonempty window",
             });
         }
         let q = self.s.len();
-        let m2 = self.rows - kr;
-        let n2 = self.cols - kc;
+        let m2 = rows - kr;
+        let n2 = cols - kc;
         if q > m2 || q > n2 {
             return Err(NumericError::InvalidArgument {
                 what: "retained rank exceeds the downdated window",
@@ -467,7 +487,7 @@ impl<T: Scalar> SvdUpdater<T> {
             }
         }
         let core = kernel::mul_adjoint_right(&scaled, &rv)?;
-        let (ub, s_new, vb) = Svd::factors_native(&core, true, true)?;
+        let (ub, s_new, vb) = Svd::factors_native(&core, SvdMethod::Blocked, SvdFactors::Both)?;
 
         // Rotate the orthonormal bases into the new singular directions.
         let u_new = kernel::mul_blocked(&qr_u.q_thin(), &ub)?;
@@ -477,10 +497,7 @@ impl<T: Scalar> SvdUpdater<T> {
         self.u = u_new;
         self.s = s_new;
         self.v = v_new;
-        self.rows = m2;
-        self.cols = n2;
-        let dropped = self.truncate_retained();
-        self.discarded += dropped;
+        self.discarded += self.truncate_retained();
         Ok(())
     }
 
@@ -506,14 +523,15 @@ impl<T: Scalar> SvdUpdater<T> {
         reference: &Matrix<T>,
         indices: &[usize],
     ) -> Result<f64, NumericError> {
-        if reference.dims() != (self.rows, indices.len()) {
+        let (rows, cols) = self.dims();
+        if reference.dims() != (rows, indices.len()) {
             return Err(NumericError::ShapeMismatch {
                 op: "svd downdate probe: reference columns",
-                left: (self.rows, indices.len()),
+                left: (rows, indices.len()),
                 right: reference.dims(),
             });
         }
-        if indices.iter().any(|&j| j >= self.cols) {
+        if indices.iter().any(|&j| j >= cols) {
             return Err(NumericError::InvalidArgument {
                 what: "svd downdate probe: column index out of range",
             });
@@ -542,7 +560,8 @@ impl<T: Scalar> SvdUpdater<T> {
         }
         let smax = self.s[0];
         let floor = self.rel_floor * smax;
-        let limit = self.rows.min(self.cols).max(1);
+        let (rows, cols) = self.dims();
+        let limit = rows.min(cols).max(1);
         let keep = self
             .s
             .iter()
@@ -717,11 +736,20 @@ mod tests {
         assert_eq!(upd.dims(), (8, 8));
     }
 
+    /// The blocked backend's thin factors of `a`, in `a`'s scalar type.
+    fn blocked_factors<T: Scalar>(a: &Matrix<T>) -> (Matrix<T>, Vec<f64>, Matrix<T>) {
+        Svd::factors_native(a, SvdMethod::Blocked, SvdFactors::Both).unwrap()
+    }
+
     #[test]
     fn rejects_invalid_floor_and_nonfinite_borders() {
         let a = pseudo_random_complex(6, 6, 9);
-        for floor in [1.5, -0.1] {
-            assert!(SvdUpdater::with_floor_method(&a, floor, SvdMethod::Blocked).is_err());
+        for floor in [1.5, -0.1, f64::NAN] {
+            let (u, s, v) = blocked_factors(&a);
+            assert!(matches!(
+                SvdUpdater::from_factors(u, s, v, floor),
+                Err(NumericError::InvalidArgument { .. })
+            ));
         }
         let mut upd = SvdUpdater::new(&a).unwrap();
         let mut bad = pseudo_random_complex(6, 1, 10);
@@ -854,15 +882,87 @@ mod tests {
 
     #[test]
     fn golub_kahan_seed_matches_the_blocked_seed() {
+        // Every rung of the recovery ladder seeds an updater through
+        // `from_factors`, Jacobi included (real input: demoted factors).
         let a = pseudo_random_complex(10, 10, 0x6b6b);
         let blocked = SvdUpdater::new(&a).unwrap();
-        let gk =
-            SvdUpdater::with_floor_method(&a, DEFAULT_UPDATE_FLOOR, SvdMethod::GolubKahan).unwrap();
-        assert_sv_close(gk.singular_values(), blocked.singular_values(), 1e-12);
+        for rung in [SvdMethod::GolubKahan, SvdMethod::Jacobi] {
+            let rec = Svd::compute_recovering(&a, rung, SvdFactors::Both).unwrap();
+            let seeded = SvdUpdater::from_factors(rec.u, rec.s, rec.v, DEFAULT_UPDATE_FLOOR);
+            let seeded = seeded.unwrap();
+            assert_sv_close(seeded.singular_values(), blocked.singular_values(), 1e-12);
+            let resid = seeded
+                .residual_on_columns(&a.submatrix(0, 0, 10, 2).unwrap(), &[0, 1])
+                .unwrap();
+            assert!(resid <= 1e-12 * blocked.singular_values()[0], "{rung:?}");
+        }
+        let real = a.real_part();
+        let rec = Svd::compute_recovering(&real, SvdMethod::Jacobi, SvdFactors::Both).unwrap();
+        let seeded = SvdUpdater::from_factors(rec.u, rec.s, rec.v, DEFAULT_UPDATE_FLOOR).unwrap();
+        let fresh = SvdUpdater::new(&real).unwrap();
+        assert_sv_close(seeded.singular_values(), fresh.singular_values(), 1e-12);
+    }
+
+    #[test]
+    fn blocked_factors_seed_exactly_what_new_builds() {
+        // A rank-6 real 64 × 64 matrix (the panel path, with a truncated
+        // tail) and a complex 20 × 14 one (wide of the delegated size):
+        // seeding from the blocked factors is `new`, bit for bit.
+        fn check<T: Scalar>(a: &Matrix<T>) {
+            let new = SvdUpdater::new(a).unwrap();
+            let (u, s, v) = blocked_factors(a);
+            let seeded = SvdUpdater::from_factors(u, s, v, DEFAULT_UPDATE_FLOOR).unwrap();
+            let bits = |m: &Matrix<T>| -> Vec<u64> {
+                m.to_complex()
+                    .iter()
+                    .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                    .collect()
+            };
+            assert_eq!(seeded.dims(), new.dims());
+            assert_eq!(bits(seeded.left()), bits(new.left()));
+            assert_eq!(bits(seeded.right()), bits(new.right()));
+            let sv_bits = |u: &SvdUpdater<T>| -> Vec<u64> {
+                u.singular_values().iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(sv_bits(&seeded), sv_bits(&new));
+            assert_eq!(seeded.error_bound().to_bits(), new.error_bound().to_bits());
+        }
+        let left = RMatrix::from_fn(64, 6, |i, j| ((i * 7 + j * 11) % 19) as f64 / 19.0 - 0.3);
+        let right = RMatrix::from_fn(6, 64, |i, j| ((i * 5 + j * 13) % 23) as f64 / 23.0 - 0.4);
+        let lowrank = left.matmul(&right).unwrap();
+        assert!(SvdUpdater::new(&lowrank).unwrap().retained_rank() < 64);
+        check(&lowrank);
+        check(&pseudo_random_complex(14, 20, 0x5eed));
+    }
+
+    #[test]
+    fn from_factors_validates_shapes_and_values() {
+        let a = pseudo_random_complex(8, 6, 0xfac7);
+        let (u, s, v) = blocked_factors(&a);
+        // A truncated triplet is not a complete thin decomposition.
+        let short = |m: &CMatrix| m.submatrix(0, 0, m.rows(), 5).unwrap();
         assert!(matches!(
-            SvdUpdater::with_floor_method(&a, DEFAULT_UPDATE_FLOOR, SvdMethod::Jacobi),
+            SvdUpdater::from_factors(short(&u), s[..5].to_vec(), short(&v), 0.0),
+            Err(NumericError::ShapeMismatch { .. })
+        ));
+        assert!(matches!(
+            SvdUpdater::from_factors(u.clone(), s.clone(), u.clone(), 0.0),
+            Err(NumericError::ShapeMismatch { .. })
+        ));
+        let mut bad = u.clone();
+        bad[(3, 2)] = c64(f64::INFINITY, 0.0);
+        assert!(matches!(
+            SvdUpdater::from_factors(bad, s.clone(), v.clone(), 0.0),
+            Err(NumericError::NotFinite { .. })
+        ));
+        let mut unsorted = s.clone();
+        unsorted.swap(0, 1);
+        assert!(matches!(
+            SvdUpdater::from_factors(u.clone(), unsorted, v.clone(), 0.0),
             Err(NumericError::InvalidArgument { .. })
         ));
+        let exact = SvdUpdater::from_factors(u, s, v, 0.0).unwrap();
+        assert_eq!((exact.dims(), exact.retained_rank()), ((8, 6), 6));
     }
 
     #[test]
@@ -872,7 +972,8 @@ mod tests {
         // already-complete 8×8 seed basis.
         let full = pseudo_random_complex(12, 12, 0xcafe);
         let seed = full.submatrix(0, 0, 8, 8).unwrap();
-        let mut exact = SvdUpdater::with_floor_method(&seed, 0.0, SvdMethod::Blocked).unwrap();
+        let (u, s, v) = blocked_factors(&seed);
+        let mut exact = SvdUpdater::from_factors(u, s, v, 0.0).unwrap();
         exact
             .append_border(
                 &full.submatrix(0, 8, 8, 4).unwrap(),

@@ -587,7 +587,9 @@ fn modal_upgrade(
 /// same model — the serving-layer hot path — hit the cache and pay only
 /// per-point work. A group that a modal evaluator from above serves
 /// (DESIGN.md §10) is cached with that same evaluator, so a warm sweep
-/// neither re-validates the offer nor moves a bit. The cache can never
+/// neither re-validates the offer nor moves a bit; a group that refuses
+/// the offer is cached under the no-offer key as well, since its
+/// evaluator is the one a set-up without an offer builds. The cache can never
 /// go stale: a [`DescriptorSystem`]'s matrices are immutable after
 /// construction (every "mutation" builds a new system, and [`Clone`]
 /// starts the copy with an empty cache), and the key holds everything
@@ -966,6 +968,12 @@ impl<T: Scalar> DescriptorSystem<T> {
         // always correct.
         let built = self.sweep_evaluator(sigma, use_schur, offer)?;
         self.sweep_cache.insert(key, Arc::clone(&built));
+        // A refused offer leaves exactly the evaluator a set-up without
+        // one builds (DESIGN.md §10), so it serves that key too.
+        if offer.is_some_and(|offer| !Arc::ptr_eq(offer, &built)) {
+            let plain = SweepCache::key(sigma, use_schur, None);
+            self.sweep_cache.insert(plain, Arc::clone(&built));
+        }
         Some(built)
     }
 
@@ -1857,6 +1865,27 @@ mod tests {
             for (i, (h, want)) in auto.iter().zip(&schur).enumerate() {
                 assert!(same_bits(h, want), "{threads} threads, point {i}");
             }
+        }
+    }
+
+    #[test]
+    fn a_refused_offer_and_a_plain_set_up_share_one_evaluator() {
+        // The lower group refuses the top group's modal evaluator, so its
+        // own evaluator is the one `Schur` (which makes no offers) sets
+        // up for it: sweeping with `Auto` and then `Schur` holds one
+        // evaluator per group, and both sweeps keep their bits.
+        let sys = resonant_system(48, 2, 1e7, 11);
+        let pts = three_decades(1e2, 60);
+        let cold = sys
+            .clone()
+            .eval_batch_with(&pts, SweepStrategy::Schur, 1)
+            .unwrap();
+        let auto = sys.eval_batch_with(&pts, SweepStrategy::Auto, 1).unwrap();
+        assert_eq!(sys.cached_sweep_groups(), 2);
+        let schur = sys.eval_batch_with(&pts, SweepStrategy::Schur, 1).unwrap();
+        assert_eq!(sys.cached_sweep_groups(), 2);
+        for (i, ((a, s), c)) in auto.iter().zip(&schur).zip(&cold).enumerate() {
+            assert!(same_bits(a, c) && same_bits(s, c), "point {i}");
         }
     }
 

@@ -16,7 +16,6 @@
 //!   sublinear.
 
 use mfti::core::{FitSession, Fitter, Mfti, SessionSvd};
-use mfti::numeric::SvdMethod;
 use mfti::sampling::generators::MnaNetlist;
 use mfti::sampling::{FrequencyGrid, SampleSet};
 use mfti::statespace::{DescriptorSystem, Macromodel};
@@ -194,7 +193,7 @@ fn rank_collapsing_window_keeps_updater_and_oracle_in_lockstep() {
     let mut updating = FitSession::new(mfti()).window(window);
     let mut oracle = FitSession::new(mfti())
         .window(window)
-        .svd(SessionSvd::Fresh(SvdMethod::Blocked));
+        .svd(SessionSvd::Fresh);
 
     let k = all.len();
     updating
@@ -348,7 +347,7 @@ fn streaming_oracle_and_updater_agree_on_the_mna_stream() {
     let all = SampleSet::from_system(&ckt, &grid).expect("sampling");
 
     let mut updating = FitSession::new(Mfti::new());
-    let mut oracle = FitSession::new(Mfti::new()).svd(SessionSvd::Fresh(SvdMethod::Blocked));
+    let mut oracle = FitSession::new(Mfti::new()).svd(SessionSvd::Fresh);
     for batch in streamed_batches(&all) {
         updating.append(&batch).expect("append");
         oracle.append(&batch).expect("append");
@@ -433,7 +432,7 @@ fn noisy_window_reanchors_fresh_on_every_slide() {
     let mut updating = FitSession::new(Mfti::new()).window(window);
     let mut oracle = FitSession::new(Mfti::new())
         .window(window)
-        .svd(SessionSvd::Fresh(SvdMethod::Blocked));
+        .svd(SessionSvd::Fresh);
     let mut slides = 0;
     for batch in streamed_batches(&all) {
         updating.append(&batch).expect("append");
